@@ -3,18 +3,26 @@
 Given a closure set of formulas, the states of the canonical game are
 the maximal consistent subsets of that closure (consistency judged by a
 pluggable oracle), plus one failure state.  Each agent's action is a
-request: a pair of a formula from the closure (or the constant true
-formula) and a rational value drawn from the closure's subscripts plus 0
-and the sentinel -1, which belongs to no modality and so lets an agent
-opt out of every request.
+request: the pair (body, threshold) of a modality [C]_p body of the
+closure whose coalition C is non-empty, or the opt-out (true, -1), which
+belongs to no modality and so grants nothing.
 
 At a state s under a complete profile, the granted commitments are the
 modalities in s whose coalition members all chose exactly the matching
-(body, threshold) pair.  Their strongest threshold (0 when none match)
-is shared uniformly among the target states, the maximal sets containing
-every granted body; the rest of the mass goes to the failure state.  The
-point of the construction is that membership and truth coincide, which
-:func:`audit_truth_lemma` measures rather than assumes.
+(body, threshold) pair; a modality with an empty coalition is granted by
+every profile and so needs no action.  Their strongest threshold (0 when
+none is granted) is shared uniformly among the target states, the
+maximal sets containing every granted body; the rest of the mass goes to
+the failure state.  The point of the construction is that membership
+and truth coincide, which :func:`audit_truth_lemma` measures rather than
+assumes.
+
+The domain is a quotient of the paper's, where an agent may request any
+closure formula (or true) at any subscript of the closure, 0 or -1.  A
+request no non-empty-coalition modality of the closure asks for is never
+granted, so it yields the opt-out's row at every state: every row of the
+paper's game is the row of the profile that replaces such requests by the
+opt-out, and no formula changes its truth value.
 
 The correspondence is provable only for positive thresholds.  A profile
 granting nothing yields rows that send all mass to the failure state, at
@@ -222,15 +230,17 @@ class CanonicalAction:
 
 
 def action_domain(sigma: ClosureSet) -> tuple:
-    """Every (formula, value) pair over the closure plus the constant true
-    formula, with values from the closure's subscripts, 0, and -1."""
-    pool = list(sigma.formulas)
-    if TOP not in sigma:
-        pool.append(TOP)
-    pool.sort(key=canonical_key)
-    values = sorted(sigma.subscripts() | {Fraction(0), Fraction(-1)})
+    """One request (body, p) per modality [C]_p body of the closure with a
+    non-empty coalition, plus the opt-out (true, -1), in canonical order
+    of the formula, then of the value."""
+    requests = {
+        CanonicalAction(f.body, f.p)
+        for f in sigma
+        if isinstance(f, Coal) and f.coalition
+    }
+    requests.add(CanonicalAction(TOP, Fraction(-1)))
     return tuple(
-        CanonicalAction(f, v) for f in pool for v in values
+        sorted(requests, key=lambda a: (canonical_key(a.formula), a.value))
     )
 
 
@@ -265,26 +275,21 @@ def targets(
     return tuple(t for t in all_sets if required <= t.members)
 
 
-def canonical_probability(
-    source: Optional[MaximalSet],
-    target: Optional[MaximalSet],
-    mu_value: Fraction,
-    target_sets: Sequence[MaximalSet],
-) -> Fraction:
-    """One transition entry; ``None`` stands for the failure state.
-
-    When no maximal set contains all granted bodies yet the threshold is
-    positive, the construction cannot honor the grant; all mass then
-    routes to the failure state (callers should report such pairs)."""
-    if source is None:
-        return Fraction(1) if target is None else Fraction(0)
-    if not target_sets and mu_value > 0:
-        return Fraction(1) if target is None else Fraction(0)
-    if target is None:
-        return 1 - mu_value
-    if target in target_sets:
-        return mu_value / len(target_sets)
-    return Fraction(0)
+def _row(mu_value: Fraction, target_names: Sequence[str]) -> tuple:
+    """``(row, guarded)`` for a granted threshold and its target states:
+    ``mu_value`` shared uniformly among the targets, the rest of the mass
+    on the failure state.  When no maximal set contains all granted
+    bodies yet the threshold is positive, the construction cannot honor
+    the grant; all mass then routes to the failure state and ``guarded``
+    is true (callers report such pairs)."""
+    if not target_names and mu_value > 0:
+        return {FAILURE_STATE: Fraction(1)}, True
+    row = {}
+    if mu_value > 0:
+        row = dict.fromkeys(target_names, mu_value / len(target_names))
+    if mu_value < 1:
+        row[FAILURE_STATE] = 1 - mu_value
+    return row, False
 
 
 @dataclass
@@ -297,6 +302,9 @@ class CanonicalDiagnostics:
     state_count: int = 0
     action_count: int = 0
     profile_count: int = 0
+    # state name -> MaximalSet, s0, s1, ... in order; not part of the
+    # JSON report
+    sets: dict = field(default_factory=dict, repr=False)
 
     def to_dict(self) -> dict:
         return {
@@ -323,9 +331,9 @@ def build_canonical_game(
 
     Returns ``(game, diagnostics)``.  States are named s0, s1, ... in the
     order of their sorted member renderings, plus the failure state
-    ``f``.  The game always validates; when the oracle rejects every
-    candidate set the game has only the failure state and the
-    diagnostics say so.
+    ``f``; ``diagnostics.sets`` maps each name to its maximal set.  The
+    game always validates; when the oracle rejects every candidate set
+    the game has only the failure state and the diagnostics say so.
     """
     if system is SystemId.LPLUS:
         for f in sigma:
@@ -345,48 +353,47 @@ def build_canonical_game(
         enumerate_maximal_sets(sigma, oracle, cap), key=MaximalSet.key
     )
     actions = action_domain(sigma)
+    action_ids = tuple(a.action_id for a in actions)
     diag = CanonicalDiagnostics()
     diag.state_count = len(sets)
     diag.action_count = len(actions)
     diag.action_table = {
-        a.action_id: {"formula": render(a.formula), "value": str(a.value)}
-        for a in actions
+        aid: {"formula": render(a.formula), "value": str(a.value)}
+        for aid, a in zip(action_ids, actions)
     }
-    names = {s: f"s{i}" for i, s in enumerate(sets)}
+    diag.sets = {f"s{i}": s for i, s in enumerate(sets)}
+    names = {s: name for name, s in diag.sets.items()}
     diag.state_members = {
-        names[s]: [render(f) for f in sorted(s.members, key=canonical_key)]
-        for s in sets
+        name: [render(f) for f in sorted(s.members, key=canonical_key)]
+        for name, s in diag.sets.items()
     }
     diag.flagged_states = [names[s] for s in sets if s.flagged]
     diag.no_consistent_sets = not sets
+    id_of = dict(zip(actions, action_ids))
+    profiles = [
+        (dict(zip(agent_tuple, combo)),
+         ActionProfile(tuple((a, id_of[x]) for a, x in zip(agent_tuple, combo))))
+        for combo in product(actions, repeat=len(agent_tuple))
+    ]
+    # a row depends only on the granted modalities, so each distinct
+    # granted set is turned into a row once
+    rows = {}
     transitions = {}
-    id_of = {a: a.action_id for a in actions}
     for s in sets:
-        for combo in product(actions, repeat=len(agent_tuple)):
-            profile = dict(zip(agent_tuple, combo))
-            game_profile = ActionProfile.of(
-                {a: id_of[x] for a, x in profile.items()}
-            )
-            m_value = mu(s, profile)
-            t_sets = targets(s, profile, sets)
-            if not t_sets and m_value > 0:
+        for profile, game_profile in profiles:
+            granted = frozenset(_granted(s, profile))
+            entry = rows.get(granted)
+            if entry is None:
+                target_names = [names[t] for t in targets(s, profile, sets)]
+                entry = rows[granted] = _row(mu(s, profile), target_names)
+            row, guarded = entry
+            if guarded:
                 diag.guard_pairs.append((names[s], game_profile.as_dict()))
-            row = {}
-            for t in t_sets:
-                p = canonical_probability(s, t, m_value, t_sets)
-                if p > 0:
-                    row[names[t]] = p
-            fail_mass = canonical_probability(s, None, m_value, t_sets)
-            if fail_mass > 0:
-                row[FAILURE_STATE] = fail_mass
             transitions[(names[s], game_profile)] = row
             diag.profile_count += 1
-    for combo in product(actions, repeat=len(agent_tuple)):
-        game_profile = ActionProfile.of(
-            {a: id_of[x] for a, x in zip(agent_tuple, combo)}
-        )
+    for _profile, game_profile in profiles:
         transitions[(FAILURE_STATE, game_profile)] = {FAILURE_STATE: Fraction(1)}
-    state_names = tuple(names[s] for s in sets) + (FAILURE_STATE,)
+    state_names = tuple(diag.sets) + (FAILURE_STATE,)
     valuation = {
         v: frozenset(names[s] for s in sets if Var(v) in s.members)
         for v in sorted(sigma.variables())
@@ -395,7 +402,7 @@ def build_canonical_game(
         agents=agent_tuple,
         states=state_names,
         failures=(FAILURE_STATE,),
-        actions=tuple(a.action_id for a in actions),
+        actions=action_ids,
         transitions=transitions,
         valuation=valuation,
     )
@@ -416,17 +423,16 @@ class TruthLemmaReport:
 
 
 def audit_truth_lemma(
-    game: Game, sigma: ClosureSet, sets: Sequence[MaximalSet]
+    game: Game, sigma: ClosureSet, sets: Mapping[str, MaximalSet]
 ) -> TruthLemmaReport:
     """Compare membership against model-checked truth for every formula of
-    the closure at every non-failure state.  Disagreements localize a gap
-    in the oracle (or a construction bug); a clean report is evidence the
-    canonical game means what its states say."""
-    ordered = sorted(sets, key=MaximalSet.key)
+    the closure at every non-failure state; ``sets`` maps state names to
+    maximal sets, as ``CanonicalDiagnostics.sets`` does.  Disagreements
+    localize a gap in the oracle (or a construction bug); a clean report
+    is evidence the canonical game means what its states say."""
     report = TruthLemmaReport()
     ctx = CheckContext(game)
-    for i, s in enumerate(ordered):
-        name = f"s{i}"
+    for name, s in sets.items():
         for f in sigma:
             member = f in s.members
             truth = holds(game, name, f, ctx)

@@ -21,7 +21,6 @@ from .canonical import (
     audit_truth_lemma,
     build_canonical_game,
     default_oracle,
-    enumerate_maximal_sets,
 )
 from .decide import DecideError, Refuted, SearchBounds, decide_formula, incompleteness_demo
 from .formula import TOP, Bot, ParseError, Var, agents_of, closure, parse, render
@@ -196,8 +195,7 @@ def _cmd_canonical(args) -> int:
     game, diag = build_canonical_game(
         sigma, system=system, oracle=oracle, cap=args.max_closure
     )
-    sets = enumerate_maximal_sets(sigma, oracle, cap=args.max_closure)
-    audit = audit_truth_lemma(game, sigma, sets)
+    audit = audit_truth_lemma(game, sigma, diag.sets)
     clean = audit.clean and not diag.guard_pairs
     payload = {
         "command": "canonical",

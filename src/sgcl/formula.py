@@ -11,7 +11,7 @@ Concrete grammar (whitespace-insensitive)::
 
     formula  := impl
     impl     := unary ( "->" impl )?          # right associative
-    unary    := "~" unary | modal unary | atom
+    unary    := ( "~" | modal )* atom
     modal    := "[" ( ident ("," ident)* )? "]" "_" rational
     atom     := "false" | "true" | ident | "(" formula ")"
     rational := integer | integer "/" integer | decimal
@@ -160,21 +160,27 @@ def in_plus_language(f: Formula) -> bool:
 
 
 def render(f: Formula) -> str:
-    """Canonical rendering; ``parse(render(f))`` returns f."""
-    if isinstance(f, Var):
-        return f.name
-    if isinstance(f, Bot):
-        return "false"
-    if isinstance(f, Neg):
-        if isinstance(f.body, Bot):
-            return "true"
-        return "~" + render(f.body)
-    if isinstance(f, Impl):
-        return f"({render(f.left)} -> {render(f.right)})"
-    if isinstance(f, Coal):
-        names = ",".join(sorted(f.coalition))
-        return f"[{names}]_{f.p} {render(f.body)}"
-    raise TypeError(f"not a formula: {f!r}")
+    """Canonical rendering; ``parse(render(f))`` returns f.  A chain of
+    prefixes (negations and modalities) is printed in a loop, so a deep
+    chain never exhausts the interpreter stack."""
+    prefix = ""
+    while True:
+        if isinstance(f, Var):
+            return prefix + f.name
+        if isinstance(f, Impl):
+            return f"{prefix}({render(f.left)} -> {render(f.right)})"
+        if isinstance(f, Neg):
+            if isinstance(f.body, Bot):
+                return prefix + "true"
+            prefix += "~"
+        elif isinstance(f, Coal):
+            names = ",".join(sorted(f.coalition))
+            prefix += f"[{names}]_{f.p} "
+        elif isinstance(f, Bot):
+            return prefix + "false"
+        else:
+            raise TypeError(f"not a formula: {f!r}")
+        f = f.body
 
 
 def canonical_key(f: Formula):
@@ -250,16 +256,21 @@ class _Parser:
         return left
 
     def unary(self) -> Formula:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of input", self.text_len)
-        if tok[0] == _PUNCT and tok[1] == "~":
-            self.i += 1
-            return Neg(self.unary())
-        if tok[0] == _PUNCT and tok[1] == "[":
-            coalition, p = self.modal()
-            return Coal(coalition, p, self.unary())
-        return self.atom()
+        # a chain of prefixes is read in a loop and applied innermost
+        # first, so a deep chain never exhausts the interpreter stack
+        prefixes = []
+        while True:
+            if self.at_punct("~"):
+                self.i += 1
+                prefixes.append(None)
+            elif self.at_punct("["):
+                prefixes.append(self.modal())
+            else:
+                break
+        f = self.atom()
+        for prefix in reversed(prefixes):
+            f = Neg(f) if prefix is None else Coal(prefix[0], prefix[1], f)
+        return f
 
     def modal(self):
         self.expect_punct("[")

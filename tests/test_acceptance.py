@@ -317,7 +317,7 @@ def test_canonical_construction_audit():
                     assert sum(row.values(), start=F(0)) == 1
                     assert survival <= mu(s, profile)
 
-            audit = audit_truth_lemma(game, sigma, sets)
+            audit = audit_truth_lemma(game, sigma, diag.sets)
             assert audit.disagreements == []
             assert audit.checked == len(sets) * len(list(sigma))
             elapsed = time.monotonic() - t0

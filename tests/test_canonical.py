@@ -5,6 +5,7 @@ from itertools import product
 
 import pytest
 
+import sgcl.canonical
 from sgcl.canonical import (
     CanonicalAction,
     CanonicalError,
@@ -15,17 +16,46 @@ from sgcl.canonical import (
     action_domain,
     audit_truth_lemma,
     build_canonical_game,
-    canonical_probability,
     default_oracle,
     enumerate_maximal_sets,
     mu,
     targets,
 )
-from sgcl.formula import TOP, Bot, Coal, Impl, Neg, Var, closure, parse, render
+from sgcl.decide import Refuted, classify
+from sgcl.formula import (
+    TOP,
+    Bot,
+    Coal,
+    Impl,
+    Neg,
+    Var,
+    canonical_key,
+    closure,
+    parse,
+    render,
+)
 from sgcl.game import ActionProfile, validate
 from sgcl.proof import SystemId
 
 F = Fraction
+
+
+def reference_action_domain(sigma):
+    """The paper's action domain: every closure formula plus the constant
+    true formula, crossed with the closure's subscripts, 0 and -1.  The
+    lean domain of :func:`action_domain` is checked against it."""
+    pool = list(sigma.formulas)
+    if TOP not in sigma:
+        pool.append(TOP)
+    pool.sort(key=canonical_key)
+    values = sorted(sigma.subscripts() | {F(0), F(-1)})
+    return tuple(CanonicalAction(f, val) for f in pool for val in values)
+
+
+def use_reference(monkeypatch):
+    """Swaps the paper's domain in for the lean one inside the canonical
+    construction for the rest of the test."""
+    monkeypatch.setattr(sgcl.canonical, "action_domain", reference_action_domain)
 
 
 def coal(agents, p, body):
@@ -155,13 +185,17 @@ class TestEnumerateMaximalSets:
 
 class TestActionDomain:
     def test_values_harvested_with_sentinels(self):
-        dom = action_domain(closure([parse("[a]_1/2 v")]))
+        sig = closure([parse("[a]_1/2 v")])
+        dom = reference_action_domain(sig)
         values = {a.value for a in dom}
         assert values == {F(-1), F(0), F(1, 2)}
+        assert [a.action_id for a in action_domain(sig)] == ["(v,1/2)", "(true,-1)"]
 
     def test_no_modalities_means_sentinel_values_only(self):
-        dom = action_domain(closure([parse("~v")]))
+        sig = closure([parse("~v")])
+        dom = reference_action_domain(sig)
         assert {a.value for a in dom} == {F(-1), F(0)}
+        assert action_domain(sig) == (CanonicalAction(TOP, F(-1)),)
 
     def test_top_always_requestable(self):
         dom = action_domain(closure([parse("~v")]))
@@ -171,6 +205,19 @@ class TestActionDomain:
         act = CanonicalAction(v, F(1, 2))
         assert act.action_id == "(v,1/2)"
         assert CanonicalAction(TOP, -1).action_id == "(true,-1)"
+
+    def test_one_request_per_nonempty_coalition_modality(self):
+        sig = closure([parse("([a]_1/4 v -> ([a,b]_1/4 v -> []_1/2 v))")])
+        # [a]_1/4 v and [a,b]_1/4 v ask for the same request; the
+        # empty-coalition modality needs none
+        assert [a.action_id for a in action_domain(sig)] == [
+            "(v,1/4)", "(true,-1)",
+        ]
+
+    def test_lean_domain_is_part_of_reference(self):
+        for seed in SEEDS:
+            sig = closure([parse(seed)])
+            assert set(action_domain(sig)) <= set(reference_action_domain(sig))
 
 
 class TestTransitionData:
@@ -220,24 +267,65 @@ class TestTransitionData:
         profile = {"a": CanonicalAction(v, F(1, 2))}
         assert targets(s, profile, [with_v, without_v]) == (with_v,)
 
+    # rows of the constructed game, read through its states
+
+    def build(self, text, **kwargs):
+        game, diag = build_canonical_game(closure([parse(text)]), **kwargs)
+        named = {name: s.members for name, s in diag.sets.items()}
+        return game, diag, named
+
     def test_probability_shared_uniformly(self):
-        t1, t2 = self.make_set(v), self.make_set(v, coal({"a"}, 0, v))
-        chosen = [t1, t2]
-        assert canonical_probability(t1, t1, F(1, 2), chosen) == F(1, 4)
-        assert canonical_probability(t1, None, F(1, 2), chosen) == F(1, 2)
+        game, _, named = self.build("[a]_1/2 v")
+        box = coal({"a"}, "1/2", v)
+        grant = ActionProfile.of({"a": "(v,1/2)"})
+        for state, members in named.items():
+            row = game.row(state, grant)
+            if box in members:
+                assert row == {
+                    **{t: F(1, 4) for t, m in named.items() if v in m},
+                    "f": F(1, 2),
+                }
+            else:
+                assert row == {"f": F(1)}
 
     def test_probability_failure_self_loop(self):
-        assert canonical_probability(None, None, F(0), []) == 1
-        assert canonical_probability(None, self.make_set(v), F(0), []) == 0
+        game, _, _ = self.build("[a]_1/2 v")
+        rows = [row for (state, _), row in game.transitions.items() if state == "f"]
+        assert len(rows) == len(game.actions)
+        assert all(row == {"f": F(1)} for row in rows)
 
     def test_probability_outside_target_set(self):
-        t1, t2 = self.make_set(v), self.make_set(Neg(v))
-        assert canonical_probability(t1, t2, F(1, 2), [t1]) == 0
+        game, _, named = self.build("[a]_1/2 v")
+        grant = ActionProfile.of({"a": "(v,1/2)"})
+        box = coal({"a"}, "1/2", v)
+        for state, members in named.items():
+            if box in members:
+                row = game.row(state, grant)
+                assert all(v in named[t] for t in row if t != "f")
 
     def test_probability_guard_routes_to_failure(self):
-        s = self.make_set(v)
-        assert canonical_probability(s, None, F(1, 2), []) == 1
-        assert canonical_probability(s, s, F(1, 2), []) == 0
+        base = default_oracle()
+
+        class NoV:
+            def judge(self, candidate):
+                if v in candidate:
+                    return Judgment.INCONSISTENT
+                return base.judge(candidate)
+
+        game, diag, named = self.build("[a]_1/2 v", oracle=NoV())
+        grant = ActionProfile.of({"a": "(v,1/2)"})
+        box = coal({"a"}, "1/2", v)
+        granting = sorted(s for s, m in named.items() if box in m)
+        assert granting
+        for state in granting:
+            assert game.row(state, grant) == {"f": F(1)}
+        assert diag.guard_pairs == [(s, {"a": "(v,1/2)"}) for s in granting]
+
+    def test_granting_nothing_sends_everything_to_failure(self):
+        game, _, named = self.build("[a]_1/2 v")
+        opt_out = ActionProfile.of({"a": "(true,-1)"})
+        for state in named:
+            assert game.row(state, opt_out) == {"f": F(1)}
 
 
 SEEDS = ["v", "~v", "[a]_1/2 v", "[a]_1/2 false", "([a]_1/4 v -> [a,b]_1/4 v)"]
@@ -274,12 +362,21 @@ class TestBuildCanonicalGame:
             spread = {p for t, p in row.items() if t != "f" and p > 0}
             assert len(spread) <= 1
 
-    def test_state_names_and_members_reported(self):
+    def test_state_names_and_members_reported(self, monkeypatch):
         game, diag = build_canonical_game(closure([parse("~v")]))
         assert set(game.states) == {"s0", "s1", "f"}
         assert diag.state_members["s0"] == ["v"]
         assert diag.state_members["s1"] == ["~v"]
-        assert diag.state_count == 2 and diag.action_count == 6
+        assert diag.state_count == 2 and diag.action_count == 1
+        assert list(diag.sets) == ["s0", "s1"]
+        use_reference(monkeypatch)
+        _, paper = build_canonical_game(closure([parse("~v")]))
+        assert paper.state_count == 2 and paper.action_count == 6
+
+    def test_two_requests_for_one_modality(self):
+        _, diag = build_canonical_game(closure([parse("[a]_1/2 v")]))
+        assert diag.action_count == 2
+        assert diag.profile_count == 4 * 2
 
     def test_valuation_tracks_membership(self):
         game, diag = build_canonical_game(closure([parse("[a]_1/2 v")]))
@@ -325,40 +422,34 @@ class TestTruthLemmaAudit:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_membership_matches_truth(self, seed):
         sig = closure([parse(seed)])
-        sets = enumerate_maximal_sets(sig)
-        game, _ = build_canonical_game(sig)
-        report = audit_truth_lemma(game, sig, sets)
+        game, diag = build_canonical_game(sig)
+        report = audit_truth_lemma(game, sig, diag.sets)
         assert report.clean, report.disagreements
-        assert report.checked == len(sets) * len(sig)
+        assert report.checked == len(enumerate_maximal_sets(sig)) * len(sig)
 
     def test_empty_coalition_closure_audits_clean(self):
         sig = closure([parse("[]_1/2 v")])
-        sets = enumerate_maximal_sets(sig)
         game, diag = build_canonical_game(sig)
         assert diag.guard_pairs == []
-        assert audit_truth_lemma(game, sig, sets).clean
+        assert audit_truth_lemma(game, sig, diag.sets).clean
 
     def test_falsehood_denial_everywhere(self):
         sig = closure([parse("[a]_1/2 false")])
-        sets = enumerate_maximal_sets(sig)
+        game, diag = build_canonical_game(sig)
         denial = Neg(coal({"a"}, "1/2", Bot()))
-        assert all(denial in s.members for s in sets)
-        game, _ = build_canonical_game(sig)
-        assert audit_truth_lemma(game, sig, sets).clean
+        assert all(denial in s.members for s in diag.sets.values())
+        assert audit_truth_lemma(game, sig, diag.sets).clean
 
     def test_zero_threshold_blind_spot_is_measured(self):
         # [a]_0 v holds vacuously wherever all outgoing mass reaches the
         # failure state, so states denying it must show up as audited
         # disagreements rather than being silently wrong
         sig = closure([parse("[a]_0 v")])
-        sets = enumerate_maximal_sets(sig)
-        game, _ = build_canonical_game(sig)
-        report = audit_truth_lemma(game, sig, sets)
+        game, diag = build_canonical_game(sig)
+        report = audit_truth_lemma(game, sig, diag.sets)
         denial = Neg(coal({"a"}, 0, v))
         deniers = {
-            f"s{i}"
-            for i, s in enumerate(sorted(sets, key=MaximalSet.key))
-            if denial in s.members
+            name for name, s in diag.sets.items() if denial in s.members
         }
         assert len(deniers) == 2
         # each denying state disagrees on the modality and, mirrored, on
@@ -374,13 +465,86 @@ class TestTruthLemmaAudit:
 
     def test_disagreements_carry_location(self):
         sig = closure([parse("~v")])
-        sets = enumerate_maximal_sets(sig)
-        game, _ = build_canonical_game(sig)
+        game, diag = build_canonical_game(sig)
         # sabotage the valuation so membership and truth split on purpose
         broken = type(game).__new__(type(game))
         broken.__dict__.update(game.__dict__)
         broken.valuation = {"v": frozenset()}
-        report = audit_truth_lemma(broken, sig, sets)
+        report = audit_truth_lemma(broken, sig, diag.sets)
         assert not report.clean
         hit = report.disagreements[0]
         assert set(hit) == {"state", "formula", "member", "holds"}
+
+
+def acceptance_corpus():
+    """The 793 formulas of the acceptance corpus: one variable v,
+    coalitions [] and [a], subscripts 0, 1/2, 1, at most three
+    connectives, in the order tests/test_acceptance.py builds them."""
+    layers = [[v]]
+    for k in range(1, 4):
+        layer = []
+        for f in layers[k - 1]:
+            layer.append(Neg(f))
+            for c in ((), ("a",)):
+                for p in (0, "1/2", 1):
+                    layer.append(coal(c, p, f))
+        for i in range(k):
+            for a in layers[i]:
+                for b in layers[k - 1 - i]:
+                    layer.append(Impl(a, b))
+        layers.append(layer)
+    return [f for layer in layers for f in layer]
+
+
+# the paper-faithful classify takes about 12 s over the whole corpus, so
+# the differential check reads every third formula
+CORPUS_STRIDE = 3
+
+
+class TestLeanMatchesReference:
+    """The lean domain against the paper's: the same states, the same
+    rows up to replacing unmatched requests by the opt-out, the same
+    verdicts and the same audits."""
+
+    @pytest.mark.parametrize("seed", SEEDS + ["([a]_1/2 v -> [a,b]_3/4 v)"])
+    def test_rows_factor_through_projection(self, seed, monkeypatch):
+        sig = closure([parse(seed)])
+        lean, lean_diag = build_canonical_game(sig)
+        use_reference(monkeypatch)
+        paper, paper_diag = build_canonical_game(sig)
+        assert paper_diag.state_members == lean_diag.state_members
+        assert paper.states == lean.states
+        assert paper.valuation == lean.valuation
+        assert len(paper.actions) > len(lean.actions)
+        kept = set(lean.actions)
+
+        def project(profile):
+            return ActionProfile(tuple(
+                (a, x if x in kept else "(true,-1)")
+                for a, x in profile.assignment
+            ))
+
+        for (state, profile), row in paper.transitions.items():
+            assert row == lean.row(state, project(profile))
+
+    def test_corpus_verdicts_and_refuting_states(self, monkeypatch):
+        corpus = acceptance_corpus()
+        assert len(corpus) == 793
+        sample = corpus[::CORPUS_STRIDE]
+        lean = [classify(f) for f in sample]
+        use_reference(monkeypatch)
+        for f, got in zip(sample, lean):
+            want = classify(f)
+            assert type(got) is type(want), render(f)
+            if isinstance(want, Refuted):
+                assert got.state == want.state, render(f)
+
+    def test_zero_threshold_disagreements_unchanged(self, monkeypatch):
+        sig = closure([parse("[a]_0 v")])
+        lean, lean_diag = build_canonical_game(sig)
+        lean_report = audit_truth_lemma(lean, sig, lean_diag.sets)
+        use_reference(monkeypatch)
+        paper, paper_diag = build_canonical_game(sig)
+        paper_report = audit_truth_lemma(paper, sig, paper_diag.sets)
+        assert lean_report.disagreements == paper_report.disagreements
+        assert len(lean_report.disagreements) == 4

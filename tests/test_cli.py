@@ -303,6 +303,13 @@ class TestFmt:
     def test_bad_formula_exits_two(self):
         assert run(["fmt", "--formula", "(v ->"]) == 2
 
+    @pytest.mark.parametrize("prefix", ["~", "[a]_1 "])
+    def test_deep_prefix_chain_prints_back(self, capsys, prefix):
+        text = prefix * 3000 + "v"
+        code, doc = run_json(capsys, ["fmt", "--formula", text])
+        assert code == 0
+        assert doc == {"command": "fmt", "formula": text}
+
 
 class TestUsage:
     def test_no_arguments_is_usage_error(self):

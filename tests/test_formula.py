@@ -114,6 +114,28 @@ class TestRender:
         assert render(parse("[a]_0.5 v")) == "[a]_1/2 v"
 
 
+class TestDeepPrefixChains:
+    """Prefix chains far deeper than the interpreter's recursion limit
+    parse and print back; the checks walk the chain in a loop, since
+    comparing such formulas with ``==`` recurses."""
+
+    @pytest.mark.parametrize("prefix, kind", [("~", Neg), ("[a]_1 ", Coal)])
+    def test_chain_of_3000(self, prefix, kind):
+        text = prefix * 3000 + "v"
+        f = parse(text)
+        depth = 0
+        while isinstance(f, kind):
+            f, depth = f.body, depth + 1
+        assert depth == 3000 and f == Var("v")
+        assert render(parse(text)) == text
+
+    def test_mixed_chain_keeps_order(self):
+        text = "~[a]_1/2 ~~[]_0 true"
+        f = parse(text)
+        assert f == Neg(coal({"a"}, F(1, 2), Neg(Neg(coal((), 0, TOP)))))
+        assert render(f) == text
+
+
 FORMULA_NAMES = st.sampled_from(["p", "q", "v", "goal"])
 AGENT_SETS = st.frozensets(st.sampled_from(["a", "b", "c"]), max_size=3)
 SUBSCRIPTS = st.sampled_from([F(0), F(1), F(1, 2), F(9, 10), F(1, 3), F(3, 4)])
