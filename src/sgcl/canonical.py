@@ -1,11 +1,16 @@
 """Canonical game construction over a finite closure set.
 
 Given a closure set of formulas, the states of the canonical game are
-the maximal consistent subsets of that closure (consistency judged by a
-pluggable oracle), plus one failure state.  Each agent's action is a
-request: the pair (body, threshold) of a modality [C]_p body of the
-closure whose coalition C is non-empty, or the opt-out (true, -1), which
-belongs to no modality and so grants nothing.
+the maximal consistent subsets of that closure, plus one failure state.
+A maximal set is fixed by the truth values of the closure's atoms (its
+variables and modalities); every other member follows by evaluation, so
+the sets are enumerated over atom signs and a pluggable oracle rejects
+those whose modal literals visibly contradict a theorem.
+
+Each agent's action is a request: the pair (body, threshold) of a
+modality [C]_p body of the closure whose coalition C is non-empty, or
+the opt-out (true, -1), which belongs to no modality and so grants
+nothing.
 
 At a state s under a complete profile, the granted commitments are the
 modalities in s whose coalition members all chose exactly the matching
@@ -41,7 +46,6 @@ from typing import Iterable, Mapping, Optional, Protocol, Sequence
 
 from .formula import (
     TOP,
-    AtomCapError,
     Bot,
     ClosureSet,
     Coal,
@@ -51,7 +55,6 @@ from .formula import (
     Var,
     canonical_key,
     in_plus_language,
-    jointly_satisfiable,
     render,
 )
 from .game import ActionProfile, Game, validate
@@ -75,31 +78,30 @@ class ClosureCapError(CanonicalError):
 class Judgment(enum.Enum):
     CONSISTENT = "consistent"
     INCONSISTENT = "inconsistent"
-    UNKNOWN = "unknown"
 
 
 class ConsistencyOracle(Protocol):
     def judge(self, candidate: frozenset) -> Judgment: ...
 
 
-@dataclass(frozen=True)
 class HintikkaOracle:
     """Sound but incomplete consistency filter.
 
-    Rejects a candidate set when its propositional skeleton is
-    unsatisfiable, when it claims falsum achievable at positive
+    Rejects a candidate set when it holds a formula and its negation (or
+    falsum itself), when it claims falsum achievable at positive
     threshold, or when it visibly contradicts one of the derivable
     closure principles (threshold weakening, coalition weakening,
     cooperation).  Every rejection is backed by a theorem, so rejected
     sets are genuinely inconsistent; accepted sets are only "not refuted
-    here".  Returns UNKNOWN when the propositional check would exceed
-    the atom cap.
+    here".  Propositional consistency of a whole maximal set is not
+    checked here: :func:`enumerate_maximal_sets` derives every
+    non-atomic member by evaluation.
     """
 
-    system: SystemId = SystemId.L
-    atom_cap: int = 20
-
     def judge(self, candidate: frozenset) -> Judgment:
+        for f in candidate:
+            if isinstance(f, Bot) or (isinstance(f, Neg) and f.body in candidate):
+                return Judgment.INCONSISTENT
         positives = [f for f in candidate if isinstance(f, Coal)]
         negatives = [
             f.body for f in candidate
@@ -136,25 +138,20 @@ class HintikkaOracle:
                 )
                 if denied(combined):
                     return Judgment.INCONSISTENT
-        try:
-            if not jointly_satisfiable(candidate, self.atom_cap):
-                return Judgment.INCONSISTENT
-        except AtomCapError:
-            return Judgment.UNKNOWN
         return Judgment.CONSISTENT
 
 
-def default_oracle(system: SystemId = SystemId.L) -> HintikkaOracle:
-    return HintikkaOracle(system)
+def default_oracle() -> HintikkaOracle:
+    return HintikkaOracle()
 
 
 @dataclass(frozen=True)
 class MaximalSet:
-    """A maximal consistent subset of a closure set.  ``flagged`` marks
-    sets the oracle could not judge (UNKNOWN) that were kept anyway."""
+    """A maximal consistent subset of a closure set: for every
+    non-negation formula of the closure, exactly one of it and its
+    negation is a member."""
 
     members: frozenset
-    flagged: bool = False
 
     def key(self) -> tuple:
         return tuple(sorted((render(f) for f in self.members)))
@@ -165,47 +162,52 @@ def enumerate_maximal_sets(
     oracle: Optional[ConsistencyOracle] = None,
     cap: int = 24,
 ) -> tuple:
-    """All maximal subsets of the closure accepted by the oracle, found by
-    backtracking over the sign of each non-negation formula.  Membership
-    of negation formulas follows from the sign of what they negate, so a
-    full assignment decides every member."""
+    """All maximal subsets of the closure accepted by the oracle.
+
+    A maximal set is fixed by the truth values of its atoms, the
+    variables and modalities of the closure.  Backtracking picks a sign
+    for each atom in canonical order and prunes a branch as soon as the
+    oracle rejects the atom literals chosen so far.  At a leaf every other
+    member follows by evaluation (canonical order puts subformulas first),
+    and the oracle judges the whole set once, so a custom oracle still
+    sees complete sets."""
     if len(sigma) > cap:
         raise ClosureCapError(len(sigma), cap)
     if oracle is None:
         oracle = default_oracle()
-    decisions = [f for f in sigma.formulas if not isinstance(f, Neg)]
-    members_all = tuple(sigma.formulas)
+    atoms = [f for f in sigma if isinstance(f, (Var, Coal))]
+    truth: dict = {}
+    literals: list = []
     out = []
 
-    def resolved(signs) -> frozenset:
-        chosen = set()
-        for f in members_all:
-            g, parity = f, True
-            while isinstance(g, Neg):
-                g = g.body
-                parity = not parity
-            decided = signs.get(g)
-            if decided is None:
-                continue
-            if decided == parity:
-                chosen.add(f)
-        return frozenset(chosen)
+    def complete() -> frozenset:
+        value = dict(truth)
+        for f in sigma:
+            if isinstance(f, Bot):
+                value[f] = False
+            elif isinstance(f, Neg):
+                value[f] = not value[f.body]
+            elif isinstance(f, Impl):
+                value[f] = not value[f.left] or value[f.right]
+        return frozenset(f for f in sigma if value[f])
 
-    def descend(i: int, signs: dict) -> None:
-        current = resolved(signs)
-        judgment = oracle.judge(current)
-        if judgment is Judgment.INCONSISTENT:
+    def descend(i: int) -> None:
+        if i == len(atoms):
+            members = complete()
+            if oracle.judge(members) is not Judgment.INCONSISTENT:
+                out.append(MaximalSet(members))
             return
-        if i == len(decisions):
-            out.append(MaximalSet(current, flagged=judgment is Judgment.UNKNOWN))
+        if oracle.judge(frozenset(literals)) is Judgment.INCONSISTENT:
             return
-        f = decisions[i]
+        atom = atoms[i]
         for sign in (True, False):
-            signs[f] = sign
-            descend(i + 1, signs)
-        del signs[f]
+            truth[atom] = sign
+            literals.append(atom if sign else Neg(atom))
+            descend(i + 1)
+            literals.pop()
+        del truth[atom]
 
-    descend(0, {})
+    descend(0)
     return tuple(out)
 
 
@@ -297,7 +299,6 @@ class CanonicalDiagnostics:
     state_members: dict = field(default_factory=dict)
     action_table: dict = field(default_factory=dict)
     guard_pairs: list = field(default_factory=list)
-    flagged_states: list = field(default_factory=list)
     no_consistent_sets: bool = False
     state_count: int = 0
     action_count: int = 0
@@ -315,7 +316,6 @@ class CanonicalDiagnostics:
             "guard_pairs": [
                 {"state": s, "profile": p} for s, p in self.guard_pairs
             ],
-            "flagged_states": self.flagged_states,
             "no_consistent_sets": self.no_consistent_sets,
         }
 
@@ -341,8 +341,6 @@ def build_canonical_game(
                 raise CanonicalError(
                     f"{render(f)} lies outside the restricted language"
                 )
-    if oracle is None:
-        oracle = default_oracle(system)
     if agents is None:
         agent_tuple = tuple(sorted(sigma.agents()))
     else:
@@ -367,7 +365,6 @@ def build_canonical_game(
         name: [render(f) for f in sorted(s.members, key=canonical_key)]
         for name, s in diag.sets.items()
     }
-    diag.flagged_states = [names[s] for s in sets if s.flagged]
     diag.no_consistent_sets = not sets
     id_of = dict(zip(actions, action_ids))
     profiles = [

@@ -13,19 +13,13 @@ import argparse
 import json
 import sys
 import time
-from fractions import Fraction
 from typing import Optional
 
-from .canonical import (
-    CanonicalError,
-    audit_truth_lemma,
-    build_canonical_game,
-    default_oracle,
-)
+from .canonical import CanonicalError, audit_truth_lemma, build_canonical_game
 from .decide import DecideError, Refuted, SearchBounds, decide_formula, incompleteness_demo
 from .formula import TOP, Bot, ParseError, Var, agents_of, closure, parse, render
 from .game import GameError, SchemaError, game_to_dict, load
-from .modelcheck import CheckContext, CheckError, audit_axiom_soundness, extent, holds, witness
+from .modelcheck import CheckError, audit_axiom_soundness, extent, holds, witness
 from .proof import ProofError, ProofFormatError, SystemId, load_proof, verify
 
 
@@ -189,11 +183,9 @@ def _cmd_audit_soundness(args) -> int:
 
 def _cmd_canonical(args) -> int:
     f = _read_formula(args)
-    system = _system(args.system)
     sigma = closure([f])
-    oracle = default_oracle(system)
     game, diag = build_canonical_game(
-        sigma, system=system, oracle=oracle, cap=args.max_closure
+        sigma, system=_system(args.system), cap=args.max_closure
     )
     audit = audit_truth_lemma(game, sigma, diag.sets)
     clean = audit.clean and not diag.guard_pairs
@@ -293,12 +285,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common_opts(p):
         p.add_argument("--format", choices=("json", "text"), default="text")
-        p.add_argument(
-            "--jobs",
-            type=int,
-            default=1,
-            help="worker cap (accepted for interface stability; execution is sequential)",
-        )
 
     p = sub.add_parser("check", help="truth of a formula at a state")
     p.add_argument("--game", required=True)
@@ -393,6 +379,11 @@ def run(argv: Optional[list] = None) -> int:
         return args.fn(args)
     except _INPUT_FAULTS as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        # formulas are trees walked recursively by the parser, the model
+        # checker and the generated hash and equality of their nodes
+        print("error: formula nests too deeply", file=sys.stderr)
         return 2
 
 

@@ -29,9 +29,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Union
 
-Rational = Fraction
-AgentId = str
-
 
 @dataclass(frozen=True)
 class Var:
@@ -125,10 +122,6 @@ def agents_of(f: Formula) -> frozenset:
 
 def variables_of(f: Formula) -> frozenset:
     return frozenset(g.name for g in subformulas(f) if isinstance(g, Var))
-
-
-def subscripts_of(f: Formula) -> frozenset:
-    return frozenset(g.p for g in subformulas(f) if isinstance(g, Coal))
 
 
 def formula_size(f: Formula) -> int:
@@ -475,16 +468,3 @@ def is_tautology(f: Formula, atom_cap: int = 20) -> bool:
     if n > atom_cap:
         raise AtomCapError(n, atom_cap)
     return all(_eval(expr, bits) for bits in range(1 << n))
-
-
-def jointly_satisfiable(formulas: Iterable[Formula], atom_cap: int = 20) -> bool:
-    """True when one assignment to the abstracted atoms makes every
-    formula in the collection true."""
-    ab = _Abstraction()
-    exprs = [ab.expr(f) for f in formulas]
-    n = len(ab.atoms)
-    if n > atom_cap:
-        raise AtomCapError(n, atom_cap)
-    return any(
-        all(_eval(e, bits) for e in exprs) for bits in range(1 << n)
-    )

@@ -20,7 +20,6 @@ from itertools import product
 from typing import Iterable, Iterator, Mapping, Optional
 
 StateId = str
-ActionId = str
 
 
 class GameError(Exception):
@@ -75,9 +74,6 @@ class ActionProfile:
 
     def is_total_for(self, agents: Iterable[str]) -> bool:
         return self.domain == frozenset(agents)
-
-
-CompleteProfile = ActionProfile
 
 
 class Game:

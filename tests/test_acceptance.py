@@ -291,7 +291,7 @@ def test_canonical_construction_audit():
             systems.append(LPLUS)
         for system in systems:
             t0 = time.monotonic()
-            oracle = default_oracle(system)
+            oracle = default_oracle()
             game, diag = build_canonical_game(sigma, system=system, oracle=oracle)
             assert validate(game) == []
             assert diag.guard_pairs == []

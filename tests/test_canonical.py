@@ -10,7 +10,6 @@ from sgcl.canonical import (
     CanonicalAction,
     CanonicalError,
     ClosureCapError,
-    HintikkaOracle,
     Judgment,
     MaximalSet,
     action_domain,
@@ -29,6 +28,8 @@ from sgcl.formula import (
     Impl,
     Neg,
     Var,
+    _Abstraction,
+    _eval,
     canonical_key,
     closure,
     parse,
@@ -50,6 +51,57 @@ def reference_action_domain(sigma):
     pool.sort(key=canonical_key)
     values = sorted(sigma.subscripts() | {F(0), F(-1)})
     return tuple(CanonicalAction(f, val) for f in pool for val in values)
+
+
+def reference_maximal_sets(sigma, oracle=None):
+    """Maximal sets by a sign for every non-negation formula of the
+    closure, each partial set checked by a truth table over its
+    propositional skeleton and by the oracle.  Membership of a negation
+    follows from the sign of what it negates.  :func:`enumerate_maximal_sets`
+    branches on atoms only and is checked against it."""
+    if oracle is None:
+        oracle = default_oracle()
+    decisions = [f for f in sigma if not isinstance(f, Neg)]
+    out = []
+
+    def satisfiable(members):
+        ab = _Abstraction()
+        exprs = [ab.expr(f) for f in members]
+        return any(
+            all(_eval(e, bits) for e in exprs)
+            for bits in range(1 << len(ab.atoms))
+        )
+
+    def resolved(signs):
+        chosen = set()
+        for f in sigma:
+            g, parity = f, True
+            while isinstance(g, Neg):
+                g, parity = g.body, not parity
+            if signs.get(g) == parity:
+                chosen.add(f)
+        return frozenset(chosen)
+
+    def descend(i, signs):
+        current = resolved(signs)
+        if not satisfiable(current):
+            return
+        if oracle.judge(current) is Judgment.INCONSISTENT:
+            return
+        if i == len(decisions):
+            out.append(MaximalSet(current))
+            return
+        for sign in (True, False):
+            signs[decisions[i]] = sign
+            descend(i + 1, signs)
+        del signs[decisions[i]]
+
+    descend(0, {})
+    return tuple(out)
+
+
+def sorted_keys(sets):
+    return sorted(s.key() for s in sets)
 
 
 def use_reference(monkeypatch):
@@ -111,11 +163,6 @@ class TestOracle:
         members = frozenset({coal({"a"}, "1/2", v), Neg(v)})
         assert default_oracle().judge(members) is Judgment.CONSISTENT
 
-    def test_unknown_when_atom_cap_hit(self):
-        tight = HintikkaOracle(atom_cap=1)
-        members = frozenset({v, Var("u")})
-        assert tight.judge(members) is Judgment.UNKNOWN
-
 
 class TestEnumerateMaximalSets:
     @pytest.mark.parametrize(
@@ -159,14 +206,6 @@ class TestEnumerateMaximalSets:
         sig = closure([parse("([a]_1/4 v -> [a,b]_1/4 v)")])
         with pytest.raises(ClosureCapError):
             enumerate_maximal_sets(sig, cap=4)
-
-    def test_unknown_judgments_flag_sets(self):
-        class Shrug:
-            def judge(self, candidate):
-                return Judgment.UNKNOWN
-
-        sets = enumerate_maximal_sets(closure([parse("~v")]), oracle=Shrug())
-        assert len(sets) == 2 and all(s.flagged for s in sets)
 
     def test_stricter_oracle_never_adds_states(self):
         sig = closure([parse("[a]_1/2 v")])
@@ -548,3 +587,54 @@ class TestLeanMatchesReference:
         paper_report = audit_truth_lemma(paper, sig, paper_diag.sets)
         assert lean_report.disagreements == paper_report.disagreements
         assert len(lean_report.disagreements) == 4
+
+
+
+# seeds of closures with 20, 22, 26 and 24 formulas; the last is the
+# negation of a two-agent formula and has 128 maximal sets
+WIDE_SEEDS = [
+    "~((~(w -> w) -> v) -> (u -> (u -> []_3/4 (u -> v))))",
+    "[]_1/4 ~(((w -> ~v) -> ([]_3/4 w -> u)) -> ((~w -> u) -> w))",
+    "[]_1/4 []_1/4 ([]_1/2 ((w -> w) -> v)"
+    " -> (((u -> v) -> (u -> v)) -> (v -> v)))",
+    "~(([a]_1/2 u -> [b]_1/2 v) -> ([a,b]_1/2 (u -> w) -> [a]_0 (v -> w)))",
+]
+
+
+class TestAtomEnumerationMatchesReference:
+    """Branching on atoms against a sign for every formula with a truth
+    table at every node: the same maximal sets."""
+
+    @pytest.mark.parametrize(
+        "seed", SEEDS + ["([a]_1/2 v -> [a,b]_3/4 v)"] + WIDE_SEEDS
+    )
+    def test_same_sets(self, seed):
+        sig = closure([parse(seed)])
+        assert sorted_keys(enumerate_maximal_sets(sig, cap=26)) == sorted_keys(
+            reference_maximal_sets(sig)
+        )
+
+    def test_corpus_negation_closures(self):
+        for f in acceptance_corpus()[::CORPUS_STRIDE]:
+            sig = closure([Neg(f)])
+            assert sorted_keys(enumerate_maximal_sets(sig)) == sorted_keys(
+                reference_maximal_sets(sig)
+            ), render(f)
+
+    def test_leaf_judgment_sees_whole_sets(self):
+        # an implication is never an atom, so only the judgment of a
+        # complete set can reject it
+        base = default_oracle()
+
+        class NoImplication:
+            def judge(self, candidate):
+                if any(isinstance(f, Impl) for f in candidate):
+                    return Judgment.INCONSISTENT
+                return base.judge(candidate)
+
+        box = coal({"a"}, "1/2", v)
+        sig = closure([Impl(v, box)])
+        strict = NoImplication()
+        (only,) = enumerate_maximal_sets(sig, oracle=strict)
+        assert only.members == frozenset({v, Neg(box), Neg(Impl(v, box))})
+        assert sorted_keys(reference_maximal_sets(sig, strict)) == [only.key()]

@@ -116,12 +116,9 @@ class TestCheck:
         assert run(["check", "--game", LADDER, "--state", "s",
                     "--formula", "v", "--formula-file", str(src)]) == 2
 
-    def test_jobs_flag_is_accepted(self, capsys):
-        code, doc = run_json(
-            capsys, ["check", "--game", LADDER, "--state", "s",
-                     "--formula", "[]_9/10 true", "--jobs", "4"]
-        )
-        assert code == 0 and doc["holds"] is True
+    def test_jobs_flag_is_rejected(self):
+        assert run(["check", "--game", LADDER, "--state", "s",
+                    "--formula", "[]_9/10 true", "--jobs", "4"]) == 2
 
 
 class TestExtent:
@@ -323,3 +320,17 @@ class TestUsage:
 
     def test_missing_required_flag_is_usage_error(self):
         assert run(["check", "--state", "s", "--formula", "v"]) == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["decide", "--formula", "~" * 3000 + "v"],
+            ["check", "--game", LADDER, "--state", "s",
+             "--formula", "~" * 3000 + "v"],
+            ["fmt", "--formula", "(" * 3000 + "v" + ")" * 3000],
+        ],
+        ids=["decide", "check", "fmt"],
+    )
+    def test_deep_nesting_is_input_error(self, capsys, argv):
+        assert run(argv) == 2
+        assert capsys.readouterr().err.strip() == "error: formula nests too deeply"

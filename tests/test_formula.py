@@ -20,7 +20,6 @@ from sgcl.formula import (
     closure,
     in_plus_language,
     is_tautology,
-    jointly_satisfiable,
     parse,
     render,
     subformulas,
@@ -294,11 +293,3 @@ def test_tautology_agrees_with_naive_oracle(f):
     atoms = {g for g in subformulas(f) if isinstance(g, (Var, Coal))}
     assume(len(atoms) <= 10)
     assert is_tautology(f, atom_cap=10) == naive_tautology(f)
-
-
-def test_jointly_satisfiable():
-    v = Var("v")
-    assert jointly_satisfiable([v, Impl(v, Var("u"))])
-    assert not jointly_satisfiable([v, Neg(v)])
-    assert not jointly_satisfiable([Bot()])
-    assert jointly_satisfiable([])
