@@ -381,8 +381,9 @@ def run(argv: Optional[list] = None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except RecursionError:
-        # formulas are trees walked recursively by the parser, the model
-        # checker and the generated hash and equality of their nodes
+        # nested parentheses are read recursively by the parser and
+        # formulas are walked recursively by the model checker (node
+        # hashes are cached, so hashing never recurses)
         print("error: formula nests too deeply", file=sys.stderr)
         return 2
 

@@ -33,6 +33,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import lcm
 from typing import Optional, Sequence
 
 from .canonical import (
@@ -183,7 +184,10 @@ def sample_game(
     failures = tuple(sorted(rng.sample(states, n_fail)))
     actions = tuple(f"m{i}" for i in range(rng.randint(1, bounds.max_actions)))
     transitions = {}
+    # partial sums are kept as integers over the grid's common denominator
     grid = bounds.probability_grid
+    den = lcm(*(p.denominator for p in grid))
+    draws = tuple((p.numerator * (den // p.denominator), p) for p in grid)
     for state in states:
         for combo in product(actions, repeat=len(agent_pool)):
             profile = ActionProfile(tuple(zip(agent_pool, combo)))
@@ -192,18 +196,18 @@ def sample_game(
                 order = list(states)
                 rng.shuffle(order)
                 entries = {}
-                total = Fraction(0)
-                feasible = True
+                total = 0
                 for target in order[:-1]:
-                    p = rng.choice(grid)
-                    total += p
-                    if total > 1:
-                        feasible = False
+                    units, p = rng.choice(draws)
+                    total += units
+                    if total > den:
                         break
-                    entries[target] = p
-                if feasible:
-                    entries[order[-1]] = 1 - total
-                    row = {t: p for t, p in entries.items() if p > 0}
+                    if units:
+                        entries[target] = p
+                else:
+                    if total < den:
+                        entries[order[-1]] = Fraction(den - total, den)
+                    row = entries
                     break
             if row is None:
                 row = {rng.choice(states): Fraction(1)}

@@ -30,19 +30,51 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Union
 
 
+# Every node computes its hash and its agent set once, at construction,
+# from the cached values of its children: sets and dicts of formulas
+# never walk a subtree, however deep.  Each hash equals the one the
+# dataclass would generate (the hash of the field tuple), so sets of
+# formulas iterate in the same order as with the generated hash.
+
+_NO_AGENTS: frozenset = frozenset()
+
+
+def _union(a: frozenset, b: frozenset) -> frozenset:
+    return a | b if a and b else a or b
+
+
 @dataclass(frozen=True)
 class Var:
     name: str
 
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.name,)))
+        object.__setattr__(self, "_agents", _NO_AGENTS)
+
+    def __hash__(self):
+        return self._hash
+
 
 @dataclass(frozen=True)
 class Bot:
-    pass
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash(()))
+        object.__setattr__(self, "_agents", _NO_AGENTS)
+
+    def __hash__(self):
+        return self._hash
 
 
 @dataclass(frozen=True)
 class Neg:
     body: "Formula"
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.body,)))
+        object.__setattr__(self, "_agents", self.body._agents)
+
+    def __hash__(self):
+        return self._hash
 
 
 @dataclass(frozen=True)
@@ -50,21 +82,40 @@ class Impl:
     left: "Formula"
     right: "Formula"
 
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.left, self.right)))
+        object.__setattr__(self, "_agents", _union(self.left._agents, self.right._agents))
+
+    def __hash__(self):
+        return self._hash
+
 
 @dataclass(frozen=True)
 class Coal:
-    """Coalition modality.  ``coalition`` may be empty; ``p`` must lie in [0, 1]."""
+    """Coalition modality.  ``coalition`` may be empty; ``p`` must be an
+    exact rational in [0, 1]."""
 
     coalition: frozenset
     p: Fraction
     body: "Formula"
 
     def __post_init__(self):
-        object.__setattr__(self, "coalition", frozenset(self.coalition))
+        coalition = frozenset(self.coalition)
+        if isinstance(self.p, float):
+            raise ValueError(
+                f"modal subscript {self.p!r}: binary floating point is rejected;"
+                " pass a Fraction, an int or a string"
+            )
         p = self.p if isinstance(self.p, Fraction) else Fraction(self.p)
         if not 0 <= p <= 1:
             raise ValueError(f"modal subscript {p} outside [0, 1]")
+        object.__setattr__(self, "coalition", coalition)
         object.__setattr__(self, "p", p)
+        object.__setattr__(self, "_hash", hash((coalition, p, self.body)))
+        object.__setattr__(self, "_agents", _union(coalition, self.body._agents))
+
+    def __hash__(self):
+        return self._hash
 
 
 Formula = Union[Var, Bot, Neg, Impl, Coal]
@@ -113,11 +164,8 @@ def subformulas(f: Formula) -> set:
 
 
 def agents_of(f: Formula) -> frozenset:
-    out: set = set()
-    for g in subformulas(f):
-        if isinstance(g, Coal):
-            out |= g.coalition
-    return frozenset(out)
+    """Agents named by any coalition in f, cached on the node."""
+    return f._agents
 
 
 def variables_of(f: Formula) -> frozenset:

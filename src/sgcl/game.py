@@ -8,15 +8,18 @@ arithmetic is over ``fractions.Fraction`` throughout, so validation and
 model checking are exact.
 
 The JSON exchange format writes probabilities as strings ("9/10",
-"0.25") or integers; binary floats are rejected on load.
+"0.25") or integers; binary floats are rejected on load and by
+:class:`Game` itself.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement, islice, product
+from math import comb
 from typing import Iterable, Iterator, Mapping, Optional
 
 StateId = str
@@ -76,6 +79,17 @@ class ActionProfile:
         return self.domain == frozenset(agents)
 
 
+def _exact(value) -> Fraction:
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, float):
+        raise GameError(
+            f"probability {value!r}: binary floating point is rejected;"
+            " pass a Fraction, an int or a string"
+        )
+    return Fraction(value)
+
+
 class Game:
     """Immutable-by-convention container; use :func:`validate` to check
     well-formedness as data rather than at construction time."""
@@ -90,7 +104,7 @@ class Game:
         for (state, profile), row in items:
             if not isinstance(profile, ActionProfile):
                 profile = ActionProfile.of(profile)
-            rows[(state, profile)] = {t: Fraction(v) for t, v in row.items()}
+            rows[(state, profile)] = {t: _exact(v) for t, v in row.items()}
         self.transitions = rows
         self.valuation = {v: frozenset(sts) for v, sts in valuation.items()}
 
@@ -131,8 +145,28 @@ def complete_profiles(game: Game) -> Iterator[ActionProfile]:
         yield ActionProfile(tuple(zip(game.agents, combo)))
 
 
+# missing rows reported by name; any beyond these are only counted
+MISSING_ROWS_SHOWN = 5
+
+
+def _complete_assignments(game: Game) -> Iterator[tuple]:
+    """Assignments of every distinct complete profile, in sorted order."""
+    actions = sorted(set(game.actions))
+    per_agent = [
+        [tuple((agent, x) for x in xs)
+         for xs in combinations_with_replacement(actions, count)]
+        for agent, count in sorted(Counter(game.agents).items())
+    ]
+    for parts in product(*per_agent):
+        yield tuple(pair for part in parts for pair in part)
+
+
 def validate(game: Game) -> list:
-    """Well-formedness violations as human-readable strings; [] = valid."""
+    """Well-formedness violations as human-readable strings; [] = valid.
+
+    Each row is checked in place and the rows are counted against the
+    number of complete profiles, so the complete profiles are only
+    walked, in sorted order, to name the first few missing rows."""
     out = []
     if not game.actions:
         out.append("action domain is empty")
@@ -148,21 +182,22 @@ def validate(game: Game) -> list:
             if s not in game.states:
                 out.append(f"valuation of {var!r} names unknown state {s!r}")
     state_set = set(game.states)
-    expected = set()
-    if game.actions:
-        for s in game.states:
-            for profile in complete_profiles(game):
-                expected.add((s, profile))
-    seen = set()
+    action_set = set(game.actions)
+    agent_key = tuple(sorted(game.agents))
+    present = 0
     for (s, profile), row in game.transitions.items():
-        seen.add((s, profile))
         where = f"({s!r}, {profile.as_dict()!r})"
-        if (s, profile) not in expected:
-            if s not in state_set:
-                out.append(f"row {where}: unknown source state")
-            else:
-                out.append(f"row {where}: profile is not a complete profile")
+        if s not in state_set:
+            out.append(f"row {where}: unknown source state")
             continue
+        if not (
+            action_set
+            and tuple(a for a, _ in profile.assignment) == agent_key
+            and all(x in action_set for _, x in profile.assignment)
+        ):
+            out.append(f"row {where}: profile is not a complete profile")
+            continue
+        present += 1
         total = Fraction(0)
         for t, v in row.items():
             if t not in state_set:
@@ -172,9 +207,23 @@ def validate(game: Game) -> list:
             total += v
         if total != 1:
             out.append(f"row {where}: probabilities sum to {total}, expected 1")
-    for (s, profile) in sorted(expected - seen,
-                               key=lambda k: (k[0], k[1].assignment)):
-        out.append(f"missing transition row for ({s!r}, {profile.as_dict()!r})")
+    expected = 0
+    if action_set:
+        expected = len(state_set)
+        for count in Counter(game.agents).values():
+            expected *= comb(len(action_set) + count - 1, count)
+    missing = expected - present
+    if missing:
+        absent = (
+            (s, assignment)
+            for s in sorted(state_set)
+            for assignment in _complete_assignments(game)
+            if (s, ActionProfile(assignment)) not in game.transitions
+        )
+        for s, assignment in islice(absent, MISSING_ROWS_SHOWN):
+            out.append(f"missing transition row for ({s!r}, {dict(assignment)!r})")
+        if missing > MISSING_ROWS_SHOWN:
+            out.append(f"{missing - MISSING_ROWS_SHOWN} more transition rows missing")
     return out
 
 
@@ -322,6 +371,8 @@ def load(path, force: bool = False) -> Game:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"/: not valid JSON: {exc}") from exc
+        except RecursionError:
+            raise SchemaError("/: document nests too deeply") from None
     game = game_from_dict(doc)
     if not force:
         violations = validate(game)

@@ -31,12 +31,7 @@ from .formula import (
     canonical_key,
     render,
 )
-from .game import (
-    ActionProfile,
-    Game,
-    completions,
-    survival_probability,
-)
+from .game import ActionProfile, Game, completions
 
 
 class CheckError(Exception):
@@ -53,10 +48,18 @@ class CheckContext:
     profile_evals: int = 0
 
     def survival_at(self, state, profile) -> Fraction:
+        """Survival probability under a complete profile.  Unlike
+        :func:`survival_probability` it does not check the profile: the
+        profiles here come from :func:`completions`."""
         key = (state, profile)
         value = self.survival.get(key)
         if value is None:
-            value = survival_probability(self.game, state, profile)
+            failures = self.game.failures
+            value = sum(
+                (v for t, v in self.game.row(state, profile).items()
+                 if t not in failures),
+                Fraction(0),
+            )
             self.survival[key] = value
         return value
 

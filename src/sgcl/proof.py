@@ -638,4 +638,6 @@ def load_proof(path, universe=None) -> Derivation:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ProofFormatError(f"not valid JSON: {exc}") from exc
+        except RecursionError:
+            raise ProofFormatError("document nests too deeply") from None
     return derivation_from_dict(doc, universe)

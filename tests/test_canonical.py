@@ -1,5 +1,6 @@
 """Canonical game construction: oracle, maximal sets, transitions, audit."""
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
@@ -30,10 +31,12 @@ from sgcl.formula import (
     Var,
     _Abstraction,
     _eval,
+    agents_of,
     canonical_key,
     closure,
     parse,
     render,
+    subformulas,
 )
 from sgcl.game import ActionProfile, validate
 from sgcl.proof import SystemId
@@ -638,3 +641,91 @@ class TestAtomEnumerationMatchesReference:
         (only,) = enumerate_maximal_sets(sig, oracle=strict)
         assert only.members == frozenset({v, Neg(box), Neg(Impl(v, box))})
         assert sorted_keys(reference_maximal_sets(sig, strict)) == [only.key()]
+
+
+# ---------------------------------------------------------------------------
+# hashes and agent sets cached on formula nodes
+
+
+@dataclass(frozen=True)
+class RefVar:
+    name: str
+
+
+@dataclass(frozen=True)
+class RefBot:
+    pass
+
+
+@dataclass(frozen=True)
+class RefNeg:
+    body: object
+
+
+@dataclass(frozen=True)
+class RefImpl:
+    left: object
+    right: object
+
+
+@dataclass(frozen=True)
+class RefCoal:
+    coalition: frozenset
+    p: Fraction
+    body: object
+
+
+def reference_node(f):
+    """A mirror of f built from dataclasses with the generated hash,
+    which re-hashes the whole subtree on every call."""
+    if isinstance(f, Var):
+        return RefVar(f.name)
+    if isinstance(f, Bot):
+        return RefBot()
+    if isinstance(f, Neg):
+        return RefNeg(reference_node(f.body))
+    if isinstance(f, Impl):
+        return RefImpl(reference_node(f.left), reference_node(f.right))
+    return RefCoal(f.coalition, f.p, reference_node(f.body))
+
+
+def reference_agents_of(f):
+    """Agents of f by walking every subformula."""
+    out = set()
+    for g in subformulas(f):
+        if isinstance(g, Coal):
+            out |= g.coalition
+    return frozenset(out)
+
+
+def corpus_and_closure_formulas():
+    """The corpus, and every member of the closures of the seeds, the
+    two-agent seed and the wide seeds, with all their subformulas."""
+    out = set()
+    seeds = SEEDS + ["([a]_1/2 v -> [a,b]_3/4 v)"] + WIDE_SEEDS
+    for f in acceptance_corpus() + [
+        g for seed in seeds for g in closure([parse(seed)])
+    ]:
+        out |= subformulas(f)
+    return sorted(out, key=canonical_key)
+
+
+class TestCachedNodeData:
+    """The hash and agent set cached on each node against the generated
+    dataclass hash and the subformula walk they replace."""
+
+    def test_hash_equals_generated_hash(self):
+        for f in corpus_and_closure_formulas():
+            assert hash(f) == hash(reference_node(f)), render(f)
+
+    def test_agents_equal_subformula_walk(self):
+        formulas = corpus_and_closure_formulas()
+        assert any(len(agents_of(f)) == 2 for f in formulas)
+        for f in formulas:
+            assert agents_of(f) == reference_agents_of(f), render(f)
+
+    def test_sets_iterate_in_generated_hash_order(self):
+        formulas = corpus_and_closure_formulas()
+        cached = [reference_node(f) for f in set(formulas)]
+        generated = list({reference_node(f) for f in formulas})
+        assert cached == generated

@@ -334,3 +334,19 @@ class TestUsage:
     def test_deep_nesting_is_input_error(self, capsys, argv):
         assert run(argv) == 2
         assert capsys.readouterr().err.strip() == "error: formula nests too deeply"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["check", "--state", "s", "--formula", "v", "--game"],
+             "error: /: document nests too deeply"),
+            (["verify-proof", "--proof"], "error: document nests too deeply"),
+        ],
+        ids=["game", "proof"],
+    )
+    def test_deeply_nested_document_is_input_error(self, tmp_path, capsys,
+                                                   argv, message):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 5000 + "]" * 5000)
+        assert run(argv + [str(path)]) == 2
+        assert capsys.readouterr().err.strip() == message

@@ -3,6 +3,7 @@
 import json
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -29,7 +30,7 @@ from sgcl.formula import (
     parse,
     subformulas,
 )
-from sgcl.game import game_to_dict, validate
+from sgcl.game import ActionProfile, Game, game_to_dict, validate
 from sgcl.modelcheck import holds
 from sgcl.proof import SystemId
 
@@ -160,6 +161,85 @@ class TestSampleGame:
         a = sample_game(random.Random(9), SearchBounds())
         b = sample_game(random.Random(9), SearchBounds())
         assert game_to_dict(a) == game_to_dict(b)
+
+
+def reference_sample_game(rng, bounds, variables=("u", "v"),
+                          require_agents=frozenset()):
+    """The sampler with Fraction partial sums: every grid draw is added
+    as a Fraction and the residual is 1 minus their sum."""
+    required = tuple(sorted(require_agents))
+    optional = [a for a in bounds.agents if a not in require_agents]
+    extra = rng.randint(0 if required else 1, len(optional))
+    agent_pool = sorted(required + tuple(optional[:extra]))
+    n_states = rng.randint(1, bounds.max_states)
+    states = tuple(f"q{i}" for i in range(n_states))
+    n_fail = rng.randint(0, n_states - 1)
+    failures = tuple(sorted(rng.sample(states, n_fail)))
+    actions = tuple(f"m{i}" for i in range(rng.randint(1, bounds.max_actions)))
+    transitions = {}
+    grid = bounds.probability_grid
+    for state in states:
+        for combo in product(actions, repeat=len(agent_pool)):
+            profile = ActionProfile(tuple(zip(agent_pool, combo)))
+            row = None
+            for _attempt in range(16):
+                order = list(states)
+                rng.shuffle(order)
+                entries = {}
+                total = Fraction(0)
+                feasible = True
+                for target in order[:-1]:
+                    p = rng.choice(grid)
+                    total += p
+                    if total > 1:
+                        feasible = False
+                        break
+                    entries[target] = p
+                if feasible:
+                    entries[order[-1]] = 1 - total
+                    row = {t: p for t, p in entries.items() if p > 0}
+                    break
+            if row is None:
+                row = {rng.choice(states): Fraction(1)}
+            transitions[(state, profile)] = row
+    valuation = {
+        v: frozenset(s for s in states if rng.choice((True, False)))
+        for v in variables
+    }
+    return Game(tuple(agent_pool), states, failures, actions, transitions, valuation)
+
+
+# the thirds grid has common denominator 12, not 4; the three-state
+# bounds with five actions make rows of 25 profiles for two agents
+SAMPLER_BOUNDS = [
+    SearchBounds(),
+    SearchBounds(max_states=3, max_actions=5, agents=("a", "b", "c"),
+                 probability_grid=(0, F(1, 3), F(1, 4), F(2, 3), 1)),
+    SearchBounds(max_states=4, max_actions=2, agents=("a",),
+                 probability_grid=(0, F(1, 6), F(1, 2), 1)),
+]
+
+
+class TestSamplerMatchesReference:
+    """Integer partial sums over the grid's common denominator against
+    Fraction partial sums: the same games from the same random stream,
+    with every row's entries in the same order."""
+
+    @pytest.mark.parametrize("index", range(len(SAMPLER_BOUNDS)))
+    def test_same_games(self, index):
+        bounds = SAMPLER_BOUNDS[index]
+        for seed in range(200):
+            ours, theirs = random.Random(seed), random.Random(seed)
+            for names in (("u", "v"), ("w",)):
+                got = sample_game(ours, bounds, variables=names,
+                                  require_agents=frozenset({"a"}))
+                want = reference_sample_game(theirs, bounds, variables=names,
+                                             require_agents=frozenset({"a"}))
+                assert game_to_dict(got) == game_to_dict(want), seed
+                assert [list(row.items()) for row in got.transitions.values()] == [
+                    list(row.items()) for row in want.transitions.values()
+                ], seed
+            assert ours.getstate() == theirs.getstate()
 
 
 class TestBoundedCountermodel:

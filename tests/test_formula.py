@@ -16,6 +16,7 @@ from sgcl.formula import (
     Neg,
     ParseError,
     Var,
+    agents_of,
     canonical_key,
     closure,
     in_plus_language,
@@ -133,6 +134,28 @@ class TestDeepPrefixChains:
         f = parse(text)
         assert f == Neg(coal({"a"}, F(1, 2), Neg(Neg(coal((), 0, TOP)))))
         assert render(f) == text
+
+
+class TestDeepNodes:
+    def test_chain_of_100000_negations_builds_and_hashes(self):
+        f = Var("v")
+        for _ in range(100_000):
+            f = Neg(f)
+        assert f in {f}
+        assert hash(f) == hash((f.body,))
+        deep_box = coal({"a"}, 1, f)
+        assert agents_of(Impl(deep_box, f)) == frozenset({"a"})
+
+
+class TestFloatSubscripts:
+    def test_float_subscript_rejected(self):
+        with pytest.raises(ValueError, match="floating point"):
+            Coal(frozenset(), 0.1, Var("v"))
+
+    @pytest.mark.parametrize("p, exact", [(F(1, 10), F(1, 10)), ("1/10", F(1, 10)), (1, F(1))])
+    def test_exact_subscripts_accepted(self, p, exact):
+        subscript = Coal(frozenset(), p, Var("v")).p
+        assert subscript == exact and isinstance(subscript, Fraction)
 
 
 FORMULA_NAMES = st.sampled_from(["p", "q", "v", "goal"])

@@ -11,6 +11,7 @@ from sgcl.game import (
     GameValidationError,
     SchemaError,
     GameError,
+    MISSING_ROWS_SHOWN,
     complete_profiles,
     completions,
     game_from_dict,
@@ -88,6 +89,138 @@ class TestValidate:
         g = survival_ladder(0)
         g.valuation = {"v": frozenset({"nope"})}
         assert any("unknown state 'nope'" in m for m in validate(g))
+
+
+def reference_validate(game):
+    """Validation that first builds the set of every expected
+    (state, complete profile) key and reports every missing one."""
+    out = []
+    if not game.actions:
+        out.append("action domain is empty")
+    for name, seq in (("agents", game.agents), ("states", game.states),
+                      ("actions", game.actions)):
+        if len(set(seq)) != len(seq):
+            out.append(f"duplicate entries in {name}")
+    for s in sorted(game.failures):
+        if s not in game.states:
+            out.append(f"failure state {s!r} not among the states")
+    for var, sts in sorted(game.valuation.items()):
+        for s in sorted(sts):
+            if s not in game.states:
+                out.append(f"valuation of {var!r} names unknown state {s!r}")
+    state_set = set(game.states)
+    expected = set()
+    if game.actions:
+        for s in game.states:
+            for profile in complete_profiles(game):
+                expected.add((s, profile))
+    seen = set()
+    for (s, profile), row in game.transitions.items():
+        seen.add((s, profile))
+        where = f"({s!r}, {profile.as_dict()!r})"
+        if (s, profile) not in expected:
+            if s not in state_set:
+                out.append(f"row {where}: unknown source state")
+            else:
+                out.append(f"row {where}: profile is not a complete profile")
+            continue
+        total = Fraction(0)
+        for t, v in row.items():
+            if t not in state_set:
+                out.append(f"row {where}: unknown target state {t!r}")
+            if not 0 <= v <= 1:
+                out.append(f"row {where}: probability {v} outside [0, 1]")
+            total += v
+        if total != 1:
+            out.append(f"row {where}: probabilities sum to {total}, expected 1")
+    for (s, profile) in sorted(expected - seen,
+                               key=lambda k: (k[0], k[1].assignment)):
+        out.append(f"missing transition row for ({s!r}, {profile.as_dict()!r})")
+    return out
+
+
+def shortened(reference):
+    """The reference list with its missing-row messages cut to the
+    first few and the rest counted."""
+    missing = [m for m in reference if m.startswith("missing transition row")]
+    shown = missing[:MISSING_ROWS_SHOWN]
+    rest = len(missing) - len(shown)
+    return (
+        [m for m in reference if m not in missing]
+        + shown
+        + ([f"{rest} more transition rows missing"] if rest else [])
+    )
+
+
+def _profile(**assignment):
+    return ActionProfile.of(assignment)
+
+
+def _odd_games():
+    """Games with missing rows, partial or foreign profiles, unknown
+    states, duplicate names and an empty action domain."""
+    games = {}
+    g = overtake_game()
+    keys = list(g.transitions)
+    for k in keys[::2]:
+        del g.transitions[k]
+    games["overtake-half"] = g
+    g = overtake_game()
+    del g.transitions[keys[7]]
+    games["overtake-one-missing"] = g
+    g = overtake_game()
+    del g.transitions[keys[0]]
+    del g.transitions[keys[-1]]
+    g.transitions[("zz", _profile(a="plus", b="plus"))] = {"p": 1}
+    g.transitions[("p", _profile(a="plus"))] = {"p": 1}
+    g.transitions[("p", _profile(a="plus", b="jump"))] = {"p": 1}
+    g.transitions[("p", _profile(a="plus", b="zero", c="zero"))] = {"p": 1}
+    games["overtake-foreign-rows"] = g
+    games["duplicate-agents"] = Game(
+        ("a", "b", "a"), ("s",), (), ("x", "y", "z"),
+        {("s", ActionProfile((("a", "y"), ("b", "z"), ("a", "x")))): {"s": 1},
+         ("s", _profile(a="x", b="x")): {"s": 1}}, {})
+    games["duplicate-actions-and-states"] = Game(
+        ("b", "a"), ("s", "t", "s"), (), ("x", "y", "x"),
+        {("t", _profile(a="x", b="y")): {"s": 1}}, {})
+    games["no-agents"] = Game(
+        (), ("s", "t"), (), ("x",), {("s", ActionProfile(())): {"s": 1}}, {})
+    games["no-actions"] = Game(
+        ("a",), ("s",), (), (), {("s", ActionProfile(())): {"s": 1}}, {})
+    return games
+
+
+class TestValidateMatchesReference:
+    """Rows checked in place and counted, against the set of every
+    expected key: the same messages, with the missing rows after the
+    first few counted instead of named."""
+
+    @pytest.mark.parametrize("name, game", sorted(_odd_games().items()))
+    def test_odd_games(self, name, game):
+        reference = reference_validate(game)
+        assert reference
+        assert validate(game) == shortened(reference)
+        assert validate(game)[:5] == reference[:5]
+
+    @pytest.mark.parametrize("n", range(4))
+    def test_valid_games(self, n):
+        assert validate(survival_ladder(n)) == reference_validate(survival_ladder(n)) == []
+
+    def test_ten_agents_with_one_row(self):
+        agents = tuple(f"a{i}" for i in range(10))
+        g = Game(agents, ("s",), (), ("x", "y", "z"),
+                 {("s", ActionProfile.of({a: "y" for a in agents})): {"s": 1}}, {})
+        first = ["x"] * 10
+        expected = []
+        for last in ("x", "y", "z"):
+            expected.append(dict(zip(agents, first[:9] + [last])))
+        for last in ("x", "y"):
+            expected.append(dict(zip(agents, first[:8] + ["y", last])))
+        violations = validate(g)
+        assert violations == [
+            f"missing transition row for ('s', {d!r})" for d in expected
+        ] + [f"{3 ** 10 - 1 - 5} more transition rows missing"]
+        assert str(GameValidationError(violations)).endswith("; ...")
 
 
 class TestSurvival:
@@ -168,6 +301,24 @@ class TestJson:
         doc["transitions"][0]["to"] = {"f": 0.3333}
         with pytest.raises(SchemaError, match="floating point"):
             game_from_dict(doc)
+
+    def test_float_probability_rejected_by_game(self):
+        with pytest.raises(GameError, match="floating point"):
+            Game(("a",), ("s",), (), ("x",),
+                 {("s", ActionProfile.of({"a": "x"})): {"s": 1.0}}, {})
+
+    def test_fractions_kept_as_given(self):
+        half = F(1, 2)
+        g = Game(("a",), ("s", "t"), (), ("x",),
+                 {("s", ActionProfile.of({"a": "x"})): {"s": half, "t": "1/2"}}, {})
+        row = g.row("s", ActionProfile.of({"a": "x"}))
+        assert row["s"] is half and row["t"] == half
+
+    def test_deeply_nested_document_is_schema_error(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 5000 + "]" * 5000)
+        with pytest.raises(SchemaError, match="nests too deeply"):
+            load(path)
 
     def test_inexact_row_rejected_by_validation(self, tmp_path):
         doc = game_to_dict(survival_ladder(0))
