@@ -42,7 +42,7 @@ import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from typing import Iterable, Mapping, Optional, Protocol, Sequence
+from typing import Mapping, Optional, Protocol, Sequence
 
 from .formula import (
     TOP,
@@ -54,6 +54,7 @@ from .formula import (
     Neg,
     Var,
     canonical_key,
+    evaluate,
     in_plus_language,
     render,
 )
@@ -180,27 +181,17 @@ def enumerate_maximal_sets(
     literals: list = []
     out = []
 
-    def complete() -> frozenset:
-        value = dict(truth)
-        for f in sigma:
-            if isinstance(f, Bot):
-                value[f] = False
-            elif isinstance(f, Neg):
-                value[f] = not value[f.body]
-            elif isinstance(f, Impl):
-                value[f] = not value[f.left] or value[f.right]
-        return frozenset(f for f in sigma if value[f])
-
     def descend(i: int) -> None:
         if i == len(atoms):
-            members = complete()
+            value = evaluate(sigma, dict(truth))
+            members = frozenset(f for f in sigma if value[f])
             if oracle.judge(members) is not Judgment.INCONSISTENT:
                 out.append(MaximalSet(members))
             return
         if oracle.judge(frozenset(literals)) is Judgment.INCONSISTENT:
             return
         atom = atoms[i]
-        for sign in (True, False):
+        for sign in (-1, 0):  # true, false
             truth[atom] = sign
             literals.append(atom if sign else Neg(atom))
             descend(i + 1)
@@ -296,16 +287,21 @@ def _row(mu_value: Fraction, target_names: Sequence[str]) -> tuple:
 
 @dataclass
 class CanonicalDiagnostics:
-    state_members: dict = field(default_factory=dict)
-    action_table: dict = field(default_factory=dict)
     guard_pairs: list = field(default_factory=list)
     no_consistent_sets: bool = False
     state_count: int = 0
     action_count: int = 0
     profile_count: int = 0
-    # state name -> MaximalSet, s0, s1, ... in order; not part of the
-    # JSON report
+    # state name -> MaximalSet, s0, s1, ... in order
     sets: dict = field(default_factory=dict, repr=False)
+
+    @property
+    def state_members(self) -> dict:
+        """State name -> rendered members in canonical order."""
+        return {
+            name: [render(f) for f in sorted(s.members, key=canonical_key)]
+            for name, s in self.sets.items()
+        }
 
     def to_dict(self) -> dict:
         return {
@@ -324,7 +320,6 @@ def build_canonical_game(
     sigma: ClosureSet,
     system: SystemId = SystemId.L,
     oracle: Optional[ConsistencyOracle] = None,
-    agents: Optional[Iterable[str]] = None,
     cap: int = 24,
 ) -> tuple:
     """Construct the canonical game for a closure set.
@@ -341,12 +336,7 @@ def build_canonical_game(
                 raise CanonicalError(
                     f"{render(f)} lies outside the restricted language"
                 )
-    if agents is None:
-        agent_tuple = tuple(sorted(sigma.agents()))
-    else:
-        agent_tuple = tuple(agents)
-        if not sigma.agents() <= set(agent_tuple):
-            raise CanonicalError("agent universe omits agents named in the closure")
+    agent_tuple = tuple(sorted(sigma.agents()))
     sets = sorted(
         enumerate_maximal_sets(sigma, oracle, cap), key=MaximalSet.key
     )
@@ -355,16 +345,8 @@ def build_canonical_game(
     diag = CanonicalDiagnostics()
     diag.state_count = len(sets)
     diag.action_count = len(actions)
-    diag.action_table = {
-        aid: {"formula": render(a.formula), "value": str(a.value)}
-        for aid, a in zip(action_ids, actions)
-    }
     diag.sets = {f"s{i}": s for i, s in enumerate(sets)}
     names = {s: name for name, s in diag.sets.items()}
-    diag.state_members = {
-        name: [render(f) for f in sorted(s.members, key=canonical_key)]
-        for name, s in diag.sets.items()
-    }
     diag.no_consistent_sets = not sets
     id_of = dict(zip(actions, action_ids))
     profiles = [

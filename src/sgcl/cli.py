@@ -381,9 +381,9 @@ def run(argv: Optional[list] = None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except RecursionError:
-        # nested parentheses are read recursively by the parser and
-        # formulas are walked recursively by the model checker (node
-        # hashes are cached, so hashing never recurses)
+        # the parser's parentheses, the model checker and == between two
+        # distinct deep formulas recurse; hashing and the tautology check
+        # do not
         print("error: formula nests too deeply", file=sys.stderr)
         return 2
 

@@ -52,21 +52,12 @@ from .formula import (
     variables_of,
 )
 from .game import ActionProfile, Game, game_to_dict, survival_ladder
-from .modelcheck import CheckContext, holds
+from .modelcheck import QUARTER_GRID, CheckContext, holds
 from .proof import SystemId
 
 
 class DecideError(Exception):
     pass
-
-
-QUARTER_GRID = (
-    Fraction(0),
-    Fraction(1, 4),
-    Fraction(1, 2),
-    Fraction(3, 4),
-    Fraction(1),
-)
 
 
 @dataclass(frozen=True)
@@ -148,12 +139,9 @@ def classify(
     negation = Neg(f)
     sigma = closure([negation])
     game, diag = build_canonical_game(sigma, system=system, oracle=oracle, cap=cap)
-    wanted = render(negation)
     ctx = CheckContext(game)
-    for state in game.states:
-        if state in game.failures:
-            continue
-        if wanted not in diag.state_members[state]:
+    for state, s in diag.sets.items():
+        if negation not in s.members:
             continue
         if not holds(game, state, f, ctx):
             if holds(game, state, f):  # pragma: no cover - fresh re-check

@@ -27,6 +27,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Iterable, Iterator, Optional, Union
 
 
@@ -132,7 +133,7 @@ class ParseError(ValueError):
 
 
 class AtomCapError(ValueError):
-    """Raised when a truth-table check would exceed the configured atom cap."""
+    """Raised when a truth-table check would exceed the atom cap."""
 
     def __init__(self, atoms: int, cap: int):
         super().__init__(f"truth table over {atoms} atoms exceeds cap {cap}")
@@ -466,53 +467,80 @@ def closure(seed: Iterable[Formula]) -> ClosureSet:
 # ---------------------------------------------------------------------------
 # propositional reasoning over the modal skeleton
 
-# Expression nodes: ("const", bool) | ("atom", i) | ("not", e) | ("imp", a, b)
+# truth tables wider than this many atoms are refused, not approximated
+ATOM_CAP = 20
+
+# the tautology check evaluates every valuation of up to this many atoms
+# in one pass and enumerates the valuations of the rest, so a truth value
+# never takes more than 2**_PARALLEL bits
+_PARALLEL = 10
 
 
-class _Abstraction:
-    """Joint abstraction that maps maximal non-Boolean subformulas
-    (variables and modalities) to shared propositional atoms."""
+def evaluate(order: Iterable[Formula], truth: dict) -> dict:
+    """Extend ``truth``, which gives the truth value of every variable and
+    modality among ``order``, to each ``false``, negation and implication
+    of ``order``.  Formulas must be listed children first.
 
-    def __init__(self):
-        self.atoms: dict = {}
-
-    def expr(self, f: Formula):
+    A truth value is an int read as a vector of bits, one bit per
+    valuation: a formula holds in the valuations whose bit is set, so -1
+    is true and 0 is false in every valuation.  ``truth`` is extended in
+    place and returned."""
+    for f in order:
         if isinstance(f, Bot):
-            return ("const", False)
-        if isinstance(f, Neg):
-            return ("not", self.expr(f.body))
-        if isinstance(f, Impl):
-            return ("imp", self.expr(f.left), self.expr(f.right))
-        if isinstance(f, (Var, Coal)):
-            idx = self.atoms.get(f)
-            if idx is None:
-                idx = len(self.atoms)
-                self.atoms[f] = idx
-            return ("atom", idx)
-        raise TypeError(f"not a formula: {f!r}")
+            truth[f] = 0
+        elif isinstance(f, Neg):
+            truth[f] = ~truth[f.body]
+        elif isinstance(f, Impl):
+            truth[f] = ~truth[f.left] | truth[f.right]
+    return truth
 
 
-def _eval(expr, bits: int) -> bool:
-    tag = expr[0]
-    if tag == "const":
-        return expr[1]
-    if tag == "atom":
-        return bool(bits >> expr[1] & 1)
-    if tag == "not":
-        return not _eval(expr[1], bits)
-    # implication
-    return (not _eval(expr[1], bits)) or _eval(expr[2], bits)
+def _skeleton(f: Formula) -> list:
+    """The nodes of f down to its maximal variables and modalities, each
+    once, children first."""
+    order: list = []
+    seen: set = set()
+    stack = [(f, False)]
+    while stack:
+        g, expanded = stack.pop()
+        if expanded:
+            order.append(g)
+            continue
+        if g in seen:
+            continue
+        seen.add(g)
+        stack.append((g, True))
+        if isinstance(g, Neg):
+            stack.append((g.body, False))
+        elif isinstance(g, Impl):
+            stack.append((g.right, False))
+            stack.append((g.left, False))
+    return order
 
 
-def is_tautology(f: Formula, atom_cap: int = 20) -> bool:
-    """Truth-table validity of f's propositional skeleton.
+def is_tautology(f: Formula) -> bool:
+    """Truth-table validity of f's propositional skeleton, in which every
+    variable and modality is an opaque atom.
 
     Raises :class:`AtomCapError` rather than approximating when the
-    abstraction has more than ``atom_cap`` distinct atoms.
+    skeleton has more than :data:`ATOM_CAP` distinct atoms.
     """
-    ab = _Abstraction()
-    expr = ab.expr(f)
-    n = len(ab.atoms)
-    if n > atom_cap:
-        raise AtomCapError(n, atom_cap)
-    return all(_eval(expr, bits) for bits in range(1 << n))
+    order = _skeleton(f)
+    atoms = [g for g in order if isinstance(g, (Var, Coal))]
+    if len(atoms) > ATOM_CAP:
+        raise AtomCapError(len(atoms), ATOM_CAP)
+    inner, outer = atoms[:_PARALLEL], atoms[_PARALLEL:]
+    rows = 1 << len(inner)
+    every = (1 << rows) - 1
+    # bit b of an inner atom's column is bit i of b, so the columns hold
+    # every valuation of the inner atoms once
+    columns = {
+        a: sum(1 << b for b in range(rows) if b >> i & 1)
+        for i, a in enumerate(inner)
+    }
+    for signs in product((-1, 0), repeat=len(outer)):
+        truth = dict(zip(outer, signs))
+        truth.update(columns)
+        if evaluate(order, truth)[f] & every != every:
+            return False
+    return True

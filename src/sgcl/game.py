@@ -363,9 +363,8 @@ def save(game: Game, path) -> None:
         fh.write("\n")
 
 
-def load(path, force: bool = False) -> Game:
-    """Load and validate a game file.  ``force`` skips the validity gate
-    (the schema is still enforced)."""
+def load(path) -> Game:
+    """Load and validate a game file."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
@@ -374,10 +373,9 @@ def load(path, force: bool = False) -> Game:
         except RecursionError:
             raise SchemaError("/: document nests too deeply") from None
     game = game_from_dict(doc)
-    if not force:
-        violations = validate(game)
-        if violations:
-            raise GameValidationError(violations)
+    violations = validate(game)
+    if violations:
+        raise GameValidationError(violations)
     return game
 
 

@@ -174,7 +174,14 @@ def witness(
 # ---------------------------------------------------------------------------
 # randomized schema audits
 
-_GRID = (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1))
+# the probability grid of the schema audits and of the bounded search
+QUARTER_GRID = (
+    Fraction(0),
+    Fraction(1, 4),
+    Fraction(1, 2),
+    Fraction(3, 4),
+    Fraction(1),
+)
 
 
 @dataclass
@@ -197,7 +204,7 @@ def _cooperation_instance(rng, agents, pool):
     side = {a: rng.randrange(3) for a in agents}
     c1 = frozenset(a for a in agents if side[a] == 0)
     c2 = frozenset(a for a in agents if side[a] == 1)
-    p, q = rng.choice(_GRID), rng.choice(_GRID)
+    p, q = rng.choice(QUARTER_GRID), rng.choice(QUARTER_GRID)
     left, right = rng.choice(pool), rng.choice(pool)
     return Impl(
         Coal(c1, p, Impl(left, right)),
@@ -207,7 +214,7 @@ def _cooperation_instance(rng, agents, pool):
 
 def _monotonicity_instance(rng, agents, pool):
     c = _random_coalition(rng, agents)
-    p, q = rng.choice(_GRID), rng.choice(_GRID)
+    p, q = rng.choice(QUARTER_GRID), rng.choice(QUARTER_GRID)
     if q > p:
         p, q = q, p
     body = rng.choice(pool)
@@ -216,7 +223,7 @@ def _monotonicity_instance(rng, agents, pool):
 
 def _falsehood_instance(rng, agents, pool):
     c = _random_coalition(rng, agents)
-    p = rng.choice([g for g in _GRID if g > 0])
+    p = rng.choice([g for g in QUARTER_GRID if g > 0])
     return Neg(Coal(c, p, Bot()))
 
 

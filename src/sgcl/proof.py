@@ -149,79 +149,46 @@ class Derivation:
 # --- axiom schema matching -------------------------------------------------
 
 
-def match_cooperation(f: Formula) -> Optional[dict]:
+def match_cooperation(f: Formula) -> bool:
     if not (isinstance(f, Impl) and isinstance(f.left, Coal)):
-        return None
+        return False
     outer, rest = f.left, f.right
     if not (isinstance(outer.body, Impl) and isinstance(rest, Impl)):
-        return None
+        return False
     if not (isinstance(rest.left, Coal) and isinstance(rest.right, Coal)):
-        return None
+        return False
     inner, conclusion = rest.left, rest.right
-    if outer.coalition & inner.coalition:
-        return None
-    if conclusion.coalition != outer.coalition | inner.coalition:
-        return None
-    if conclusion.p != max(outer.p, inner.p):
-        return None
-    if inner.body != outer.body.left or conclusion.body != outer.body.right:
-        return None
-    return {
-        "c1": outer.coalition,
-        "c2": inner.coalition,
-        "p": outer.p,
-        "q": inner.p,
-        "antecedent": outer.body.left,
-        "consequent": outer.body.right,
-    }
+    return (
+        not outer.coalition & inner.coalition
+        and conclusion.coalition == outer.coalition | inner.coalition
+        and conclusion.p == max(outer.p, inner.p)
+        and inner.body == outer.body.left
+        and conclusion.body == outer.body.right
+    )
 
 
-def match_monotonicity(f: Formula) -> Optional[dict]:
+def match_monotonicity(f: Formula) -> bool:
     if not (
         isinstance(f, Impl)
         and isinstance(f.left, Coal)
         and isinstance(f.right, Coal)
     ):
-        return None
+        return False
     strong, weak = f.left, f.right
-    if strong.coalition != weak.coalition or strong.body != weak.body:
-        return None
-    if weak.p > strong.p:
-        return None
-    return {"c": strong.coalition, "p": strong.p, "q": weak.p, "body": strong.body}
+    return (
+        strong.coalition == weak.coalition
+        and strong.body == weak.body
+        and weak.p <= strong.p
+    )
 
 
-def match_falsehood(f: Formula) -> Optional[dict]:
-    if not (isinstance(f, Neg) and isinstance(f.body, Coal)):
-        return None
-    inner = f.body
-    if not isinstance(inner.body, Bot) or inner.p <= 0:
-        return None
-    return {"c": inner.coalition, "p": inner.p}
-
-
-@dataclass(frozen=True)
-class AxiomMatch:
-    name: str
-    bindings: dict
-
-
-def match_axiom(f: Formula, system: SystemId = SystemId.L) -> Optional[AxiomMatch]:
-    """First matching schema in a fixed order, with the tautology check as
-    the final fallback."""
-    if system is SystemId.LPLUS and not in_plus_language(f):
-        raise ValueError("formula lies outside the restricted language")
-    for name, matcher in (
-        ("cooperation", match_cooperation),
-        ("monotonicity", match_monotonicity),
-        ("falsehood", match_falsehood),
-    ):
-        bindings = matcher(f)
-        if bindings is not None:
-            return AxiomMatch(name, bindings)
-    if is_tautology(f):
-        return AxiomMatch("tautology", {})
-    return None
+def match_falsehood(f: Formula) -> bool:
+    return (
+        isinstance(f, Neg)
+        and isinstance(f.body, Coal)
+        and isinstance(f.body.body, Bot)
+        and f.body.p > 0
+    )
 
 
 # --- verification ----------------------------------------------------------
@@ -268,13 +235,13 @@ def verify(d: Derivation) -> None:
             if not is_tautology(f):
                 raise ProofError(k, "not a propositional tautology")
         elif isinstance(rule, AxCooperation):
-            if match_cooperation(f) is None:
+            if not match_cooperation(f):
                 raise ProofError(k, "not a cooperation axiom instance")
         elif isinstance(rule, AxMonotonicity):
-            if match_monotonicity(f) is None:
+            if not match_monotonicity(f):
                 raise ProofError(k, "not a monotonicity axiom instance")
         elif isinstance(rule, AxFalsehood):
-            if match_falsehood(f) is None:
+            if not match_falsehood(f):
                 raise ProofError(k, "not a falsehood axiom instance")
         elif isinstance(rule, Assumption):
             if f not in (d.assumptions or frozenset()):
@@ -599,9 +566,10 @@ def derivation_from_dict(doc: dict, universe=None) -> Derivation:
     if mode == "theorem":
         assumptions = None
     elif isinstance(mode, dict) and isinstance(mode.get("assumptions"), list):
-        assumptions = frozenset(
-            parse(text, universe) for text in mode["assumptions"]
-        )
+        texts = mode["assumptions"]
+        if not all(isinstance(text, str) for text in texts):
+            raise ProofFormatError("assumptions must be formula strings")
+        assumptions = frozenset(parse(text, universe) for text in texts)
     else:
         raise ProofFormatError(
             "mode must be \"theorem\" or {\"assumptions\": [...]}"

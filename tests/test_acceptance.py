@@ -29,7 +29,6 @@ from sgcl.formula import (
     Var,
     closure,
     in_plus_language,
-    is_tautology,
     parse,
     render,
 )
@@ -50,7 +49,6 @@ from sgcl.proof import (
     build_coalition_weakening,
     build_lifted_implication,
     deduction_transform,
-    match_axiom,
     verify,
 )
 
@@ -354,25 +352,17 @@ def _corpus_upto(connectives: int):
     return [f for layer in layers for f in layer]
 
 
-def _axiom_line(f, name):
-    rule = {
-        "cooperation": AxCooperation(),
-        "monotonicity": AxMonotonicity(),
-        "falsehood": AxFalsehood(),
-        "tautology": Tautology(),
-    }[name]
-    return Derivation(L, (ProofLine(f, rule),))
-
-
 def _obvious_theorem(f):
     """A verified theorem-mode derivation for transparently valid shapes:
     tautologies, direct axiom instances, coalition weakening, and the
     threshold-zero lift of anything already recognized."""
-    if is_tautology(f):
-        return Derivation(L, (ProofLine(f, Tautology()),))
-    m = match_axiom(f)
-    if m is not None:
-        return _axiom_line(f, m.name)
+    for rule in (Tautology(), AxCooperation(), AxMonotonicity(), AxFalsehood()):
+        line = Derivation(L, (ProofLine(f, rule),))
+        try:
+            verify(line)
+        except ProofError:
+            continue
+        return line
     if (
         isinstance(f, Impl)
         and isinstance(f.left, Coal)

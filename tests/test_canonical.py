@@ -29,11 +29,10 @@ from sgcl.formula import (
     Impl,
     Neg,
     Var,
-    _Abstraction,
-    _eval,
     agents_of,
     canonical_key,
     closure,
+    is_tautology,
     parse,
     render,
     subformulas,
@@ -56,6 +55,36 @@ def reference_action_domain(sigma):
     return tuple(CanonicalAction(f, val) for f in pool for val in values)
 
 
+def reference_satisfiable(members):
+    """Whether one truth assignment to the variables and modalities of
+    the members makes every member true: a recursive truth table."""
+
+    def atoms_of(f):
+        if isinstance(f, (Var, Coal)):
+            return {f}
+        if isinstance(f, Neg):
+            return atoms_of(f.body)
+        if isinstance(f, Impl):
+            return atoms_of(f.left) | atoms_of(f.right)
+        return set()
+
+    def value(f, true_atoms):
+        if isinstance(f, Bot):
+            return False
+        if isinstance(f, Neg):
+            return not value(f.body, true_atoms)
+        if isinstance(f, Impl):
+            return not value(f.left, true_atoms) or value(f.right, true_atoms)
+        return f in true_atoms
+
+    atoms = sorted(set().union(*map(atoms_of, members)), key=canonical_key)
+    for signs in product((True, False), repeat=len(atoms)):
+        true_atoms = {a for a, sign in zip(atoms, signs) if sign}
+        if all(value(f, true_atoms) for f in members):
+            return True
+    return False
+
+
 def reference_maximal_sets(sigma, oracle=None):
     """Maximal sets by a sign for every non-negation formula of the
     closure, each partial set checked by a truth table over its
@@ -66,14 +95,6 @@ def reference_maximal_sets(sigma, oracle=None):
         oracle = default_oracle()
     decisions = [f for f in sigma if not isinstance(f, Neg)]
     out = []
-
-    def satisfiable(members):
-        ab = _Abstraction()
-        exprs = [ab.expr(f) for f in members]
-        return any(
-            all(_eval(e, bits) for e in exprs)
-            for bits in range(1 << len(ab.atoms))
-        )
 
     def resolved(signs):
         chosen = set()
@@ -87,7 +108,7 @@ def reference_maximal_sets(sigma, oracle=None):
 
     def descend(i, signs):
         current = resolved(signs)
-        if not satisfiable(current):
+        if not reference_satisfiable(current):
             return
         if oracle.judge(current) is Judgment.INCONSISTENT:
             return
@@ -427,10 +448,6 @@ class TestBuildCanonicalGame:
         }
         assert game.valuation["v"] == frozenset(expected)
 
-    def test_agent_universe_must_cover_closure(self):
-        with pytest.raises(CanonicalError):
-            build_canonical_game(closure([parse("[a]_1/2 v")]), agents=("b",))
-
     def test_plus_system_rejects_empty_coalition(self):
         with pytest.raises(CanonicalError):
             build_canonical_game(
@@ -729,3 +746,11 @@ class TestCachedNodeData:
         cached = [reference_node(f) for f in set(formulas)]
         generated = list({reference_node(f) for f in formulas})
         assert cached == generated
+
+
+class TestTautologyMatchesTruthTable:
+    def test_corpus_and_closure_formulas(self):
+        formulas = corpus_and_closure_formulas()
+        assert any(is_tautology(f) for f in formulas)
+        for f in formulas:
+            assert is_tautology(f) == (not reference_satisfiable([Neg(f)])), render(f)

@@ -197,6 +197,33 @@ class TestVerifyProof:
     def test_missing_proof_file_is_input_error(self):
         assert run(["verify-proof", "--proof", "absent.json"]) == 2
 
+    def test_non_string_assumption_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "assume.json"
+        path.write_text(json.dumps(
+            {"system": "L", "mode": {"assumptions": [1]}, "lines": []}
+        ))
+        assert run(["verify-proof", "--proof", str(path)]) == 2
+        assert capsys.readouterr().err.strip() == (
+            "error: assumptions must be formula strings"
+        )
+
+    @pytest.mark.parametrize(
+        "negations, code, reason",
+        [(3000, 0, None), (3001, 1, "not a propositional tautology")],
+    )
+    def test_deep_tautology_line(self, tmp_path, capsys, negations, code, reason):
+        text = "~" * negations + "(v -> v)"
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps({
+            "system": "L",
+            "mode": "theorem",
+            "lines": [{"formula": text, "rule": "taut"}],
+        }))
+        got, doc = run_json(capsys, ["verify-proof", "--proof", str(path)])
+        assert got == code
+        assert doc["ok"] is (code == 0)
+        assert doc.get("reason") == reason
+
 
 class TestAuditSoundness:
     def test_clean_audit_exits_zero(self, capsys):

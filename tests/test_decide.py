@@ -7,7 +7,7 @@ from itertools import product
 
 import pytest
 
-from sgcl.canonical import CanonicalError, ClosureCapError
+from sgcl.canonical import CanonicalError, ClosureCapError, build_canonical_game
 from sgcl.decide import (
     DecideError,
     Exhausted,
@@ -26,8 +26,10 @@ from sgcl.formula import (
     Impl,
     Neg,
     Var,
+    closure,
     is_tautology,
     parse,
+    render,
     subformulas,
 )
 from sgcl.game import ActionProfile, Game, game_to_dict, validate
@@ -99,6 +101,16 @@ class TestClassify:
         assert verdict.state_count == 2
         blob = json.loads(json.dumps(verdict.to_dict()))
         assert blob["verdict"] == "valid-relative-to-oracle"
+
+    def test_refuting_state_holds_the_negation(self):
+        # a state whose member set lacks the negation is never reported,
+        # even where a zero-threshold gap makes the formula fail there
+        for f in two_connective_corpus():
+            verdict = classify(f)
+            if isinstance(verdict, Refuted):
+                _, diag = build_canonical_game(closure([Neg(f)]))
+                members = diag.sets[verdict.state].members
+                assert Neg(f) in members, render(f)
 
     def test_refuted_verdict_serializes_game(self):
         verdict = classify(parse("[a]_1/2 v"))

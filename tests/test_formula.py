@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sgcl.formula import (
+    ATOM_CAP,
     TOP,
     AtomCapError,
     Bot,
@@ -283,6 +284,15 @@ def naive_tautology(f, atoms=None):
     return True
 
 
+def implication_chain(width):
+    """x1 -> (x2 -> ... -> x0): false only when x0 is false and every
+    other atom is true."""
+    f = Var("x0")
+    for i in range(width - 1, 0, -1):
+        f = Impl(Var(f"x{i}"), f)
+    return f
+
+
 class TestTautology:
     def test_positive_example(self):
         f = parse("p -> q -> p")
@@ -299,11 +309,26 @@ class TestTautology:
         assert is_tautology(f)
 
     def test_atom_cap_refuses(self):
-        f = Var("x0")
-        for i in range(1, 6):
-            f = Impl(Var(f"x{i}"), f)
-        with pytest.raises(AtomCapError):
-            is_tautology(f, atom_cap=3)
+        f = implication_chain(ATOM_CAP + 1)
+        message = f"truth table over {ATOM_CAP + 1} atoms exceeds cap {ATOM_CAP}"
+        with pytest.raises(AtomCapError, match=message):
+            is_tautology(f)
+
+    @pytest.mark.parametrize("width", [11, 14])
+    def test_more_atoms_than_one_pass(self, width):
+        chain = implication_chain(width)
+        for f in (chain, Impl(Var("x0"), chain), Impl(Neg(Var("x0")), chain)):
+            assert is_tautology(f) == naive_tautology(f), render(f)
+
+    def test_widest_skeleton_within_cap(self):
+        chain = implication_chain(ATOM_CAP)
+        assert not is_tautology(chain)
+        assert is_tautology(Impl(Var("x0"), chain))
+
+    def test_deep_negation_chain(self):
+        f = parse("~" * 3000 + "(v -> v)")
+        assert is_tautology(f)
+        assert not is_tautology(Neg(f))
 
     def test_top_is_tautology(self):
         assert is_tautology(TOP)
@@ -315,4 +340,4 @@ class TestTautology:
 def test_tautology_agrees_with_naive_oracle(f):
     atoms = {g for g in subformulas(f) if isinstance(g, (Var, Coal))}
     assume(len(atoms) <= 10)
-    assert is_tautology(f, atom_cap=10) == naive_tautology(f)
+    assert is_tautology(f) == naive_tautology(f)

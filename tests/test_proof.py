@@ -27,7 +27,6 @@ from sgcl.proof import (
     derivation_from_dict,
     derivation_to_dict,
     load_proof,
-    match_axiom,
     save_proof,
     verify,
 )
@@ -40,39 +39,46 @@ def coal(agents, p, body):
     return Coal(frozenset(agents), F(p), body)
 
 
+def one_line_rules(text):
+    """The rules under which a one-line theorem-mode derivation of the
+    formula verifies."""
+    f = parse(text)
+    accepted = []
+    for rule in (Tautology(), AxCooperation(), AxMonotonicity(), AxFalsehood()):
+        try:
+            verify(Derivation(L, (ProofLine(f, rule),)))
+        except ProofError:
+            continue
+        accepted.append(type(rule))
+    return accepted
+
+
 class TestMatchAxiom:
     def test_cooperation(self):
-        f = parse("[a]_1/2 (p -> q) -> ([b]_1/4 p -> [a,b]_1/2 q)")
-        m = match_axiom(f)
-        assert m is not None and m.name == "cooperation"
-        assert m.bindings["p"] == F(1, 2) and m.bindings["q"] == F(1, 4)
+        f = "[a]_1/2 (p -> q) -> ([b]_1/4 p -> [a,b]_1/2 q)"
+        assert one_line_rules(f) == [AxCooperation]
 
     def test_overlapping_coalitions_fall_back_to_tautology(self):
         f = parse("[a]_0 (v -> v) -> ([a]_1/2 v -> [a]_1/2 v)")
-        m = match_axiom(f)
-        assert m is not None and m.name == "tautology"
+        with pytest.raises(ProofError, match="not a cooperation axiom instance"):
+            verify(Derivation(L, (ProofLine(f, AxCooperation()),)))
+        assert one_line_rules(render(f)) == [Tautology]
 
     def test_monotonicity(self):
-        m = match_axiom(parse("[a]_1/2 v -> [a]_1/4 v"))
-        assert m is not None and m.name == "monotonicity"
+        assert one_line_rules("[a]_1/2 v -> [a]_1/4 v") == [AxMonotonicity]
 
     def test_monotonicity_needs_weaker_conclusion(self):
-        assert match_axiom(parse("[a]_1/4 v -> [a]_1/2 v")) is None
+        assert one_line_rules("[a]_1/4 v -> [a]_1/2 v") == []
 
     def test_falsehood(self):
-        m = match_axiom(parse("~[a,b]_1/10 false"))
-        assert m is not None and m.name == "falsehood"
+        assert one_line_rules("~[a,b]_1/10 false") == [AxFalsehood]
 
     def test_falsehood_needs_positive_threshold(self):
-        assert match_axiom(parse("~[a]_0 false")) is None
+        assert one_line_rules("~[a]_0 false") == []
 
     def test_wrong_max_rejected(self):
-        f = parse("[a]_1/2 (p -> q) -> ([b]_1/4 p -> [a,b]_1/4 q)")
-        assert match_axiom(f) is None
-
-    def test_restricted_language_precondition(self):
-        with pytest.raises(ValueError, match="restricted language"):
-            match_axiom(parse("[]_0 v -> []_0 v"), LPLUS)
+        f = "[a]_1/2 (p -> q) -> ([b]_1/4 p -> [a,b]_1/4 q)"
+        assert one_line_rules(f) == []
 
 
 class TestVerify:
