@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, islice, product
 from math import comb
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Iterator, Mapping
 
 StateId = str
 
@@ -44,10 +44,10 @@ class SchemaError(GameError):
 
 @dataclass(frozen=True)
 class ActionProfile:
-    """Partial assignment of actions to agents, stored as sorted pairs.
+    """Assignment of actions to agents, stored as sorted pairs.
 
-    A profile that is total on a game's agents serves as the complete
-    profile indexing that game's transition rows.
+    A profile that is total on a game's agents indexes that game's
+    transition rows; a partial one is a coalition's commitment.
     """
 
     assignment: tuple
@@ -59,24 +59,19 @@ class ActionProfile:
     def of(cls, mapping: Mapping[str, str]) -> "ActionProfile":
         return cls(tuple(mapping.items()))
 
-    @property
-    def domain(self) -> frozenset:
-        return frozenset(a for a, _ in self.assignment)
-
-    def get(self, agent: str) -> str:
-        for a, x in self.assignment:
-            if a == agent:
-                return x
-        raise KeyError(agent)
-
     def as_dict(self) -> dict:
         return dict(self.assignment)
 
-    def extends(self, other: "ActionProfile") -> bool:
-        return set(other.assignment) <= set(self.assignment)
 
-    def is_total_for(self, agents: Iterable[str]) -> bool:
-        return self.domain == frozenset(agents)
+def _rational(text: str) -> Fraction:
+    """An integer, ``num/den`` or plain decimal literal.  Exponent
+    notation is refused before ``Fraction`` expands it in full."""
+    if "e" in text or "E" in text:
+        raise GameError(
+            f"probability {text!r}: exponent notation is rejected;"
+            " write an integer, num/den or a plain decimal"
+        )
+    return Fraction(text)
 
 
 def _exact(value) -> Fraction:
@@ -87,7 +82,7 @@ def _exact(value) -> Fraction:
             f"probability {value!r}: binary floating point is rejected;"
             " pass a Fraction, an int or a string"
         )
-    return Fraction(value)
+    return _rational(value) if isinstance(value, str) else Fraction(value)
 
 
 class Game:
@@ -137,12 +132,6 @@ class Game:
             f"Game(states={len(self.states)}, failures={len(self.failures)}, "
             f"agents={len(self.agents)}, actions={len(self.actions)})"
         )
-
-
-def complete_profiles(game: Game) -> Iterator[ActionProfile]:
-    """All complete profiles, in deterministic action-domain order."""
-    for combo in product(game.actions, repeat=len(game.agents)):
-        yield ActionProfile(tuple(zip(game.agents, combo)))
 
 
 # missing rows reported by name; any beyond these are only counted
@@ -227,43 +216,6 @@ def validate(game: Game) -> list:
     return out
 
 
-def survival_probability(game: Game, state: StateId, profile: ActionProfile) -> Fraction:
-    """Probability of landing outside the failure set in one step."""
-    if state not in game.states:
-        raise GameError(f"unknown state {state!r}")
-    if not profile.is_total_for(game.agents):
-        raise GameError(f"profile {profile.as_dict()!r} is not total over the agents")
-    row = game.row(state, profile)
-    return sum(
-        (v for t, v in row.items() if t not in game.failures), Fraction(0)
-    )
-
-
-def positive_nonfailure_successors(
-    game: Game, state: StateId, profile: ActionProfile
-) -> frozenset:
-    if state not in game.states:
-        raise GameError(f"unknown state {state!r}")
-    if not profile.is_total_for(game.agents):
-        raise GameError(f"profile {profile.as_dict()!r} is not total over the agents")
-    row = game.row(state, profile)
-    return frozenset(
-        t for t, v in row.items() if v > 0 and t not in game.failures
-    )
-
-
-def completions(game: Game, partial: ActionProfile) -> Iterator[ActionProfile]:
-    """All complete profiles extending ``partial``, in deterministic order."""
-    if not partial.domain <= set(game.agents):
-        raise GameError(
-            f"profile names agents outside the game: {sorted(partial.domain - set(game.agents))}"
-        )
-    free = tuple(a for a in game.agents if a not in partial.domain)
-    fixed = partial.assignment
-    for combo in product(game.actions, repeat=len(free)):
-        yield ActionProfile(fixed + tuple(zip(free, combo)))
-
-
 # ---------------------------------------------------------------------------
 # JSON exchange
 
@@ -277,7 +229,9 @@ def _parse_probability(value, where: str) -> Fraction:
         return Fraction(value)
     if isinstance(value, str):
         try:
-            return Fraction(value)
+            return _rational(value)
+        except GameError as exc:
+            raise SchemaError(f"{where}: {exc}") from None
         except (ValueError, ZeroDivisionError) as exc:
             raise SchemaError(f"{where}: not a rational literal: {value!r}") from exc
     raise SchemaError(f"{where}: expected a rational as string or integer")

@@ -7,6 +7,16 @@ failure set is at least p, and (b) every non-failure state reachable
 with positive probability satisfies the body.  Condition (b) applies
 even at threshold p = 0.
 
+Within one context the checker reads each transition row once.  The
+first time a modality is checked at a state, the state's outcome table
+is compiled: one entry per complete profile, in the product order of
+``game.actions`` over ``game.agents``, holding that profile's survival
+probability and its positive non-failure successors.  Each coalition's
+choices are listed once, in the same order, with the indices of their
+completions in that table.  Truth values are memoized per (state,
+formula) and computed on demand; states no query reaches are never
+compiled.
+
 Truth is defined at non-failure states only; querying a failure state is
 an error.  Variables missing from the valuation are false everywhere.
 """
@@ -31,7 +41,7 @@ from .formula import (
     canonical_key,
     render,
 )
-from .game import ActionProfile, Game, completions
+from .game import ActionProfile, Game
 
 
 class CheckError(Exception):
@@ -40,46 +50,71 @@ class CheckError(Exception):
 
 @dataclass
 class CheckContext:
-    """Memo tables shared across queries against one game."""
+    """Memo tables shared across queries against one game.
+
+    ``outcomes(state)`` is the state's outcome table: for each complete
+    profile, in the product order of ``game.actions`` over
+    ``game.agents``, the pair (survival probability, positive non-failure
+    successors in row order).  ``choices(coalition)`` lists the
+    coalition's choices in the same order, each as (partial profile,
+    indices of its completions in the outcome table).  Both are compiled
+    on first use."""
 
     game: Game
     memo: dict = field(default_factory=dict)
-    survival: dict = field(default_factory=dict)
     profile_evals: int = 0
+    _outcomes: dict = field(default_factory=dict, init=False, repr=False)
+    _choices: dict = field(default_factory=dict, init=False, repr=False)
 
-    def survival_at(self, state, profile) -> Fraction:
-        """Survival probability under a complete profile.  Unlike
-        :func:`survival_probability` it does not check the profile: the
-        profiles here come from :func:`completions`."""
-        key = (state, profile)
-        value = self.survival.get(key)
-        if value is None:
-            failures = self.game.failures
-            value = sum(
-                (v for t, v in self.game.row(state, profile).items()
-                 if t not in failures),
-                Fraction(0),
-            )
-            self.survival[key] = value
-        return value
+    def outcomes(self, state) -> list:
+        table = self._outcomes.get(state)
+        if table is None:
+            game = self.game
+            failures = game.failures
+            table = []
+            for combo in product(game.actions, repeat=len(game.agents)):
+                row = game.row(state, ActionProfile(tuple(zip(game.agents, combo))))
+                survival = sum(
+                    (v for t, v in row.items() if t not in failures), Fraction(0)
+                )
+                successors = tuple(
+                    t for t, v in row.items() if v > 0 and t not in failures
+                )
+                table.append((survival, successors))
+            self._outcomes[state] = table
+        return table
+
+    def choices(self, coalition: frozenset) -> list:
+        listed = self._choices.get(coalition)
+        if listed is None:
+            agents, actions = self.game.agents, self.game.actions
+            members = [j for j, a in enumerate(agents) if a in coalition]
+            names = tuple(agents[j] for j in members)
+            completions = {}
+            for i, combo in enumerate(product(actions, repeat=len(agents))):
+                completions.setdefault(tuple(combo[j] for j in members), []).append(i)
+            listed = [
+                (ActionProfile(tuple(zip(names, choice))), completions.get(choice, ()))
+                for choice in product(actions, repeat=len(members))
+            ]
+            self._choices[coalition] = listed
+        return listed
 
 
-def _coalition_profiles(game: Game, coalition):
-    members = tuple(a for a in game.agents if a in coalition)
-    for combo in product(game.actions, repeat=len(members)):
-        yield ActionProfile(tuple(zip(members, combo)))
-
-
-def _profile_complies(ctx: CheckContext, state, complete, p, body) -> bool:
-    ctx.profile_evals += 1
-    if ctx.survival_at(state, complete) < p:
-        return False
-    row = ctx.game.row(state, complete)
-    for t, v in row.items():
-        if v > 0 and t not in ctx.game.failures:
-            if not _eval(ctx, t, body):
-                return False
-    return True
+def _committing_choice(ctx: CheckContext, state, f: Coal):
+    """The first choice of ``f``'s coalition (partial profile, completion
+    indices) under which every completion survives with probability at
+    least ``f.p`` and reaches only states satisfying ``f.body``, or None."""
+    table = ctx.outcomes(state)
+    for choice in ctx.choices(f.coalition):
+        for i in choice[1]:
+            ctx.profile_evals += 1
+            survival, successors = table[i]
+            if survival < f.p or not all(_eval(ctx, t, f.body) for t in successors):
+                break
+        else:
+            return choice
+    return None
 
 
 def _eval(ctx: CheckContext, state, f: Formula) -> bool:
@@ -96,18 +131,7 @@ def _eval(ctx: CheckContext, state, f: Formula) -> bool:
     elif isinstance(f, Impl):
         value = (not _eval(ctx, state, f.left)) or _eval(ctx, state, f.right)
     elif isinstance(f, Coal):
-        if not f.coalition <= set(ctx.game.agents):
-            raise CheckError(
-                f"coalition {sorted(f.coalition)} names agents outside the game"
-            )
-        value = False
-        for partial in _coalition_profiles(ctx.game, f.coalition):
-            if all(
-                _profile_complies(ctx, state, complete, f.p, f.body)
-                for complete in completions(ctx.game, partial)
-            ):
-                value = True
-                break
+        value = _committing_choice(ctx, state, f) is not None
     else:
         raise CheckError(f"not a formula: {f!r}")
     ctx.memo[key] = value
@@ -160,15 +184,12 @@ def witness(
     _require_checkable(game, state, modality)
     if ctx is None:
         ctx = CheckContext(game)
-    for partial in _coalition_profiles(game, modality.coalition):
-        all_profiles = list(completions(game, partial))
-        if all(
-            _profile_complies(ctx, state, complete, modality.p, modality.body)
-            for complete in all_profiles
-        ):
-            guaranteed = min(ctx.survival_at(state, c) for c in all_profiles)
-            return Witness(partial, guaranteed)
-    return None
+    choice = _committing_choice(ctx, state, modality)
+    if choice is None:
+        return None
+    partial, completions = choice
+    table = ctx.outcomes(state)
+    return Witness(partial, min(table[i][0] for i in completions))
 
 
 # ---------------------------------------------------------------------------

@@ -91,6 +91,20 @@ class TestCheck:
     def test_unknown_state_is_input_error(self):
         assert run(["check", "--game", LADDER, "--state", "zz", "--formula", "v"]) == 2
 
+    @pytest.mark.parametrize("survive, fail", [("1", "0e-2000000"),
+                                               ("9E-1", "1e-1")])
+    def test_exponent_probability_is_input_error(self, tmp_path, capsys,
+                                                 survive, fail):
+        doc = json.loads(Path(LADDER).read_text())
+        row = next(r for r in doc["transitions"] if r["from"] == "s")
+        row["to"] = {"t": survive, "f": fail}
+        path = tmp_path / "exponent.json"
+        path.write_text(json.dumps(doc))
+        code = run(["check", "--game", str(path), "--state", "s",
+                    "--formula", "[]_9/10 true"])
+        assert code == 2
+        assert "exponent notation is rejected" in capsys.readouterr().err
+
     def test_missing_game_file_is_input_error(self, capsys):
         code = run(["check", "--game", "no_such.json", "--state", "s",
                     "--formula", "v"])

@@ -2,6 +2,7 @@
 
 import json
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -12,18 +13,15 @@ from sgcl.game import (
     SchemaError,
     GameError,
     MISSING_ROWS_SHOWN,
-    complete_profiles,
-    completions,
     game_from_dict,
     game_to_dict,
     load,
     overtake_game,
-    positive_nonfailure_successors,
     save,
     survival_ladder,
-    survival_probability,
     validate,
 )
+from sgcl.modelcheck import CheckContext
 
 F = Fraction
 
@@ -40,12 +38,12 @@ class TestActionProfile:
         assert p == q and hash(p) == hash(q)
         assert p.as_dict() == {"a": "x", "b": "y"}
 
-    def test_extends(self):
-        partial = ActionProfile.of({"a": "x"})
-        total = ActionProfile.of({"a": "x", "b": "y"})
-        assert total.extends(partial)
-        assert not partial.extends(total)
-        assert total.is_total_for(("a", "b"))
+
+def complete_profiles(game):
+    """All complete profiles, in the product order of the actions over
+    the agents: the order of a state's outcome table."""
+    for combo in product(game.actions, repeat=len(game.agents)):
+        yield ActionProfile(tuple(zip(game.agents, combo)))
 
 
 class TestValidate:
@@ -224,55 +222,67 @@ class TestValidateMatchesReference:
 
 
 class TestSurvival:
+    """The outcome table: one (survival, positive non-failure successors)
+    entry per complete profile."""
+
     @pytest.mark.parametrize("n", range(7))
     def test_ladder_start_state(self, n):
         g = survival_ladder(n)
-        prof = ActionProfile.of({"a": "act"})
-        assert survival_probability(g, "s", prof) == 1 - F(1, 10**n)
+        [(survival, _)] = CheckContext(g).outcomes("s")
+        assert survival == 1 - F(1, 10**n)
 
     def test_absorbing_states(self, ladder):
-        prof = ActionProfile.of({"a": "act"})
-        assert survival_probability(ladder, "t", prof) == 1
-        assert survival_probability(ladder, "f", prof) == 0
+        ctx = CheckContext(ladder)
+        assert ctx.outcomes("t") == [(1, ("t",))]
+        assert ctx.outcomes("f") == [(0, ())]
 
     def test_positive_successors_exclude_failures(self, ladder):
-        prof = ActionProfile.of({"a": "act"})
-        assert positive_nonfailure_successors(ladder, "s", prof) == {"t"}
+        assert CheckContext(ladder).outcomes("s") == [(F(9, 10), ("t",))]
 
     def test_unknown_state_rejected(self, ladder):
-        with pytest.raises(GameError, match="unknown state"):
-            survival_probability(ladder, "zz", ActionProfile.of({"a": "act"}))
-
-    def test_partial_profile_rejected(self):
-        g = overtake_game()
-        with pytest.raises(GameError, match="not total"):
-            survival_probability(g, "p", ActionProfile.of({"a": "plus"}))
+        with pytest.raises(GameError, match="no transition row for state 'zz'"):
+            CheckContext(ladder).outcomes("zz")
 
     def test_survival_plus_failure_mass_is_one(self):
         g = overtake_game()
-        for profile in complete_profiles(g):
-            for s in g.states:
+        ctx = CheckContext(g)
+        profiles = list(complete_profiles(g))
+        for s in g.states:
+            table = ctx.outcomes(s)
+            assert len(table) == len(profiles) == 9
+            for (survival, successors), profile in zip(table, profiles):
                 row = g.row(s, profile)
                 fail = sum((v for t, v in row.items() if t in g.failures), F(0))
-                assert survival_probability(g, s, profile) + fail == 1
+                assert survival + fail == 1
+                assert set(successors) == {
+                    t for t, v in row.items() if v > 0 and t not in g.failures}
 
 
 class TestCompletions:
+    """The choice table: each coalition choice with the indices of its
+    completions in the outcome table."""
+
     def test_count_is_actions_to_the_free_agents(self):
-        g = overtake_game()
-        assert len(list(completions(g, ActionProfile.of({})))) == 9
-        assert len(list(completions(g, ActionProfile.of({"a": "plus"})))) == 3
-        both = list(completions(g, ActionProfile.of({"a": "plus", "b": "zero"})))
-        assert both == [ActionProfile.of({"a": "plus", "b": "zero"})]
+        ctx = CheckContext(overtake_game())
+        [(nobody, everything)] = ctx.choices(frozenset())
+        assert nobody == ActionProfile.of({}) and everything == list(range(9))
+        by_a = dict(ctx.choices(frozenset({"a"})))
+        assert len(by_a) == 3
+        assert len(by_a[ActionProfile.of({"a": "plus"})]) == 3
+        both = dict(ctx.choices(frozenset({"a", "b"})))
+        assert len(both) == 9
+        [only] = both[ActionProfile.of({"a": "plus", "b": "zero"})]
+        assert list(complete_profiles(overtake_game()))[only] == ActionProfile.of(
+            {"a": "plus", "b": "zero"})
 
     def test_deterministic_order(self):
         g = overtake_game()
-        got = [p.get("b") for p in completions(g, ActionProfile.of({"a": "plus"}))]
+        profiles = list(complete_profiles(g))
+        choices = CheckContext(g).choices(frozenset({"a"}))
+        assert [p.as_dict() for p, _ in choices] == [
+            {"a": "minus"}, {"a": "zero"}, {"a": "plus"}]
+        got = [profiles[i].as_dict()["b"] for i in choices[2][1]]
         assert got == ["minus", "zero", "plus"]
-
-    def test_foreign_agent_rejected(self, ladder):
-        with pytest.raises(GameError, match="outside the game"):
-            list(completions(ladder, ActionProfile.of({"zz": "act"})))
 
 
 class TestJson:
@@ -295,6 +305,26 @@ class TestJson:
             if row["from"] == "s":
                 row["to"] = {"t": "0.9", "f": "0.1"}
         assert game_from_dict(doc) == survival_ladder(1)
+
+    @pytest.mark.parametrize("literal, value", [
+        ("0.25", F(1, 4)), (".5", F(1, 2)), ("3/12", F(1, 4)), (" 1/2 ", F(1, 2)),
+        ("1", F(1)), ("-0.0", F(0)),
+    ])
+    def test_accepted_literal_forms(self, literal, value):
+        doc = game_to_dict(survival_ladder(0))
+        doc["transitions"][0]["to"] = {"f": literal}
+        assert game_from_dict(doc).transitions[
+            ("f", ActionProfile.of({"a": "act"}))] == {"f": value}
+
+    @pytest.mark.parametrize("literal", ["0e-999999999", "1E0", "2.5e-1"])
+    def test_exponent_notation_rejected(self, literal):
+        doc = game_to_dict(survival_ladder(0))
+        doc["transitions"][0]["to"] = {"f": literal}
+        with pytest.raises(SchemaError, match="exponent notation is rejected"):
+            game_from_dict(doc)
+        with pytest.raises(GameError, match="exponent notation is rejected"):
+            Game(("a",), ("s",), (), ("x",),
+                 {("s", ActionProfile.of({"a": "x"})): {"s": literal}}, {})
 
     def test_float_probability_rejected(self):
         doc = game_to_dict(survival_ladder(0))
@@ -344,7 +374,7 @@ class TestJson:
         g = game_from_dict(doc)
         prof = ActionProfile.of({"a": "act"})
         assert g.row("s", prof).get("t") is None
-        assert survival_probability(g, "s", prof) == 0
+        assert CheckContext(g).outcomes("s") == [(0, ())]
 
     def test_duplicate_row_rejected(self):
         doc = game_to_dict(survival_ladder(0))

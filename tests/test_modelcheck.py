@@ -6,15 +6,7 @@ from itertools import product
 import pytest
 
 from sgcl.formula import Bot, Coal, Impl, Neg, Var, parse
-from sgcl.game import (
-    ActionProfile,
-    Game,
-    completions,
-    overtake_game,
-    positive_nonfailure_successors,
-    survival_ladder,
-    survival_probability,
-)
+from sgcl.game import ActionProfile, Game, overtake_game, survival_ladder
 from sgcl.modelcheck import (
     CheckContext,
     CheckError,
@@ -32,6 +24,42 @@ def coal(agents, p, body):
     return Coal(frozenset(agents), F(p), body)
 
 
+def naive_outcomes(g: Game, state, fixed: dict):
+    """(survival, positive non-failure successors) of every row of the
+    state whose profile agrees with the fixed partial assignment."""
+    out = []
+    for (s, profile), row in g.transitions.items():
+        actions = profile.as_dict()
+        if s != state or any(actions[a] != x for a, x in fixed.items()):
+            continue
+        survival = sum((v for t, v in row.items() if t not in g.failures), F(0))
+        out.append((survival, {t for t, v in row.items()
+                               if v > 0 and t not in g.failures}))
+    return out
+
+
+def naive_choices(g: Game, coalition):
+    """The coalition's partial assignments, members in the game's agent
+    order, actions in the game's action order."""
+    members = [a for a in g.agents if a in coalition]
+    for combo in product(g.actions, repeat=len(members)):
+        yield dict(zip(members, combo))
+
+
+def naive_witness(g: Game, state, f: Coal):
+    """Reference witness: the first committing partial assignment and its
+    worst-case survival, read from the transition rows directly."""
+    for fixed in naive_choices(g, f.coalition):
+        outcomes = naive_outcomes(g, state, fixed)
+        if all(
+            survival >= f.p and all(naive_holds(g, t, f.body) for t in successors)
+            for survival, successors in outcomes
+        ):
+            return Witness(ActionProfile.of(fixed),
+                           min(survival for survival, _ in outcomes))
+    return None
+
+
 def naive_holds(g: Game, state, f):
     """Reference semantics, written directly from the definition with no
     memoization or caching."""
@@ -43,19 +71,7 @@ def naive_holds(g: Game, state, f):
         return not naive_holds(g, state, f.body)
     if isinstance(f, Impl):
         return (not naive_holds(g, state, f.left)) or naive_holds(g, state, f.right)
-    members = sorted(f.coalition)
-    for combo in product(g.actions, repeat=len(members)):
-        partial = ActionProfile.of(dict(zip(members, combo)))
-        if all(
-            survival_probability(g, state, d) >= f.p
-            and all(
-                naive_holds(g, t, f.body)
-                for t in positive_nonfailure_successors(g, state, d)
-            )
-            for d in completions(g, partial)
-        ):
-            return True
-    return False
+    return naive_witness(g, state, f) is not None
 
 
 class TestHolds:
@@ -157,6 +173,88 @@ class TestAgainstNaiveSemantics:
             for f in fs:
                 for s in g.nonfailure_states:
                     assert holds(g, s, f) == naive_holds(g, s, f)
+
+    def test_three_agents_and_reordered_agents(self):
+        """holds, extent and witness against the reference, on sampled
+        three-agent games and on copies listing the agents in reverse,
+        which reverses the product order of the complete profiles."""
+        from sgcl.decide import SearchBounds, sample_game
+        import random
+
+        rng = random.Random(11)
+        bounds = SearchBounds(max_states=3, max_actions=2, budget=1,
+                              agents=("a", "b", "c"))
+        fs = [
+            parse("[a,c]_1/2 v"),
+            parse("[b]_1/4 (v -> [a,c]_1/2 u)"),
+            parse("[a,b,c]_3/4 ~v"),
+            parse("[c]_0 u"),
+            parse("[a]_1/2 [c]_1/4 v"),
+            parse("[a,c]_0 ~u"),
+            parse("[]_1/4 v -> [a,b]_1/2 u"),
+        ]
+        for _ in range(30):
+            sampled = sample_game(rng, bounds, require_agents=("a", "b", "c"),
+                                  variables=("v", "u"))
+            reordered = Game(tuple(reversed(sampled.agents)), sampled.states,
+                             sampled.failures, sampled.actions,
+                             sampled.transitions, sampled.valuation)
+            for g in (sampled, reordered):
+                ctx = CheckContext(g)
+                for f in fs:
+                    truth = {s for s in g.nonfailure_states if naive_holds(g, s, f)}
+                    assert extent(g, f, ctx) == truth
+                    for s in g.nonfailure_states:
+                        assert holds(g, s, f, ctx) == (s in truth)
+                        if isinstance(f, Coal):
+                            assert witness(g, s, f, ctx) == naive_witness(g, s, f)
+
+    def test_unsorted_agent_tuple(self):
+        """Agents listed as ("b", "a"): profiles are enumerated with b's
+        action most significant, so the first committing choice differs
+        from the one a sorted enumeration would find.  A zero-probability
+        entry does not make its target a successor."""
+        def prof(a, b):
+            return ActionProfile.of({"a": a, "b": b})
+
+        transitions = {
+            ("s", prof("x", "x")): {"f": 1},
+            ("s", prof("y", "x")): {"t": F(3, 4), "f": F(1, 4)},
+            ("s", prof("x", "y")): {"t": F(1, 2), "s": F(1, 2)},
+            ("s", prof("y", "y")): {"t": 1, "s": 0},
+        }
+        for a, b in product("xy", repeat=2):
+            transitions[("t", prof(a, b))] = {"t": 1}
+            transitions[("f", prof(a, b))] = {"f": 1}
+        g = Game(("b", "a"), ("s", "t", "f"), ("f",), ("x", "y"), transitions,
+                 {"v": ("s", "t"), "u": ("t",)})
+        ctx = CheckContext(g)
+        assert [survival for survival, _ in ctx.outcomes("s")] == [0, F(3, 4), 1, 1]
+        assert ctx.outcomes("s")[2] == (1, ("t", "s"))
+        assert ctx.outcomes("s")[3] == (1, ("t",))
+        assert ctx.choices(frozenset({"a"})) == [
+            (ActionProfile.of({"a": "x"}), [0, 2]),
+            (ActionProfile.of({"a": "y"}), [1, 3]),
+        ]
+        assert ctx.choices(frozenset({"b"})) == [
+            (ActionProfile.of({"b": "x"}), [0, 1]),
+            (ActionProfile.of({"b": "y"}), [2, 3]),
+        ]
+        # formula: (witness, complete profiles examined to find it)
+        expected = {
+            "[a,b]_1/2 v": (Witness(prof("y", "x"), F(3, 4)), 2),
+            "[a]_1/2 v": (Witness(ActionProfile.of({"a": "y"}), F(3, 4)), 3),
+            "[b]_1/2 v": (Witness(ActionProfile.of({"b": "y"}), F(1)), 3),
+            "[a,b]_1 v": (Witness(prof("x", "y"), F(1)), 3),
+            "[]_1/2 v": (None, 1),
+            "[a,b]_1 u": (Witness(prof("y", "y"), F(1)), 4),
+        }
+        for text, (found, examined) in expected.items():
+            f = parse(text)
+            fresh = CheckContext(g)
+            assert witness(g, "s", f, fresh) == found == naive_witness(g, "s", f)
+            assert fresh.profile_evals == examined
+            assert holds(g, "s", f) == (found is not None) == naive_holds(g, "s", f)
 
     def test_profile_evaluation_budget(self):
         g = overtake_game()
