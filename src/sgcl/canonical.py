@@ -55,6 +55,7 @@ from .formula import (
     Var,
     canonical_key,
     evaluate,
+    exact,
     in_plus_language,
     render,
 )
@@ -214,8 +215,7 @@ class CanonicalAction:
     value: Fraction
 
     def __post_init__(self):
-        v = self.value if isinstance(self.value, Fraction) else Fraction(self.value)
-        object.__setattr__(self, "value", v)
+        object.__setattr__(self, "value", exact(self.value))
 
     @property
     def action_id(self) -> str:

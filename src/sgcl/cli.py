@@ -32,17 +32,14 @@ def _system(tag: str) -> SystemId:
 
 
 def _read_formula(args):
-    if getattr(args, "formula", None) is not None:
-        text = args.formula
-    elif getattr(args, "formula_file", None) is not None:
-        try:
-            with open(args.formula_file, "r", encoding="utf-8") as fh:
-                text = fh.read().strip()
-        except OSError as e:
-            raise _InputError(f"cannot read formula file: {e}")
-    else:
-        raise _InputError("one of --formula or --formula-file is required")
-    return parse(text)
+    # argparse requires exactly one of --formula and --formula-file
+    if args.formula is not None:
+        return parse(args.formula)
+    try:
+        with open(args.formula_file, "r", encoding="utf-8") as fh:
+            return parse(fh.read().strip())
+    except OSError as e:
+        raise _InputError(f"cannot read formula file: {e}")
 
 
 def _load_game(args):
@@ -139,7 +136,6 @@ def _cmd_verify_proof(args) -> int:
             [f"proof rejected at line {e.line}: {e.reason}"],
         )
         return 1
-    conclusion = derivation.conclusion
     _emit(
         args,
         {
@@ -147,7 +143,7 @@ def _cmd_verify_proof(args) -> int:
             "ok": True,
             "system": derivation.system.value,
             "lines": len(derivation.lines),
-            "conclusion": render(conclusion) if conclusion is not None else None,
+            "conclusion": render(derivation.conclusion),
         },
         [f"proof verifies ({len(derivation.lines)} lines)"],
     )

@@ -36,11 +36,7 @@ from itertools import product
 from math import lcm
 from typing import Optional, Sequence
 
-from .canonical import (
-    ClosureCapError,
-    ConsistencyOracle,
-    build_canonical_game,
-)
+from .canonical import ClosureCapError, build_canonical_game
 from .formula import (
     TOP,
     Coal,
@@ -48,6 +44,7 @@ from .formula import (
     Neg,
     agents_of,
     closure,
+    exact,
     render,
     variables_of,
 )
@@ -71,7 +68,7 @@ class SearchBounds:
     budget: int = 2000
 
     def __post_init__(self):
-        grid = tuple(sorted({Fraction(x) for x in self.probability_grid}))
+        grid = tuple(sorted({exact(x) for x in self.probability_grid}))
         object.__setattr__(self, "probability_grid", grid)
         object.__setattr__(self, "agents", tuple(self.agents))
         if self.max_states < 1 or self.max_actions < 1:
@@ -127,18 +124,13 @@ class Exhausted:
         return {"verdict": "exhausted", "attempts": self.attempts}
 
 
-def classify(
-    f: Formula,
-    system: SystemId = SystemId.L,
-    oracle: Optional[ConsistencyOracle] = None,
-    cap: int = 24,
-):
+def classify(f: Formula, system: SystemId = SystemId.L, cap: int = 24):
     """Canonical-game route: Refuted with a re-verified countermodel, or
     ValidRelativeToOracle.  Raises ClosureCapError when the negation's
     closure is too large for exhaustive enumeration."""
     negation = Neg(f)
     sigma = closure([negation])
-    game, diag = build_canonical_game(sigma, system=system, oracle=oracle, cap=cap)
+    game, diag = build_canonical_game(sigma, system=system, cap=cap)
     ctx = CheckContext(game)
     for state, s in diag.sets.items():
         if negation not in s.members:
@@ -243,7 +235,6 @@ def bounded_countermodel(
 def decide_formula(
     f: Formula,
     system: SystemId = SystemId.L,
-    oracle: Optional[ConsistencyOracle] = None,
     bounds: Optional[SearchBounds] = None,
     seed: int = 0,
     cap: int = 24,
@@ -251,7 +242,7 @@ def decide_formula(
     """Classify through the canonical game when the closure fits the cap,
     falling back to bounded random search otherwise."""
     try:
-        return classify(f, system=system, oracle=oracle, cap=cap)
+        return classify(f, system=system, cap=cap)
     except ClosureCapError:
         if bounds is None:
             bounds = SearchBounds(agents=tuple(sorted(agents_of(f))) or ("a",))

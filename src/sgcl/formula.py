@@ -31,6 +31,46 @@ from itertools import product
 from typing import Iterable, Iterator, Optional, Union
 
 
+# ---------------------------------------------------------------------------
+# exact rationals
+
+# optional sign and surrounding ASCII whitespace around an integer, num/den
+# with a nonzero denominator, or a plain decimal; group 1 catches exponent
+# notation, which is refused before Fraction would expand it in full
+_LITERAL = re.compile(
+    r"\s*[+-]?(?:[0-9]+/0*[1-9][0-9]*"
+    r"|(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)([eE][+-]?[0-9]+)?)\s*",
+    re.ASCII,
+)
+_FORMS = "an integer, num/den or a plain decimal"
+
+
+def exact(value) -> Fraction:
+    """The one gate from a caller's probability or threshold to a
+    ``Fraction``: a Fraction is returned unchanged, an int that is not a
+    bool is converted, and a string must be a literal of the grammar
+    above, checked here so that what is accepted does not depend on the
+    Python version.  Anything else raises ValueError."""
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int) and not isinstance(value, bool):
+        return Fraction(value)
+    if not isinstance(value, str):
+        problem = (
+            "binary floating point is rejected" if isinstance(value, float)
+            else "not a Fraction, an int or a string"
+        )
+        raise ValueError(f"{value!r}: {problem}; write {_FORMS} as a string")
+    m = _LITERAL.fullmatch(value)
+    if m is None or m.group(1):
+        problem = "not a rational literal" if m is None else "exponent notation is rejected"
+        raise ValueError(f"{value!r}: {problem}; write {_FORMS}")
+    return Fraction(value)
+
+
+# ---------------------------------------------------------------------------
+# formula nodes
+
 # Every node computes its hash and its agent set once, at construction,
 # from the cached values of its children: sets and dicts of formulas
 # never walk a subtree, however deep.  Each hash equals the one the
@@ -93,21 +133,20 @@ class Impl:
 
 @dataclass(frozen=True)
 class Coal:
-    """Coalition modality.  ``coalition`` may be empty; ``p`` must be an
-    exact rational in [0, 1]."""
+    """Coalition modality.  ``coalition`` is a set of agent names and may
+    be empty; ``p`` must be an exact rational in [0, 1] (see :func:`exact`)."""
 
     coalition: frozenset
     p: Fraction
     body: "Formula"
 
     def __post_init__(self):
-        coalition = frozenset(self.coalition)
-        if isinstance(self.p, float):
+        if isinstance(self.coalition, str):
             raise ValueError(
-                f"modal subscript {self.p!r}: binary floating point is rejected;"
-                " pass a Fraction, an int or a string"
+                f"coalition {self.coalition!r} is a string; pass a set of agent names"
             )
-        p = self.p if isinstance(self.p, Fraction) else Fraction(self.p)
+        coalition = frozenset(self.coalition)
+        p = exact(self.p)
         if not 0 <= p <= 1:
             raise ValueError(f"modal subscript {p} outside [0, 1]")
         object.__setattr__(self, "coalition", coalition)
@@ -234,7 +273,7 @@ def canonical_key(f: Formula):
 # parsing
 
 _TOKEN_RE = re.compile(
-    r"(->)|([A-Za-z][A-Za-z0-9_]*)|(\d+\.\d+)|(\d+)|([~\[\](),/_])"
+    r"(->)|([A-Za-z][A-Za-z0-9_]*)|([0-9]+\.[0-9]+)|([0-9]+)|([~\[\](),/_])"
 )
 
 _ARROW, _IDENT, _DECIMAL, _INT, _PUNCT = range(1, 6)
@@ -339,22 +378,18 @@ class _Parser:
         return tok[1]
 
     def rational(self) -> Fraction:
-        tok = self.take()
-        kind, text, pos = tok
-        if kind == _DECIMAL:
-            value = Fraction(text)
-        elif kind == _INT:
-            value = Fraction(int(text))
-            if self.at_punct("/"):
-                self.i += 1
-                den = self.take()
-                if den[0] != _INT:
-                    raise ParseError("expected a denominator", den[2])
-                if int(den[1]) == 0:
-                    raise ParseError("zero denominator is not a rational", den[2])
-                value = Fraction(int(text), int(den[1]))
-        else:
+        kind, text, pos = self.take()
+        if kind not in (_DECIMAL, _INT):
             raise ParseError("expected a rational subscript", pos)
+        if kind == _INT and self.at_punct("/"):
+            self.i += 1
+            den = self.take()
+            if den[0] != _INT:
+                raise ParseError("expected a denominator", den[2])
+            if not den[1].strip("0"):
+                raise ParseError("zero denominator is not a rational", den[2])
+            text += "/" + den[1]
+        value = exact(text)
         if not 0 <= value <= 1:
             raise ParseError(f"subscript {value} outside [0, 1]", pos)
         return value

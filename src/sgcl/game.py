@@ -8,8 +8,8 @@ arithmetic is over ``fractions.Fraction`` throughout, so validation and
 model checking are exact.
 
 The JSON exchange format writes probabilities as strings ("9/10",
-"0.25") or integers; binary floats are rejected on load and by
-:class:`Game` itself.
+"0.25") or integers.  Both the loader and :class:`Game` itself take
+them through :func:`sgcl.formula.exact`, which rejects binary floats.
 """
 
 from __future__ import annotations
@@ -21,6 +21,8 @@ from fractions import Fraction
 from itertools import combinations_with_replacement, islice, product
 from math import comb
 from typing import Iterator, Mapping
+
+from .formula import exact
 
 StateId = str
 
@@ -63,28 +65,6 @@ class ActionProfile:
         return dict(self.assignment)
 
 
-def _rational(text: str) -> Fraction:
-    """An integer, ``num/den`` or plain decimal literal.  Exponent
-    notation is refused before ``Fraction`` expands it in full."""
-    if "e" in text or "E" in text:
-        raise GameError(
-            f"probability {text!r}: exponent notation is rejected;"
-            " write an integer, num/den or a plain decimal"
-        )
-    return Fraction(text)
-
-
-def _exact(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, float):
-        raise GameError(
-            f"probability {value!r}: binary floating point is rejected;"
-            " pass a Fraction, an int or a string"
-        )
-    return _rational(value) if isinstance(value, str) else Fraction(value)
-
-
 class Game:
     """Immutable-by-convention container; use :func:`validate` to check
     well-formedness as data rather than at construction time."""
@@ -99,7 +79,10 @@ class Game:
         for (state, profile), row in items:
             if not isinstance(profile, ActionProfile):
                 profile = ActionProfile.of(profile)
-            rows[(state, profile)] = {t: _exact(v) for t, v in row.items()}
+            try:
+                rows[(state, profile)] = {t: exact(v) for t, v in row.items()}
+            except ValueError as exc:
+                raise GameError(f"probability {exc}") from None
         self.transitions = rows
         self.valuation = {v: frozenset(sts) for v, sts in valuation.items()}
 
@@ -221,20 +204,10 @@ def validate(game: Game) -> list:
 
 
 def _parse_probability(value, where: str) -> Fraction:
-    if isinstance(value, bool) or isinstance(value, float):
-        raise SchemaError(
-            f"{where}: binary floating point is rejected; write the value as a string"
-        )
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        try:
-            return _rational(value)
-        except GameError as exc:
-            raise SchemaError(f"{where}: {exc}") from None
-        except (ValueError, ZeroDivisionError) as exc:
-            raise SchemaError(f"{where}: not a rational literal: {value!r}") from exc
-    raise SchemaError(f"{where}: expected a rational as string or integer")
+    try:
+        return exact(value)
+    except ValueError as exc:
+        raise SchemaError(f"{where}: {exc}") from None
 
 
 def _expect_list_of_strings(doc, key):

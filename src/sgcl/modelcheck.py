@@ -263,7 +263,11 @@ def audit_axiom_soundness(
 ) -> SoundnessReport:
     """Sample axiom instances over the pool and evaluate each one at every
     non-failure state; also check that universally true bodies stay
-    universally true under the threshold-zero modality."""
+    universally true under the threshold-zero modality.  A budget that is
+    not positive raises ValueError: an audit of no instances proves
+    nothing."""
+    if sample_budget <= 0:
+        raise ValueError("budget must be positive")
     pool = tuple(sorted(set(pool), key=canonical_key)) or (TOP,)
     rng = random.Random(seed)
     ctx = CheckContext(game)

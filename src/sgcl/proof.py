@@ -26,7 +26,6 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Union
 
 from .formula import (
@@ -256,6 +255,8 @@ def verify(d: Derivation) -> None:
                 )
             if imported.system is not d.system:
                 raise ProofError(k, f"import {rule.name!r} proves in a different system")
+            if not imported.lines:
+                raise ProofError(k, f"import {rule.name!r} is an empty derivation")
             if rule.name not in verified_imports:
                 try:
                     verify(imported)
@@ -408,6 +409,8 @@ def build_lifted_implication(
     Refused for system L+, whose language cannot express the detour; use
     its primitive monotonicity rule there instead.
     """
+    left = Coal(coalition, p, antecedent)
+    lifted = Impl(left, Coal(left.coalition, left.p, consequent))
     if implication_proof.system is not SystemId.L:
         raise ValueError(
             "the empty-coalition detour only exists in system L;"
@@ -422,19 +425,12 @@ def build_lifted_implication(
             f"implication proof concludes {render(implication_proof.conclusion)},"
             f" expected {render(expected)}"
         )
-    c = frozenset(coalition)
-    p = Fraction(p)
     lines = list(implication_proof.lines)
     n = len(lines)
-    boxed = Coal(frozenset(), Fraction(0), expected)
+    boxed = Coal(frozenset(), 0, expected)
     lines.append(ProofLine(boxed, Necessitation(n - 1)))
-    cooperation = Impl(
-        boxed, Impl(Coal(c, p, antecedent), Coal(c, p, consequent))
-    )
-    lines.append(ProofLine(cooperation, AxCooperation()))
-    lines.append(
-        ProofLine(Impl(Coal(c, p, antecedent), Coal(c, p, consequent)), MP(n, n + 1))
-    )
+    lines.append(ProofLine(Impl(boxed, lifted), AxCooperation()))
+    lines.append(ProofLine(lifted, MP(n, n + 1)))
     result = Derivation(SystemId.L, tuple(lines), None)
     verify(result)
     return result
@@ -451,8 +447,8 @@ def build_coalition_weakening(
     of D: what a small coalition can force, a larger one can force too.
     When C equals D the implication is a tautology; otherwise the extra
     members commit at threshold 0 and cooperation combines the parts."""
-    c, dd = frozenset(smaller), frozenset(larger)
-    p = Fraction(p)
+    strong, weak = Coal(smaller, p, body), Coal(larger, p, body)
+    c, dd = strong.coalition, weak.coalition
     if not c <= dd:
         raise ValueError("first coalition must be a subset of the second")
     if system is SystemId.LPLUS:
@@ -462,7 +458,7 @@ def build_coalition_weakening(
             )
         if not in_plus_language(body):
             raise ValueError("body lies outside the restricted language")
-    goal = Impl(Coal(c, p, body), Coal(dd, p, body))
+    goal = Impl(strong, weak)
     if c == dd:
         lines = (ProofLine(goal, Tautology()),)
         result = Derivation(system, lines, None)
@@ -472,8 +468,8 @@ def build_coalition_weakening(
     reflexive = Impl(body, body)
     lines = (
         ProofLine(reflexive, Tautology()),
-        ProofLine(Coal(rest, Fraction(0), reflexive), Necessitation(0)),
-        ProofLine(Impl(Coal(rest, Fraction(0), reflexive), goal), AxCooperation()),
+        ProofLine(Coal(rest, 0, reflexive), Necessitation(0)),
+        ProofLine(Impl(Coal(rest, 0, reflexive), goal), AxCooperation()),
         ProofLine(goal, MP(1, 2)),
     )
     result = Derivation(system, lines, None)

@@ -221,6 +221,27 @@ class TestVerifyProof:
             "error: assumptions must be formula strings"
         )
 
+    def test_empty_theorem_proof_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps({"system": "L", "mode": "theorem", "lines": []}))
+        assert run(["verify-proof", "--proof", str(path)]) == 2
+        assert capsys.readouterr().err.strip() == (
+            "error: empty derivation has no conclusion"
+        )
+
+    def test_import_of_empty_derivation_is_rejected_at_its_line(self, tmp_path, capsys):
+        path = tmp_path / "import.json"
+        path.write_text(json.dumps({
+            "system": "L",
+            "mode": {"assumptions": []},
+            "lines": [{"formula": "(v -> v)", "rule": "import:x"}],
+            "imports": {"x": {"system": "L", "mode": "theorem", "lines": []}},
+        }))
+        code, doc = run_json(capsys, ["verify-proof", "--proof", str(path)])
+        assert code == 1
+        assert doc["line"] == 0
+        assert doc["reason"] == "import 'x' is an empty derivation"
+
     @pytest.mark.parametrize(
         "negations, code, reason",
         [(3000, 0, None), (3001, 1, "not a propositional tautology")],
@@ -249,6 +270,14 @@ class TestAuditSoundness:
         assert doc["violations"] == []
         assert doc["instances"] == 80
         assert doc["necessitation_violations"] == []
+
+    @pytest.mark.parametrize("budget", ["-1", "0"])
+    def test_budget_must_be_positive(self, capsys, budget):
+        code = run(["audit-soundness", "--game", OVERTAKE, "--budget", budget])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip() == "error: budget must be positive"
 
 
 class TestCanonical:

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from sgcl.canonical import CanonicalAction
+from sgcl.decide import SearchBounds
 from sgcl.formula import (
     ATOM_CAP,
     TOP,
@@ -20,11 +22,28 @@ from sgcl.formula import (
     agents_of,
     canonical_key,
     closure,
+    exact,
     in_plus_language,
     is_tautology,
     parse,
     render,
     subformulas,
+)
+from sgcl.game import (
+    ActionProfile,
+    Game,
+    GameError,
+    game_from_dict,
+    game_to_dict,
+    survival_ladder,
+)
+from sgcl.proof import (
+    Derivation,
+    ProofLine,
+    SystemId,
+    Tautology,
+    build_coalition_weakening,
+    build_lifted_implication,
 )
 
 F = Fraction
@@ -158,6 +177,91 @@ class TestFloatSubscripts:
         subscript = Coal(frozenset(), p, Var("v")).p
         assert subscript == exact and isinstance(subscript, Fraction)
 
+
+# ---------------------------------------------------------------------------
+# exact rationals
+
+
+def _game_row(value):
+    profile = ActionProfile.of({"a": "x"})
+    game = Game(("a",), ("s",), (), ("x",), {("s", profile): {"s": value}}, {})
+    return game.transitions[("s", profile)]["s"]
+
+
+def _game_file(value):
+    doc = game_to_dict(survival_ladder(0))
+    doc["transitions"][0]["to"] = {"f": value}
+    return game_from_dict(doc).transitions[("f", ActionProfile.of({"a": "act"}))]["f"]
+
+
+_REFLEXIVE = Derivation(SystemId.L, (ProofLine(parse("v -> v"), Tautology()),))
+
+# every entry point that takes a caller's probability or threshold, each
+# returning the Fraction it kept
+ENTRY_POINTS = {
+    "Coal": lambda v: Coal(frozenset(), v, Var("v")).p,
+    "Game": _game_row,
+    "game_from_dict": _game_file,
+    "SearchBounds": lambda v: SearchBounds(probability_grid=(0, v, 1)).probability_grid[1],
+    "CanonicalAction": lambda v: CanonicalAction(TOP, v).value,
+    "build_coalition_weakening": lambda v: build_coalition_weakening(
+        ["a"], ["a", "b"], v, Var("v")).conclusion.left.p,
+    "build_lifted_implication": lambda v: build_lifted_implication(
+        ["a"], v, Var("v"), Var("v"), _REFLEXIVE).conclusion.left.p,
+    "parse": lambda v: parse(f"[a]_{v} v").p,
+}
+
+INEXACT = [0.1, True, "1e-1", "1_0/2_0", "1 / 2", "\u0663/\u0664"]
+
+# formula text is whitespace-insensitive, and 0.1 written in it is the
+# decimal 1/10, not a float
+_FORMULA_TEXT_ACCEPTS = {"0.1", "'1 / 2'"}
+
+
+class TestExactGate:
+    @pytest.mark.parametrize("entry, value", [
+        (entry, value) for entry in ENTRY_POINTS for value in INEXACT
+        if not (entry == "parse" and repr(value) in _FORMULA_TEXT_ACCEPTS)
+    ], ids=repr)
+    def test_every_entry_point_rejects(self, entry, value):
+        with pytest.raises((ValueError, GameError)):
+            ENTRY_POINTS[entry](value)
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    @pytest.mark.parametrize("value", [F(1, 2), "1/2", "0.5"], ids=repr)
+    def test_every_entry_point_accepts(self, entry, value):
+        kept = ENTRY_POINTS[entry](value)
+        assert kept == F(1, 2) and isinstance(kept, Fraction)
+
+    @pytest.mark.parametrize("literal, value", [
+        ("3", F(3)), ("-3/4", F(-3, 4)), (" +.5 ", F(1, 2)), ("1.", F(1)),
+        ("-0.0", F(0)), ("1/010", F(1, 10)), ("\t2/4\n", F(1, 2)),
+    ])
+    def test_literal_grammar(self, literal, value):
+        assert exact(literal) == value
+
+    @pytest.mark.parametrize("value, message", [
+        (0.5, "binary floating point is rejected"),
+        (None, "not a Fraction, an int or a string"),
+        ("0e-999999999", "exponent notation is rejected"),
+        ("1/0", "not a rational literal"),
+        ("1/2e3", "not a rational literal"),
+        ("", "not a rational literal"),
+        ("- 1", "not a rational literal"),
+        ("\u00bd", "not a rational literal"),
+        ("\u20031/2", "not a rational literal"),
+    ], ids=repr)
+    def test_rejections_name_the_problem(self, value, message):
+        with pytest.raises(ValueError, match=message):
+            exact(value)
+
+    def test_string_coalition_rejected(self):
+        with pytest.raises(ValueError, match="is a string"):
+            Coal("alice", F(1, 2), Var("v"))
+        with pytest.raises(ValueError, match="is a string"):
+            build_coalition_weakening("a", "ab", F(1, 2), Var("v"))
+        with pytest.raises(ValueError, match="is a string"):
+            build_lifted_implication("a", F(1, 2), Var("v"), Var("v"), _REFLEXIVE)
 
 FORMULA_NAMES = st.sampled_from(["p", "q", "v", "goal"])
 AGENT_SETS = st.frozensets(st.sampled_from(["a", "b", "c"]), max_size=3)

@@ -155,6 +155,13 @@ class TestVerify:
         with pytest.raises(ProofError, match="concludes"):
             verify(d)
 
+    def test_import_must_not_be_empty(self):
+        d = Derivation(L, (
+            ProofLine(parse("v -> v"), TheoremImport("t")),
+        ), assumptions=frozenset(), imports={"t": Derivation(L, ())})
+        with pytest.raises(ProofError, match="line 0: import 't' is an empty derivation"):
+            verify(d)
+
     def test_import_must_verify(self):
         bogus = Derivation(L, (ProofLine(parse("v -> u"), Tautology()),))
         d = Derivation(L, (
