@@ -370,8 +370,9 @@ def build_canonical_game(
                 diag.guard_pairs.append((names[s], game_profile.as_dict()))
             transitions[(names[s], game_profile)] = row
             diag.profile_count += 1
+    failure_row = {FAILURE_STATE: Fraction(1)}
     for _profile, game_profile in profiles:
-        transitions[(FAILURE_STATE, game_profile)] = {FAILURE_STATE: Fraction(1)}
+        transitions[(FAILURE_STATE, game_profile)] = failure_row
     state_names = tuple(diag.sets) + (FAILURE_STATE,)
     valuation = {
         v: frozenset(names[s] for s in sets if Var(v) in s.members)

@@ -10,6 +10,7 @@ refuted, 2 means the invocation or an input file was unusable.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -267,7 +268,10 @@ def _cmd_fmt(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and reused: parsing
+    leaves it unchanged, since every call gets a fresh namespace."""
     top = argparse.ArgumentParser(
         prog="sgcl",
         description="workbench for probabilistic coalition logics over stochastic games",

@@ -43,14 +43,26 @@ _LITERAL = re.compile(
     re.ASCII,
 )
 _FORMS = "an integer, num/den or a plain decimal"
+# longest literal accepted: Python's default limit on the digits of one
+# int parsed from a string, applied to the whole literal on every version
+MAX_LITERAL_CHARS = 4300
+# characters of a refused value echoed in its error
+_SHOWN_CHARS = 40
+
+
+def _shown(value) -> str:
+    text = repr(value)
+    return text if len(text) <= _SHOWN_CHARS else text[:_SHOWN_CHARS] + "..."
 
 
 def exact(value) -> Fraction:
     """The one gate from a caller's probability or threshold to a
     ``Fraction``: a Fraction is returned unchanged, an int that is not a
     bool is converted, and a string must be a literal of the grammar
-    above, checked here so that what is accepted does not depend on the
-    Python version.  Anything else raises ValueError."""
+    above and at most ``MAX_LITERAL_CHARS`` long, checked here so that
+    what is accepted does not depend on the Python version.  Anything
+    else raises ValueError, whose message shows only a short prefix of
+    the value."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int) and not isinstance(value, bool):
@@ -60,11 +72,15 @@ def exact(value) -> Fraction:
             "binary floating point is rejected" if isinstance(value, float)
             else "not a Fraction, an int or a string"
         )
-        raise ValueError(f"{value!r}: {problem}; write {_FORMS} as a string")
+        raise ValueError(f"{_shown(value)}: {problem}; write {_FORMS} as a string")
+    if len(value) > MAX_LITERAL_CHARS:
+        raise ValueError(
+            f"{_shown(value)}: literal of {len(value)} characters is longer"
+            f" than the {MAX_LITERAL_CHARS} allowed")
     m = _LITERAL.fullmatch(value)
     if m is None or m.group(1):
         problem = "not a rational literal" if m is None else "exponent notation is rejected"
-        raise ValueError(f"{value!r}: {problem}; write {_FORMS}")
+        raise ValueError(f"{_shown(value)}: {problem}; write {_FORMS}")
     return Fraction(value)
 
 
@@ -278,13 +294,16 @@ _TOKEN_RE = re.compile(
 
 _ARROW, _IDENT, _DECIMAL, _INT, _PUNCT = range(1, 6)
 
+# ASCII whitespace only, as in the literals `exact` reads
+_BLANKS = frozenset(" \t\n\r\f\v")
+
 
 def _tokenize(text: str):
     tokens = []
     pos = 0
     n = len(text)
     while pos < n:
-        if text[pos].isspace():
+        if text[pos] in _BLANKS:
             pos += 1
             continue
         m = _TOKEN_RE.match(text, pos)
@@ -389,7 +408,10 @@ class _Parser:
             if not den[1].strip("0"):
                 raise ParseError("zero denominator is not a rational", den[2])
             text += "/" + den[1]
-        value = exact(text)
+        try:
+            value = exact(text)
+        except ValueError as exc:
+            raise ParseError(str(exc), pos) from None
         if not 0 <= value <= 1:
             raise ParseError(f"subscript {value} outside [0, 1]", pos)
         return value

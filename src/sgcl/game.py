@@ -67,7 +67,13 @@ class ActionProfile:
 
 class Game:
     """Immutable-by-convention container; use :func:`validate` to check
-    well-formedness as data rather than at construction time."""
+    well-formedness as data rather than at construction time.
+
+    Each distinct input row object is coerced once, and every key that
+    passed that object gets the same coerced dict, so rows shared in the
+    input stay shared in ``transitions``.  Rows must therefore not be
+    mutated in place, neither an input row while it is being read nor a
+    row of ``transitions``: replace a key's row instead."""
 
     def __init__(self, agents, states, failures, actions, transitions, valuation):
         self.agents = tuple(agents)
@@ -75,14 +81,21 @@ class Game:
         self.failures = frozenset(failures)
         self.actions = tuple(actions)
         rows = {}
+        # id(input row) -> (input row, coerced row); holding the input row
+        # keeps its id from being reused by a later temporary row
+        coerced = {}
         items = transitions.items() if isinstance(transitions, Mapping) else transitions
         for (state, profile), row in items:
             if not isinstance(profile, ActionProfile):
                 profile = ActionProfile.of(profile)
-            try:
-                rows[(state, profile)] = {t: exact(v) for t, v in row.items()}
-            except ValueError as exc:
-                raise GameError(f"probability {exc}") from None
+            entry = coerced.get(id(row))
+            if entry is None:
+                try:
+                    entry = coerced[id(row)] = (
+                        row, {t: exact(v) for t, v in row.items()})
+                except ValueError as exc:
+                    raise GameError(f"probability {exc}") from None
+            rows[(state, profile)] = entry[1]
         self.transitions = rows
         self.valuation = {v: frozenset(sts) for v, sts in valuation.items()}
 
@@ -133,12 +146,30 @@ def _complete_assignments(game: Game) -> Iterator[tuple]:
         yield tuple(pair for part in parts for pair in part)
 
 
+def _row_problems(row: Mapping, states: set) -> list:
+    """What is wrong with one row's entries: unknown targets,
+    probabilities outside [0, 1], and a sum other than 1."""
+    problems = []
+    total = Fraction(0)
+    for t, v in row.items():
+        if t not in states:
+            problems.append(f"unknown target state {t!r}")
+        if not 0 <= v <= 1:
+            problems.append(f"probability {v} outside [0, 1]")
+        total += v
+    if total != 1:
+        problems.append(f"probabilities sum to {total}, expected 1")
+    return problems
+
+
 def validate(game: Game) -> list:
     """Well-formedness violations as human-readable strings; [] = valid.
 
-    Each row is checked in place and the rows are counted against the
-    number of complete profiles, so the complete profiles are only
-    walked, in sorted order, to name the first few missing rows."""
+    Each key's state and profile are checked, and each row object's
+    entries until that object is found clean, so a row shared by several
+    keys is summed once.  The rows are counted against the number of
+    complete profiles, so the complete profiles are only walked, in
+    sorted order, to name the first few missing rows."""
     out = []
     if not game.actions:
         out.append("action domain is empty")
@@ -157,28 +188,28 @@ def validate(game: Game) -> list:
     action_set = set(game.actions)
     agent_key = tuple(sorted(game.agents))
     present = 0
+    # ids of row objects whose entries were found clean: a row shared by
+    # several keys is summed once, and a bad one is reported under each key
+    clean = set()
     for (s, profile), row in game.transitions.items():
-        where = f"({s!r}, {profile.as_dict()!r})"
         if s not in state_set:
-            out.append(f"row {where}: unknown source state")
-            continue
-        if not (
+            problems = ["unknown source state"]
+        elif not (
             action_set
             and tuple(a for a, _ in profile.assignment) == agent_key
             and all(x in action_set for _, x in profile.assignment)
         ):
-            out.append(f"row {where}: profile is not a complete profile")
-            continue
-        present += 1
-        total = Fraction(0)
-        for t, v in row.items():
-            if t not in state_set:
-                out.append(f"row {where}: unknown target state {t!r}")
-            if not 0 <= v <= 1:
-                out.append(f"row {where}: probability {v} outside [0, 1]")
-            total += v
-        if total != 1:
-            out.append(f"row {where}: probabilities sum to {total}, expected 1")
+            problems = ["profile is not a complete profile"]
+        else:
+            present += 1
+            if id(row) in clean:
+                continue
+            problems = _row_problems(row, state_set)
+            if not problems:
+                clean.add(id(row))
+                continue
+        where = f"({s!r}, {profile.as_dict()!r})"
+        out.extend(f"row {where}: {problem}" for problem in problems)
     expected = 0
     if action_set:
         expected = len(state_set)
@@ -218,17 +249,18 @@ def _expect_list_of_strings(doc, key):
 
 
 def game_to_dict(game: Game) -> dict:
+    """The JSON document of a game.  Each distinct row object's targets
+    are rendered once; every key gets its own copy."""
     rows = []
+    rendered = {}  # id(row) -> its rendered targets; game.transitions holds the rows
     for (s, profile), row in sorted(
         game.transitions.items(), key=lambda kv: (kv[0][0], kv[0][1].assignment)
     ):
-        rows.append(
-            {
-                "from": s,
-                "profile": profile.as_dict(),
-                "to": {t: str(v) for t, v in sorted(row.items()) if v != 0},
-            }
-        )
+        to = rendered.get(id(row))
+        if to is None:
+            to = rendered[id(row)] = {
+                t: str(v) for t, v in sorted(row.items()) if v != 0}
+        rows.append({"from": s, "profile": profile.as_dict(), "to": dict(to)})
     return {
         "agents": list(game.agents),
         "states": list(game.states),

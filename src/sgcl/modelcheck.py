@@ -7,15 +7,16 @@ failure set is at least p, and (b) every non-failure state reachable
 with positive probability satisfies the body.  Condition (b) applies
 even at threshold p = 0.
 
-Within one context the checker reads each transition row once.  The
-first time a modality is checked at a state, the state's outcome table
-is compiled: one entry per complete profile, in the product order of
-``game.actions`` over ``game.agents``, holding that profile's survival
-probability and its positive non-failure successors.  Each coalition's
-choices are listed once, in the same order, with the indices of their
-completions in that table.  Truth values are memoized per (state,
-formula) and computed on demand; states no query reaches are never
-compiled.
+Within one context the checker reads each distinct row object once.
+The first time a modality is checked at a state, the state's outcome
+table is compiled: one entry per complete profile, in the product order
+of ``game.actions`` over ``game.agents``, holding that profile's
+survival probability and its positive non-failure successors.  Keys
+that share a row object, as the canonical game's do, share its entry.
+Each coalition's choices are listed once, in the same order, with the
+indices of their completions in that table.  Truth values are memoized
+per (state, formula) and computed on demand; states no query reaches are
+never compiled.
 
 Truth is defined at non-failure states only; querying a failure state is
 an error.  Variables missing from the valuation are false everywhere.
@@ -64,6 +65,8 @@ class CheckContext:
     memo: dict = field(default_factory=dict)
     profile_evals: int = 0
     _outcomes: dict = field(default_factory=dict, init=False, repr=False)
+    # id(row) -> (row, its outcome); holding the row keeps its id unique
+    _rows: dict = field(default_factory=dict, init=False, repr=False)
     _choices: dict = field(default_factory=dict, init=False, repr=False)
 
     def outcomes(self, state) -> list:
@@ -71,16 +74,20 @@ class CheckContext:
         if table is None:
             game = self.game
             failures = game.failures
+            rows = self._rows
             table = []
             for combo in product(game.actions, repeat=len(game.agents)):
                 row = game.row(state, ActionProfile(tuple(zip(game.agents, combo))))
-                survival = sum(
-                    (v for t, v in row.items() if t not in failures), Fraction(0)
-                )
-                successors = tuple(
-                    t for t, v in row.items() if v > 0 and t not in failures
-                )
-                table.append((survival, successors))
+                entry = rows.get(id(row))
+                if entry is None:
+                    survival = sum(
+                        (v for t, v in row.items() if t not in failures), Fraction(0)
+                    )
+                    successors = tuple(
+                        t for t, v in row.items() if v > 0 and t not in failures
+                    )
+                    entry = rows[id(row)] = (row, (survival, successors))
+                table.append(entry[1])
             self._outcomes[state] = table
         return table
 

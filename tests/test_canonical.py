@@ -419,6 +419,28 @@ class TestBuildCanonicalGame:
                 )
                 assert nonfailure <= mu(s, profile)
 
+    @pytest.mark.parametrize("seed", SEEDS + ["([a]_1/2 v -> [a,b]_3/4 v)"])
+    def test_rows_with_equal_granted_sets_are_one_object(self, seed):
+        sig = closure([parse(seed)])
+        game, _ = build_canonical_game(sig)
+        agents = tuple(sorted(sig.agents()))
+        sets = sorted(enumerate_maximal_sets(sig), key=MaximalSet.key)
+        row_of = {}  # granted set -> the one row object built for it
+        for i, s in enumerate(sets):
+            for combo in product(action_domain(sig), repeat=len(agents)):
+                profile = dict(zip(agents, combo))
+                granted = frozenset(
+                    m for m in s.members if isinstance(m, Coal) and all(
+                        profile[a] == CanonicalAction(m.body, m.p)
+                        for a in m.coalition))
+                row = game.row(f"s{i}", ActionProfile.of(
+                    {a: act.action_id for a, act in profile.items()}))
+                assert row_of.setdefault(granted, row) is row
+        assert len({id(row) for row in row_of.values()}) == len(row_of)
+        failure_rows = [row for (state, _), row in game.transitions.items()
+                        if state == "f"]
+        assert all(row is failure_rows[0] for row in failure_rows)
+
     def test_rows_uniform_over_targets(self):
         game, _ = build_canonical_game(closure([parse("[a]_1/2 v")]))
         for (state, _prof), row in game.transitions.items():

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import sgcl.cli
 from sgcl.cli import run
 from sgcl.formula import parse
 from sgcl.proof import (
@@ -378,6 +379,26 @@ class TestFmt:
         assert doc == {"command": "fmt", "formula": text}
 
 
+class TestOverlongLiterals:
+    """A probability or subscript too long for ``Fraction`` is an input
+    error with a short message."""
+
+    def test_game_file_probability(self, tmp_path, capsys):
+        doc = json.loads(Path(LADDER).read_text())
+        doc["transitions"][0]["to"] = {"f": "1" * 5000}
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(doc))
+        assert run(["check", "--game", str(path), "--state", "s",
+                    "--formula", "v"]) == 2
+        err = capsys.readouterr().err
+        assert "longer than the 4300 allowed" in err and len(err) < 200
+
+    def test_formula_subscript(self, capsys):
+        assert run(["fmt", "--formula", "[a]_1/" + "1" * 5000 + " v"]) == 2
+        err = capsys.readouterr().err
+        assert "longer than the 4300 allowed" in err and len(err) < 200
+
+
 class TestUsage:
     def test_no_arguments_is_usage_error(self):
         assert run([]) == 2
@@ -420,3 +441,52 @@ class TestUsage:
         path.write_text("[" * 5000 + "]" * 5000)
         assert run(argv + [str(path)]) == 2
         assert capsys.readouterr().err.strip() == message
+
+
+# a JSON call then a text call, a budget then none, and usage errors in
+# between: no option or default may carry over from one call to the next
+PARSER_SEQUENCE = [
+    ["fmt", "--formula", "[a]_1/2 v", "--format", "json"],
+    ["fmt", "--formula", "[a]_1/2 v"],
+    ["decide", "--formula", "v -> v", "--max-closure", "1", "--budget", "5"],
+    ["check", "--state", "s", "--formula", "v"],
+    ["decide", "--formula", "v -> v", "--max-closure", "1"],
+    ["check", "--game", LADDER, "--state", "s", "--formula", "[]_1/2 true",
+     "--format", "json"],
+    ["frobnicate"],
+    ["check", "--game", LADDER, "--state", "s", "--formula", "[]_1 true"],
+    ["audit-soundness", "--game", LADDER, "--budget", "3", "--format", "json"],
+    ["audit-soundness", "--game", LADDER, "--budget", "4"],
+]
+
+
+class TestParserBuiltOnce:
+    """``run`` builds its parser on the first call and reuses it, with the
+    same output and exit codes as a parser built afresh for every call."""
+
+    def outputs(self, capsys):
+        results = []
+        for argv in PARSER_SEQUENCE:
+            code = run(argv)
+            captured = capsys.readouterr()
+            results.append((code, captured.out, captured.err))
+        return results
+
+    def test_same_results_as_a_fresh_parser_per_call(self, capsys, monkeypatch):
+        with monkeypatch.context() as m:
+            m.setattr(sgcl.cli, "_build_parser", sgcl.cli._build_parser.__wrapped__)
+            fresh = self.outputs(capsys)
+        sgcl.cli._build_parser.cache_clear()
+        reused = self.outputs(capsys)
+        assert reused == fresh
+        assert [code for code, _, _ in fresh] == [0, 0, 0, 2, 0, 0, 2, 1, 0, 0]
+        assert "after 5 games" in fresh[2][1]
+        assert "after 5 games" not in fresh[4][1]
+        assert json.loads(fresh[8][1])["instances"] == 3
+        assert fresh[9][1].startswith("axiom instances checked: 4\n")
+
+    def test_parser_built_once(self, capsys):
+        sgcl.cli._build_parser.cache_clear()
+        self.outputs(capsys)
+        info = sgcl.cli._build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, len(PARSER_SEQUENCE) - 1)

@@ -16,6 +16,7 @@ from sgcl.formula import (
     ClosureSet,
     Coal,
     Impl,
+    MAX_LITERAL_CHARS,
     Neg,
     ParseError,
     Var,
@@ -254,6 +255,36 @@ class TestExactGate:
     def test_rejections_name_the_problem(self, value, message):
         with pytest.raises(ValueError, match=message):
             exact(value)
+
+    def test_overlong_literal_refused_before_fraction(self):
+        # Fraction itself fails past 4300 digits, asking for
+        # sys.set_int_max_str_digits() on Python versions that limit it
+        assert exact("1" * MAX_LITERAL_CHARS) == int("1" * MAX_LITERAL_CHARS)
+        for literal in ("1" * 5000, "1/" + "3" * 5000, "0." + "5" * 5000):
+            with pytest.raises(ValueError) as err:
+                exact(literal)
+            message = str(err.value)
+            assert f"characters is longer than the {MAX_LITERAL_CHARS} allowed" in message
+            assert "set_int_max_str_digits" not in message
+            assert len(message) < 150
+
+    @pytest.mark.parametrize("value", ["x" * 5000, [0] * 5000, "1e" + "9" * 4000],
+                             ids=["text", "list", "exponent"])
+    def test_errors_show_a_short_prefix(self, value):
+        with pytest.raises(ValueError) as err:
+            exact(value)
+        assert len(str(err.value)) < 150
+
+    def test_overlong_subscript_is_parse_error(self):
+        with pytest.raises(ParseError, match="longer than") as err:
+            parse("[a]_1/" + "1" * 5000 + " v")
+        assert err.value.position == 4 and len(str(err.value)) < 150
+
+    def test_only_ascii_whitespace_separates_tokens(self):
+        assert parse("\t[a]_\n1/2\r\x0b\x0c v ") == coal({"a"}, F(1, 2), Var("v"))
+        with pytest.raises(ParseError, match="unexpected character") as err:
+            parse("[a]_\u20031/2 v")
+        assert err.value.position == 4
 
     def test_string_coalition_rejected(self):
         with pytest.raises(ValueError, match="is a string"):

@@ -3,6 +3,7 @@
 import json
 from fractions import Fraction
 from itertools import product
+from types import MappingProxyType
 
 import pytest
 
@@ -185,6 +186,17 @@ def _odd_games():
         (), ("s", "t"), (), ("x",), {("s", ActionProfile(())): {"s": 1}}, {})
     games["no-actions"] = Game(
         ("a",), ("s",), (), (), {("s", ActionProfile(())): {"s": 1}}, {})
+    # one bad row object (an unknown target, a negative entry, a sum of
+    # 3/4) under every fourth key and under a key with an unknown source
+    # state, and one clean row object under the rest
+    g = overtake_game()
+    bad = {"p": "1/2", "zz": "1/2", "ab": "-1/4"}
+    clean = {"ab": 1}
+    shared = {key: bad if i % 4 == 1 else clean
+              for i, key in enumerate(g.transitions)}
+    shared[("zz", _profile(a="plus", b="plus"))] = bad
+    games["overtake-shared-bad-row"] = Game(
+        g.agents, g.states, g.failures, g.actions, shared, g.valuation)
     return games
 
 
@@ -199,6 +211,21 @@ class TestValidateMatchesReference:
         assert reference
         assert validate(game) == shortened(reference)
         assert validate(game)[:5] == reference[:5]
+
+    def test_shared_bad_row_reported_under_every_key(self):
+        game = _odd_games()["overtake-shared-bad-row"]
+        [bad] = {id(row): row for row in game.transitions.values()
+                 if "zz" in row}.values()
+        keys = [k for k, row in game.transitions.items() if row is bad]
+        assert len(keys) == len(game.transitions) // 4 + 1
+        violations = validate(game)
+        for s, profile in keys:
+            where = f"row ({s!r}, {profile.as_dict()!r})"
+            if s == "zz":
+                assert f"{where}: unknown source state" in violations
+            else:
+                assert f"{where}: probabilities sum to 3/4, expected 1" in violations
+                assert f"{where}: unknown target state 'zz'" in violations
 
     @pytest.mark.parametrize("n", range(4))
     def test_valid_games(self, n):
@@ -219,6 +246,44 @@ class TestValidateMatchesReference:
             f"missing transition row for ('s', {d!r})" for d in expected
         ] + [f"{3 ** 10 - 1 - 5} more transition rows missing"]
         assert str(GameValidationError(violations)).endswith("; ...")
+
+
+class TestSharedRows:
+    """``Game`` coerces each distinct input row object once and gives every
+    key that passed it the same coerced row."""
+
+    def test_shared_input_row_stays_shared(self):
+        row = {"s": "1/2", "t": "1/2"}
+        keys = [(s, _profile(a=x)) for s in ("s", "t") for x in ("x", "y")]
+        g = Game(("a",), ("s", "t"), (), ("x", "y"), {k: row for k in keys}, {})
+        [coerced] = {id(r): r for r in g.transitions.values()}.values()
+        assert coerced == {"s": F(1, 2), "t": F(1, 2)} and coerced is not row
+        assert validate(g) == []
+
+    @pytest.mark.parametrize("read_only", [False, True])
+    def test_rows_from_a_generator_of_temporaries(self, read_only):
+        # each row is dropped by the generator once Game has read it, so
+        # its id may be handed to a later row; with read-only views CPython
+        # does so here unless Game holds the rows it has read
+        n = 12
+        actions = tuple(f"x{i}" for i in range(n))
+        profiles = [_profile(a=x) for x in actions]
+        wanted = [{"s": F(i, n), "t": F(n - i, n)} for i in range(n)]
+
+        def items():
+            for i in range(n):
+                for s in ("s", "t"):
+                    if read_only:
+                        yield (s, profiles[i]), MappingProxyType(dict(wanted[i]))
+                    else:
+                        yield (s, {"a": actions[i]}), {"s": f"{i}/{n}",
+                                                       "t": f"{n - i}/{n}"}
+
+        g = Game(("a",), ("s", "t"), (), actions, items(), {})
+        for i in range(n):
+            for s in ("s", "t"):
+                assert g.row(s, profiles[i]) == wanted[i]
+        assert validate(g) == []
 
 
 class TestSurvival:

@@ -209,6 +209,33 @@ class TestAgainstNaiveSemantics:
                         if isinstance(f, Coal):
                             assert witness(g, s, f, ctx) == naive_witness(g, s, f)
 
+    @pytest.mark.parametrize("text", [
+        "[a]_1/2 v", "([a]_1/4 v -> [a,b]_1/4 v)", "([a]_1/2 v -> [a,b]_3/4 v)",
+        "~[b]_3/4 ~v", "[]_1/2 v",
+    ])
+    def test_canonical_outcome_tables_match_rows(self, text):
+        """Canonical rows are shared between keys; each state's outcome
+        table still equals the one read row by row, and keys sharing a
+        row object share its entry."""
+        from sgcl.canonical import build_canonical_game
+        from sgcl.formula import closure
+
+        g, _ = build_canonical_game(closure([parse(text)]))
+        ctx = CheckContext(g)
+        entry_of = {}  # id(row) -> the table entry given for it
+        for s in g.states:
+            table = ctx.outcomes(s)
+            combos = list(product(g.actions, repeat=len(g.agents)))
+            assert len(table) == len(combos)
+            for entry, combo in zip(table, combos):
+                row = g.row(s, ActionProfile(tuple(zip(g.agents, combo))))
+                survival = sum((v for t, v in row.items() if t not in g.failures), F(0))
+                successors = tuple(t for t, v in row.items()
+                                   if v > 0 and t not in g.failures)
+                assert entry == (survival, successors)
+                assert entry_of.setdefault(id(row), entry) is entry
+        assert len(entry_of) < len(g.transitions)
+
     def test_unsorted_agent_tuple(self):
         """Agents listed as ("b", "a"): profiles are enumerated with b's
         action most significant, so the first committing choice differs

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from sgcl.formula import Bot, Coal, Impl, Neg, Var, parse, render
+from sgcl.formula import Coal, Impl, Var, parse, render
 from sgcl.proof import (
     Assumption,
     AxCooperation,
@@ -394,7 +394,7 @@ class TestSerialization:
 
 class TestTheoremSoundnessBridge:
     def test_every_theorem_line_holds_everywhere(self):
-        from sgcl.game import overtake_game, survival_ladder
+        from sgcl.game import overtake_game
         from sgcl.modelcheck import holds
 
         derivations = [
