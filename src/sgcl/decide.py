@@ -32,7 +32,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from math import lcm
 from typing import Optional, Sequence
 
@@ -48,8 +47,8 @@ from .formula import (
     render,
     variables_of,
 )
-from .game import ActionProfile, Game, game_to_dict, survival_ladder
-from .modelcheck import QUARTER_GRID, CheckContext, holds
+from .game import Game, game_to_dict, survival_ladder
+from .modelcheck import QUARTER_GRID, CheckContext, choice_table, holds
 from .proof import SystemId
 
 
@@ -81,6 +80,14 @@ class SearchBounds:
             raise DecideError("grid probabilities must lie in [0, 1]")
         if Fraction(0) not in grid or Fraction(1) not in grid:
             raise DecideError("probability grid must contain 0 and 1")
+        # for sample_game: the grid's common denominator, each grid point
+        # with its integer units over it, and every residual k / den
+        den = lcm(*(p.denominator for p in grid))
+        object.__setattr__(self, "_units", (
+            den,
+            tuple((p.numerator * (den // p.denominator), p) for p in grid),
+            tuple(Fraction(k, den) for k in range(den + 1)),
+        ))
 
 
 @dataclass(frozen=True)
@@ -157,7 +164,7 @@ def sample_game(
     required = tuple(sorted(require_agents))
     optional = [a for a in bounds.agents if a not in require_agents]
     extra = rng.randint(0 if required else 1, len(optional))
-    agent_pool = sorted(required + tuple(optional[:extra]))
+    agent_pool = tuple(sorted(required + tuple(optional[:extra])))
     n_states = rng.randint(1, bounds.max_states)
     states = tuple(f"q{i}" for i in range(n_states))
     n_fail = rng.randint(0, n_states - 1)
@@ -165,12 +172,10 @@ def sample_game(
     actions = tuple(f"m{i}" for i in range(rng.randint(1, bounds.max_actions)))
     transitions = {}
     # partial sums are kept as integers over the grid's common denominator
-    grid = bounds.probability_grid
-    den = lcm(*(p.denominator for p in grid))
-    draws = tuple((p.numerator * (den // p.denominator), p) for p in grid)
+    den, draws, residuals = bounds._units
+    everyone = choice_table(agent_pool, actions, frozenset(agent_pool))
     for state in states:
-        for combo in product(actions, repeat=len(agent_pool)):
-            profile = ActionProfile(tuple(zip(agent_pool, combo)))
+        for profile, _ in everyone:
             row = None
             for _attempt in range(16):
                 order = list(states)
@@ -186,7 +191,7 @@ def sample_game(
                         entries[target] = p
                 else:
                     if total < den:
-                        entries[order[-1]] = Fraction(den - total, den)
+                        entries[order[-1]] = residuals[den - total]
                     row = entries
                     break
             if row is None:
@@ -197,7 +202,7 @@ def sample_game(
         for v in variables
     }
     return Game(
-        agents=tuple(agent_pool),
+        agents=agent_pool,
         states=states,
         failures=failures,
         actions=actions,

@@ -51,7 +51,9 @@ _SHOWN_CHARS = 40
 
 
 def _shown(value) -> str:
-    text = repr(value)
+    """A value for an error message, cut to ``_SHOWN_CHARS`` characters; a
+    ``Fraction`` shows as num/den."""
+    text = str(value) if isinstance(value, Fraction) else repr(value)
     return text if len(text) <= _SHOWN_CHARS else text[:_SHOWN_CHARS] + "..."
 
 
@@ -164,7 +166,7 @@ class Coal:
         coalition = frozenset(self.coalition)
         p = exact(self.p)
         if not 0 <= p <= 1:
-            raise ValueError(f"modal subscript {p} outside [0, 1]")
+            raise ValueError(f"modal subscript {_shown(p)} outside [0, 1]")
         object.__setattr__(self, "coalition", coalition)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "_hash", hash((coalition, p, self.body)))
@@ -413,7 +415,7 @@ class _Parser:
         except ValueError as exc:
             raise ParseError(str(exc), pos) from None
         if not 0 <= value <= 1:
-            raise ParseError(f"subscript {value} outside [0, 1]", pos)
+            raise ParseError(f"subscript {_shown(value)} outside [0, 1]", pos)
         return value
 
     def atom(self) -> Formula:

@@ -22,7 +22,7 @@ from itertools import combinations_with_replacement, islice, product
 from math import comb
 from typing import Iterator, Mapping
 
-from .formula import exact
+from .formula import _shown, exact
 
 StateId = str
 
@@ -155,10 +155,10 @@ def _row_problems(row: Mapping, states: set) -> list:
         if t not in states:
             problems.append(f"unknown target state {t!r}")
         if not 0 <= v <= 1:
-            problems.append(f"probability {v} outside [0, 1]")
+            problems.append(f"probability {_shown(v)} outside [0, 1]")
         total += v
     if total != 1:
-        problems.append(f"probabilities sum to {total}, expected 1")
+        problems.append(f"probabilities sum to {_shown(total)}, expected 1")
     return problems
 
 

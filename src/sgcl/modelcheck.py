@@ -13,10 +13,13 @@ table is compiled: one entry per complete profile, in the product order
 of ``game.actions`` over ``game.agents``, holding that profile's
 survival probability and its positive non-failure successors.  Keys
 that share a row object, as the canonical game's do, share its entry.
-Each coalition's choices are listed once, in the same order, with the
-indices of their completions in that table.  Truth values are memoized
-per (state, formula) and computed on demand; states no query reaches are
-never compiled.
+A row's survival is summed as an integer numerator over a running
+common denominator and becomes one ``Fraction``.  Each coalition's
+choices are listed once per agents-and-actions layout, in the same
+order, with the indices of their completions in that table; the list
+is shared by every context, and so by every game, of that layout.
+Truth values are memoized per (state, formula) and computed on demand;
+states no query reaches are never compiled.
 
 Truth is defined at non-failure states only; querying a failure state is
 an error.  Variables missing from the valuation are false everywhere.
@@ -27,7 +30,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
+from math import gcd
 from typing import Iterable, Optional
 
 from .formula import (
@@ -49,6 +54,29 @@ class CheckError(Exception):
     pass
 
 
+# (agents, actions, coalition) keys whose choice tables are kept: a
+# bounded search over two agents and up to three actions meets at most 24
+CHOICE_TABLES_KEPT = 64
+
+
+@lru_cache(maxsize=CHOICE_TABLES_KEPT)
+def choice_table(agents: tuple, actions: tuple, coalition: frozenset) -> tuple:
+    """The coalition's choices, each as (partial profile, indices of its
+    completions among the complete profiles), the choices and the complete
+    profiles both in the product order of ``actions`` over ``agents``.
+    The choices of every agent together are the complete profiles
+    themselves, each completing only itself."""
+    members = [j for j, a in enumerate(agents) if a in coalition]
+    names = tuple(agents[j] for j in members)
+    completions = {}
+    for i, combo in enumerate(product(actions, repeat=len(agents))):
+        completions.setdefault(tuple(combo[j] for j in members), []).append(i)
+    return tuple(
+        (ActionProfile(tuple(zip(names, choice))), tuple(completions.get(choice, ())))
+        for choice in product(actions, repeat=len(members))
+    )
+
+
 @dataclass
 class CheckContext:
     """Memo tables shared across queries against one game.
@@ -56,10 +84,11 @@ class CheckContext:
     ``outcomes(state)`` is the state's outcome table: for each complete
     profile, in the product order of ``game.actions`` over
     ``game.agents``, the pair (survival probability, positive non-failure
-    successors in row order).  ``choices(coalition)`` lists the
-    coalition's choices in the same order, each as (partial profile,
-    indices of its completions in the outcome table).  Both are compiled
-    on first use."""
+    successors in row order), compiled on first use.
+    ``choices(coalition)`` lists the coalition's choices in the same
+    order, each as (partial profile, indices of its completions in the
+    outcome table); it is :func:`choice_table`, built once per
+    agents-and-actions layout and shared across contexts."""
 
     game: Game
     memo: dict = field(default_factory=dict)
@@ -67,7 +96,6 @@ class CheckContext:
     _outcomes: dict = field(default_factory=dict, init=False, repr=False)
     # id(row) -> (row, its outcome); holding the row keeps its id unique
     _rows: dict = field(default_factory=dict, init=False, repr=False)
-    _choices: dict = field(default_factory=dict, init=False, repr=False)
 
     def outcomes(self, state) -> list:
         table = self._outcomes.get(state)
@@ -76,36 +104,33 @@ class CheckContext:
             failures = game.failures
             rows = self._rows
             table = []
-            for combo in product(game.actions, repeat=len(game.agents)):
-                row = game.row(state, ActionProfile(tuple(zip(game.agents, combo))))
+            for profile, _ in self.choices(frozenset(game.agents)):
+                row = game.row(state, profile)
                 entry = rows.get(id(row))
                 if entry is None:
-                    survival = sum(
-                        (v for t, v in row.items() if t not in failures), Fraction(0)
-                    )
-                    successors = tuple(
-                        t for t, v in row.items() if v > 0 and t not in failures
-                    )
-                    entry = rows[id(row)] = (row, (survival, successors))
+                    # non-failure mass as num / den, den the lcm of the
+                    # denominators seen so far
+                    num, den = 0, 1
+                    successors = []
+                    for t, v in row.items():
+                        if t in failures:
+                            continue
+                        n, d = v.numerator, v.denominator
+                        if den % d:
+                            scale = d // gcd(den, d)
+                            num *= scale
+                            den *= scale
+                        num += n * (den // d)
+                        if n > 0:
+                            successors.append(t)
+                    entry = rows[id(row)] = (
+                        row, (Fraction(num, den), tuple(successors)))
                 table.append(entry[1])
             self._outcomes[state] = table
         return table
 
-    def choices(self, coalition: frozenset) -> list:
-        listed = self._choices.get(coalition)
-        if listed is None:
-            agents, actions = self.game.agents, self.game.actions
-            members = [j for j, a in enumerate(agents) if a in coalition]
-            names = tuple(agents[j] for j in members)
-            completions = {}
-            for i, combo in enumerate(product(actions, repeat=len(agents))):
-                completions.setdefault(tuple(combo[j] for j in members), []).append(i)
-            listed = [
-                (ActionProfile(tuple(zip(names, choice))), completions.get(choice, ()))
-                for choice in product(actions, repeat=len(members))
-            ]
-            self._choices[coalition] = listed
-        return listed
+    def choices(self, coalition: frozenset) -> tuple:
+        return choice_table(self.game.agents, self.game.actions, coalition)
 
 
 def _committing_choice(ctx: CheckContext, state, f: Coal):

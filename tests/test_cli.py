@@ -398,6 +398,21 @@ class TestOverlongLiterals:
         err = capsys.readouterr().err
         assert "longer than the 4300 allowed" in err and len(err) < 200
 
+    def test_out_of_range_subscript(self, capsys):
+        assert run(["fmt", "--formula", "[a]_" + "9" * 4290 + " v"]) == 2
+        err = capsys.readouterr().err
+        assert "outside [0, 1]" in err and len(err) < 200
+
+    def test_game_file_row_sum(self, tmp_path, capsys):
+        doc = json.loads(Path(LADDER).read_text())
+        doc["transitions"][0]["to"] = {"f": "1/" + "3" * 2000}
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(doc))
+        assert run(["check", "--game", str(path), "--state", "s",
+                    "--formula", "v"]) == 2
+        err = capsys.readouterr().err
+        assert "sum to 1/3333" in err and len(err) < 200
+
 
 class TestUsage:
     def test_no_arguments_is_usage_error(self):

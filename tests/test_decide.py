@@ -33,7 +33,7 @@ from sgcl.formula import (
     subformulas,
 )
 from sgcl.game import ActionProfile, Game, game_to_dict, validate
-from sgcl.modelcheck import holds
+from sgcl.modelcheck import CheckContext, holds
 from sgcl.proof import SystemId
 
 F = Fraction
@@ -254,7 +254,77 @@ class TestSamplerMatchesReference:
             assert ours.getstate() == theirs.getstate()
 
 
+def reference_outcome(row, failures):
+    """A row's (survival, positive non-failure successors), summed in
+    Fractions."""
+    survival = sum((v for t, v in row.items() if t not in failures), F(0))
+    return survival, tuple(t for t, v in row.items() if v > 0 and t not in failures)
+
+
+def assert_outcomes_match_rows(g):
+    ctx = CheckContext(g)
+    profiles = [ActionProfile(tuple(zip(g.agents, combo)))
+                for combo in product(g.actions, repeat=len(g.agents))]
+    for s in g.states:
+        table = ctx.outcomes(s)
+        assert len(table) == len(profiles)
+        for (survival, successors), profile in zip(table, profiles):
+            assert isinstance(survival, Fraction)
+            assert (survival, successors) == reference_outcome(
+                g.row(s, profile), g.failures)
+
+
+class TestIntegerRowSums:
+    """Outcome tables sum each row as an integer numerator over a running
+    common denominator; every entry equals the Fraction sum."""
+
+    @pytest.mark.parametrize("index", range(len(SAMPLER_BOUNDS)))
+    def test_sampled_games(self, index):
+        rng = random.Random(index)
+        for _ in range(100):
+            assert_outcomes_match_rows(sample_game(
+                rng, SAMPLER_BOUNDS[index], require_agents=frozenset({"a"})))
+
+    def test_coprime_denominators_zero_and_failure_entries(self):
+        coprime = {"s": F(1, 3), "f": F(1, 5), "t": F(1, 7), "z": F(0),
+                   "u": F(1, 11)}
+        coprime["g"] = 1 - sum(coprime.values())
+        shared_factors = {"f": F(1, 6), "t": F(1, 4), "z": F(0), "u": F(7, 12)}
+        transitions = {
+            ("s", ActionProfile.of({"a": "x"})): coprime,
+            ("s", ActionProfile.of({"a": "y"})): shared_factors,
+        }
+        states = ("s", "t", "u", "z", "f", "g")
+        for state in states[1:]:
+            for x in ("x", "y"):
+                transitions[(state, ActionProfile.of({"a": x}))] = {state: 1}
+        g = Game(("a",), states, ("f", "g"), ("x", "y"), transitions, {})
+        assert validate(g) == []
+        assert_outcomes_match_rows(g)
+        table = CheckContext(g).outcomes("s")
+        assert table == [(F(131, 231), ("s", "t", "u")),
+                         (F(5, 6), ("t", "u"))]
+
+
 class TestBoundedCountermodel:
+    def test_search_work_is_pinned(self, monkeypatch):
+        """The verdict and the model checker's work over every context of
+        a fixed search: sharing tables and summing rows in integers must
+        not change what is evaluated."""
+        made = []
+
+        class Recording(CheckContext):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self)
+
+        monkeypatch.setattr("sgcl.decide.CheckContext", Recording)
+        f = parse("([a]_1/2 (v -> u) -> ([b]_1/4 v -> [a,b]_1/2 u))")
+        assert bounded_countermodel(f, SearchBounds(budget=100), seed=5) is None
+        assert len(made) == 100
+        assert sum(ctx.profile_evals for ctx in made) == 553
+        assert sum(len(ctx.memo) for ctx in made) == 912
+
     def test_finds_lossy_game_for_certain_survival(self):
         f = parse("[]_1 true")
         hit = bounded_countermodel(f, SearchBounds(budget=500), seed=3)

@@ -280,6 +280,16 @@ class TestExactGate:
             parse("[a]_1/" + "1" * 5000 + " v")
         assert err.value.position == 4 and len(str(err.value)) < 150
 
+    def test_out_of_range_subscript_shown_short(self):
+        with pytest.raises(ParseError, match="outside") as err:
+            parse("[a]_" + "9" * 4290 + " v")
+        assert err.value.position == 4 and len(str(err.value)) < 200
+        with pytest.raises(ValueError, match="modal subscript 9999.* outside") as err:
+            Coal(frozenset(), F(10**2000 - 1), Var("v"))
+        assert len(str(err.value)) < 200
+        with pytest.raises(ParseError, match=r"subscript 3/2 outside \[0, 1\]"):
+            parse("[a]_3/2 v")
+
     def test_only_ascii_whitespace_separates_tokens(self):
         assert parse("\t[a]_\n1/2\r\x0b\x0c v ") == coal({"a"}, F(1, 2), Var("v"))
         with pytest.raises(ParseError, match="unexpected character") as err:

@@ -62,6 +62,16 @@ class TestValidate:
         msgs = validate(g)
         assert any("sum to 1/2" in m for m in msgs)
 
+    def test_long_values_shown_short(self):
+        g = survival_ladder(1)
+        prof = ActionProfile.of({"a": "act"})
+        g.transitions[("t", prof)] = {"t": F(10**2000)}
+        g.transitions[("f", prof)] = {"f": F(1, 3 * 10**2000)}
+        msgs = validate(g)
+        assert len(msgs) == 3 and all(len(m) < 200 for m in msgs)
+        assert any("probability 1000" in m and "outside [0, 1]" in m for m in msgs)
+        assert any("sum to 1/3000" in m for m in msgs)
+
     def test_missing_row_reported(self):
         g = survival_ladder(1)
         del g.transitions[("t", ActionProfile.of({"a": "act"}))]
@@ -330,7 +340,7 @@ class TestCompletions:
     def test_count_is_actions_to_the_free_agents(self):
         ctx = CheckContext(overtake_game())
         [(nobody, everything)] = ctx.choices(frozenset())
-        assert nobody == ActionProfile.of({}) and everything == list(range(9))
+        assert nobody == ActionProfile.of({}) and everything == tuple(range(9))
         by_a = dict(ctx.choices(frozenset({"a"})))
         assert len(by_a) == 3
         assert len(by_a[ActionProfile.of({"a": "plus"})]) == 3

@@ -259,14 +259,14 @@ class TestAgainstNaiveSemantics:
         assert [survival for survival, _ in ctx.outcomes("s")] == [0, F(3, 4), 1, 1]
         assert ctx.outcomes("s")[2] == (1, ("t", "s"))
         assert ctx.outcomes("s")[3] == (1, ("t",))
-        assert ctx.choices(frozenset({"a"})) == [
-            (ActionProfile.of({"a": "x"}), [0, 2]),
-            (ActionProfile.of({"a": "y"}), [1, 3]),
-        ]
-        assert ctx.choices(frozenset({"b"})) == [
-            (ActionProfile.of({"b": "x"}), [0, 1]),
-            (ActionProfile.of({"b": "y"}), [2, 3]),
-        ]
+        assert ctx.choices(frozenset({"a"})) == (
+            (ActionProfile.of({"a": "x"}), (0, 2)),
+            (ActionProfile.of({"a": "y"}), (1, 3)),
+        )
+        assert ctx.choices(frozenset({"b"})) == (
+            (ActionProfile.of({"b": "x"}), (0, 1)),
+            (ActionProfile.of({"b": "y"}), (2, 3)),
+        )
         # formula: (witness, complete profiles examined to find it)
         expected = {
             "[a,b]_1/2 v": (Witness(prof("y", "x"), F(3, 4)), 2),
@@ -292,6 +292,39 @@ class TestAgainstNaiveSemantics:
         subformula_count = 5
         bound = subformula_count * len(g.states) * len(g.actions) ** len(g.agents)
         assert ctx.profile_evals <= bound
+
+
+class TestSharedTables:
+    """Choice tables depend only on the agents, the actions and the
+    coalition, and are shared by every context of one layout."""
+
+    COALITIONS = (frozenset(), frozenset("a"), frozenset("b"), frozenset("ab"))
+
+    def test_one_layout_one_table(self):
+        first, second = CheckContext(overtake_game()), CheckContext(overtake_game())
+        for coalition in self.COALITIONS:
+            assert first.choices(coalition) == second.choices(coalition)
+            assert first.choices(coalition) is second.choices(coalition)
+
+    def test_reversed_agents_get_other_tables(self):
+        g = overtake_game()
+        reversed_agents = Game(("b", "a"), g.states, g.failures, g.actions,
+                               g.transitions, g.valuation)
+        ours, theirs = CheckContext(g), CheckContext(reversed_agents)
+        for coalition in self.COALITIONS[1:]:
+            assert ours.choices(coalition) != theirs.choices(coalition)
+        assert ours.choices(frozenset("a"))[0][1] == (0, 1, 2)
+        assert theirs.choices(frozenset("a"))[0][1] == (0, 3, 6)
+        assert ours.outcomes("p") != theirs.outcomes("p")
+        assert sorted(ours.outcomes("p")) == sorted(theirs.outcomes("p"))
+
+    def test_tables_are_tuples(self):
+        ctx = CheckContext(overtake_game())
+        for coalition in self.COALITIONS:
+            table = ctx.choices(coalition)
+            assert isinstance(table, tuple)
+            for choice in table:
+                assert isinstance(choice, tuple) and isinstance(choice[1], tuple)
 
 
 class TestAudit:
