@@ -53,14 +53,14 @@ from .formula import (
     Impl,
     Neg,
     Var,
-    canonical_key,
     evaluate,
     exact,
+    formula_size,
     in_plus_language,
     render,
 )
 from .game import ActionProfile, Game, validate
-from .modelcheck import CheckContext, holds
+from .modelcheck import CheckError, label
 from .proof import SystemId
 
 FAILURE_STATE = "f"
@@ -219,7 +219,17 @@ class CanonicalAction:
 
     @property
     def action_id(self) -> str:
-        return f"({render(self.formula)},{self.value})"
+        return _action_id(render(self.formula), self.value)
+
+
+def _action_id(text: str, value: Fraction) -> str:
+    return f"({text},{value})"
+
+
+def _text(sigma: ClosureSet, f: Formula) -> str:
+    """The closure's stored rendering of f; the opt-out's ``true`` need
+    not be a member, and is rendered here when it is not."""
+    return sigma.texts.get(f) or render(f)
 
 
 def action_domain(sigma: ClosureSet) -> tuple:
@@ -232,9 +242,8 @@ def action_domain(sigma: ClosureSet) -> tuple:
         if isinstance(f, Coal) and f.coalition
     }
     requests.add(CanonicalAction(TOP, Fraction(-1)))
-    return tuple(
-        sorted(requests, key=lambda a: (canonical_key(a.formula), a.value))
-    )
+    return tuple(sorted(requests, key=lambda a: (
+        formula_size(a.formula), _text(sigma, a.formula), a.value)))
 
 
 def _granted(s: MaximalSet, profile: Mapping[str, CanonicalAction]):
@@ -294,12 +303,16 @@ class CanonicalDiagnostics:
     profile_count: int = 0
     # state name -> MaximalSet, s0, s1, ... in order
     sets: dict = field(default_factory=dict, repr=False)
+    # the closure the sets were drawn from
+    closure: Optional[ClosureSet] = field(default=None, init=False, repr=False)
 
     @property
     def state_members(self) -> dict:
-        """State name -> rendered members in canonical order."""
+        """State name -> rendered members in canonical order: the
+        closure's own order and texts, filtered by membership."""
+        texts = self.closure.texts.items()
         return {
-            name: [render(f) for f in sorted(s.members, key=canonical_key)]
+            name: [text for f, text in texts if f in s.members]
             for name, s in self.sets.items()
         }
 
@@ -325,27 +338,30 @@ def build_canonical_game(
     """Construct the canonical game for a closure set.
 
     Returns ``(game, diagnostics)``.  States are named s0, s1, ... in the
-    order of their sorted member renderings, plus the failure state
+    order of their sorted member renderings (:meth:`MaximalSet.key`, read
+    from the closure's stored texts), plus the failure state
     ``f``; ``diagnostics.sets`` maps each name to its maximal set.  The
     game always validates; when the oracle rejects every candidate set
     the game has only the failure state and the diagnostics say so.
     """
+    texts = sigma.texts
     if system is SystemId.LPLUS:
-        for f in sigma:
+        for f, text in texts.items():
             if not in_plus_language(f):
-                raise CanonicalError(
-                    f"{render(f)} lies outside the restricted language"
-                )
+                raise CanonicalError(f"{text} lies outside the restricted language")
     agent_tuple = tuple(sorted(sigma.agents()))
     sets = sorted(
-        enumerate_maximal_sets(sigma, oracle, cap), key=MaximalSet.key
+        enumerate_maximal_sets(sigma, oracle, cap),
+        key=lambda s: sorted(texts[f] for f in s.members),
     )
     actions = action_domain(sigma)
-    action_ids = tuple(a.action_id for a in actions)
+    action_ids = tuple(
+        _action_id(_text(sigma, a.formula), a.value) for a in actions)
     diag = CanonicalDiagnostics()
     diag.state_count = len(sets)
     diag.action_count = len(actions)
     diag.sets = {f"s{i}": s for i, s in enumerate(sets)}
+    diag.closure = sigma
     names = {s: name for name, s in diag.sets.items()}
     diag.no_consistent_sets = not sets
     id_of = dict(zip(actions, action_ids))
@@ -354,6 +370,7 @@ def build_canonical_game(
          ActionProfile(tuple((a, id_of[x]) for a, x in zip(agent_tuple, combo))))
         for combo in product(actions, repeat=len(agent_tuple))
     ]
+    diag.profile_count = len(sets) * len(profiles)
     # a row depends only on the granted modalities, so each distinct
     # granted set is turned into a row once
     rows = {}
@@ -369,7 +386,6 @@ def build_canonical_game(
             if guarded:
                 diag.guard_pairs.append((names[s], game_profile.as_dict()))
             transitions[(names[s], game_profile)] = row
-            diag.profile_count += 1
     failure_row = {FAILURE_STATE: Fraction(1)}
     for _profile, game_profile in profiles:
         transitions[(FAILURE_STATE, game_profile)] = failure_row
@@ -406,20 +422,46 @@ def audit_truth_lemma(
     game: Game, sigma: ClosureSet, sets: Mapping[str, MaximalSet]
 ) -> TruthLemmaReport:
     """Compare membership against model-checked truth for every formula of
-    the closure at every non-failure state; ``sets`` maps state names to
-    maximal sets, as ``CanonicalDiagnostics.sets`` does.  Disagreements
-    localize a gap in the oracle (or a construction bug); a clean report
-    is evidence the canonical game means what its states say."""
-    report = TruthLemmaReport()
-    ctx = CheckContext(game)
+    the closure at every state of ``sets``, which maps non-failure state
+    names to maximal sets, as ``CanonicalDiagnostics.sets`` does.
+    Disagreements are listed by state in the order of ``sets``, then by
+    formula in closure order, and localize a gap in the oracle (or a
+    construction bug); a clean report is evidence the canonical game
+    means what its states say.
+
+    Every formula is wanted at every state, so the closure is labeled
+    once by :func:`sgcl.modelcheck.label`, children first, and truth is
+    read bit by bit from each extent; the point queries of
+    :func:`sgcl.modelcheck.holds` stay lazy for the callers that ask
+    about one state."""
+    extents = label(game, sigma.formulas)
+    bit = {s: 1 << i for i, s in enumerate(game.nonfailure_states)}
+    # membership as masks over the same bits as the extents
+    membership = dict.fromkeys(sigma.texts, 0)
+    audited = 0
     for name, s in sets.items():
-        for f in sigma:
-            member = f in s.members
-            truth = holds(game, name, f, ctx)
-            report.checked += 1
-            if member != truth:
+        b = bit.get(name)
+        if b is None:
+            raise CheckError(f"{name!r} is not a non-failure state of the game")
+        audited |= b
+        for f in s.members:
+            if f in membership:
+                membership[f] |= b
+    wrong = {}  # formula -> bits of the states where membership and truth split
+    for f, m in membership.items():
+        split = (extents[f] ^ m) & audited
+        if split:
+            wrong[f] = split
+    report = TruthLemmaReport(checked=len(sets) * len(sigma))
+    if not wrong:
+        return report
+    for name, s in sets.items():
+        b = bit[name]
+        for f, split in wrong.items():
+            if split & b:
+                member = f in s.members
                 report.disagreements.append(
-                    {"state": name, "formula": render(f),
-                     "member": member, "holds": truth}
+                    {"state": name, "formula": sigma.texts[f],
+                     "member": member, "holds": not member}
                 )
     return report

@@ -25,7 +25,7 @@ sub-language does not (see :func:`in_plus_language`).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from typing import Iterable, Iterator, Optional, Union
@@ -457,14 +457,22 @@ def parse(text: str, universe: Optional[Iterable[str]] = None) -> Formula:
 class ClosureSet:
     """A finite set of formulas closed under subformulas, where every
     non-negation member also has its negation present.  Formulas are kept
-    deduplicated in canonical order."""
+    deduplicated in canonical order.  ``texts`` maps each member, in the
+    same order, to its rendering, taken from the sort's own keys, so no
+    caller needs to render a member again."""
 
     formulas: tuple
+    texts: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        ordered = tuple(sorted(set(self.formulas), key=canonical_key))
+        keyed = sorted(
+            ((canonical_key(f), f) for f in set(self.formulas)),
+            key=lambda pair: pair[0],
+        )
+        ordered = tuple(f for _, f in keyed)
         object.__setattr__(self, "formulas", ordered)
-        present = set(ordered)
+        object.__setattr__(self, "texts", {f: key[1] for key, f in keyed})
+        present = self.texts
         for f in ordered:
             for g in _direct_children(f):
                 if g not in present:
@@ -473,7 +481,7 @@ class ClosureSet:
                 raise ValueError(f"missing complement ~{render(f)}")
 
     def __contains__(self, f: Formula) -> bool:
-        return f in self.formulas
+        return f in self.texts
 
     def __iter__(self) -> Iterator[Formula]:
         return iter(self.formulas)

@@ -19,7 +19,18 @@ choices are listed once per agents-and-actions layout, in the same
 order, with the indices of their completions in that table; the list
 is shared by every context, and so by every game, of that layout.
 Truth values are memoized per (state, formula) and computed on demand;
-states no query reaches are never compiled.
+states no query reaches are never compiled.  ``holds``, ``extent``,
+``witness`` and the schema audits stay lazy in this way, because a
+query of one formula at one state, or of a few formulas, touches only
+part of a game: compiling every state up front made the canonical
+route's decide slower, and a labeling ``extent`` was slower than the
+lazy one on the bench's extent queries.
+
+:func:`label` is the eager route, the labeling algorithm of ATL model
+checking (Alur, Henzinger and Kupferman, JACM 2002), for a caller that
+needs every formula of a list at every state, as the truth-lemma audit
+of the canonical game does.  It computes each formula's extent once, as
+an int bit mask over the non-failure states, children first.
 
 Truth is defined at non-failure states only; querying a failure state is
 an error.  Variables missing from the valuation are false everywhere.
@@ -45,6 +56,7 @@ from .formula import (
     Var,
     agents_of,
     canonical_key,
+    evaluate,
     render,
 )
 from .game import ActionProfile, Game
@@ -195,6 +207,80 @@ def extent(game: Game, f: Formula, ctx: Optional[CheckContext] = None) -> frozen
     return frozenset(
         s for s in game.nonfailure_states if holds(game, s, f, ctx)
     )
+
+
+def _compile_masks(ctx: CheckContext, bit: dict) -> list:
+    """(state bit, [(numerator, denominator, successor mask), ...]) per
+    state of ``bit``: each outcome entry in its table's order, survival
+    split into its integer terms.  Entries shared between states, as
+    shared rows make them, are compiled once."""
+    compiled_entries = {}  # id(entry) -> its triple; ctx keeps entries alive
+    compiled = []
+    for s, b in bit.items():
+        table = []
+        for entry in ctx.outcomes(s):
+            triple = compiled_entries.get(id(entry))
+            if triple is None:
+                survival, successors = entry
+                triple = compiled_entries[id(entry)] = (
+                    survival.numerator, survival.denominator,
+                    sum(bit[t] for t in successors))
+            table.append(triple)
+        compiled.append((b, table))
+    return compiled
+
+
+def label(game: Game, order: Iterable[Formula],
+          ctx: Optional[CheckContext] = None) -> dict:
+    """The extent of every formula of ``order``, which lists children
+    before their parents, as an int read as a bit mask: bit i is set when
+    the formula holds at ``game.nonfailure_states[i]``.  ``false``,
+    negation and implication go through :func:`sgcl.formula.evaluate`, so
+    a mask may be negative; only its low bits, one per non-failure state,
+    carry meaning.  A modality holds at a state when some choice of its
+    coalition, taken in the order ``ctx.choices`` lists them, has every
+    completion survive with probability at least its threshold and reach
+    no successor outside the body's extent.  Every state's outcome table
+    is compiled, and its successor sets are turned into masks once.  The
+    memo is neither read nor filled."""
+    if ctx is None:
+        ctx = CheckContext(game)
+    bit = {s: 1 << i for i, s in enumerate(game.nonfailure_states)}
+    agents = frozenset(game.agents)
+    ext: dict = {}
+    compiled = None  # see _compile_masks
+    evals = 0
+    for f in order:
+        if isinstance(f, Var):
+            ext[f] = sum(bit.get(s, 0) for s in game.valuation.get(f.name, ()))
+        elif isinstance(f, Coal):
+            if not f.coalition <= agents:
+                raise CheckError("formula names agents outside the game: "
+                                 f"{sorted(f.coalition - agents)}")
+            if compiled is None:
+                compiled = _compile_masks(ctx, bit)
+            # survival n / d < p exactly when n * p_den < p_num * d
+            p_num, p_den = f.p.numerator, f.p.denominator
+            outside = ~ext[f.body]
+            choices = ctx.choices(f.coalition)
+            mask = 0
+            for b, table in compiled:
+                for _, completions in choices:
+                    for i in completions:
+                        evals += 1
+                        n, d, successors = table[i]
+                        if n * p_den < p_num * d or successors & outside:
+                            break
+                    else:
+                        mask |= b
+                        break
+            ext[f] = mask
+        elif isinstance(f, (Bot, Neg, Impl)):
+            evaluate((f,), ext)
+        else:
+            raise CheckError(f"not a formula: {f!r}")
+    ctx.profile_evals += evals
+    return ext
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ from sgcl.canonical import (
     ClosureCapError,
     Judgment,
     MaximalSet,
+    TruthLemmaReport,
     action_domain,
     audit_truth_lemma,
     build_canonical_game,
@@ -38,6 +39,7 @@ from sgcl.formula import (
     subformulas,
 )
 from sgcl.game import ActionProfile, validate
+from sgcl.modelcheck import CheckContext, CheckError, holds, label
 from sgcl.proof import SystemId
 
 F = Fraction
@@ -776,3 +778,136 @@ class TestTautologyMatchesTruthTable:
         assert any(is_tautology(f) for f in formulas)
         for f in formulas:
             assert is_tautology(f) == (not reference_satisfiable([Neg(f)])), render(f)
+
+
+# ---------------------------------------------------------------------------
+# the labeled truth audit and the closure's stored renderings
+
+
+def reference_audit(game, sigma, sets):
+    """The truth-lemma audit as one lazy ``holds`` query per (state,
+    formula), rendering each disagreeing formula: the labeled
+    :func:`audit_truth_lemma` is checked against it."""
+    report = TruthLemmaReport()
+    ctx = CheckContext(game)
+    for name, s in sets.items():
+        for f in sigma:
+            member = f in s.members
+            truth = holds(game, name, f, ctx)
+            report.checked += 1
+            if member != truth:
+                report.disagreements.append(
+                    {"state": name, "formula": render(f),
+                     "member": member, "holds": truth}
+                )
+    return report
+
+
+def assert_labeled_audit_matches(game, sig, sets):
+    """label against holds at every (state, formula), with the same
+    profile evaluations, and the audit against the reference loop."""
+    labeled, lazy = CheckContext(game), CheckContext(game)
+    masks = label(game, sig.formulas, labeled)
+    for i, name in enumerate(game.nonfailure_states):
+        for f in sig:
+            assert (masks[f] >> i & 1 == 1) == holds(game, name, f, lazy), (
+                name, render(f))
+    assert labeled.profile_evals == lazy.profile_evals
+    report = audit_truth_lemma(game, sig, sets)
+    assert report == reference_audit(game, sig, sets)
+    return report
+
+
+def corpus_negation_closures():
+    return [closure([Neg(f)]) for f in acceptance_corpus()[::CORPUS_STRIDE]]
+
+
+LABELED_SEEDS = SEEDS + ["([a]_1/2 v -> [a,b]_3/4 v)"] + WIDE_SEEDS
+
+
+class TestLabeledAuditMatchesReference:
+    @pytest.mark.parametrize("seed", LABELED_SEEDS)
+    def test_seed_closures(self, seed):
+        sig = closure([parse(seed)])
+        game, diag = build_canonical_game(sig, cap=26)
+        assert_labeled_audit_matches(game, sig, diag.sets)
+
+    def test_corpus_negation_closures(self):
+        unclean = 0
+        for sig in corpus_negation_closures():
+            game, diag = build_canonical_game(sig)
+            unclean += not assert_labeled_audit_matches(game, sig, diag.sets).clean
+        # the zero-threshold blind spot shows in some of them
+        assert unclean > 0
+
+    def test_zero_threshold_blind_spot(self):
+        sig = closure([parse("[a]_0 v")])
+        game, diag = build_canonical_game(sig)
+        report = assert_labeled_audit_matches(game, sig, diag.sets)
+        assert len(report.disagreements) == 4
+
+    def test_sabotaged_valuation(self):
+        sig = closure([parse("~v")])
+        game, diag = build_canonical_game(sig)
+        broken = type(game).__new__(type(game))
+        broken.__dict__.update(game.__dict__)
+        broken.valuation = {"v": frozenset()}
+        report = assert_labeled_audit_matches(broken, sig, diag.sets)
+        assert [(d["state"], d["formula"]) for d in report.disagreements] == [
+            ("s0", "v"), ("s0", "~v")]
+
+    def test_sets_in_another_order(self):
+        # disagreements follow the order of the sets given, not the game's
+        sig = closure([parse("[a]_0 v")])
+        game, diag = build_canonical_game(sig)
+        backwards = dict(reversed(list(diag.sets.items())))
+        report = assert_labeled_audit_matches(game, sig, backwards)
+        states = [d["state"] for d in report.disagreements]
+        assert states == sorted(states, reverse=True) and len(states) == 4
+
+    def test_failure_state_is_refused(self):
+        sig = closure([parse("~v")])
+        game, diag = build_canonical_game(sig)
+        with pytest.raises(CheckError):
+            audit_truth_lemma(game, sig, {"f": diag.sets["s0"]})
+
+
+class TestRenderOnce:
+    """The closure renders each member once; state order, state members,
+    action order and action ids all read those texts."""
+
+    def seed_closures(self):
+        return [closure([parse(seed)]) for seed in LABELED_SEEDS]
+
+    def test_texts_are_renderings(self):
+        closures = self.seed_closures() + [
+            closure([Neg(f)]) for f in acceptance_corpus()]
+        for sig in closures:
+            assert list(sig.texts) == list(sig.formulas)
+            assert all(text == render(f) for f, text in sig.texts.items())
+
+    def test_texts_do_not_count_for_equality(self):
+        sig = closure([parse("[a]_1/2 v")])
+        assert "texts" not in repr(sig)
+        assert sig == closure([parse("[a]_1/2 v")])
+        assert hash(sig) == hash(closure([parse("[a]_1/2 v")]))
+
+    def test_state_order_members_and_action_ids(self):
+        for sig in self.seed_closures() + corpus_negation_closures():
+            game, diag = build_canonical_game(sig, cap=26)
+            expected = sorted(enumerate_maximal_sets(sig, cap=26), key=MaximalSet.key)
+            assert list(diag.sets.values()) == expected
+            assert diag.state_members == {
+                name: [render(f) for f in sorted(s.members, key=canonical_key)]
+                for name, s in diag.sets.items()
+            }
+            domain = action_domain(sig)
+            assert list(domain) == sorted(
+                domain, key=lambda a: (canonical_key(a.formula), a.value))
+            assert game.actions == tuple(a.action_id for a in domain)
+
+    def test_opt_out_outside_the_closure(self):
+        sig = closure([parse("v")])
+        assert TOP not in sig
+        game, _ = build_canonical_game(sig)
+        assert game.actions == ("(true,-1)",)

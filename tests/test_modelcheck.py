@@ -5,7 +5,7 @@ from itertools import product
 
 import pytest
 
-from sgcl.formula import Bot, Coal, Impl, Neg, Var, parse
+from sgcl.formula import Bot, Coal, Impl, Neg, Var, closure, parse, render
 from sgcl.game import ActionProfile, Game, overtake_game, survival_ladder
 from sgcl.modelcheck import (
     CheckContext,
@@ -14,6 +14,7 @@ from sgcl.modelcheck import (
     audit_axiom_soundness,
     extent,
     holds,
+    label,
     witness,
 )
 
@@ -325,6 +326,81 @@ class TestSharedTables:
             assert isinstance(table, tuple)
             for choice in table:
                 assert isinstance(choice, tuple) and isinstance(choice[1], tuple)
+
+
+def assert_label_matches_holds(g: Game, order) -> None:
+    """label against one lazy holds query per (state, formula); walking
+    the same choices in the same order, both examine the same complete
+    profiles, and label leaves the memo empty."""
+    labeled, lazy = CheckContext(g), CheckContext(g)
+    masks = label(g, order, labeled)
+    assert list(masks) == list(order)
+    for i, s in enumerate(g.nonfailure_states):
+        for f in order:
+            assert (masks[f] >> i & 1 == 1) == holds(g, s, f, lazy), (s, render(f))
+    assert labeled.profile_evals == lazy.profile_evals
+    assert labeled.memo == {}
+
+
+class TestLabel:
+    def test_three_agent_games_with_failures(self):
+        """Sampled three-agent games with failure states, and copies
+        listing the agents in reverse: every coalition size, and choices
+        in both product orders."""
+        from sgcl.decide import SearchBounds, sample_game
+        import random
+
+        rng = random.Random(13)
+        bounds = SearchBounds(max_states=4, max_actions=2, budget=1,
+                              agents=("a", "b", "c"))
+        order = closure([
+            parse("[a,c]_1/2 v"),
+            parse("[b]_1/4 (v -> [a,c]_1/2 u)"),
+            parse("[a,b,c]_3/4 ~v"),
+            parse("[c]_0 u"),
+            parse("[a]_1/2 [c]_1/4 v"),
+            parse("[]_1/4 v -> [a,b]_1/2 u"),
+            parse("[b,c]_1 (u -> false)"),
+        ]).formulas
+        modalities = [f for f in order if isinstance(f, Coal) and f.coalition]
+        seen = set()  # (modality, truth) pairs met at some state
+        games = 0
+        while games < 30:
+            sampled = sample_game(rng, bounds, require_agents=("a", "b", "c"),
+                                  variables=("v", "u"))
+            if not sampled.failures:
+                continue
+            games += 1
+            reordered = Game(tuple(reversed(sampled.agents)), sampled.states,
+                             sampled.failures, sampled.actions,
+                             sampled.transitions, sampled.valuation)
+            for g in (sampled, reordered):
+                assert_label_matches_holds(g, order)
+                masks = label(g, order)
+                for f in modalities:
+                    for i in range(len(g.nonfailure_states)):
+                        seen.add((f, masks[f] >> i & 1))
+        assert seen == {(f, truth) for f in modalities for truth in (0, 1)}
+
+    def test_named_games(self):
+        order = closure([parse("[a]_1/2 [b]_1/2 [a,b]_1/2 ~passed"),
+                         parse("[]_1/2 behind -> [a]_0 passed")]).formulas
+        assert_label_matches_holds(overtake_game(), order)
+        assert_label_matches_holds(
+            survival_ladder(2), closure([parse("[]_9/10 []_9/10 v")]).formulas)
+
+    def test_threshold_met_exactly(self):
+        # a survival equal to the threshold commits; one just below does not
+        g = survival_ladder(1)
+        order = closure([parse("[]_9/10 true"), parse("[]_91/100 true")]).formulas
+        masks = label(g, order)
+        assert masks[parse("[]_9/10 true")] & 1 == 1
+        assert masks[parse("[]_91/100 true")] & 1 == 0
+        assert_label_matches_holds(g, order)
+
+    def test_foreign_agent_is_an_error(self):
+        with pytest.raises(CheckError):
+            label(survival_ladder(1), closure([parse("[z]_1/2 true")]).formulas)
 
 
 class TestAudit:
