@@ -5,11 +5,15 @@ states, one shared finite action domain, exact rational transition
 probabilities indexed by complete action profiles, and a valuation of
 propositional variables.  Every transition row must sum to exactly 1;
 arithmetic is over ``fractions.Fraction`` throughout, so validation and
-model checking are exact.
+model checking are exact.  A game is immutable and keeps a row table:
+``rows`` holds each distinct row once and ``transitions`` maps every key
+to its row's index, so a row that many keys share is checked, rendered
+and compiled once.
 
 The JSON exchange format writes probabilities as strings ("9/10",
 "0.25") or integers.  Both the loader and :class:`Game` itself take
-them through :func:`sgcl.formula.exact`, which rejects binary floats.
+them through :func:`sgcl.formula.exact`, which rejects binary floats;
+the loader parses equal rows once, into one row of the table.
 """
 
 from __future__ import annotations
@@ -66,50 +70,55 @@ class ActionProfile:
 
 
 class Game:
-    """Immutable-by-convention container; use :func:`validate` to check
-    well-formedness as data rather than at construction time.
+    """An immutable game; use :func:`validate` to check well-formedness
+    as data rather than at construction time.
 
-    Each distinct input row object is coerced once, and every key that
-    passed that object gets the same coerced dict, so rows shared in the
-    input stay shared in ``transitions``.  Rows must therefore not be
-    mutated in place, neither an input row while it is being read nor a
-    row of ``transitions``: replace a key's row instead."""
+    ``transitions`` maps each (state, profile) key to an index into
+    ``rows``, the tuple of distinct exact rows in first-seen order: each
+    distinct input row object is coerced into one row, so rows shared in
+    the input stay shared.  Nothing here may be mutated, nor an input row
+    while it is being read."""
 
     def __init__(self, agents, states, failures, actions, transitions, valuation):
         self.agents = tuple(agents)
         self.states = tuple(states)
         self.failures = frozenset(failures)
         self.actions = tuple(actions)
-        rows = {}
-        # id(input row) -> (input row, coerced row); holding the input row
-        # keeps its id from being reused by a later temporary row
-        coerced = {}
+        rows = []
+        index = {}
+        # id(input row) -> (input row, its index in rows); holding the
+        # input row keeps its id from being reused by a later temporary row
+        seen = {}
         items = transitions.items() if isinstance(transitions, Mapping) else transitions
         for (state, profile), row in items:
             if not isinstance(profile, ActionProfile):
                 profile = ActionProfile.of(profile)
-            entry = coerced.get(id(row))
+            entry = seen.get(id(row))
             if entry is None:
                 try:
-                    entry = coerced[id(row)] = (
-                        row, {t: exact(v) for t, v in row.items()})
+                    entry = seen[id(row)] = (row, len(rows))
+                    rows.append({t: exact(v) for t, v in row.items()})
                 except ValueError as exc:
                     raise GameError(f"probability {exc}") from None
-            rows[(state, profile)] = entry[1]
-        self.transitions = rows
+            index[(state, profile)] = entry[1]
+        self.rows = tuple(rows)
+        self.transitions = index
         self.valuation = {v: frozenset(sts) for v, sts in valuation.items()}
 
     @property
     def nonfailure_states(self) -> tuple:
         return tuple(s for s in self.states if s not in self.failures)
 
-    def row(self, state: StateId, profile: ActionProfile) -> Mapping:
+    def row_index(self, state: StateId, profile: ActionProfile) -> int:
         try:
             return self.transitions[(state, profile)]
         except KeyError:
             raise GameError(
                 f"no transition row for state {state!r}, profile {profile.as_dict()!r}"
             ) from None
+
+    def row(self, state: StateId, profile: ActionProfile) -> Mapping:
+        return self.rows[self.row_index(state, profile)]
 
     def __eq__(self, other):
         if not isinstance(other, Game):
@@ -119,7 +128,8 @@ class Game:
             and self.states == other.states
             and self.failures == other.failures
             and self.actions == other.actions
-            and self.transitions == other.transitions
+            and self.transitions.keys() == other.transitions.keys()
+            and all(self.rows[i] == other.row(*k) for k, i in self.transitions.items())
             and self.valuation == other.valuation
         )
 
@@ -165,10 +175,10 @@ def _row_problems(row: Mapping, states: set) -> list:
 def validate(game: Game) -> list:
     """Well-formedness violations as human-readable strings; [] = valid.
 
-    Each key's state and profile are checked, and each row object's
-    entries until that object is found clean, so a row shared by several
-    keys is summed once.  The rows are counted against the number of
-    complete profiles, so the complete profiles are only walked, in
+    Each key's state and profile are checked, and each row of the table
+    once; a bad row is reported under every key with a complete profile
+    that uses it, in key order.  The rows are counted against the number
+    of complete profiles, so the complete profiles are only walked, in
     sorted order, to name the first few missing rows."""
     out = []
     if not game.actions:
@@ -188,10 +198,8 @@ def validate(game: Game) -> list:
     action_set = set(game.actions)
     agent_key = tuple(sorted(game.agents))
     present = 0
-    # ids of row objects whose entries were found clean: a row shared by
-    # several keys is summed once, and a bad one is reported under each key
-    clean = set()
-    for (s, profile), row in game.transitions.items():
+    row_problems = [_row_problems(row, state_set) for row in game.rows]
+    for (s, profile), i in game.transitions.items():
         if s not in state_set:
             problems = ["unknown source state"]
         elif not (
@@ -202,11 +210,8 @@ def validate(game: Game) -> list:
             problems = ["profile is not a complete profile"]
         else:
             present += 1
-            if id(row) in clean:
-                continue
-            problems = _row_problems(row, state_set)
+            problems = row_problems[i]
             if not problems:
-                clean.add(id(row))
                 continue
         where = f"({s!r}, {profile.as_dict()!r})"
         out.extend(f"row {where}: {problem}" for problem in problems)
@@ -249,18 +254,15 @@ def _expect_list_of_strings(doc, key):
 
 
 def game_to_dict(game: Game) -> dict:
-    """The JSON document of a game.  Each distinct row object's targets
-    are rendered once; every key gets its own copy."""
-    rows = []
-    rendered = {}  # id(row) -> its rendered targets; game.transitions holds the rows
-    for (s, profile), row in sorted(
-        game.transitions.items(), key=lambda kv: (kv[0][0], kv[0][1].assignment)
-    ):
-        to = rendered.get(id(row))
-        if to is None:
-            to = rendered[id(row)] = {
-                t: str(v) for t, v in sorted(row.items()) if v != 0}
-        rows.append({"from": s, "profile": profile.as_dict(), "to": dict(to)})
+    """The JSON document of a game.  Each row of the table is rendered
+    once; every key gets its own copy."""
+    rendered = [{t: str(v) for t, v in sorted(row.items()) if v != 0}
+                for row in game.rows]
+    rows = [
+        {"from": s, "profile": profile.as_dict(), "to": dict(rendered[i])}
+        for (s, profile), i in sorted(
+            game.transitions.items(), key=lambda kv: (kv[0][0], kv[0][1].assignment))
+    ]
     return {
         "agents": list(game.agents),
         "states": list(game.states),
@@ -285,6 +287,10 @@ def game_from_dict(doc: dict) -> Game:
     if not isinstance(raw_rows, list):
         raise SchemaError("/transitions: expected a list")
     transitions = {}
+    # a row's items -> its parsed row, which every equal row shares; only
+    # rows of str and int values are looked up (1 is not 1.0 or true): any
+    # other JSON value fails to parse, at its own pointer, before a store
+    parsed = {}
     for i, entry in enumerate(raw_rows):
         where = f"/transitions/{i}"
         if not isinstance(entry, dict):
@@ -300,9 +306,11 @@ def game_from_dict(doc: dict) -> Game:
         to = entry.get("to")
         if not isinstance(to, dict):
             raise SchemaError(f"{where}/to: expected a target-to-probability object")
-        row = {
-            t: _parse_probability(v, f"{where}/to/{t}") for t, v in to.items()
-        }
+        items = tuple(to.items())
+        row = parsed.get(items) if all(type(v) in (str, int) for _, v in items) else None
+        if row is None:
+            row = parsed[items] = {
+                t: _parse_probability(v, f"{where}/to/{t}") for t, v in items}
         key = (src, ActionProfile.of(profile))
         if key in transitions:
             raise SchemaError(f"{where}: duplicate row for this state and profile")

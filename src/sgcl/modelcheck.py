@@ -7,12 +7,12 @@ failure set is at least p, and (b) every non-failure state reachable
 with positive probability satisfies the body.  Condition (b) applies
 even at threshold p = 0.
 
-Within one context the checker reads each distinct row object once.
+Within one context the checker reads each row of ``game.rows`` once.
 The first time a modality is checked at a state, the state's outcome
 table is compiled: one entry per complete profile, in the product order
 of ``game.actions`` over ``game.agents``, holding that profile's
 survival probability and its positive non-failure successors.  Keys
-that share a row object, as the canonical game's do, share its entry.
+that share a row, as the canonical game's do, share its entry.
 A row's survival is summed as an integer numerator over a running
 common denominator and becomes one ``Fraction``.  Each coalition's
 choices are listed once per agents-and-actions layout, in the same
@@ -95,7 +95,8 @@ class CheckContext:
 
     ``outcomes(state)`` is the state's outcome table: for each complete
     profile, in the product order of ``game.actions`` over
-    ``game.agents``, the pair (survival probability, positive non-failure
+    ``game.agents`` (the order of ``row_indices(state)``), the ``entry`` of
+    its row, the pair (survival probability, positive non-failure
     successors in row order), compiled on first use.
     ``choices(coalition)`` lists the coalition's choices in the same
     order, each as (partial profile, indices of its completions in the
@@ -106,39 +107,38 @@ class CheckContext:
     memo: dict = field(default_factory=dict)
     profile_evals: int = 0
     _outcomes: dict = field(default_factory=dict, init=False, repr=False)
-    # id(row) -> (row, its outcome); holding the row keeps its id unique
-    _rows: dict = field(default_factory=dict, init=False, repr=False)
+    _entries: dict = field(default_factory=dict, init=False, repr=False)
+
+    def row_indices(self, state) -> list:
+        game = self.game
+        return [game.row_index(state, profile)
+                for profile, _ in self.choices(frozenset(game.agents))]
+
+    def entry(self, i: int) -> tuple:
+        entry = self._entries.get(i)
+        if entry is None:
+            failures = self.game.failures
+            # non-failure mass as num / den, den the lcm of the denominators so far
+            num, den = 0, 1
+            successors = []
+            for t, v in self.game.rows[i].items():
+                if t in failures:
+                    continue
+                n, d = v.numerator, v.denominator
+                if den % d:
+                    scale = d // gcd(den, d)
+                    num *= scale
+                    den *= scale
+                num += n * (den // d)
+                if n > 0:
+                    successors.append(t)
+            entry = self._entries[i] = (Fraction(num, den), tuple(successors))
+        return entry
 
     def outcomes(self, state) -> list:
         table = self._outcomes.get(state)
         if table is None:
-            game = self.game
-            failures = game.failures
-            rows = self._rows
-            table = []
-            for profile, _ in self.choices(frozenset(game.agents)):
-                row = game.row(state, profile)
-                entry = rows.get(id(row))
-                if entry is None:
-                    # non-failure mass as num / den, den the lcm of the
-                    # denominators seen so far
-                    num, den = 0, 1
-                    successors = []
-                    for t, v in row.items():
-                        if t in failures:
-                            continue
-                        n, d = v.numerator, v.denominator
-                        if den % d:
-                            scale = d // gcd(den, d)
-                            num *= scale
-                            den *= scale
-                        num += n * (den // d)
-                        if n > 0:
-                            successors.append(t)
-                    entry = rows[id(row)] = (
-                        row, (Fraction(num, den), tuple(successors)))
-                table.append(entry[1])
-            self._outcomes[state] = table
+            table = self._outcomes[state] = list(map(self.entry, self.row_indices(state)))
         return table
 
     def choices(self, coalition: frozenset) -> tuple:
@@ -182,14 +182,18 @@ def _eval(ctx: CheckContext, state, f: Formula) -> bool:
     return value
 
 
+def _require_agents(game: Game, f: Formula) -> None:
+    foreign = agents_of(f) - set(game.agents)
+    if foreign:
+        raise CheckError(f"formula names agents outside the game: {sorted(foreign)}")
+
+
 def _require_checkable(game: Game, state, f: Formula) -> None:
     if state not in game.states:
         raise CheckError(f"unknown state {state!r}")
     if state in game.failures:
         raise CheckError(f"truth is undefined at failure state {state!r}")
-    foreign = agents_of(f) - set(game.agents)
-    if foreign:
-        raise CheckError(f"formula names agents outside the game: {sorted(foreign)}")
+    _require_agents(game, f)
 
 
 def holds(game: Game, state, f: Formula, ctx: Optional[CheckContext] = None) -> bool:
@@ -202,6 +206,7 @@ def holds(game: Game, state, f: Formula, ctx: Optional[CheckContext] = None) -> 
 
 def extent(game: Game, f: Formula, ctx: Optional[CheckContext] = None) -> frozenset:
     """The set of non-failure states satisfying f."""
+    _require_agents(game, f)
     if ctx is None:
         ctx = CheckContext(game)
     return frozenset(
@@ -212,22 +217,12 @@ def extent(game: Game, f: Formula, ctx: Optional[CheckContext] = None) -> frozen
 def _compile_masks(ctx: CheckContext, bit: dict) -> list:
     """(state bit, [(numerator, denominator, successor mask), ...]) per
     state of ``bit``: each outcome entry in its table's order, survival
-    split into its integer terms.  Entries shared between states, as
-    shared rows make them, are compiled once."""
-    compiled_entries = {}  # id(entry) -> its triple; ctx keeps entries alive
-    compiled = []
-    for s, b in bit.items():
-        table = []
-        for entry in ctx.outcomes(s):
-            triple = compiled_entries.get(id(entry))
-            if triple is None:
-                survival, successors = entry
-                triple = compiled_entries[id(entry)] = (
-                    survival.numerator, survival.denominator,
-                    sum(bit[t] for t in successors))
-            table.append(triple)
-        compiled.append((b, table))
-    return compiled
+    split into its integer terms.  Each row of ``game.rows`` is compiled
+    once."""
+    triples = [
+        (survival.numerator, survival.denominator, sum(bit[t] for t in successors))
+        for survival, successors in map(ctx.entry, range(len(ctx.game.rows)))]
+    return [(b, [triples[i] for i in ctx.row_indices(s)]) for s, b in bit.items()]
 
 
 def label(game: Game, order: Iterable[Formula],
@@ -240,13 +235,12 @@ def label(game: Game, order: Iterable[Formula],
     carry meaning.  A modality holds at a state when some choice of its
     coalition, taken in the order ``ctx.choices`` lists them, has every
     completion survive with probability at least its threshold and reach
-    no successor outside the body's extent.  Every state's outcome table
-    is compiled, and its successor sets are turned into masks once.  The
-    memo is neither read nor filled."""
+    no successor outside the body's extent.  Every row of the game is
+    compiled, and its successor set turned into a mask, once.  The memo
+    is neither read nor filled."""
     if ctx is None:
         ctx = CheckContext(game)
     bit = {s: 1 << i for i, s in enumerate(game.nonfailure_states)}
-    agents = frozenset(game.agents)
     ext: dict = {}
     compiled = None  # see _compile_masks
     evals = 0
@@ -254,9 +248,7 @@ def label(game: Game, order: Iterable[Formula],
         if isinstance(f, Var):
             ext[f] = sum(bit.get(s, 0) for s in game.valuation.get(f.name, ()))
         elif isinstance(f, Coal):
-            if not f.coalition <= agents:
-                raise CheckError("formula names agents outside the game: "
-                                 f"{sorted(f.coalition - agents)}")
+            _require_agents(game, f)
             if compiled is None:
                 compiled = _compile_masks(ctx, bit)
             # survival n / d < p exactly when n * p_den < p_num * d

@@ -355,7 +355,8 @@ class TestTransitionData:
 
     def test_probability_failure_self_loop(self):
         game, _, _ = self.build("[a]_1/2 v")
-        rows = [row for (state, _), row in game.transitions.items() if state == "f"]
+        rows = [game.rows[i] for (state, _), i in game.transitions.items()
+                if state == "f"]
         assert len(rows) == len(game.actions)
         assert all(row == {"f": F(1)} for row in rows)
 
@@ -427,7 +428,7 @@ class TestBuildCanonicalGame:
         game, _ = build_canonical_game(sig)
         agents = tuple(sorted(sig.agents()))
         sets = sorted(enumerate_maximal_sets(sig), key=MaximalSet.key)
-        row_of = {}  # granted set -> the one row object built for it
+        row_of = {}  # granted set -> the index of the one row built for it
         for i, s in enumerate(sets):
             for combo in product(action_domain(sig), repeat=len(agents)):
                 profile = dict(zip(agents, combo))
@@ -435,17 +436,18 @@ class TestBuildCanonicalGame:
                     m for m in s.members if isinstance(m, Coal) and all(
                         profile[a] == CanonicalAction(m.body, m.p)
                         for a in m.coalition))
-                row = game.row(f"s{i}", ActionProfile.of(
+                index = game.row_index(f"s{i}", ActionProfile.of(
                     {a: act.action_id for a, act in profile.items()}))
-                assert row_of.setdefault(granted, row) is row
-        assert len({id(row) for row in row_of.values()}) == len(row_of)
-        failure_rows = [row for (state, _), row in game.transitions.items()
-                        if state == "f"]
-        assert all(row is failure_rows[0] for row in failure_rows)
+                assert row_of.setdefault(granted, index) == index
+        assert len(set(row_of.values())) == len(row_of)
+        failure_rows = {i for (state, _), i in game.transitions.items()
+                        if state == "f"}
+        assert len(failure_rows) == 1
+        assert len(game.rows) == len(row_of) + 1
 
     def test_rows_uniform_over_targets(self):
         game, _ = build_canonical_game(closure([parse("[a]_1/2 v")]))
-        for (state, _prof), row in game.transitions.items():
+        for row in game.rows:
             spread = {p for t, p in row.items() if t != "f" and p > 0}
             assert len(spread) <= 1
 
@@ -607,8 +609,8 @@ class TestLeanMatchesReference:
                 for a, x in profile.assignment
             ))
 
-        for (state, profile), row in paper.transitions.items():
-            assert row == lean.row(state, project(profile))
+        for (state, profile), i in paper.transitions.items():
+            assert paper.rows[i] == lean.row(state, project(profile))
 
     def test_corpus_verdicts_and_refuting_states(self, monkeypatch):
         corpus = acceptance_corpus()

@@ -160,6 +160,17 @@ class TestExtent:
         assert code == 0
         assert doc["states"] == ["t"]
 
+    def test_foreign_agents_on_a_failure_only_game(self, tmp_path, capsys):
+        # no state is checked, so the formula's agents are checked first
+        path = tmp_path / "failure-only.json"
+        path.write_text(json.dumps({
+            "agents": ["a"], "states": ["f"], "failures": ["f"], "actions": ["x"],
+            "transitions": [{"from": "f", "profile": {"a": "x"}, "to": {"f": "1"}}],
+            "valuation": {}}))
+        assert run(["extent", "--game", str(path), "--formula", "[zz]_1 v"]) == 2
+        assert ("formula names agents outside the game: ['zz']"
+                in capsys.readouterr().err)
+
 
 class TestWitness:
     def test_found_witness_reports_profile_and_survival(self, capsys):

@@ -248,8 +248,8 @@ class TestSamplerMatchesReference:
                 want = reference_sample_game(theirs, bounds, variables=names,
                                              require_agents=frozenset({"a"}))
                 assert game_to_dict(got) == game_to_dict(want), seed
-                assert [list(row.items()) for row in got.transitions.values()] == [
-                    list(row.items()) for row in want.transitions.values()
+                assert [list(got.rows[i].items()) for i in got.transitions.values()] == [
+                    list(want.rows[i].items()) for i in want.transitions.values()
                 ], seed
             assert ours.getstate() == theirs.getstate()
 

@@ -186,13 +186,13 @@ class TestFloatSubscripts:
 def _game_row(value):
     profile = ActionProfile.of({"a": "x"})
     game = Game(("a",), ("s",), (), ("x",), {("s", profile): {"s": value}}, {})
-    return game.transitions[("s", profile)]["s"]
+    return game.row("s", profile)["s"]
 
 
 def _game_file(value):
     doc = game_to_dict(survival_ladder(0))
     doc["transitions"][0]["to"] = {"f": value}
-    return game_from_dict(doc).transitions[("f", ActionProfile.of({"a": "act"}))]["f"]
+    return game_from_dict(doc).row("f", ActionProfile.of({"a": "act"}))["f"]
 
 
 _REFLEXIVE = Derivation(SystemId.L, (ProofLine(parse("v -> v"), Tautology()),))

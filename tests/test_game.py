@@ -1,12 +1,16 @@
 """Stochastic game container: validation, survival, profiles, JSON format."""
 
 import json
+import random
 from fractions import Fraction
 from itertools import product
 from types import MappingProxyType
 
 import pytest
 
+from sgcl.canonical import build_canonical_game
+from sgcl.decide import SearchBounds, sample_game
+from sgcl.formula import closure, parse
 from sgcl.game import (
     ActionProfile,
     Game,
@@ -40,6 +44,17 @@ class TestActionProfile:
         assert p.as_dict() == {"a": "x", "b": "y"}
 
 
+def keyed_rows(game):
+    """Each key of the game with its row, to build a changed game from."""
+    return {key: game.rows[i] for key, i in game.transitions.items()}
+
+
+def with_rows(game, rows, valuation=None):
+    """The game with other rows, and another valuation if one is given."""
+    return Game(game.agents, game.states, game.failures, game.actions, rows,
+                game.valuation if valuation is None else valuation)
+
+
 def complete_profiles(game):
     """All complete profiles, in the product order of the actions over
     the agents: the order of a state's outcome table."""
@@ -56,26 +71,26 @@ class TestValidate:
         assert validate(overtake_game()) == []
 
     def test_bad_row_sum_reported(self, ladder):
-        g = survival_ladder(1)
-        prof = ActionProfile.of({"a": "act"})
-        g.transitions[("t", prof)] = {"t": F(1, 2)}
-        msgs = validate(g)
+        rows = keyed_rows(ladder)
+        rows[("t", ActionProfile.of({"a": "act"}))] = {"t": F(1, 2)}
+        msgs = validate(with_rows(ladder, rows))
         assert any("sum to 1/2" in m for m in msgs)
 
-    def test_long_values_shown_short(self):
-        g = survival_ladder(1)
+    def test_long_values_shown_short(self, ladder):
         prof = ActionProfile.of({"a": "act"})
-        g.transitions[("t", prof)] = {"t": F(10**2000)}
-        g.transitions[("f", prof)] = {"f": F(1, 3 * 10**2000)}
-        msgs = validate(g)
+        rows = keyed_rows(ladder)
+        rows[("t", prof)] = {"t": F(10**2000)}
+        rows[("f", prof)] = {"f": F(1, 3 * 10**2000)}
+        msgs = validate(with_rows(ladder, rows))
         assert len(msgs) == 3 and all(len(m) < 200 for m in msgs)
         assert any("probability 1000" in m and "outside [0, 1]" in m for m in msgs)
         assert any("sum to 1/3000" in m for m in msgs)
 
-    def test_missing_row_reported(self):
-        g = survival_ladder(1)
-        del g.transitions[("t", ActionProfile.of({"a": "act"}))]
-        assert any("missing transition row" in m for m in validate(g))
+    def test_missing_row_reported(self, ladder):
+        rows = keyed_rows(ladder)
+        del rows[("t", ActionProfile.of({"a": "act"}))]
+        msgs = validate(with_rows(ladder, rows))
+        assert any("missing transition row" in m for m in msgs)
 
     def test_unknown_failure_state(self):
         g = Game(("a",), ("s",), ("zz",), ("x",),
@@ -96,7 +111,7 @@ class TestValidate:
 
     def test_valuation_of_unknown_state(self):
         g = survival_ladder(0)
-        g.valuation = {"v": frozenset({"nope"})}
+        g = with_rows(g, keyed_rows(g), valuation={"v": frozenset({"nope"})})
         assert any("unknown state 'nope'" in m for m in validate(g))
 
 
@@ -124,7 +139,8 @@ def reference_validate(game):
             for profile in complete_profiles(game):
                 expected.add((s, profile))
     seen = set()
-    for (s, profile), row in game.transitions.items():
+    for (s, profile), i in game.transitions.items():
+        row = game.rows[i]
         seen.add((s, profile))
         where = f"({s!r}, {profile.as_dict()!r})"
         if (s, profile) not in expected:
@@ -170,21 +186,17 @@ def _odd_games():
     states, duplicate names and an empty action domain."""
     games = {}
     g = overtake_game()
-    keys = list(g.transitions)
-    for k in keys[::2]:
-        del g.transitions[k]
-    games["overtake-half"] = g
-    g = overtake_game()
-    del g.transitions[keys[7]]
-    games["overtake-one-missing"] = g
-    g = overtake_game()
-    del g.transitions[keys[0]]
-    del g.transitions[keys[-1]]
-    g.transitions[("zz", _profile(a="plus", b="plus"))] = {"p": 1}
-    g.transitions[("p", _profile(a="plus"))] = {"p": 1}
-    g.transitions[("p", _profile(a="plus", b="jump"))] = {"p": 1}
-    g.transitions[("p", _profile(a="plus", b="zero", c="zero"))] = {"p": 1}
-    games["overtake-foreign-rows"] = g
+    rows = keyed_rows(g)
+    keys = list(rows)
+    games["overtake-half"] = with_rows(g, {k: rows[k] for k in keys[1::2]})
+    games["overtake-one-missing"] = with_rows(
+        g, {k: row for k, row in rows.items() if k != keys[7]})
+    foreign = {k: row for k, row in rows.items() if k not in (keys[0], keys[-1])}
+    foreign[("zz", _profile(a="plus", b="plus"))] = {"p": 1}
+    foreign[("p", _profile(a="plus"))] = {"p": 1}
+    foreign[("p", _profile(a="plus", b="jump"))] = {"p": 1}
+    foreign[("p", _profile(a="plus", b="zero", c="zero"))] = {"p": 1}
+    games["overtake-foreign-rows"] = with_rows(g, foreign)
     games["duplicate-agents"] = Game(
         ("a", "b", "a"), ("s",), (), ("x", "y", "z"),
         {("s", ActionProfile((("a", "y"), ("b", "z"), ("a", "x")))): {"s": 1},
@@ -199,14 +211,12 @@ def _odd_games():
     # one bad row object (an unknown target, a negative entry, a sum of
     # 3/4) under every fourth key and under a key with an unknown source
     # state, and one clean row object under the rest
-    g = overtake_game()
     bad = {"p": "1/2", "zz": "1/2", "ab": "-1/4"}
     clean = {"ab": 1}
     shared = {key: bad if i % 4 == 1 else clean
               for i, key in enumerate(g.transitions)}
     shared[("zz", _profile(a="plus", b="plus"))] = bad
-    games["overtake-shared-bad-row"] = Game(
-        g.agents, g.states, g.failures, g.actions, shared, g.valuation)
+    games["overtake-shared-bad-row"] = with_rows(g, shared)
     return games
 
 
@@ -224,9 +234,9 @@ class TestValidateMatchesReference:
 
     def test_shared_bad_row_reported_under_every_key(self):
         game = _odd_games()["overtake-shared-bad-row"]
-        [bad] = {id(row): row for row in game.transitions.values()
-                 if "zz" in row}.values()
-        keys = [k for k, row in game.transitions.items() if row is bad]
+        assert len(game.rows) == 2
+        [bad] = [i for i, row in enumerate(game.rows) if "zz" in row]
+        keys = [k for k, i in game.transitions.items() if i == bad]
         assert len(keys) == len(game.transitions) // 4 + 1
         violations = validate(game)
         for s, profile in keys:
@@ -259,15 +269,17 @@ class TestValidateMatchesReference:
 
 
 class TestSharedRows:
-    """``Game`` coerces each distinct input row object once and gives every
-    key that passed it the same coerced row."""
+    """``Game`` coerces each distinct input row object once into one row
+    of ``rows``, and every key that passed it gets that row's index."""
 
     def test_shared_input_row_stays_shared(self):
         row = {"s": "1/2", "t": "1/2"}
         keys = [(s, _profile(a=x)) for s in ("s", "t") for x in ("x", "y")]
         g = Game(("a",), ("s", "t"), (), ("x", "y"), {k: row for k in keys}, {})
-        [coerced] = {id(r): r for r in g.transitions.values()}.values()
+        [coerced] = g.rows
         assert coerced == {"s": F(1, 2), "t": F(1, 2)} and coerced is not row
+        assert g.transitions == {k: 0 for k in keys}
+        assert all(g.row(*k) is coerced for k in keys)
         assert validate(g) == []
 
     @pytest.mark.parametrize("read_only", [False, True])
@@ -290,6 +302,7 @@ class TestSharedRows:
                                                        "t": f"{n - i}/{n}"}
 
         g = Game(("a",), ("s", "t"), (), actions, items(), {})
+        assert len(g.rows) == 2 * n
         for i in range(n):
             for s in ("s", "t"):
                 assert g.row(s, profiles[i]) == wanted[i]
@@ -388,8 +401,8 @@ class TestJson:
     def test_accepted_literal_forms(self, literal, value):
         doc = game_to_dict(survival_ladder(0))
         doc["transitions"][0]["to"] = {"f": literal}
-        assert game_from_dict(doc).transitions[
-            ("f", ActionProfile.of({"a": "act"}))] == {"f": value}
+        assert game_from_dict(doc).row(
+            "f", ActionProfile.of({"a": "act"})) == {"f": value}
 
     @pytest.mark.parametrize("literal", ["0e-999999999", "1E0", "2.5e-1"])
     def test_exponent_notation_rejected(self, literal):
@@ -456,6 +469,83 @@ class TestJson:
         doc["transitions"].append(doc["transitions"][0])
         with pytest.raises(SchemaError, match="duplicate row"):
             game_from_dict(doc)
+
+
+class TestLoaderSharesRows:
+    """``game_from_dict`` parses each distinct ``to`` object once, and every
+    JSON row with equal contents gets that one parsed row."""
+
+    @staticmethod
+    def distinct_targets(doc):
+        return {tuple(entry["to"].items()) for entry in doc["transitions"]}
+
+    @pytest.mark.parametrize("game", [
+        overtake_game(), survival_ladder(2),
+        build_canonical_game(closure([parse("([a]_1/4 v -> [a,b]_1/4 v)")]))[0],
+    ], ids=["overtake", "ladder", "canonical"])
+    def test_one_row_per_distinct_contents(self, game):
+        doc = game_to_dict(game)
+        loaded = game_from_dict(doc)
+        assert len(loaded.rows) == len(self.distinct_targets(doc))
+        assert len(loaded.transitions) == len(doc["transitions"])
+        assert validate(loaded) == []
+
+    def test_reordered_targets_are_another_row(self):
+        # the order of a row's targets is the order of its successors
+        doc = game_to_dict(survival_ladder(1))
+        s_row, t_row = [e for e in doc["transitions"] if e["from"] in ("s", "t")]
+        t_row["to"] = dict(reversed(s_row["to"].items()))
+        loaded = game_from_dict(doc)
+        prof = ActionProfile.of({"a": "act"})
+        assert list(loaded.row("s", prof)) == ["f", "t"]
+        assert list(loaded.row("t", prof)) == ["t", "f"]
+
+    @pytest.mark.parametrize("bad, problem", [
+        (1.0, "binary floating point is rejected"),
+        (0.5, "binary floating point is rejected"),
+        ("1E0", "exponent notation is rejected"),
+        (None, "not a Fraction, an int or a string"),
+        (True, "not a Fraction, an int or a string"),
+        ([1], "not a Fraction, an int or a string"),
+        ({"n": 1}, "not a Fraction, an int or a string"),
+    ])
+    def test_bad_value_in_repeated_row_reported_at_first_pointer(self, bad, problem):
+        # a clean row that equals the bad one for == (1 == 1.0 == True)
+        # comes first, then two rows holding the bad value
+        doc = game_to_dict(overtake_game())
+        rows = doc["transitions"]
+        absorbing = [i for i, e in enumerate(rows) if e["to"] == {"ab": "1"}]
+        first, second, third = absorbing[:3]
+        rows[first]["to"] = {"ab": 1}
+        rows[second]["to"] = {"ab": bad}
+        rows[third]["to"] = {"ab": bad}
+        with pytest.raises(SchemaError) as err:
+            game_from_dict(doc)
+        message = str(err.value)
+        assert message.startswith(f"/transitions/{second}/to/ab: ")
+        assert problem in message
+
+    def test_round_trip_of_sampled_games(self):
+        rng = random.Random(3)
+        bounds = SearchBounds(max_states=4, max_actions=3, agents=("a", "b"))
+        with_failures = 0
+        for _ in range(40):
+            g = sample_game(rng, bounds)
+            with_failures += bool(g.failures)
+            assert game_from_dict(game_to_dict(g)) == g
+        assert with_failures >= 10
+
+    @pytest.mark.parametrize("text", [
+        "[a]_1/2 v", "~[b]_3/4 ~v", "([a]_1/2 v -> [a,b]_3/4 v)", "[]_1/2 v",
+    ])
+    def test_round_trip_of_canonical_games(self, text):
+        g, _ = build_canonical_game(closure([parse(text)]))
+        assert game_from_dict(game_to_dict(g)) == g
+
+    @pytest.mark.parametrize("g", [overtake_game()]
+                             + [survival_ladder(n) for n in range(4)])
+    def test_round_trip_of_builtin_games(self, g):
+        assert game_from_dict(game_to_dict(g)) == g
 
 
 class TestLadder:

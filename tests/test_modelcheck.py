@@ -25,11 +25,19 @@ def coal(agents, p, body):
     return Coal(frozenset(agents), F(p), body)
 
 
+def with_reversed_agents(g: Game) -> Game:
+    """The same game with its agents listed in reverse order."""
+    rows = {key: g.rows[i] for key, i in g.transitions.items()}
+    return Game(tuple(reversed(g.agents)), g.states, g.failures, g.actions,
+                rows, g.valuation)
+
+
 def naive_outcomes(g: Game, state, fixed: dict):
     """(survival, positive non-failure successors) of every row of the
     state whose profile agrees with the fixed partial assignment."""
     out = []
-    for (s, profile), row in g.transitions.items():
+    for (s, profile), i in g.transitions.items():
+        row = g.rows[i]
         actions = profile.as_dict()
         if s != state or any(actions[a] != x for a, x in fixed.items()):
             continue
@@ -197,9 +205,7 @@ class TestAgainstNaiveSemantics:
         for _ in range(30):
             sampled = sample_game(rng, bounds, require_agents=("a", "b", "c"),
                                   variables=("v", "u"))
-            reordered = Game(tuple(reversed(sampled.agents)), sampled.states,
-                             sampled.failures, sampled.actions,
-                             sampled.transitions, sampled.valuation)
+            reordered = with_reversed_agents(sampled)
             for g in (sampled, reordered):
                 ctx = CheckContext(g)
                 for f in fs:
@@ -217,25 +223,26 @@ class TestAgainstNaiveSemantics:
     def test_canonical_outcome_tables_match_rows(self, text):
         """Canonical rows are shared between keys; each state's outcome
         table still equals the one read row by row, and keys sharing a
-        row object share its entry."""
+        row of the table share its entry."""
         from sgcl.canonical import build_canonical_game
         from sgcl.formula import closure
 
         g, _ = build_canonical_game(closure([parse(text)]))
         ctx = CheckContext(g)
-        entry_of = {}  # id(row) -> the table entry given for it
+        entry_of = {}  # row index -> the table entry given for it
         for s in g.states:
             table = ctx.outcomes(s)
             combos = list(product(g.actions, repeat=len(g.agents)))
             assert len(table) == len(combos)
             for entry, combo in zip(table, combos):
-                row = g.row(s, ActionProfile(tuple(zip(g.agents, combo))))
+                i = g.row_index(s, ActionProfile(tuple(zip(g.agents, combo))))
+                row = g.rows[i]
                 survival = sum((v for t, v in row.items() if t not in g.failures), F(0))
                 successors = tuple(t for t, v in row.items()
                                    if v > 0 and t not in g.failures)
                 assert entry == (survival, successors)
-                assert entry_of.setdefault(id(row), entry) is entry
-        assert len(entry_of) < len(g.transitions)
+                assert entry_of.setdefault(i, entry) is entry
+        assert len(entry_of) == len(g.rows) < len(g.transitions)
 
     def test_unsorted_agent_tuple(self):
         """Agents listed as ("b", "a"): profiles are enumerated with b's
@@ -309,8 +316,7 @@ class TestSharedTables:
 
     def test_reversed_agents_get_other_tables(self):
         g = overtake_game()
-        reversed_agents = Game(("b", "a"), g.states, g.failures, g.actions,
-                               g.transitions, g.valuation)
+        reversed_agents = with_reversed_agents(g)
         ours, theirs = CheckContext(g), CheckContext(reversed_agents)
         for coalition in self.COALITIONS[1:]:
             assert ours.choices(coalition) != theirs.choices(coalition)
@@ -371,9 +377,7 @@ class TestLabel:
             if not sampled.failures:
                 continue
             games += 1
-            reordered = Game(tuple(reversed(sampled.agents)), sampled.states,
-                             sampled.failures, sampled.actions,
-                             sampled.transitions, sampled.valuation)
+            reordered = with_reversed_agents(sampled)
             for g in (sampled, reordered):
                 assert_label_matches_holds(g, order)
                 masks = label(g, order)
