@@ -41,7 +41,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
 from typing import Mapping, Optional, Protocol, Sequence
 
 from .formula import (
@@ -59,7 +58,7 @@ from .formula import (
     in_plus_language,
     render,
 )
-from .game import ActionProfile, Game, validate
+from .game import Game, product_profiles
 from .modelcheck import CheckError, label
 from .proof import SystemId
 
@@ -341,8 +340,10 @@ def build_canonical_game(
     order of their sorted member renderings (:meth:`MaximalSet.key`, read
     from the closure's stored texts), plus the failure state
     ``f``; ``diagnostics.sets`` maps each name to its maximal set.  The
-    game always validates; when the oracle rejects every candidate set
-    the game has only the failure state and the diagnostics say so.
+    rows are exact by construction, so the game goes through the trusted
+    :meth:`Game.from_rows` unvalidated (the tests validate it); when the
+    oracle rejects every candidate set the game has only the failure
+    state and the diagnostics say so.
     """
     texts = sigma.texts
     if system is SystemId.LPLUS:
@@ -364,47 +365,46 @@ def build_canonical_game(
     diag.closure = sigma
     names = {s: name for name, s in diag.sets.items()}
     diag.no_consistent_sets = not sets
-    id_of = dict(zip(actions, action_ids))
-    profiles = [
-        (dict(zip(agent_tuple, combo)),
-         ActionProfile(tuple((a, id_of[x]) for a, x in zip(agent_tuple, combo))))
-        for combo in product(actions, repeat=len(agent_tuple))
-    ]
+    action_of = dict(zip(action_ids, actions))
+    profiles = product_profiles(agent_tuple, action_ids)
+    requests = [{a: action_of[x] for a, x in p.assignment} for p in profiles]
     diag.profile_count = len(sets) * len(profiles)
     # a row depends only on the granted modalities, so each distinct
-    # granted set is turned into a row once
-    rows = {}
-    transitions = {}
+    # granted set is turned into a row once: granted -> (row id, guarded)
+    rows = []
+    row_of = {}
+    row_ids = {}
     for s in sets:
-        for profile, game_profile in profiles:
+        name = names[s]
+        ids = []
+        for profile, game_profile in zip(requests, profiles):
             granted = frozenset(_granted(s, profile))
-            entry = rows.get(granted)
+            entry = row_of.get(granted)
             if entry is None:
                 target_names = [names[t] for t in targets(s, profile, sets)]
-                entry = rows[granted] = _row(mu(s, profile), target_names)
-            row, guarded = entry
+                row, guarded = _row(mu(s, profile), target_names)
+                entry = row_of[granted] = (len(rows), guarded)
+                rows.append(row)
+            i, guarded = entry
             if guarded:
-                diag.guard_pairs.append((names[s], game_profile.as_dict()))
-            transitions[(names[s], game_profile)] = row
-    failure_row = {FAILURE_STATE: Fraction(1)}
-    for _profile, game_profile in profiles:
-        transitions[(FAILURE_STATE, game_profile)] = failure_row
-    state_names = tuple(diag.sets) + (FAILURE_STATE,)
+                diag.guard_pairs.append((name, game_profile.as_dict()))
+            ids.append(i)
+        row_ids[name] = ids
+    row_ids[FAILURE_STATE] = (len(rows),) * len(profiles)
+    rows.append({FAILURE_STATE: Fraction(1)})
     valuation = {
         v: frozenset(names[s] for s in sets if Var(v) in s.members)
         for v in sorted(sigma.variables())
     }
-    game = Game(
+    game = Game.from_rows(
         agents=agent_tuple,
-        states=state_names,
+        states=tuple(diag.sets) + (FAILURE_STATE,),
         failures=(FAILURE_STATE,),
         actions=action_ids,
-        transitions=transitions,
+        rows=rows,
+        row_ids=row_ids,
         valuation=valuation,
     )
-    violations = validate(game)
-    if violations:  # pragma: no cover - construction keeps rows exact
-        raise CanonicalError("constructed game fails validation: " + violations[0])
     return game, diag
 
 

@@ -28,6 +28,18 @@ class _InputError(Exception):
     pass
 
 
+def _closure_cap(text: str) -> int:
+    """``--max-closure``: a nonnegative integer (0 sends every decide to
+    the bounded search)."""
+    try:
+        cap = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if cap < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {cap}")
+    return cap
+
+
 def _system(tag: str) -> SystemId:
     return SystemId.LPLUS if tag == "L+" else SystemId.L
 
@@ -327,7 +339,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("canonical", help="build and audit the canonical game")
     formula_opts(p)
     p.add_argument("--system", choices=("L", "L+"), default="L")
-    p.add_argument("--max-closure", type=int, default=24)
+    p.add_argument("--max-closure", type=_closure_cap, default=24)
     common_opts(p)
     p.set_defaults(fn=_cmd_canonical)
 
@@ -337,7 +349,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget", type=int, default=0,
                    help="bounded-search budget override (0 keeps the default)")
-    p.add_argument("--max-closure", type=int, default=24)
+    p.add_argument("--max-closure", type=_closure_cap, default=24)
     common_opts(p)
     p.set_defaults(fn=_cmd_decide)
 

@@ -48,7 +48,7 @@ from .formula import (
     variables_of,
 )
 from .game import Game, game_to_dict, survival_ladder
-from .modelcheck import QUARTER_GRID, CheckContext, choice_table, holds
+from .modelcheck import QUARTER_GRID, CheckContext, holds
 from .proof import SystemId
 
 
@@ -157,7 +157,15 @@ def sample_game(
 ) -> Game:
     """One random game within bounds.  Rows are exact: all but one entry
     come from the grid and the remaining state absorbs the residual;
-    draws pushing the partial sum past 1 are discarded and retried."""
+    draws pushing the partial sum past 1 are discarded and retried.
+
+    Each state gets one row per complete profile, in product order, built
+    straight into :meth:`Game.from_rows`.  The row loop's ``shuffle`` and
+    ``choice`` are replayed through ``rng.getrandbits`` as CPython's
+    ``Random._randbelow`` draws them (n.bit_length() bits, drawn again
+    while the value is at least n), so the random stream and the games
+    are those of the plain calls.  ``TestSamplerMatchesReference`` in
+    ``tests/test_decide.py`` pins this, random state included."""
     missing = set(require_agents) - set(bounds.agents)
     if missing:
         raise DecideError(f"bounds omit required agents {sorted(missing)}")
@@ -170,43 +178,56 @@ def sample_game(
     n_fail = rng.randint(0, n_states - 1)
     failures = tuple(sorted(rng.sample(states, n_fail)))
     actions = tuple(f"m{i}" for i in range(rng.randint(1, bounds.max_actions)))
-    transitions = {}
+    n_profiles = len(actions) ** len(agent_pool)
     # partial sums are kept as integers over the grid's common denominator
     den, draws, residuals = bounds._units
-    everyone = choice_table(agent_pool, actions, frozenset(agent_pool))
-    for state in states:
-        for profile, _ in everyone:
-            row = None
-            for _attempt in range(16):
-                order = list(states)
-                rng.shuffle(order)
-                entries = {}
-                total = 0
-                for target in order[:-1]:
-                    units, p = rng.choice(draws)
-                    total += units
-                    if total > den:
-                        break
-                    if units:
-                        entries[target] = p
-                else:
-                    if total < den:
-                        entries[order[-1]] = residuals[den - total]
-                    row = entries
+    getrandbits = rng.getrandbits
+    # shuffle swaps position i with a draw below i + 1, for i from the end
+    swaps = [(i, (i + 1).bit_length()) for i in reversed(range(1, n_states))]
+    n_draws = len(draws)
+    draw_bits = n_draws.bit_length()
+    rows = []
+    for _ in range(n_states * n_profiles):
+        row = None
+        for _attempt in range(16):
+            order = list(states)
+            for i, k in swaps:
+                j = getrandbits(k)
+                while j > i:
+                    j = getrandbits(k)
+                order[i], order[j] = order[j], order[i]
+            entries = {}
+            total = 0
+            for target in order[:-1]:
+                r = getrandbits(draw_bits)
+                while r >= n_draws:
+                    r = getrandbits(draw_bits)
+                units, p = draws[r]
+                total += units
+                if total > den:
                     break
-            if row is None:
-                row = {rng.choice(states): Fraction(1)}
-            transitions[(state, profile)] = row
+                if units:
+                    entries[target] = p
+            else:
+                if total < den:
+                    entries[order[-1]] = residuals[den - total]
+                row = entries
+                break
+        if row is None:
+            row = {rng.choice(states): Fraction(1)}
+        rows.append(row)
     valuation = {
         v: frozenset(s for s in states if rng.choice((True, False)))
         for v in variables
     }
-    return Game(
+    return Game.from_rows(
         agents=agent_pool,
         states=states,
         failures=failures,
         actions=actions,
-        transitions=transitions,
+        rows=rows,
+        row_ids={s: range(k * n_profiles, (k + 1) * n_profiles)
+                 for k, s in enumerate(states)},
         valuation=valuation,
     )
 

@@ -8,12 +8,23 @@ arithmetic is over ``fractions.Fraction`` throughout, so validation and
 model checking are exact.  A game is immutable and keeps a row table:
 ``rows`` holds each distinct row once and ``transitions`` maps every key
 to its row's index, so a row that many keys share is checked, rendered
-and compiled once.
+and compiled once.  ``row_ids(state)`` lists the row indices of one
+state's complete profiles in product order (:func:`product_profiles`),
+the order of the model checker's outcome tables.
+
+There are two constructors.  :class:`Game` itself takes keyed rows of
+any exact values through :func:`sgcl.formula.exact` and is the loader's
+path; it derives a state's row ids from ``transitions`` on first use.
+:meth:`Game.from_rows` is for builders whose rows are exact by
+construction (the sampler, the canonical game, the example games): it
+takes the row table and every state's row ids directly and coerces
+nothing.  Neither validates; :func:`validate` does, and the tests call
+it on every builder's output.
 
 The JSON exchange format writes probabilities as strings ("9/10",
-"0.25") or integers.  Both the loader and :class:`Game` itself take
-them through :func:`sgcl.formula.exact`, which rejects binary floats;
-the loader parses equal rows once, into one row of the table.
+"0.25") or integers.  The loader takes them through
+:func:`sgcl.formula.exact`, which rejects binary floats, and parses
+equal rows once, into one row of the table.
 """
 
 from __future__ import annotations
@@ -22,6 +33,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations_with_replacement, islice, product
 from math import comb
 from typing import Iterator, Mapping
@@ -69,21 +81,36 @@ class ActionProfile:
         return dict(self.assignment)
 
 
+# agents-and-actions layouts whose profile lists are kept: a bounded
+# search over two agents and up to three actions meets at most 12
+PROFILE_LAYOUTS_KEPT = 64
+
+
+@lru_cache(maxsize=PROFILE_LAYOUTS_KEPT)
+def product_profiles(agents: tuple, actions: tuple) -> tuple:
+    """Every assignment of ``actions`` to ``agents``, in product order:
+    the profile at index i gives ``agents[j]`` the action numbered by
+    digit j of i written in base ``len(actions)``, ``agents[0]`` most
+    significant.  This order indexes ``Game.row_ids`` and every table of
+    the model checker; the tuple is shared by every game of the layout."""
+    return tuple(ActionProfile(tuple(zip(agents, combo)))
+                 for combo in product(actions, repeat=len(agents)))
+
+
 class Game:
     """An immutable game; use :func:`validate` to check well-formedness
     as data rather than at construction time.
 
     ``transitions`` maps each (state, profile) key to an index into
-    ``rows``, the tuple of distinct exact rows in first-seen order: each
-    distinct input row object is coerced into one row, so rows shared in
-    the input stay shared.  Nothing here may be mutated, nor an input row
-    while it is being read."""
+    ``rows``, the tuple of distinct exact rows; ``row_ids(state)`` gives
+    the indices of a state's complete profiles in product order.  The
+    constructor coerces each distinct input row object into one row, in
+    first-seen order, so rows shared in the input stay shared; a builder
+    with exact rows uses :meth:`from_rows` instead.  Nothing here may be
+    mutated, nor an input row while it is being read."""
 
     def __init__(self, agents, states, failures, actions, transitions, valuation):
-        self.agents = tuple(agents)
-        self.states = tuple(states)
-        self.failures = frozenset(failures)
-        self.actions = tuple(actions)
+        self._describe(agents, states, failures, actions, valuation)
         rows = []
         index = {}
         # id(input row) -> (input row, its index in rows); holding the
@@ -103,6 +130,29 @@ class Game:
             index[(state, profile)] = entry[1]
         self.rows = tuple(rows)
         self.transitions = index
+        self._row_ids = {}
+
+    @classmethod
+    def from_rows(cls, agents, states, failures, actions, rows, row_ids, valuation) -> "Game":
+        """The trusted constructor: ``rows`` are exact rows (``Fraction``
+        or int values), and ``row_ids`` maps every state to the indices of
+        its complete profiles' rows in product order.  Nothing is coerced
+        or checked; ``transitions`` is filled from the two."""
+        game = cls.__new__(cls)
+        game._describe(agents, states, failures, actions, valuation)
+        game.rows = tuple(rows)
+        game._row_ids = {s: tuple(row_ids[s]) for s in game.states}
+        profiles = product_profiles(game.agents, game.actions)
+        game.transitions = {
+            (s, profile): i
+            for s, ids in game._row_ids.items() for profile, i in zip(profiles, ids)}
+        return game
+
+    def _describe(self, agents, states, failures, actions, valuation) -> None:
+        self.agents = tuple(agents)
+        self.states = tuple(states)
+        self.failures = frozenset(failures)
+        self.actions = tuple(actions)
         self.valuation = {v: frozenset(sts) for v, sts in valuation.items()}
 
     @property
@@ -119,6 +169,16 @@ class Game:
 
     def row(self, state: StateId, profile: ActionProfile) -> Mapping:
         return self.rows[self.row_index(state, profile)]
+
+    def row_ids(self, state: StateId) -> tuple:
+        """The row index of each complete profile at ``state``, in product
+        order; a state without a row for some profile raises GameError."""
+        ids = self._row_ids.get(state)
+        if ids is None:
+            ids = self._row_ids[state] = tuple(
+                self.row_index(state, profile)
+                for profile in product_profiles(self.agents, self.actions))
+        return ids
 
     def __eq__(self, other):
         if not isinstance(other, Game):
@@ -361,19 +421,14 @@ def survival_ladder(n: int) -> Game:
     if n < 0:
         raise ValueError("n must be nonnegative")
     loss = Fraction(1, 10**n)
-    profile = ActionProfile.of({"a": "act"})
     start_row = {"f": loss} if loss == 1 else {"t": 1 - loss, "f": loss}
-    transitions = {
-        ("s", profile): start_row,
-        ("t", profile): {"t": Fraction(1)},
-        ("f", profile): {"f": Fraction(1)},
-    }
-    return Game(
+    return Game.from_rows(
         agents=("a",),
         states=("s", "t", "f"),
         failures=("f",),
         actions=("act",),
-        transitions=transitions,
+        rows=(start_row, {"t": Fraction(1)}, {"f": Fraction(1)}),
+        row_ids={"s": (0,), "t": (1,), "f": (2,)},
         valuation={},
     )
 
@@ -401,19 +456,20 @@ def overtake_game() -> Game:
         ("plus", "zero"): {"ba": F(3, 5), "f_c": F(2, 5)},
         ("plus", "plus"): {"f_t": F(1)},
     }
-    transitions = {}
     actions = ("minus", "zero", "plus")
-    for xa in actions:
-        for xb in actions:
-            profile = ActionProfile.of({"a": xa, "b": xb})
-            transitions[("p", profile)] = rows_from_p[(xa, xb)]
-            for absorbing in ("ab", "ba", "f_c", "f_t"):
-                transitions[(absorbing, profile)] = {absorbing: F(1)}
-    return Game(
+    absorbing = ("ab", "ba", "f_c", "f_t")
+    # p's rows in product order, then one row per absorbing state
+    rows = [rows_from_p[(xa, xb)] for xa in actions for xb in actions]
+    row_ids = {"p": tuple(range(len(rows)))}
+    for s in absorbing:
+        row_ids[s] = (len(rows),) * len(actions) ** 2
+        rows.append({s: F(1)})
+    return Game.from_rows(
         agents=("a", "b"),
-        states=("p", "ab", "ba", "f_c", "f_t"),
+        states=("p",) + absorbing,
         failures=("f_c", "f_t"),
         actions=actions,
-        transitions=transitions,
+        rows=rows,
+        row_ids=row_ids,
         valuation={"passed": ("ba",), "behind": ("ab",)},
     )

@@ -9,12 +9,16 @@ even at threshold p = 0.
 
 Within one context the checker reads each row of ``game.rows`` once.
 The first time a modality is checked at a state, the state's outcome
-table is compiled: one entry per complete profile, in the product order
-of ``game.actions`` over ``game.agents``, holding that profile's
-survival probability and its positive non-failure successors.  Keys
-that share a row, as the canonical game's do, share its entry.
-A row's survival is summed as an integer numerator over a running
-common denominator and becomes one ``Fraction``.  Each coalition's
+table is compiled from ``game.row_ids(state)``: one entry per complete
+profile, in the product order of ``game.actions`` over ``game.agents``
+(:func:`sgcl.game.product_profiles`), holding that profile's survival
+probability and its positive non-failure successors.  Keys that share a
+row, as the canonical game's do, share its entry.  Survival stays in
+integers: an entry is ``(numerator, denominator, successors)``, the
+numerator summed over a running common denominator and never reduced,
+and a threshold p is met unless ``numerator * p.denominator <
+p.numerator * denominator``.  No ``Fraction`` is made or compared while
+checking; :func:`witness` makes the one it reports.  Each coalition's
 choices are listed once per agents-and-actions layout, in the same
 order, with the indices of their completions in that table; the list
 is shared by every context, and so by every game, of that layout.
@@ -41,8 +45,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
-from itertools import product
+from functools import cmp_to_key, lru_cache
 from math import gcd
 from typing import Iterable, Optional
 
@@ -59,7 +62,7 @@ from .formula import (
     evaluate,
     render,
 )
-from .game import ActionProfile, Game
+from .game import ActionProfile, Game, product_profiles
 
 
 class CheckError(Exception):
@@ -75,18 +78,21 @@ CHOICE_TABLES_KEPT = 64
 def choice_table(agents: tuple, actions: tuple, coalition: frozenset) -> tuple:
     """The coalition's choices, each as (partial profile, indices of its
     completions among the complete profiles), the choices and the complete
-    profiles both in the product order of ``actions`` over ``agents``.
+    profiles both in product order (:func:`sgcl.game.product_profiles`).
     The choices of every agent together are the complete profiles
     themselves, each completing only itself."""
-    members = [j for j, a in enumerate(agents) if a in coalition]
-    names = tuple(agents[j] for j in members)
-    completions = {}
-    for i, combo in enumerate(product(actions, repeat=len(agents))):
-        completions.setdefault(tuple(combo[j] for j in members), []).append(i)
-    return tuple(
-        (ActionProfile(tuple(zip(names, choice))), tuple(completions.get(choice, ())))
-        for choice in product(actions, repeat=len(members))
-    )
+    base, n = len(actions), len(agents)
+    # a complete profile's index has one digit per agent, most significant
+    # first; the digits of the members, in order, index its choice
+    places = [n - 1 - j for j, a in enumerate(agents) if a in coalition]
+    choices = product_profiles(tuple(a for a in agents if a in coalition), actions)
+    completions = [[] for _ in choices]
+    for i in range(len(product_profiles(agents, actions))):
+        k = 0
+        for place in places:
+            k = k * base + i // base**place % base
+        completions[k].append(i)
+    return tuple(zip(choices, map(tuple, completions)))
 
 
 @dataclass
@@ -94,10 +100,9 @@ class CheckContext:
     """Memo tables shared across queries against one game.
 
     ``outcomes(state)`` is the state's outcome table: for each complete
-    profile, in the product order of ``game.actions`` over
-    ``game.agents`` (the order of ``row_indices(state)``), the ``entry`` of
-    its row, the pair (survival probability, positive non-failure
-    successors in row order), compiled on first use.
+    profile, in the order of ``game.row_ids(state)``, the ``entry`` of its
+    row, the triple (survival numerator, survival denominator, positive
+    non-failure successors in row order), compiled on first use.
     ``choices(coalition)`` lists the coalition's choices in the same
     order, each as (partial profile, indices of its completions in the
     outcome table); it is :func:`choice_table`, built once per
@@ -108,11 +113,6 @@ class CheckContext:
     profile_evals: int = 0
     _outcomes: dict = field(default_factory=dict, init=False, repr=False)
     _entries: dict = field(default_factory=dict, init=False, repr=False)
-
-    def row_indices(self, state) -> list:
-        game = self.game
-        return [game.row_index(state, profile)
-                for profile, _ in self.choices(frozenset(game.agents))]
 
     def entry(self, i: int) -> tuple:
         entry = self._entries.get(i)
@@ -132,13 +132,13 @@ class CheckContext:
                 num += n * (den // d)
                 if n > 0:
                     successors.append(t)
-            entry = self._entries[i] = (Fraction(num, den), tuple(successors))
+            entry = self._entries[i] = (num, den, tuple(successors))
         return entry
 
     def outcomes(self, state) -> list:
         table = self._outcomes.get(state)
         if table is None:
-            table = self._outcomes[state] = list(map(self.entry, self.row_indices(state)))
+            table = self._outcomes[state] = list(map(self.entry, self.game.row_ids(state)))
         return table
 
     def choices(self, coalition: frozenset) -> tuple:
@@ -150,11 +150,13 @@ def _committing_choice(ctx: CheckContext, state, f: Coal):
     indices) under which every completion survives with probability at
     least ``f.p`` and reaches only states satisfying ``f.body``, or None."""
     table = ctx.outcomes(state)
+    p_num, p_den = f.p.numerator, f.p.denominator
     for choice in ctx.choices(f.coalition):
         for i in choice[1]:
             ctx.profile_evals += 1
-            survival, successors = table[i]
-            if survival < f.p or not all(_eval(ctx, t, f.body) for t in successors):
+            n, d, successors = table[i]
+            if n * p_den < p_num * d or not all(
+                    _eval(ctx, t, f.body) for t in successors):
                 break
         else:
             return choice
@@ -216,13 +218,12 @@ def extent(game: Game, f: Formula, ctx: Optional[CheckContext] = None) -> frozen
 
 def _compile_masks(ctx: CheckContext, bit: dict) -> list:
     """(state bit, [(numerator, denominator, successor mask), ...]) per
-    state of ``bit``: each outcome entry in its table's order, survival
-    split into its integer terms.  Each row of ``game.rows`` is compiled
-    once."""
-    triples = [
-        (survival.numerator, survival.denominator, sum(bit[t] for t in successors))
-        for survival, successors in map(ctx.entry, range(len(ctx.game.rows)))]
-    return [(b, [triples[i] for i in ctx.row_indices(s)]) for s, b in bit.items()]
+    state of ``bit``: each outcome entry in its table's order, its
+    successors as a mask.  Each row of ``game.rows`` is compiled once."""
+    game = ctx.game
+    triples = [(n, d, sum(bit[t] for t in successors))
+               for n, d, successors in map(ctx.entry, range(len(game.rows)))]
+    return [(b, [triples[i] for i in game.row_ids(s)]) for s, b in bit.items()]
 
 
 def label(game: Game, order: Iterable[Formula],
@@ -284,6 +285,10 @@ class Witness:
     guaranteed_survival: Fraction
 
 
+# entries ordered by survival n / d, compared as n * d' against n' * d
+_SURVIVAL_ORDER = cmp_to_key(lambda x, y: x[0] * y[1] - y[0] * x[1])
+
+
 def witness(
     game: Game, state, modality: Formula, ctx: Optional[CheckContext] = None
 ) -> Optional[Witness]:
@@ -299,7 +304,8 @@ def witness(
         return None
     partial, completions = choice
     table = ctx.outcomes(state)
-    return Witness(partial, min(table[i][0] for i in completions))
+    n, d, _ = min((table[i] for i in completions), key=_SURVIVAL_ORDER)
+    return Witness(partial, Fraction(n, d))
 
 
 # ---------------------------------------------------------------------------

@@ -686,6 +686,24 @@ class TestAtomEnumerationMatchesReference:
         assert sorted_keys(reference_maximal_sets(sig, strict)) == [only.key()]
 
 
+class TestBuiltGamesAreSound:
+    """The builder hands its rows to the trusted constructor unvalidated:
+    its games must validate, list their row ids in product order and
+    survive the JSON round trip."""
+
+    @pytest.mark.parametrize(
+        "seed", SEEDS + ["([a]_1/2 v -> [a,b]_3/4 v)"] + WIDE_SEEDS
+    )
+    def test_seed_closures(self, seed, builder_output):
+        game, _ = build_canonical_game(closure([parse(seed)]), cap=26)
+        builder_output(game)
+
+    def test_corpus_negation_closures(self, builder_output):
+        for f in acceptance_corpus()[::CORPUS_STRIDE]:
+            game, _ = build_canonical_game(closure([Neg(f)]))
+            builder_output(game)
+
+
 # ---------------------------------------------------------------------------
 # hashes and agent sets cached on formula nodes
 

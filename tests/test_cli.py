@@ -317,6 +317,12 @@ class TestCanonical:
         assert run(["canonical", "--formula", "[a]_1/2 (v -> [b]_1/4 u)",
                     "--max-closure", "3"]) == 2
 
+    def test_negative_closure_cap_is_usage_error(self, capsys):
+        assert run(["canonical", "--formula", "v", "--max-closure", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --max-closure: must be nonnegative" in captured.err
+
 
 class TestDecide:
     def test_valid_formula_exits_zero(self, capsys):
@@ -347,6 +353,12 @@ class TestDecide:
             capsys, ["decide", "--formula", "(v -> v)", "--seed", "11"]
         )
         assert code == 0 and doc["seed"] == 11
+
+    def test_negative_closure_cap_is_usage_error(self, capsys):
+        assert run(["decide", "--formula", "v", "--max-closure", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --max-closure: must be nonnegative" in captured.err
 
 
 class TestDemoIncompleteness:

@@ -233,9 +233,11 @@ SAMPLER_BOUNDS = [
 
 
 class TestSamplerMatchesReference:
-    """Integer partial sums over the grid's common denominator against
-    Fraction partial sums: the same games from the same random stream,
-    with every row's entries in the same order."""
+    """Integer partial sums over the grid's common denominator, and
+    shuffle and choice replayed through getrandbits, against Fraction
+    partial sums and the calls themselves: the same games from the same
+    random stream, with every row's entries in the same order, and the
+    same random state after every game."""
 
     @pytest.mark.parametrize("index", range(len(SAMPLER_BOUNDS)))
     def test_same_games(self, index):
@@ -268,9 +270,9 @@ def assert_outcomes_match_rows(g):
     for s in g.states:
         table = ctx.outcomes(s)
         assert len(table) == len(profiles)
-        for (survival, successors), profile in zip(table, profiles):
-            assert isinstance(survival, Fraction)
-            assert (survival, successors) == reference_outcome(
+        for (n, d, successors), profile in zip(table, profiles):
+            assert type(n) is int and type(d) is int and d > 0
+            assert (F(n, d), successors) == reference_outcome(
                 g.row(s, profile), g.failures)
 
 
@@ -302,8 +304,20 @@ class TestIntegerRowSums:
         assert validate(g) == []
         assert_outcomes_match_rows(g)
         table = CheckContext(g).outcomes("s")
-        assert table == [(F(131, 231), ("s", "t", "u")),
-                         (F(5, 6), ("t", "u"))]
+        assert [(F(n, d), successors) for n, d, successors in table] == [
+            (F(131, 231), ("s", "t", "u")), (F(5, 6), ("t", "u"))]
+
+
+class TestSampledGamesAreSound:
+    """sample_game builds its rows straight into the trusted constructor,
+    which checks nothing: its games must still validate, list their row
+    ids in product order and survive the JSON round trip."""
+
+    @pytest.mark.parametrize("index", range(len(SAMPLER_BOUNDS)))
+    def test_hundred_games(self, index, builder_output):
+        rng = random.Random(100 + index)
+        for _ in range(100):
+            builder_output(sample_game(rng, SAMPLER_BOUNDS[index]))
 
 
 class TestBoundedCountermodel:

@@ -4,6 +4,7 @@ import json
 import random
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 from types import MappingProxyType
 
 import pytest
@@ -29,6 +30,7 @@ from sgcl.game import (
 from sgcl.modelcheck import CheckContext
 
 F = Fraction
+GAMES = Path(__file__).resolve().parents[1] / "games"
 
 
 @pytest.fixture
@@ -55,6 +57,11 @@ def with_rows(game, rows, valuation=None):
                 game.valuation if valuation is None else valuation)
 
 
+def survivals(table):
+    """An outcome table's entries as (survival, successors) pairs."""
+    return [(F(n, d), successors) for n, d, successors in table]
+
+
 def complete_profiles(game):
     """All complete profiles, in the product order of the actions over
     the agents: the order of a state's outcome table."""
@@ -63,12 +70,14 @@ def complete_profiles(game):
 
 
 class TestValidate:
-    @pytest.mark.parametrize("n", range(7))
-    def test_ladder_is_valid(self, n):
-        assert validate(survival_ladder(n)) == []
+    # the example games come from the trusted constructor, so each one is
+    # also checked for product-order row ids and the JSON round trip
+    @pytest.mark.parametrize("n", range(13))
+    def test_ladder_is_valid(self, n, builder_output):
+        builder_output(survival_ladder(n))
 
-    def test_overtake_is_valid(self):
-        assert validate(overtake_game()) == []
+    def test_overtake_is_valid(self, builder_output):
+        builder_output(overtake_game())
 
     def test_bad_row_sum_reported(self, ladder):
         rows = keyed_rows(ladder)
@@ -309,23 +318,58 @@ class TestSharedRows:
         assert validate(g) == []
 
 
+class TestRowIds:
+    """``row_ids(state)``: a state's row indices in product order, given
+    to the trusted constructor or derived from ``transitions`` on first
+    use.  The builders' games are checked with their builders' tests."""
+
+    @pytest.mark.parametrize("name", ["overtake", "ladder1"])
+    def test_loaded_games(self, name, row_ids_in_product_order):
+        row_ids_in_product_order(load(GAMES / f"{name}.json"))
+
+    def test_reversed_agents(self, row_ids_in_product_order):
+        g = overtake_game()
+        reordered = Game(("b", "a"), g.states, g.failures, g.actions,
+                         keyed_rows(g), g.valuation)
+        row_ids_in_product_order(reordered)
+        # b's action is now the most significant digit
+        assert reordered.row_ids("p") == (0, 3, 6, 1, 4, 7, 2, 5, 8)
+        assert g.row_ids("p") == tuple(range(9))
+
+    def test_missing_row_is_reported_by_outcomes(self, ladder):
+        rows = keyed_rows(ladder)
+        del rows[("t", ActionProfile.of({"a": "act"}))]
+        g = with_rows(ladder, rows)
+        with pytest.raises(GameError, match="no transition row for state 't'"):
+            CheckContext(g).outcomes("t")
+        assert CheckContext(g).outcomes("s") == CheckContext(ladder).outcomes("s")
+
+    def test_trusted_constructor_keeps_rows_as_given(self):
+        row = {"t": F(1)}
+        g = Game.from_rows(("a",), ("t",), (), ("x", "y"), [row], {"t": (0, 0)}, {})
+        assert g.rows[0] is row
+        assert g.transitions == {("t", _profile(a="x")): 0, ("t", _profile(a="y")): 0}
+        assert g == Game(("a",), ("t",), (), ("x", "y"),
+                         [(("t", {"a": x}), {"t": "1"}) for x in "xy"], {})
+
+
 class TestSurvival:
-    """The outcome table: one (survival, positive non-failure successors)
-    entry per complete profile."""
+    """The outcome table: one (survival numerator, survival denominator,
+    positive non-failure successors) entry per complete profile."""
 
     @pytest.mark.parametrize("n", range(7))
     def test_ladder_start_state(self, n):
         g = survival_ladder(n)
-        [(survival, _)] = CheckContext(g).outcomes("s")
-        assert survival == 1 - F(1, 10**n)
+        [(num, den, _)] = CheckContext(g).outcomes("s")
+        assert F(num, den) == 1 - F(1, 10**n)
 
     def test_absorbing_states(self, ladder):
         ctx = CheckContext(ladder)
-        assert ctx.outcomes("t") == [(1, ("t",))]
-        assert ctx.outcomes("f") == [(0, ())]
+        assert survivals(ctx.outcomes("t")) == [(1, ("t",))]
+        assert survivals(ctx.outcomes("f")) == [(0, ())]
 
     def test_positive_successors_exclude_failures(self, ladder):
-        assert CheckContext(ladder).outcomes("s") == [(F(9, 10), ("t",))]
+        assert survivals(CheckContext(ladder).outcomes("s")) == [(F(9, 10), ("t",))]
 
     def test_unknown_state_rejected(self, ladder):
         with pytest.raises(GameError, match="no transition row for state 'zz'"):
@@ -338,10 +382,10 @@ class TestSurvival:
         for s in g.states:
             table = ctx.outcomes(s)
             assert len(table) == len(profiles) == 9
-            for (survival, successors), profile in zip(table, profiles):
+            for (num, den, successors), profile in zip(table, profiles):
                 row = g.row(s, profile)
                 fail = sum((v for t, v in row.items() if t in g.failures), F(0))
-                assert survival + fail == 1
+                assert F(num, den) + fail == 1
                 assert set(successors) == {
                     t for t, v in row.items() if v > 0 and t not in g.failures}
 
@@ -462,7 +506,7 @@ class TestJson:
         g = game_from_dict(doc)
         prof = ActionProfile.of({"a": "act"})
         assert g.row("s", prof).get("t") is None
-        assert CheckContext(g).outcomes("s") == [(0, ())]
+        assert survivals(CheckContext(g).outcomes("s")) == [(0, ())]
 
     def test_duplicate_row_rejected(self):
         doc = game_to_dict(survival_ladder(0))

@@ -162,6 +162,40 @@ class TestWitness:
             witness(survival_ladder(1), "s", parse("true"))
 
 
+class TestIntegerThresholds:
+    """Survival 1/4 + 1/4 is kept as the unreduced entry 2/4 and compared
+    with each threshold in integers, at and past the boundary."""
+
+    @pytest.fixture
+    def split(self):
+        x = ActionProfile.of({"a": "x"})
+        rows = {("s", x): {"t": F(1, 4), "u": F(1, 4), "f": F(1, 2)}}
+        for s in ("t", "u", "f"):
+            rows[(s, x)] = {s: 1}
+        return Game(("a",), ("s", "t", "u", "f"), ("f",), ("x",), rows,
+                    {"v": ("t", "u")})
+
+    def test_entry_is_unreduced(self, split):
+        assert CheckContext(split).outcomes("s") == [(2, 4, ("t", "u"))]
+
+    @pytest.mark.parametrize("text, expected", [
+        ("[a]_1/2 v", True), ("[]_1/2 v", True),
+        ("[a]_3/4 v", False), ("[]_3/4 v", False),
+    ])
+    def test_threshold_boundary(self, split, text, expected):
+        f = parse(text)
+        assert holds(split, "s", f) is expected
+        extents = label(split, [f.body, f])
+        assert bool(extents[f] & 1) is expected  # s is the first state
+
+    def test_witness_reports_reduced_survival(self, split):
+        found = witness(split, "s", parse("[a]_1/2 v"))
+        assert found == Witness(ActionProfile.of({"a": "x"}), F(1, 2))
+        assert (found.guaranteed_survival.numerator,
+                found.guaranteed_survival.denominator) == (1, 2)
+        assert witness(split, "s", parse("[a]_3/4 v")) is None
+
+
 class TestAgainstNaiveSemantics:
     def test_agreement_on_random_games(self):
         from sgcl.decide import SearchBounds, sample_game
@@ -240,7 +274,8 @@ class TestAgainstNaiveSemantics:
                 survival = sum((v for t, v in row.items() if t not in g.failures), F(0))
                 successors = tuple(t for t, v in row.items()
                                    if v > 0 and t not in g.failures)
-                assert entry == (survival, successors)
+                n, d, got = entry
+                assert (F(n, d), got) == (survival, successors)
                 assert entry_of.setdefault(i, entry) is entry
         assert len(entry_of) == len(g.rows) < len(g.transitions)
 
@@ -264,9 +299,10 @@ class TestAgainstNaiveSemantics:
         g = Game(("b", "a"), ("s", "t", "f"), ("f",), ("x", "y"), transitions,
                  {"v": ("s", "t"), "u": ("t",)})
         ctx = CheckContext(g)
-        assert [survival for survival, _ in ctx.outcomes("s")] == [0, F(3, 4), 1, 1]
-        assert ctx.outcomes("s")[2] == (1, ("t", "s"))
-        assert ctx.outcomes("s")[3] == (1, ("t",))
+        table = [(F(n, d), successors) for n, d, successors in ctx.outcomes("s")]
+        assert [survival for survival, _ in table] == [0, F(3, 4), 1, 1]
+        assert table[2] == (1, ("t", "s"))
+        assert table[3] == (1, ("t",))
         assert ctx.choices(frozenset({"a"})) == (
             (ActionProfile.of({"a": "x"}), (0, 2)),
             (ActionProfile.of({"a": "y"}), (1, 3)),
