@@ -340,9 +340,9 @@ def build_canonical_game(
     order of their sorted member renderings (:meth:`MaximalSet.key`, read
     from the closure's stored texts), plus the failure state
     ``f``; ``diagnostics.sets`` maps each name to its maximal set.  The
-    rows are exact by construction, so the game goes through the trusted
-    :meth:`Game.from_rows` unvalidated (the tests validate it); when the
-    oracle rejects every candidate set the game has only the failure
+    rows are exact and well formed by construction, so the game is built
+    from its row table and not validated (the tests validate it); when
+    the oracle rejects every candidate set the game has only the failure
     state and the diagnostics say so.
     """
     texts = sigma.texts
@@ -396,7 +396,7 @@ def build_canonical_game(
         v: frozenset(names[s] for s in sets if Var(v) in s.members)
         for v in sorted(sigma.variables())
     }
-    game = Game.from_rows(
+    game = Game(
         agents=agent_tuple,
         states=tuple(diag.sets) + (FAILURE_STATE,),
         failures=(FAILURE_STATE,),

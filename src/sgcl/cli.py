@@ -13,7 +13,6 @@ import argparse
 import functools
 import json
 import sys
-import time
 from typing import Optional
 
 from .canonical import CanonicalError, audit_truth_lemma, build_canonical_game
@@ -224,7 +223,6 @@ def _cmd_canonical(args) -> int:
 
 def _cmd_decide(args) -> int:
     f = _read_formula(args)
-    started = time.monotonic()
     bounds = None
     if args.budget:
         bounds = SearchBounds(
@@ -237,10 +235,8 @@ def _cmd_decide(args) -> int:
         seed=args.seed,
         cap=args.max_closure,
     )
-    elapsed_ms = int(1000 * (time.monotonic() - started))
     payload = dict(verdict.to_dict())
-    payload.update({"command": "decide", "formula": render(f),
-                    "seed": args.seed, "elapsed_ms": elapsed_ms})
+    payload.update({"command": "decide", "formula": render(f), "seed": args.seed})
     kind = payload["verdict"]
     if isinstance(verdict, Refuted):
         lines = [f"refuted at state {verdict.state} (countermodel attached in json format)"]

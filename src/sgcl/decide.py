@@ -159,8 +159,8 @@ def sample_game(
     come from the grid and the remaining state absorbs the residual;
     draws pushing the partial sum past 1 are discarded and retried.
 
-    Each state gets one row per complete profile, in product order, built
-    straight into :meth:`Game.from_rows`.  The row loop's ``shuffle`` and
+    Each state gets one row per complete profile, in product order, and
+    the row table goes straight into :class:`Game`.  The row loop's ``shuffle`` and
     ``choice`` are replayed through ``rng.getrandbits`` as CPython's
     ``Random._randbelow`` draws them (n.bit_length() bits, drawn again
     while the value is at least n), so the random stream and the games
@@ -220,7 +220,7 @@ def sample_game(
         v: frozenset(s for s in states if rng.choice((True, False)))
         for v in variables
     }
-    return Game.from_rows(
+    return Game(
         agents=agent_pool,
         states=states,
         failures=failures,

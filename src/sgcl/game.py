@@ -5,38 +5,35 @@ states, one shared finite action domain, exact rational transition
 probabilities indexed by complete action profiles, and a valuation of
 propositional variables.  Every transition row must sum to exactly 1;
 arithmetic is over ``fractions.Fraction`` throughout, so validation and
-model checking are exact.  A game is immutable and keeps a row table:
-``rows`` holds each distinct row once and ``transitions`` maps every key
-to its row's index, so a row that many keys share is checked, rendered
-and compiled once.  ``row_ids(state)`` lists the row indices of one
-state's complete profiles in product order (:func:`product_profiles`),
-the order of the model checker's outcome tables.
+model checking are exact.
 
-There are two constructors.  :class:`Game` itself takes keyed rows of
-any exact values through :func:`sgcl.formula.exact` and is the loader's
-path; it derives a state's row ids from ``transitions`` on first use.
-:meth:`Game.from_rows` is for builders whose rows are exact by
-construction (the sampler, the canonical game, the example games): it
-takes the row table and every state's row ids directly and coerces
-nothing.  Neither validates; :func:`validate` does, and the tests call
-it on every builder's output.
+A game is immutable, dense and complete: ``rows`` holds each row once,
+and ``row_ids(state)`` lists the row index of every complete profile of
+that state in product order (:func:`product_profiles`), the order of the
+model checker's outcome tables.  A row that many profiles share is
+checked, rendered and compiled once.  :class:`Game` is the one
+constructor: it takes every row value through
+:func:`sgcl.formula.exact` and rejects a row-id table of the wrong
+shape, but leaves the layout and the rows to :func:`validate`, which the
+tests call on every builder's output.
 
-The JSON exchange format writes probabilities as strings ("9/10",
-"0.25") or integers.  The loader takes them through
-:func:`sgcl.formula.exact`, which rejects binary floats, and parses
-equal rows once, into one row of the table.
+The JSON exchange format keys each row by its state and profile, and
+writes probabilities as strings ("9/10", "0.25") or integers.  The
+loader takes them through :func:`sgcl.formula.exact`, which rejects
+binary floats, parses equal rows once, into one row of the table, and
+checks the document before it builds a game: a file with an unknown
+state, a partial profile, a missing row or a bad row never becomes a
+:class:`Game`.
 """
 
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement, islice, product
-from math import comb
-from typing import Iterator, Mapping
+from itertools import islice, product
+from typing import Mapping
 
 from .formula import _shown, exact
 
@@ -97,88 +94,78 @@ def product_profiles(agents: tuple, actions: tuple) -> tuple:
                  for combo in product(actions, repeat=len(agents)))
 
 
+@lru_cache(maxsize=PROFILE_LAYOUTS_KEPT)
+def _profile_positions(agents: tuple, actions: tuple) -> dict:
+    """Each complete profile's index in :func:`product_profiles`."""
+    return {p: i for i, p in enumerate(product_profiles(agents, actions))}
+
+
 class Game:
-    """An immutable game; use :func:`validate` to check well-formedness
-    as data rather than at construction time.
+    """An immutable, complete game; :func:`validate` reports problems
+    with its layout and rows as data.
 
-    ``transitions`` maps each (state, profile) key to an index into
-    ``rows``, the tuple of distinct exact rows; ``row_ids(state)`` gives
-    the indices of a state's complete profiles in product order.  The
-    constructor coerces each distinct input row object into one row, in
-    first-seen order, so rows shared in the input stay shared; a builder
-    with exact rows uses :meth:`from_rows` instead.  Nothing here may be
-    mutated, nor an input row while it is being read."""
+    ``rows`` is a sequence of rows (target state -> probability), each
+    value an int, a ``Fraction`` or a string literal, kept as the
+    ``Fraction`` :func:`sgcl.formula.exact` gives; ``row_ids`` maps every
+    state to the indices into ``rows`` of its complete profiles' rows, in
+    product order.  A value that is not exact, or a state without
+    ``len(actions) ** len(agents)`` row ids inside ``rows``, raises
+    GameError.  Nothing here may be mutated."""
 
-    def __init__(self, agents, states, failures, actions, transitions, valuation):
-        self._describe(agents, states, failures, actions, valuation)
-        rows = []
-        index = {}
-        # id(input row) -> (input row, its index in rows); holding the
-        # input row keeps its id from being reused by a later temporary row
-        seen = {}
-        items = transitions.items() if isinstance(transitions, Mapping) else transitions
-        for (state, profile), row in items:
-            if not isinstance(profile, ActionProfile):
-                profile = ActionProfile.of(profile)
-            entry = seen.get(id(row))
-            if entry is None:
-                try:
-                    entry = seen[id(row)] = (row, len(rows))
-                    rows.append({t: exact(v) for t, v in row.items()})
-                except ValueError as exc:
-                    raise GameError(f"probability {exc}") from None
-            index[(state, profile)] = entry[1]
-        self.rows = tuple(rows)
-        self.transitions = index
-        self._row_ids = {}
-
-    @classmethod
-    def from_rows(cls, agents, states, failures, actions, rows, row_ids, valuation) -> "Game":
-        """The trusted constructor: ``rows`` are exact rows (``Fraction``
-        or int values), and ``row_ids`` maps every state to the indices of
-        its complete profiles' rows in product order.  Nothing is coerced
-        or checked; ``transitions`` is filled from the two."""
-        game = cls.__new__(cls)
-        game._describe(agents, states, failures, actions, valuation)
-        game.rows = tuple(rows)
-        game._row_ids = {s: tuple(row_ids[s]) for s in game.states}
-        profiles = product_profiles(game.agents, game.actions)
-        game.transitions = {
-            (s, profile): i
-            for s, ids in game._row_ids.items() for profile, i in zip(profiles, ids)}
-        return game
-
-    def _describe(self, agents, states, failures, actions, valuation) -> None:
+    def __init__(self, agents, states, failures, actions, rows, row_ids, valuation):
         self.agents = tuple(agents)
         self.states = tuple(states)
         self.failures = frozenset(failures)
         self.actions = tuple(actions)
         self.valuation = {v: frozenset(sts) for v, sts in valuation.items()}
+        try:
+            self.rows = tuple({t: exact(v) for t, v in row.items()} for row in rows)
+        except ValueError as exc:
+            raise GameError(f"probability {exc}") from None
+        width = len(self.actions) ** len(self.agents)
+        self._row_ids = {}
+        for s in self.states:
+            if s not in row_ids:
+                raise GameError(f"no row ids for state {s!r}")
+            ids = self._row_ids[s] = tuple(row_ids[s])
+            if len(ids) != width:
+                raise GameError(
+                    f"state {s!r} has {len(ids)} row ids, expected {width}"
+                    " (one per complete profile)")
+            if ids and not 0 <= min(ids) <= max(ids) < len(self.rows):
+                raise GameError(
+                    f"state {s!r} names a row id outside the {len(self.rows)} rows")
 
     @property
     def nonfailure_states(self) -> tuple:
         return tuple(s for s in self.states if s not in self.failures)
 
-    def row_index(self, state: StateId, profile: ActionProfile) -> int:
-        try:
-            return self.transitions[(state, profile)]
-        except KeyError:
-            raise GameError(
-                f"no transition row for state {state!r}, profile {profile.as_dict()!r}"
-            ) from None
-
-    def row(self, state: StateId, profile: ActionProfile) -> Mapping:
-        return self.rows[self.row_index(state, profile)]
+    @property
+    def transitions(self) -> dict:
+        """``{(state, profile): row index}`` for every state and complete
+        profile, in state and product order; built on each read."""
+        profiles = product_profiles(self.agents, self.actions)
+        return {(s, profile): i
+                for s in self.states
+                for profile, i in zip(profiles, self._row_ids[s])}
 
     def row_ids(self, state: StateId) -> tuple:
         """The row index of each complete profile at ``state``, in product
-        order; a state without a row for some profile raises GameError."""
-        ids = self._row_ids.get(state)
-        if ids is None:
-            ids = self._row_ids[state] = tuple(
-                self.row_index(state, profile)
-                for profile in product_profiles(self.agents, self.actions))
-        return ids
+        order; a state the game does not have raises GameError."""
+        try:
+            return self._row_ids[state]
+        except KeyError:
+            raise GameError(f"no transition row for state {state!r}") from None
+
+    def row_index(self, state: StateId, profile: ActionProfile) -> int:
+        position = _profile_positions(self.agents, self.actions).get(profile)
+        if position is None or state not in self._row_ids:
+            raise GameError(
+                f"no transition row for state {state!r}, profile {profile.as_dict()!r}")
+        return self._row_ids[state][position]
+
+    def row(self, state: StateId, profile: ActionProfile) -> Mapping:
+        return self.rows[self.row_index(state, profile)]
 
     def __eq__(self, other):
         if not isinstance(other, Game):
@@ -188,8 +175,9 @@ class Game:
             and self.states == other.states
             and self.failures == other.failures
             and self.actions == other.actions
-            and self.transitions.keys() == other.transitions.keys()
-            and all(self.rows[i] == other.row(*k) for k, i in self.transitions.items())
+            and all(self.rows[i] == other.rows[j]
+                    for s in self.states
+                    for i, j in zip(self._row_ids[s], other._row_ids[s]))
             and self.valuation == other.valuation
         )
 
@@ -202,18 +190,6 @@ class Game:
 
 # missing rows reported by name; any beyond these are only counted
 MISSING_ROWS_SHOWN = 5
-
-
-def _complete_assignments(game: Game) -> Iterator[tuple]:
-    """Assignments of every distinct complete profile, in sorted order."""
-    actions = sorted(set(game.actions))
-    per_agent = [
-        [tuple((agent, x) for x in xs)
-         for xs in combinations_with_replacement(actions, count)]
-        for agent, count in sorted(Counter(game.agents).items())
-    ]
-    for parts in product(*per_agent):
-        yield tuple(pair for part in parts for pair in part)
 
 
 def _row_problems(row: Mapping, states: set) -> list:
@@ -232,39 +208,45 @@ def _row_problems(row: Mapping, states: set) -> list:
     return problems
 
 
-def validate(game: Game) -> list:
-    """Well-formedness violations as human-readable strings; [] = valid.
+def _violations(agents, states, failures, actions, valuation, keyed, rows) -> list:
+    """Every well-formedness violation of a game's parts, as
+    human-readable strings; [] = valid.  ``keyed`` maps (state, profile)
+    keys to indices into ``rows``.
 
-    Each key's state and profile are checked, and each row of the table
-    once; a bad row is reported under every key with a complete profile
-    that uses it, in key order.  The rows are counted against the number
-    of complete profiles, so the complete profiles are only walked, in
-    sorted order, to name the first few missing rows."""
+    The layout comes first: an empty action domain, duplicate names,
+    failure and valuation states that are not states.  When the agents
+    or actions repeat or there are no actions, complete profiles are not
+    defined and the check stops there.  Otherwise each key's state and
+    profile are checked, and each row of the table once; a bad row is
+    reported under every key with a complete profile that uses it, in key
+    order.  The keys are counted against the number of complete profiles,
+    which are walked, in sorted order, only to name the first few missing
+    rows."""
     out = []
-    if not game.actions:
+    if not actions:
         out.append("action domain is empty")
-    for name, seq in (("agents", game.agents), ("states", game.states),
-                      ("actions", game.actions)):
+    for name, seq in (("agents", agents), ("states", states), ("actions", actions)):
         if len(set(seq)) != len(seq):
             out.append(f"duplicate entries in {name}")
-    for s in sorted(game.failures):
-        if s not in game.states:
+    for s in sorted(failures):
+        if s not in states:
             out.append(f"failure state {s!r} not among the states")
-    for var, sts in sorted(game.valuation.items()):
+    for var, sts in sorted(valuation.items()):
         for s in sorted(sts):
-            if s not in game.states:
+            if s not in states:
                 out.append(f"valuation of {var!r} names unknown state {s!r}")
-    state_set = set(game.states)
-    action_set = set(game.actions)
-    agent_key = tuple(sorted(game.agents))
+    if not actions or len(set(agents)) != len(agents) or len(set(actions)) != len(actions):
+        return out
+    state_set = set(states)
+    action_set = set(actions)
+    agent_key = tuple(sorted(agents))
     present = 0
-    row_problems = [_row_problems(row, state_set) for row in game.rows]
-    for (s, profile), i in game.transitions.items():
+    row_problems = [_row_problems(row, state_set) for row in rows]
+    for (s, profile), i in keyed.items():
         if s not in state_set:
             problems = ["unknown source state"]
         elif not (
-            action_set
-            and tuple(a for a, _ in profile.assignment) == agent_key
+            tuple(a for a, _ in profile.assignment) == agent_key
             and all(x in action_set for _, x in profile.assignment)
         ):
             problems = ["profile is not a complete profile"]
@@ -275,24 +257,28 @@ def validate(game: Game) -> list:
                 continue
         where = f"({s!r}, {profile.as_dict()!r})"
         out.extend(f"row {where}: {problem}" for problem in problems)
-    expected = 0
-    if action_set:
-        expected = len(state_set)
-        for count in Counter(game.agents).values():
-            expected *= comb(len(action_set) + count - 1, count)
-    missing = expected - present
+    missing = len(state_set) * len(actions) ** len(agents) - present
     if missing:
         absent = (
-            (s, assignment)
+            (s, profile)
             for s in sorted(state_set)
-            for assignment in _complete_assignments(game)
-            if (s, ActionProfile(assignment)) not in game.transitions
+            for combo in product(sorted(actions), repeat=len(agent_key))
+            for profile in (ActionProfile(tuple(zip(agent_key, combo))),)
+            if (s, profile) not in keyed
         )
-        for s, assignment in islice(absent, MISSING_ROWS_SHOWN):
-            out.append(f"missing transition row for ({s!r}, {dict(assignment)!r})")
+        for s, profile in islice(absent, MISSING_ROWS_SHOWN):
+            out.append(f"missing transition row for ({s!r}, {profile.as_dict()!r})")
         if missing > MISSING_ROWS_SHOWN:
             out.append(f"{missing - MISSING_ROWS_SHOWN} more transition rows missing")
     return out
+
+
+def validate(game: Game) -> list:
+    """Well-formedness violations as human-readable strings; [] = valid.
+    The loader runs the same check on a document before it builds a game;
+    here it covers a built game's layout and rows."""
+    return _violations(game.agents, game.states, game.failures, game.actions,
+                       game.valuation, game.transitions, game.rows)
 
 
 # ---------------------------------------------------------------------------
@@ -314,15 +300,19 @@ def _expect_list_of_strings(doc, key):
 
 
 def game_to_dict(game: Game) -> dict:
-    """The JSON document of a game.  Each row of the table is rendered
-    once; every key gets its own copy."""
+    """The JSON document of a game, its rows keyed by state and profile in
+    sorted order.  Each row of the table is rendered once; every key gets
+    its own copy."""
     rendered = [{t: str(v) for t, v in sorted(row.items()) if v != 0}
                 for row in game.rows]
-    rows = [
-        {"from": s, "profile": profile.as_dict(), "to": dict(rendered[i])}
-        for (s, profile), i in sorted(
-            game.transitions.items(), key=lambda kv: (kv[0][0], kv[0][1].assignment))
-    ]
+    profiles = product_profiles(game.agents, game.actions)
+    order = sorted(range(len(profiles)), key=lambda k: profiles[k].assignment)
+    rows = []
+    for s in sorted(game.states):
+        ids = game.row_ids(s)
+        rows.extend(
+            {"from": s, "profile": profiles[k].as_dict(), "to": dict(rendered[ids[k]])}
+            for k in order)
     return {
         "agents": list(game.agents),
         "states": list(game.states),
@@ -334,6 +324,10 @@ def game_to_dict(game: Game) -> dict:
 
 
 def game_from_dict(doc: dict) -> Game:
+    """Parse and check a game document.  A malformed document raises
+    SchemaError at its JSON pointer; a well-formed one that breaks a rule
+    of :func:`validate` raises GameValidationError with every violation,
+    keys in document order."""
     if not isinstance(doc, dict):
         raise SchemaError("/: expected an object")
     for key in ("agents", "states", "failures", "actions", "transitions", "valuation"):
@@ -346,8 +340,9 @@ def game_from_dict(doc: dict) -> Game:
     raw_rows = doc.get("transitions")
     if not isinstance(raw_rows, list):
         raise SchemaError("/transitions: expected a list")
-    transitions = {}
-    # a row's items -> its parsed row, which every equal row shares; only
+    keyed = {}
+    rows = []
+    # a row's items -> its index in rows, which every equal row shares; only
     # rows of str and int values are looked up (1 is not 1.0 or true): any
     # other JSON value fails to parse, at its own pointer, before a store
     parsed = {}
@@ -367,21 +362,28 @@ def game_from_dict(doc: dict) -> Game:
         if not isinstance(to, dict):
             raise SchemaError(f"{where}/to: expected a target-to-probability object")
         items = tuple(to.items())
-        row = parsed.get(items) if all(type(v) in (str, int) for _, v in items) else None
-        if row is None:
-            row = parsed[items] = {
-                t: _parse_probability(v, f"{where}/to/{t}") for t, v in items}
+        index = parsed.get(items) if all(type(v) in (str, int) for _, v in items) else None
+        if index is None:
+            rows.append({t: _parse_probability(v, f"{where}/to/{t}") for t, v in items})
+            index = parsed[items] = len(rows) - 1
         key = (src, ActionProfile.of(profile))
-        if key in transitions:
+        if key in keyed:
             raise SchemaError(f"{where}: duplicate row for this state and profile")
-        transitions[key] = row
+        keyed[key] = index
     valuation = doc.get("valuation")
     if not isinstance(valuation, dict):
         raise SchemaError("/valuation: expected an object")
     for var, sts in valuation.items():
         if not isinstance(sts, list) or not all(isinstance(s, str) for s in sts):
             raise SchemaError(f"/valuation/{var}: expected a list of state names")
-    return Game(agents, states, failures, actions, transitions, valuation)
+    valuation = {var: frozenset(sts) for var, sts in valuation.items()}
+    violations = _violations(agents, states, frozenset(failures), actions,
+                             valuation, keyed, rows)
+    if violations:
+        raise GameValidationError(violations)
+    profiles = product_profiles(tuple(agents), tuple(actions))
+    row_ids = {s: [keyed[(s, profile)] for profile in profiles] for s in states}
+    return Game(agents, states, failures, actions, rows, row_ids, valuation)
 
 
 def save(game: Game, path) -> None:
@@ -391,7 +393,7 @@ def save(game: Game, path) -> None:
 
 
 def load(path) -> Game:
-    """Load and validate a game file."""
+    """Load and check a game file."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
@@ -399,11 +401,7 @@ def load(path) -> Game:
             raise SchemaError(f"/: not valid JSON: {exc}") from exc
         except RecursionError:
             raise SchemaError("/: document nests too deeply") from None
-    game = game_from_dict(doc)
-    violations = validate(game)
-    if violations:
-        raise GameValidationError(violations)
-    return game
+    return game_from_dict(doc)
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +420,7 @@ def survival_ladder(n: int) -> Game:
         raise ValueError("n must be nonnegative")
     loss = Fraction(1, 10**n)
     start_row = {"f": loss} if loss == 1 else {"t": 1 - loss, "f": loss}
-    return Game.from_rows(
+    return Game(
         agents=("a",),
         states=("s", "t", "f"),
         failures=("f",),
@@ -464,7 +462,7 @@ def overtake_game() -> Game:
     for s in absorbing:
         row_ids[s] = (len(rows),) * len(actions) ** 2
         rows.append({s: F(1)})
-    return Game.from_rows(
+    return Game(
         agents=("a", "b"),
         states=("p",) + absorbing,
         failures=("f_c", "f_t"),

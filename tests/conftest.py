@@ -1,27 +1,36 @@
-"""Checks shared by the test modules."""
-
-from itertools import product
+"""Checks and builders shared by the test modules."""
 
 import pytest
 
-from sgcl.game import ActionProfile, game_from_dict, game_to_dict, validate
+from sgcl.game import game_from_dict, game_to_dict, validate
 
 
-def assert_row_ids_in_product_order(g):
-    """Each state's row ids are the row indices of its complete profiles,
-    listed in the product order of the actions over the agents."""
-    profiles = [ActionProfile(tuple(zip(g.agents, combo)))
-                for combo in product(g.actions, repeat=len(g.agents))]
-    for s in g.states:
-        assert g.row_ids(s) == tuple(g.row_index(s, p) for p in profiles), s
+def keyed_game(agents, states, failures, actions, rows, valuation):
+    """The game whose rows are given by key, ``{(state, ActionProfile):
+    row}``, built through the loader: the rows are written to a game
+    document in key order, each row's entries in their order and every
+    value, zeros included, as its string, and the document is loaded and
+    checked."""
+    doc = {
+        "agents": list(agents),
+        "states": list(states),
+        "failures": list(failures),
+        "actions": list(actions),
+        "transitions": [
+            {"from": s, "profile": profile.as_dict(),
+             "to": {t: str(v) for t, v in row.items()}}
+            for (s, profile), row in rows.items()
+        ],
+        "valuation": {v: list(sts) for v, sts in valuation.items()},
+    }
+    return game_from_dict(doc)
 
 
 def assert_builder_output(g):
-    """An internal builder's game goes through the trusted constructor,
-    which checks nothing, so the tests check it: it validates, its row
-    ids follow product order, and it survives the JSON round trip."""
+    """A builder's game is built from its row table, which the constructor
+    checks only for shape, so the tests check the rest: it validates and
+    survives the JSON round trip."""
     assert validate(g) == []
-    assert_row_ids_in_product_order(g)
     assert game_from_dict(game_to_dict(g)) == g
 
 
@@ -29,9 +38,3 @@ def assert_builder_output(g):
 def builder_output():
     """:func:`assert_builder_output`, for the modules that build games."""
     return assert_builder_output
-
-
-@pytest.fixture
-def row_ids_in_product_order():
-    """:func:`assert_row_ids_in_product_order`."""
-    return assert_row_ids_in_product_order

@@ -687,9 +687,8 @@ class TestAtomEnumerationMatchesReference:
 
 
 class TestBuiltGamesAreSound:
-    """The builder hands its rows to the trusted constructor unvalidated:
-    its games must validate, list their row ids in product order and
-    survive the JSON round trip."""
+    """The builder hands its row table to the constructor unvalidated:
+    its games must validate and survive the JSON round trip."""
 
     @pytest.mark.parametrize(
         "seed", SEEDS + ["([a]_1/2 v -> [a,b]_3/4 v)"] + WIDE_SEEDS

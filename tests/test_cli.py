@@ -106,6 +106,20 @@ class TestCheck:
         assert code == 2
         assert "exponent notation is rejected" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("layout, message", [
+        ({"agents": ["a", "a"]}, "duplicate entries in agents"),
+        ({"actions": []}, "action domain is empty"),
+    ], ids=["repeated-agent", "no-actions"])
+    def test_bad_layout_is_reported_alone(self, tmp_path, capsys, layout, message):
+        doc = {"agents": ["a"], "states": ["s"], "failures": [], "actions": ["x"],
+               "transitions": [{"from": "s", "profile": {"a": "x"}, "to": {"s": "1"}}],
+               "valuation": {}}
+        path = tmp_path / "layout.json"
+        path.write_text(json.dumps(dict(doc, **layout)))
+        code = run(["check", "--game", str(path), "--state", "s", "--formula", "v"])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: invalid game: {message}\n"
+
     def test_missing_game_file_is_input_error(self, capsys):
         code = run(["check", "--game", "no_such.json", "--state", "s",
                     "--formula", "v"])
@@ -353,6 +367,17 @@ class TestDecide:
             capsys, ["decide", "--formula", "(v -> v)", "--seed", "11"]
         )
         assert code == 0 and doc["seed"] == 11
+
+    def test_payload_is_reproducible(self, capsys):
+        # the payload holds no timing, so the seed fixes every byte of it
+        argv = ["decide", "--formula", "[a]_1/2 v", "--format", "json"]
+        outputs = []
+        for _ in range(2):
+            assert run(argv) == 1
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert set(json.loads(outputs[0])) == {
+            "verdict", "state", "game", "command", "formula", "seed"}
 
     def test_negative_closure_cap_is_usage_error(self, capsys):
         assert run(["decide", "--formula", "v", "--max-closure", "-1"]) == 2

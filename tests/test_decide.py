@@ -32,9 +32,11 @@ from sgcl.formula import (
     render,
     subformulas,
 )
-from sgcl.game import ActionProfile, Game, game_to_dict, validate
+from sgcl.game import ActionProfile, game_to_dict, validate
 from sgcl.modelcheck import CheckContext, holds
 from sgcl.proof import SystemId
+
+from conftest import keyed_game
 
 F = Fraction
 
@@ -218,7 +220,7 @@ def reference_sample_game(rng, bounds, variables=("u", "v"),
         v: frozenset(s for s in states if rng.choice((True, False)))
         for v in variables
     }
-    return Game(tuple(agent_pool), states, failures, actions, transitions, valuation)
+    return keyed_game(tuple(agent_pool), states, failures, actions, transitions, valuation)
 
 
 # the thirds grid has common denominator 12, not 4; the three-state
@@ -300,7 +302,7 @@ class TestIntegerRowSums:
         for state in states[1:]:
             for x in ("x", "y"):
                 transitions[(state, ActionProfile.of({"a": x}))] = {state: 1}
-        g = Game(("a",), states, ("f", "g"), ("x", "y"), transitions, {})
+        g = keyed_game(("a",), states, ("f", "g"), ("x", "y"), transitions, {})
         assert validate(g) == []
         assert_outcomes_match_rows(g)
         table = CheckContext(g).outcomes("s")
@@ -309,9 +311,9 @@ class TestIntegerRowSums:
 
 
 class TestSampledGamesAreSound:
-    """sample_game builds its rows straight into the trusted constructor,
-    which checks nothing: its games must still validate, list their row
-    ids in product order and survive the JSON round trip."""
+    """sample_game builds its row table straight into the constructor,
+    which checks only its shape: its games must still validate and
+    survive the JSON round trip."""
 
     @pytest.mark.parametrize("index", range(len(SAMPLER_BOUNDS)))
     def test_hundred_games(self, index, builder_output):

@@ -184,14 +184,14 @@ class TestFloatSubscripts:
 
 
 def _game_row(value):
-    profile = ActionProfile.of({"a": "x"})
-    game = Game(("a",), ("s",), (), ("x",), {("s", profile): {"s": value}}, {})
-    return game.row("s", profile)["s"]
+    game = Game(("a",), ("s",), (), ("x",), [{"s": value}], {"s": (0,)}, {})
+    return game.row("s", ActionProfile.of({"a": "x"}))["s"]
 
 
 def _game_file(value):
+    # the loader checks row sums, and every accepted value below is 1/2
     doc = game_to_dict(survival_ladder(0))
-    doc["transitions"][0]["to"] = {"f": value}
+    doc["transitions"][0]["to"] = {"f": value, "s": "1/2"}
     return game_from_dict(doc).row("f", ActionProfile.of({"a": "act"}))["f"]
 
 

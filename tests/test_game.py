@@ -5,7 +5,6 @@ import random
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
-from types import MappingProxyType
 
 import pytest
 
@@ -29,6 +28,8 @@ from sgcl.game import (
 )
 from sgcl.modelcheck import CheckContext
 
+from conftest import keyed_game
+
 F = Fraction
 GAMES = Path(__file__).resolve().parents[1] / "games"
 
@@ -46,17 +47,6 @@ class TestActionProfile:
         assert p.as_dict() == {"a": "x", "b": "y"}
 
 
-def keyed_rows(game):
-    """Each key of the game with its row, to build a changed game from."""
-    return {key: game.rows[i] for key, i in game.transitions.items()}
-
-
-def with_rows(game, rows, valuation=None):
-    """The game with other rows, and another valuation if one is given."""
-    return Game(game.agents, game.states, game.failures, game.actions, rows,
-                game.valuation if valuation is None else valuation)
-
-
 def survivals(table):
     """An outcome table's entries as (survival, successors) pairs."""
     return [(F(n, d), successors) for n, d, successors in table]
@@ -69,9 +59,31 @@ def complete_profiles(game):
         yield ActionProfile(tuple(zip(game.agents, combo)))
 
 
+def load_violations(doc):
+    """The violations the loader reports for a game document; [] when it
+    loads."""
+    try:
+        game_from_dict(doc)
+    except GameValidationError as err:
+        return err.violations
+    return []
+
+
+def ladder_doc(n=1):
+    return game_to_dict(survival_ladder(n))
+
+
+def set_row(doc, state, to):
+    """Give every row of ``state`` in the document the targets ``to``."""
+    for entry in doc["transitions"]:
+        if entry["from"] == state:
+            entry["to"] = to
+    return doc
+
+
 class TestValidate:
-    # the example games come from the trusted constructor, so each one is
-    # also checked for product-order row ids and the JSON round trip
+    # the example games are built from their row tables, so each one is
+    # also checked for the JSON round trip
     @pytest.mark.parametrize("n", range(13))
     def test_ladder_is_valid(self, n, builder_output):
         builder_output(survival_ladder(n))
@@ -79,77 +91,71 @@ class TestValidate:
     def test_overtake_is_valid(self, builder_output):
         builder_output(overtake_game())
 
-    def test_bad_row_sum_reported(self, ladder):
-        rows = keyed_rows(ladder)
-        rows[("t", ActionProfile.of({"a": "act"}))] = {"t": F(1, 2)}
-        msgs = validate(with_rows(ladder, rows))
+    def test_bad_row_sum_reported(self):
+        msgs = load_violations(set_row(ladder_doc(), "t", {"t": "1/2"}))
         assert any("sum to 1/2" in m for m in msgs)
 
-    def test_long_values_shown_short(self, ladder):
-        prof = ActionProfile.of({"a": "act"})
-        rows = keyed_rows(ladder)
-        rows[("t", prof)] = {"t": F(10**2000)}
-        rows[("f", prof)] = {"f": F(1, 3 * 10**2000)}
-        msgs = validate(with_rows(ladder, rows))
+    def test_long_values_shown_short(self):
+        doc = set_row(ladder_doc(), "t", {"t": str(F(10**2000))})
+        set_row(doc, "f", {"f": str(F(1, 3 * 10**2000))})
+        msgs = load_violations(doc)
         assert len(msgs) == 3 and all(len(m) < 200 for m in msgs)
         assert any("probability 1000" in m and "outside [0, 1]" in m for m in msgs)
         assert any("sum to 1/3000" in m for m in msgs)
 
-    def test_missing_row_reported(self, ladder):
-        rows = keyed_rows(ladder)
-        del rows[("t", ActionProfile.of({"a": "act"}))]
-        msgs = validate(with_rows(ladder, rows))
-        assert any("missing transition row" in m for m in msgs)
+    def test_missing_row_reported(self):
+        doc = ladder_doc()
+        doc["transitions"] = [e for e in doc["transitions"] if e["from"] != "t"]
+        assert any("missing transition row" in m for m in load_violations(doc))
 
     def test_unknown_failure_state(self):
-        g = Game(("a",), ("s",), ("zz",), ("x",),
-                 {("s", ActionProfile.of({"a": "x"})): {"s": 1}}, {})
+        g = Game(("a",), ("s",), ("zz",), ("x",), [{"s": 1}], {"s": (0,)}, {})
         assert any("failure state 'zz'" in m for m in validate(g))
 
     def test_probability_outside_unit_interval(self):
         g = Game(("a",), ("s", "t"), (), ("x",),
-                 {("s", ActionProfile.of({"a": "x"})): {"s": F(3, 2), "t": F(-1, 2)},
-                  ("t", ActionProfile.of({"a": "x"})): {"t": 1}}, {})
+                 [{"s": F(3, 2), "t": F(-1, 2)}, {"t": 1}], {"s": (0,), "t": (1,)}, {})
         msgs = validate(g)
         assert any("3/2 outside" in m for m in msgs)
         assert any("-1/2 outside" in m for m in msgs)
 
     def test_empty_action_domain(self):
-        g = Game(("a",), ("s",), (), (), {}, {})
-        assert any("action domain is empty" in m for m in validate(g))
+        g = Game(("a",), ("s",), (), (), [], {"s": ()}, {})
+        assert validate(g) == ["action domain is empty"]
 
     def test_valuation_of_unknown_state(self):
-        g = survival_ladder(0)
-        g = with_rows(g, keyed_rows(g), valuation={"v": frozenset({"nope"})})
-        assert any("unknown state 'nope'" in m for m in validate(g))
+        doc = ladder_doc(0)
+        doc["valuation"] = {"v": ["nope"]}
+        assert any("unknown state 'nope'" in m for m in load_violations(doc))
 
 
-def reference_validate(game):
-    """Validation that first builds the set of every expected
-    (state, complete profile) key and reports every missing one."""
+def reference_validate(doc):
+    """Validation of a game document that first builds the set of every
+    expected (state, complete profile) key and reports every missing one;
+    like the loader, it stops after the layout when the agents or actions
+    repeat or there are no actions."""
+    agents, states, actions = doc["agents"], doc["states"], doc["actions"]
     out = []
-    if not game.actions:
+    if not actions:
         out.append("action domain is empty")
-    for name, seq in (("agents", game.agents), ("states", game.states),
-                      ("actions", game.actions)):
+    for name, seq in (("agents", agents), ("states", states), ("actions", actions)):
         if len(set(seq)) != len(seq):
             out.append(f"duplicate entries in {name}")
-    for s in sorted(game.failures):
-        if s not in game.states:
+    for s in sorted(set(doc["failures"])):
+        if s not in states:
             out.append(f"failure state {s!r} not among the states")
-    for var, sts in sorted(game.valuation.items()):
-        for s in sorted(sts):
-            if s not in game.states:
+    for var, sts in sorted(doc["valuation"].items()):
+        for s in sorted(set(sts)):
+            if s not in states:
                 out.append(f"valuation of {var!r} names unknown state {s!r}")
-    state_set = set(game.states)
-    expected = set()
-    if game.actions:
-        for s in game.states:
-            for profile in complete_profiles(game):
-                expected.add((s, profile))
+    if not actions or len(set(agents)) != len(agents) or len(set(actions)) != len(actions):
+        return out
+    state_set = set(states)
+    expected = {(s, ActionProfile(tuple(zip(agents, combo))))
+                for s in states for combo in product(actions, repeat=len(agents))}
     seen = set()
-    for (s, profile), i in game.transitions.items():
-        row = game.rows[i]
+    for entry in doc["transitions"]:
+        s, profile = entry["from"], ActionProfile.of(entry["profile"])
         seen.add((s, profile))
         where = f"({s!r}, {profile.as_dict()!r})"
         if (s, profile) not in expected:
@@ -159,7 +165,8 @@ def reference_validate(game):
                 out.append(f"row {where}: profile is not a complete profile")
             continue
         total = Fraction(0)
-        for t, v in row.items():
+        for t, v in entry["to"].items():
+            v = Fraction(v)
             if t not in state_set:
                 out.append(f"row {where}: unknown target state {t!r}")
             if not 0 <= v <= 1:
@@ -186,70 +193,76 @@ def shortened(reference):
     )
 
 
-def _profile(**assignment):
-    return ActionProfile.of(assignment)
+def _row(state, to, **profile):
+    return {"from": state, "profile": profile, "to": to}
+
+
+def _document(agents, states, actions, transitions, failures=(), valuation=None):
+    return {"agents": list(agents), "states": list(states), "failures": list(failures),
+            "actions": list(actions), "transitions": list(transitions),
+            "valuation": valuation or {}}
 
 
 def _odd_games():
-    """Games with missing rows, partial or foreign profiles, unknown
-    states, duplicate names and an empty action domain."""
+    """Game documents with missing rows, partial or foreign profiles,
+    unknown states, duplicate names and an empty action domain."""
     games = {}
-    g = overtake_game()
-    rows = keyed_rows(g)
-    keys = list(rows)
-    games["overtake-half"] = with_rows(g, {k: rows[k] for k in keys[1::2]})
-    games["overtake-one-missing"] = with_rows(
-        g, {k: row for k, row in rows.items() if k != keys[7]})
-    foreign = {k: row for k, row in rows.items() if k not in (keys[0], keys[-1])}
-    foreign[("zz", _profile(a="plus", b="plus"))] = {"p": 1}
-    foreign[("p", _profile(a="plus"))] = {"p": 1}
-    foreign[("p", _profile(a="plus", b="jump"))] = {"p": 1}
-    foreign[("p", _profile(a="plus", b="zero", c="zero"))] = {"p": 1}
-    games["overtake-foreign-rows"] = with_rows(g, foreign)
-    games["duplicate-agents"] = Game(
-        ("a", "b", "a"), ("s",), (), ("x", "y", "z"),
-        {("s", ActionProfile((("a", "y"), ("b", "z"), ("a", "x")))): {"s": 1},
-         ("s", _profile(a="x", b="x")): {"s": 1}}, {})
-    games["duplicate-actions-and-states"] = Game(
-        ("b", "a"), ("s", "t", "s"), (), ("x", "y", "x"),
-        {("t", _profile(a="x", b="y")): {"s": 1}}, {})
-    games["no-agents"] = Game(
-        (), ("s", "t"), (), ("x",), {("s", ActionProfile(())): {"s": 1}}, {})
-    games["no-actions"] = Game(
-        ("a",), ("s",), (), (), {("s", ActionProfile(())): {"s": 1}}, {})
-    # one bad row object (an unknown target, a negative entry, a sum of
-    # 3/4) under every fourth key and under a key with an unknown source
-    # state, and one clean row object under the rest
+    overtake = game_to_dict(overtake_game())
+    rows = overtake["transitions"]
+
+    def with_rows(transitions):
+        return dict(overtake, transitions=transitions)
+
+    games["overtake-half"] = with_rows(rows[1::2])
+    games["overtake-one-missing"] = with_rows(rows[:7] + rows[8:])
+    foreign = rows[1:-1] + [
+        _row("zz", {"p": "1"}, a="plus", b="plus"),
+        _row("p", {"p": "1"}, a="plus"),
+        _row("p", {"p": "1"}, a="plus", b="jump"),
+        _row("p", {"p": "1"}, a="plus", b="zero", c="zero"),
+    ]
+    games["overtake-foreign-rows"] = with_rows(foreign)
+    # repeated agents or actions, or no actions: the layout alone
+    games["duplicate-agents"] = _document(
+        ("a", "b", "a"), ("s",), ("x", "y", "z"),
+        [_row("s", {"s": "1"}, a="y", b="z"), _row("s", {"s": "1"}, a="x", b="x")])
+    games["duplicate-actions-and-states"] = _document(
+        ("b", "a"), ("s", "t", "s"), ("x", "y", "x"),
+        [_row("t", {"s": "1"}, a="x", b="y")])
+    games["no-agents"] = _document((), ("s", "t"), ("x",), [_row("s", {"s": "1"})])
+    games["no-actions"] = _document(("a",), ("s",), (), [_row("s", {"s": "1"})])
+    # one bad row (an unknown target, a negative entry, a sum of 3/4)
+    # under every fourth key and under a key with an unknown source state,
+    # and one clean row under the rest
     bad = {"p": "1/2", "zz": "1/2", "ab": "-1/4"}
-    clean = {"ab": 1}
-    shared = {key: bad if i % 4 == 1 else clean
-              for i, key in enumerate(g.transitions)}
-    shared[("zz", _profile(a="plus", b="plus"))] = bad
-    games["overtake-shared-bad-row"] = with_rows(g, shared)
+    clean = {"ab": "1"}
+    shared = [dict(entry, to=bad if i % 4 == 1 else clean) for i, entry in enumerate(rows)]
+    shared.append(_row("zz", bad, a="plus", b="plus"))
+    games["overtake-shared-bad-row"] = with_rows(shared)
     return games
 
 
 class TestValidateMatchesReference:
     """Rows checked in place and counted, against the set of every
-    expected key: the same messages, with the missing rows after the
-    first few counted instead of named."""
+    expected key: the same messages from the loader, with the missing
+    rows after the first few counted instead of named."""
 
     @pytest.mark.parametrize("name, game", sorted(_odd_games().items()))
     def test_odd_games(self, name, game):
         reference = reference_validate(game)
         assert reference
-        assert validate(game) == shortened(reference)
-        assert validate(game)[:5] == reference[:5]
+        with pytest.raises(GameValidationError) as err:
+            game_from_dict(game)
+        assert err.value.violations == shortened(reference)
+        assert err.value.violations[:5] == reference[:5]
 
     def test_shared_bad_row_reported_under_every_key(self):
-        game = _odd_games()["overtake-shared-bad-row"]
-        assert len(game.rows) == 2
-        [bad] = [i for i, row in enumerate(game.rows) if "zz" in row]
-        keys = [k for k, i in game.transitions.items() if i == bad]
-        assert len(keys) == len(game.transitions) // 4 + 1
-        violations = validate(game)
+        doc = _odd_games()["overtake-shared-bad-row"]
+        keys = [(e["from"], e["profile"]) for e in doc["transitions"] if "zz" in e["to"]]
+        assert len(keys) == (len(doc["transitions"]) - 1) // 4 + 1
+        violations = load_violations(doc)
         for s, profile in keys:
-            where = f"row ({s!r}, {profile.as_dict()!r})"
+            where = f"row ({s!r}, {profile!r})"
             if s == "zz":
                 assert f"{where}: unknown source state" in violations
             else:
@@ -258,99 +271,119 @@ class TestValidateMatchesReference:
 
     @pytest.mark.parametrize("n", range(4))
     def test_valid_games(self, n):
-        assert validate(survival_ladder(n)) == reference_validate(survival_ladder(n)) == []
+        assert validate(survival_ladder(n)) == reference_validate(ladder_doc(n)) == []
 
     def test_ten_agents_with_one_row(self):
         agents = tuple(f"a{i}" for i in range(10))
-        g = Game(agents, ("s",), (), ("x", "y", "z"),
-                 {("s", ActionProfile.of({a: "y" for a in agents})): {"s": 1}}, {})
+        doc = _document(agents, ("s",), ("x", "y", "z"),
+                        [_row("s", {"s": "1"}, **{a: "y" for a in agents})])
         first = ["x"] * 10
         expected = []
         for last in ("x", "y", "z"):
             expected.append(dict(zip(agents, first[:9] + [last])))
         for last in ("x", "y"):
             expected.append(dict(zip(agents, first[:8] + ["y", last])))
-        violations = validate(g)
+        violations = load_violations(doc)
         assert violations == [
             f"missing transition row for ('s', {d!r})" for d in expected
         ] + [f"{3 ** 10 - 1 - 5} more transition rows missing"]
         assert str(GameValidationError(violations)).endswith("; ...")
 
 
-class TestSharedRows:
-    """``Game`` coerces each distinct input row object once into one row
-    of ``rows``, and every key that passed it gets that row's index."""
+class TestLayoutStop:
+    """Repeated agents or actions, or an empty action domain, leave no
+    complete profiles to check rows against: the loader reports the
+    layout and stops."""
 
-    def test_shared_input_row_stays_shared(self):
-        row = {"s": "1/2", "t": "1/2"}
-        keys = [(s, _profile(a=x)) for s in ("s", "t") for x in ("x", "y")]
-        g = Game(("a",), ("s", "t"), (), ("x", "y"), {k: row for k in keys}, {})
-        [coerced] = g.rows
-        assert coerced == {"s": F(1, 2), "t": F(1, 2)} and coerced is not row
-        assert g.transitions == {k: 0 for k in keys}
-        assert all(g.row(*k) is coerced for k in keys)
-        assert validate(g) == []
+    @pytest.mark.parametrize("doc, expected", [
+        (_document(("a", "a"), ("s",), ("x",), [_row("s", {"s": "1"}, a="x")]),
+         ["duplicate entries in agents"]),
+        (_document(("a",), ("s",), (), [_row("s", {"s": "1"}, a="x")]),
+         ["action domain is empty"]),
+    ], ids=["repeated-agent", "no-actions"])
+    def test_only_the_layout_is_reported(self, doc, expected):
+        assert load_violations(doc) == reference_validate(doc) == expected
 
-    @pytest.mark.parametrize("read_only", [False, True])
-    def test_rows_from_a_generator_of_temporaries(self, read_only):
-        # each row is dropped by the generator once Game has read it, so
-        # its id may be handed to a later row; with read-only views CPython
-        # does so here unless Game holds the rows it has read
-        n = 12
-        actions = tuple(f"x{i}" for i in range(n))
-        profiles = [_profile(a=x) for x in actions]
-        wanted = [{"s": F(i, n), "t": F(n - i, n)} for i in range(n)]
-
-        def items():
-            for i in range(n):
-                for s in ("s", "t"):
-                    if read_only:
-                        yield (s, profiles[i]), MappingProxyType(dict(wanted[i]))
-                    else:
-                        yield (s, {"a": actions[i]}), {"s": f"{i}/{n}",
-                                                       "t": f"{n - i}/{n}"}
-
-        g = Game(("a",), ("s", "t"), (), actions, items(), {})
-        assert len(g.rows) == 2 * n
-        for i in range(n):
-            for s in ("s", "t"):
-                assert g.row(s, profiles[i]) == wanted[i]
-        assert validate(g) == []
+    def test_repeated_states_do_not_stop_the_check(self):
+        doc = _document(("a",), ("s", "t", "s"), ("x",),
+                        [_row("t", {"s": "1/2"}, a="x")], failures=("zz",))
+        assert load_violations(doc) == reference_validate(doc) == [
+            "duplicate entries in states",
+            "failure state 'zz' not among the states",
+            "row ('t', {'a': 'x'}): probabilities sum to 1/2, expected 1",
+            "missing transition row for ('s', {'a': 'x'})",
+        ]
 
 
 class TestRowIds:
-    """``row_ids(state)``: a state's row indices in product order, given
-    to the trusted constructor or derived from ``transitions`` on first
-    use.  The builders' games are checked with their builders' tests."""
+    """``row_ids(state)``: a state's row indices in product order, the one
+    table a game keeps.  The builders' games are checked with their
+    builders' tests."""
 
     @pytest.mark.parametrize("name", ["overtake", "ladder1"])
-    def test_loaded_games(self, name, row_ids_in_product_order):
-        row_ids_in_product_order(load(GAMES / f"{name}.json"))
+    def test_loaded_games(self, name):
+        path = GAMES / f"{name}.json"
+        g = load(path)
+        doc = json.loads(path.read_text())
+        to = {(e["from"], ActionProfile.of(e["profile"])): e["to"] for e in doc["transitions"]}
+        for s in g.states:
+            want = [{t: F(v) for t, v in to[(s, p)].items()} for p in complete_profiles(g)]
+            assert [g.rows[i] for i in g.row_ids(s)] == want, s
 
-    def test_reversed_agents(self, row_ids_in_product_order):
+    def test_reversed_agents(self):
         g = overtake_game()
-        reordered = Game(("b", "a"), g.states, g.failures, g.actions,
-                         keyed_rows(g), g.valuation)
-        row_ids_in_product_order(reordered)
+        rows = {key: g.rows[i] for key, i in g.transitions.items()}
+        reordered = keyed_game(("b", "a"), g.states, g.failures, g.actions, rows, g.valuation)
         # b's action is now the most significant digit
-        assert reordered.row_ids("p") == (0, 3, 6, 1, 4, 7, 2, 5, 8)
+        assert [reordered.rows[i] for i in reordered.row_ids("p")] == [
+            g.rows[i] for i in (0, 3, 6, 1, 4, 7, 2, 5, 8)]
         assert g.row_ids("p") == tuple(range(9))
 
-    def test_missing_row_is_reported_by_outcomes(self, ladder):
-        rows = keyed_rows(ladder)
-        del rows[("t", ActionProfile.of({"a": "act"}))]
-        g = with_rows(ladder, rows)
-        with pytest.raises(GameError, match="no transition row for state 't'"):
-            CheckContext(g).outcomes("t")
-        assert CheckContext(g).outcomes("s") == CheckContext(ladder).outcomes("s")
+    def test_missing_row_is_reported_by_the_loader(self, tmp_path):
+        doc = ladder_doc()
+        doc["transitions"] = [e for e in doc["transitions"] if e["from"] != "t"]
+        path = tmp_path / "missing.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(GameValidationError) as err:
+            load(path)
+        assert err.value.violations == ["missing transition row for ('t', {'a': 'act'})"]
+        assert str(err.value) == "invalid game: missing transition row for ('t', {'a': 'act'})"
 
-    def test_trusted_constructor_keeps_rows_as_given(self):
-        row = {"t": F(1)}
-        g = Game.from_rows(("a",), ("t",), (), ("x", "y"), [row], {"t": (0, 0)}, {})
-        assert g.rows[0] is row
-        assert g.transitions == {("t", _profile(a="x")): 0, ("t", _profile(a="y")): 0}
-        assert g == Game(("a",), ("t",), (), ("x", "y"),
-                         [(("t", {"a": x}), {"t": "1"}) for x in "xy"], {})
+    def test_transitions_follow_the_row_ids(self):
+        g = overtake_game()
+        keys = [(s, p) for s in g.states for p in complete_profiles(g)]
+        assert list(g.transitions) == keys
+        assert all(g.transitions[k] == g.row_index(*k) for k in keys)
+
+
+class TestConstructorShape:
+    """The constructor takes every state's row ids and rejects a table
+    that is not one row index per complete profile."""
+
+    def make(self, row_ids, rows=({"s": 1},)):
+        return Game(("a",), ("s", "t"), (), ("x", "y"), rows, row_ids, {})
+
+    def test_dense_table_accepted(self):
+        g = self.make({"s": (0, 0), "t": [0, 0]})
+        assert g.row_ids("t") == (0, 0)
+
+    @pytest.mark.parametrize("row_ids, problem", [
+        ({"s": (0, 0)}, "no row ids for state 't'"),
+        ({"s": (0, 0), "t": (0,)}, "state 't' has 1 row ids, expected 2"),
+        ({"s": (0, 0, 0), "t": (0, 0)}, "state 's' has 3 row ids, expected 2"),
+        ({"s": (0, 1), "t": (0, 0)}, "state 's' names a row id outside the 1 rows"),
+        ({"s": (0, 0), "t": (-1, 0)}, "state 't' names a row id outside the 1 rows"),
+    ], ids=["no-ids", "too-few", "too-many", "past-the-end", "negative"])
+    def test_bad_shape_rejected(self, row_ids, problem):
+        with pytest.raises(GameError, match=problem):
+            self.make(row_ids)
+
+    def test_profile_outside_the_game(self):
+        g = self.make({"s": (0, 0), "t": (0, 0)})
+        with pytest.raises(GameError, match="no transition row for state 's'"):
+            g.row("s", ActionProfile.of({"a": "z"}))
+        with pytest.raises(GameError, match="no transition row for state 'zz'"):
+            g.row("zz", ActionProfile.of({"a": "x"}))
 
 
 class TestSurvival:
@@ -443,10 +476,11 @@ class TestJson:
         ("1", F(1)), ("-0.0", F(0)),
     ])
     def test_accepted_literal_forms(self, literal, value):
+        # the rest of the mass goes to s, so that the row sums to 1
         doc = game_to_dict(survival_ladder(0))
-        doc["transitions"][0]["to"] = {"f": literal}
+        doc["transitions"][0]["to"] = {"f": literal, "s": str(1 - value)}
         assert game_from_dict(doc).row(
-            "f", ActionProfile.of({"a": "act"})) == {"f": value}
+            "f", ActionProfile.of({"a": "act"})) == {"f": value, "s": 1 - value}
 
     @pytest.mark.parametrize("literal", ["0e-999999999", "1E0", "2.5e-1"])
     def test_exponent_notation_rejected(self, literal):
@@ -455,8 +489,7 @@ class TestJson:
         with pytest.raises(SchemaError, match="exponent notation is rejected"):
             game_from_dict(doc)
         with pytest.raises(GameError, match="exponent notation is rejected"):
-            Game(("a",), ("s",), (), ("x",),
-                 {("s", ActionProfile.of({"a": "x"})): {"s": literal}}, {})
+            Game(("a",), ("s",), (), ("x",), [{"s": literal}], {"s": (0,)}, {})
 
     def test_float_probability_rejected(self):
         doc = game_to_dict(survival_ladder(0))
@@ -466,13 +499,12 @@ class TestJson:
 
     def test_float_probability_rejected_by_game(self):
         with pytest.raises(GameError, match="floating point"):
-            Game(("a",), ("s",), (), ("x",),
-                 {("s", ActionProfile.of({"a": "x"})): {"s": 1.0}}, {})
+            Game(("a",), ("s",), (), ("x",), [{"s": 1.0}], {"s": (0,)}, {})
 
     def test_fractions_kept_as_given(self):
         half = F(1, 2)
         g = Game(("a",), ("s", "t"), (), ("x",),
-                 {("s", ActionProfile.of({"a": "x"})): {"s": half, "t": "1/2"}}, {})
+                 [{"s": half, "t": "1/2"}, {"t": 1}], {"s": (0,), "t": (1,)}, {})
         row = g.row("s", ActionProfile.of({"a": "x"}))
         assert row["s"] is half and row["t"] == half
 
@@ -491,7 +523,8 @@ class TestJson:
         path.write_text(json.dumps(doc))
         with pytest.raises(GameValidationError, match="sum to 9999/10000"):
             load(path)
-        assert validate(game_from_dict(doc)) != []
+        with pytest.raises(GameValidationError, match="sum to 9999/10000"):
+            game_from_dict(doc)
 
     def test_missing_section_is_schema_error(self, tmp_path):
         doc = game_to_dict(survival_ladder(0))

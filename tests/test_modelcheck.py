@@ -18,6 +18,8 @@ from sgcl.modelcheck import (
     witness,
 )
 
+from conftest import keyed_game
+
 F = Fraction
 
 
@@ -28,8 +30,8 @@ def coal(agents, p, body):
 def with_reversed_agents(g: Game) -> Game:
     """The same game with its agents listed in reverse order."""
     rows = {key: g.rows[i] for key, i in g.transitions.items()}
-    return Game(tuple(reversed(g.agents)), g.states, g.failures, g.actions,
-                rows, g.valuation)
+    return keyed_game(tuple(reversed(g.agents)), g.states, g.failures, g.actions,
+                      rows, g.valuation)
 
 
 def naive_outcomes(g: Game, state, fixed: dict):
@@ -172,8 +174,8 @@ class TestIntegerThresholds:
         rows = {("s", x): {"t": F(1, 4), "u": F(1, 4), "f": F(1, 2)}}
         for s in ("t", "u", "f"):
             rows[(s, x)] = {s: 1}
-        return Game(("a",), ("s", "t", "u", "f"), ("f",), ("x",), rows,
-                    {"v": ("t", "u")})
+        return keyed_game(("a",), ("s", "t", "u", "f"), ("f",), ("x",), rows,
+                          {"v": ("t", "u")})
 
     def test_entry_is_unreduced(self, split):
         assert CheckContext(split).outcomes("s") == [(2, 4, ("t", "u"))]
@@ -296,8 +298,8 @@ class TestAgainstNaiveSemantics:
         for a, b in product("xy", repeat=2):
             transitions[("t", prof(a, b))] = {"t": 1}
             transitions[("f", prof(a, b))] = {"f": 1}
-        g = Game(("b", "a"), ("s", "t", "f"), ("f",), ("x", "y"), transitions,
-                 {"v": ("s", "t"), "u": ("t",)})
+        g = keyed_game(("b", "a"), ("s", "t", "f"), ("f",), ("x", "y"), transitions,
+                       {"v": ("s", "t"), "u": ("t",)})
         ctx = CheckContext(g)
         table = [(F(n, d), successors) for n, d, successors in ctx.outcomes("s")]
         assert [survival for survival, _ in table] == [0, F(3, 4), 1, 1]
