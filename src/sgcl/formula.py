@@ -63,15 +63,17 @@ def exact(value) -> Fraction:
     bool is converted, and a string must be a literal of the grammar
     above and at most ``MAX_LITERAL_CHARS`` long, checked here so that
     what is accepted does not depend on the Python version.  Anything
-    else raises ValueError, whose message shows only a short prefix of
-    the value."""
-    if isinstance(value, Fraction):
+    else, a subclass of Fraction included (exact arithmetic reads its
+    numerator and denominator), raises ValueError, whose message shows
+    only a short prefix of the value."""
+    if type(value) is Fraction:
         return value
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if not isinstance(value, str):
         problem = (
             "binary floating point is rejected" if isinstance(value, float)
+            else "a subclass of Fraction is rejected" if isinstance(value, Fraction)
             else "not a Fraction, an int or a string"
         )
         raise ValueError(f"{_shown(value)}: {problem}; write {_FORMS} as a string")
@@ -84,6 +86,21 @@ def exact(value) -> Fraction:
         problem = "not a rational literal" if m is None else "exponent notation is rejected"
         raise ValueError(f"{_shown(value)}: {problem}; write {_FORMS}")
     return Fraction(value)
+
+
+class IntegerTooLong(ValueError):
+    """A JSON integer longer than ``MAX_LITERAL_CHARS`` characters."""
+
+
+def json_int(text: str) -> int:
+    """``json``'s ``parse_int`` hook for game and proof files: an integer
+    is bounded like a literal, so a longer one raises IntegerTooLong
+    instead of the interpreter's own digit-limit error."""
+    if len(text) > MAX_LITERAL_CHARS:
+        raise IntegerTooLong(
+            f"integer of {len(text)} characters is longer than the"
+            f" {MAX_LITERAL_CHARS} allowed")
+    return int(text)
 
 
 # ---------------------------------------------------------------------------

@@ -12,18 +12,20 @@ and ``row_ids(state)`` lists the row index of every complete profile of
 that state in product order (:func:`product_profiles`), the order of the
 model checker's outcome tables.  A row that many profiles share is
 checked, rendered and compiled once.  :class:`Game` is the one
-constructor: it takes every row value through
-:func:`sgcl.formula.exact` and rejects a row-id table of the wrong
-shape, but leaves the layout and the rows to :func:`validate`, which the
-tests call on every builder's output.
+constructor: it keeps a row whose values are all Fractions, takes every
+other row value through :func:`sgcl.formula.exact` and rejects a row-id
+table of the wrong shape, but leaves the layout and the rows to
+:func:`validate`, which the tests call on every builder's output.
 
 The JSON exchange format keys each row by its state and profile, and
 writes probabilities as strings ("9/10", "0.25") or integers.  The
-loader takes them through :func:`sgcl.formula.exact`, which rejects
-binary floats, parses equal rows once, into one row of the table, and
-checks the document before it builds a game: a file with an unknown
-state, a partial profile, a missing row or a bad row never becomes a
-:class:`Game`.
+loader reads a document in one pass.  It takes each distinct literal
+through :func:`sgcl.formula.exact` once, which rejects binary floats,
+parses equal rows once, into one row of the table, and puts each row's
+index straight into its state's slot numbered by the profile's product
+position.  It checks the document before it builds a game: a file with
+an unknown state, a partial profile, a missing row or a bad row never
+becomes a :class:`Game`.
 """
 
 from __future__ import annotations
@@ -33,9 +35,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice, product
+from math import gcd
 from typing import Mapping
 
-from .formula import _shown, exact
+from .formula import IntegerTooLong, _shown, exact, json_int
 
 StateId = str
 
@@ -100,13 +103,22 @@ def _profile_positions(agents: tuple, actions: tuple) -> dict:
     return {p: i for i, p in enumerate(product_profiles(agents, actions))}
 
 
+# the value types of a row that the constructor keeps as given
+_EXACT_TYPES = frozenset({Fraction})
+# the value types of a document row that the loader looks up by its items:
+# 1 == 1.0 == True, so a row holding a float or a bool is parsed, and fails,
+# at its own pointer
+_KEYED_TYPES = frozenset({str, int})
+
+
 class Game:
     """An immutable, complete game; :func:`validate` reports problems
     with its layout and rows as data.
 
     ``rows`` is a sequence of rows (target state -> probability), each
     value an int, a ``Fraction`` or a string literal, kept as the
-    ``Fraction`` :func:`sgcl.formula.exact` gives; ``row_ids`` maps every
+    ``Fraction`` :func:`sgcl.formula.exact` gives; a row whose values
+    are all Fractions is kept as the same object.  ``row_ids`` maps every
     state to the indices into ``rows`` of its complete profiles' rows, in
     product order.  A value that is not exact, or a state without
     ``len(actions) ** len(agents)`` row ids inside ``rows``, raises
@@ -119,7 +131,10 @@ class Game:
         self.actions = tuple(actions)
         self.valuation = {v: frozenset(sts) for v, sts in valuation.items()}
         try:
-            self.rows = tuple({t: exact(v) for t, v in row.items()} for row in rows)
+            self.rows = tuple(
+                row if _EXACT_TYPES.issuperset(map(type, row.values()))
+                else {t: exact(v) for t, v in row.items()}
+                for row in rows)
         except ValueError as exc:
             raise GameError(f"probability {exc}") from None
         width = len(self.actions) ** len(self.agents)
@@ -194,34 +209,75 @@ MISSING_ROWS_SHOWN = 5
 
 def _row_problems(row: Mapping, states: set) -> list:
     """What is wrong with one row's entries: unknown targets,
-    probabilities outside [0, 1], and a sum other than 1."""
+    probabilities outside [0, 1], and a sum other than 1.  The sum is
+    kept in integers, num / den with den the lcm of the denominators so
+    far, as ``CheckContext.entry`` keeps survival; a Fraction only words
+    a problem."""
     problems = []
-    total = Fraction(0)
+    num, den = 0, 1
     for t, v in row.items():
         if t not in states:
             problems.append(f"unknown target state {t!r}")
-        if not 0 <= v <= 1:
+        n, d = v.numerator, v.denominator
+        if n < 0 or n > d:
             problems.append(f"probability {_shown(v)} outside [0, 1]")
-        total += v
-    if total != 1:
-        problems.append(f"probabilities sum to {_shown(total)}, expected 1")
+        if den % d:
+            scale = d // gcd(den, d)
+            num *= scale
+            den *= scale
+        num += n * (den // d)
+    if num != den:
+        problems.append(f"probabilities sum to {_shown(Fraction(num, den))}, expected 1")
     return problems
 
 
-def _violations(agents, states, failures, actions, valuation, keyed, rows) -> list:
+def _position(profile: Mapping, agents, digit: Mapping):
+    """The product position of ``profile``, or None when it is not a
+    complete profile: one action of ``digit`` (action -> its index) for
+    each of ``agents``, which must be distinct."""
+    if len(profile) != len(agents):
+        return None
+    position = 0
+    for a in agents:
+        k = digit.get(profile.get(a))
+        if k is None:
+            return None
+        position = position * len(digit) + k
+    return position
+
+
+def _profile_at(agents, actions, position) -> dict:
+    """The complete profile at ``position`` in product order, as the
+    agent-sorted dict a message shows."""
+    choice = {}
+    for a in reversed(agents):
+        position, digit = divmod(position, len(actions))
+        choice[a] = actions[digit]
+    return dict(sorted(choice.items()))
+
+
+def _violations(agents, states, failures, actions, valuation, rows, row_ids, keys) -> list:
     """Every well-formedness violation of a game's parts, as
-    human-readable strings; [] = valid.  ``keyed`` maps (state, profile)
-    keys to indices into ``rows``.
+    human-readable strings; [] = valid.
+
+    ``row_ids`` maps each state to its row indices by product position:
+    a built game's tuple, or the dict of the positions a document names.
+    ``keys`` gives each row's (source state, profile, row index) in
+    report order; the profile is a product position, or the profile dict
+    of a document row whose source is unknown or whose profile is not
+    complete.
 
     The layout comes first: an empty action domain, duplicate names,
     failure and valuation states that are not states.  When the agents
     or actions repeat or there are no actions, complete profiles are not
-    defined and the check stops there.  Otherwise each key's state and
-    profile are checked, and each row of the table once; a bad row is
-    reported under every key with a complete profile that uses it, in key
-    order.  The keys are counted against the number of complete profiles,
-    which are walked, in sorted order, only to name the first few missing
-    rows."""
+    defined and the check stops there.  Otherwise each row of the table
+    is checked once, and each key is reported in order: a foreign one by
+    what makes it foreign, one with a complete profile by its row's
+    problems.  The positions present are counted against the number of
+    complete profiles; only when some are missing (never for a built
+    game, whose tuples are complete) are the profiles walked, in sorted
+    order, to name the first few, so no work or memory grows with that
+    number beyond the rows present."""
     out = []
     if not actions:
         out.append("action domain is empty")
@@ -238,36 +294,31 @@ def _violations(agents, states, failures, actions, valuation, keyed, rows) -> li
     if not actions or len(set(agents)) != len(agents) or len(set(actions)) != len(actions):
         return out
     state_set = set(states)
-    action_set = set(actions)
-    agent_key = tuple(sorted(agents))
-    present = 0
     row_problems = [_row_problems(row, state_set) for row in rows]
-    for (s, profile), i in keyed.items():
-        if s not in state_set:
-            problems = ["unknown source state"]
-        elif not (
-            tuple(a for a, _ in profile.assignment) == agent_key
-            and all(x in action_set for _, x in profile.assignment)
-        ):
-            problems = ["profile is not a complete profile"]
-        else:
-            present += 1
+    for s, profile, i in keys:
+        if isinstance(profile, int):
             problems = row_problems[i]
             if not problems:
                 continue
-        where = f"({s!r}, {profile.as_dict()!r})"
-        out.extend(f"row {where}: {problem}" for problem in problems)
-    missing = len(state_set) * len(actions) ** len(agents) - present
+            profile = _profile_at(agents, actions, profile)
+        else:
+            problems = ["unknown source state" if s not in state_set
+                        else "profile is not a complete profile"]
+            profile = dict(sorted(profile.items()))
+        out.extend(f"row ({s!r}, {profile!r}): {problem}" for problem in problems)
+    missing = len(state_set) * len(actions) ** len(agents) - sum(map(len, row_ids.values()))
     if missing:
+        names = sorted(agents)
+        digit = {x: k for k, x in enumerate(actions)}
         absent = (
             (s, profile)
             for s in sorted(state_set)
-            for combo in product(sorted(actions), repeat=len(agent_key))
-            for profile in (ActionProfile(tuple(zip(agent_key, combo))),)
-            if (s, profile) not in keyed
+            for combo in product(sorted(actions), repeat=len(names))
+            for profile in (dict(zip(names, combo)),)
+            if _position(profile, agents, digit) not in row_ids[s]
         )
         for s, profile in islice(absent, MISSING_ROWS_SHOWN):
-            out.append(f"missing transition row for ({s!r}, {profile.as_dict()!r})")
+            out.append(f"missing transition row for ({s!r}, {profile!r})")
         if missing > MISSING_ROWS_SHOWN:
             out.append(f"{missing - MISSING_ROWS_SHOWN} more transition rows missing")
     return out
@@ -277,8 +328,10 @@ def validate(game: Game) -> list:
     """Well-formedness violations as human-readable strings; [] = valid.
     The loader runs the same check on a document before it builds a game;
     here it covers a built game's layout and rows."""
+    row_ids = game._row_ids
+    keys = ((s, k, i) for s, ids in row_ids.items() for k, i in enumerate(ids))
     return _violations(game.agents, game.states, game.failures, game.actions,
-                       game.valuation, game.transitions, game.rows)
+                       game.valuation, game.rows, row_ids, keys)
 
 
 # ---------------------------------------------------------------------------
@@ -324,10 +377,10 @@ def game_to_dict(game: Game) -> dict:
 
 
 def game_from_dict(doc: dict) -> Game:
-    """Parse and check a game document.  A malformed document raises
-    SchemaError at its JSON pointer; a well-formed one that breaks a rule
-    of :func:`validate` raises GameValidationError with every violation,
-    keys in document order."""
+    """Parse and check a game document in one pass.  A malformed document
+    raises SchemaError at its JSON pointer; a well-formed one that breaks
+    a rule of :func:`validate` raises GameValidationError with every
+    violation, keys in document order."""
     if not isinstance(doc, dict):
         raise SchemaError("/: expected an object")
     for key in ("agents", "states", "failures", "actions", "transitions", "valuation"):
@@ -340,12 +393,21 @@ def game_from_dict(doc: dict) -> Game:
     raw_rows = doc.get("transitions")
     if not isinstance(raw_rows, list):
         raise SchemaError("/transitions: expected a list")
-    keyed = {}
+    # an action's digit in a product position; with repeated agents or
+    # actions there are no positions, and every row is foreign
+    numbered = len(set(agents)) == len(agents) and len(set(actions)) == len(actions)
+    digit = {x: k for k, x in enumerate(actions)} if numbered else {}
+    # each state's {product position: row index}, and every row's
+    # (source, position or foreign profile, row index) in document order
+    slots = {s: {} for s in states}
+    keys = []
+    foreign = set()
     rows = []
-    # a row's items -> its index in rows, which every equal row shares; only
-    # rows of str and int values are looked up (1 is not 1.0 or true): any
-    # other JSON value fails to parse, at its own pointer, before a store
+    # a row's items -> its index in rows, which every equal row shares, and
+    # a str literal -> its value (1 is not 1.0 or true: no other type is
+    # looked up, so such a value fails to parse at its own pointer)
     parsed = {}
+    literals = {}
     for i, entry in enumerate(raw_rows):
         where = f"/transitions/{i}"
         if not isinstance(entry, dict):
@@ -362,14 +424,32 @@ def game_from_dict(doc: dict) -> Game:
         if not isinstance(to, dict):
             raise SchemaError(f"{where}/to: expected a target-to-probability object")
         items = tuple(to.items())
-        index = parsed.get(items) if all(type(v) in (str, int) for _, v in items) else None
+        index = parsed.get(items) if _KEYED_TYPES.issuperset(map(type, to.values())) else None
         if index is None:
-            rows.append({t: _parse_probability(v, f"{where}/to/{t}") for t, v in items})
+            row = {}
+            for t, v in items:
+                if type(v) is str:
+                    value = literals.get(v)
+                    if value is None:
+                        value = literals[v] = _parse_probability(v, f"{where}/to/{t}")
+                else:
+                    value = _parse_probability(v, f"{where}/to/{t}")
+                row[t] = value
+            rows.append(row)
             index = parsed[items] = len(rows) - 1
-        key = (src, ActionProfile.of(profile))
-        if key in keyed:
-            raise SchemaError(f"{where}: duplicate row for this state and profile")
-        keyed[key] = index
+        ids = slots.get(src)
+        position = None if ids is None else _position(profile, agents, digit)
+        if position is not None:
+            if position in ids:
+                raise SchemaError(f"{where}: duplicate row for this state and profile")
+            ids[position] = index
+            keys.append((src, position, index))
+        else:
+            key = (src, ActionProfile.of(profile))
+            if key in foreign:
+                raise SchemaError(f"{where}: duplicate row for this state and profile")
+            foreign.add(key)
+            keys.append((src, profile, index))
     valuation = doc.get("valuation")
     if not isinstance(valuation, dict):
         raise SchemaError("/valuation: expected an object")
@@ -378,11 +458,11 @@ def game_from_dict(doc: dict) -> Game:
             raise SchemaError(f"/valuation/{var}: expected a list of state names")
     valuation = {var: frozenset(sts) for var, sts in valuation.items()}
     violations = _violations(agents, states, frozenset(failures), actions,
-                             valuation, keyed, rows)
+                             valuation, rows, slots, keys)
     if violations:
         raise GameValidationError(violations)
-    profiles = product_profiles(tuple(agents), tuple(actions))
-    row_ids = {s: [keyed[(s, profile)] for profile in profiles] for s in states}
+    positions = range(len(actions) ** len(agents))
+    row_ids = {s: map(ids.__getitem__, positions) for s, ids in slots.items()}
     return Game(agents, states, failures, actions, rows, row_ids, valuation)
 
 
@@ -396,8 +476,8 @@ def load(path) -> Game:
     """Load and check a game file."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+            doc = json.load(fh, parse_int=json_int)
+        except (json.JSONDecodeError, IntegerTooLong) as exc:
             raise SchemaError(f"/: not valid JSON: {exc}") from exc
         except RecursionError:
             raise SchemaError("/: document nests too deeply") from None

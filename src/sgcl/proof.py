@@ -33,10 +33,12 @@ from .formula import (
     Coal,
     Formula,
     Impl,
+    IntegerTooLong,
     Neg,
     canonical_key,
     in_plus_language,
     is_tautology,
+    json_int,
     parse,
     render,
 )
@@ -599,8 +601,8 @@ def save_proof(d: Derivation, path) -> None:
 def load_proof(path, universe=None) -> Derivation:
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+            doc = json.load(fh, parse_int=json_int)
+        except (json.JSONDecodeError, IntegerTooLong) as exc:
             raise ProofFormatError(f"not valid JSON: {exc}") from exc
         except RecursionError:
             raise ProofFormatError("document nests too deeply") from None

@@ -1,8 +1,17 @@
 """Checks and builders shared by the test modules."""
 
+import os
+
 import pytest
+from hypothesis import settings
 
 from sgcl.game import game_from_dict, game_to_dict, validate
+
+# under CI the property tests draw the same examples on every run and
+# have no deadline, since shared runners time them unevenly
+settings.register_profile("ci", derandomize=True, deadline=None)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 
 def keyed_game(agents, states, failures, actions, rows, valuation):

@@ -461,6 +461,22 @@ class TestOverlongLiterals:
         err = capsys.readouterr().err
         assert "sum to 1/3333" in err and len(err) < 200
 
+    @pytest.mark.parametrize("argv, message", [
+        (["check", "--state", "s", "--formula", "v", "--game"],
+         "error: /: not valid JSON: integer of 5000 characters is longer than"
+         " the 4300 allowed"),
+        (["verify-proof", "--proof"],
+         "error: not valid JSON: integer of 5000 characters is longer than"
+         " the 4300 allowed"),
+    ], ids=["game", "proof"])
+    def test_json_integer(self, tmp_path, capsys, argv, message):
+        # an integer too long for int() on its own is a file error, not
+        # the interpreter's digit-limit advice
+        path = tmp_path / "long.json"
+        path.write_text('{"agents": ' + "1" * 5000 + "}")
+        assert run(argv + [str(path)]) == 2
+        assert capsys.readouterr().err.strip() == message
+
 
 class TestUsage:
     def test_no_arguments_is_usage_error(self):

@@ -251,6 +251,7 @@ class TestExactGate:
         ("- 1", "not a rational literal"),
         ("\u00bd", "not a rational literal"),
         ("\u20031/2", "not a rational literal"),
+        (type("Half", (Fraction,), {})(1, 2), "a subclass of Fraction is rejected"),
     ], ids=repr)
     def test_rejections_name_the_problem(self, value, message):
         with pytest.raises(ValueError, match=message):

@@ -2,11 +2,14 @@
 
 import json
 import random
+import tracemalloc
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sgcl.canonical import build_canonical_game
 from sgcl.decide import SearchBounds, sample_game
@@ -22,6 +25,7 @@ from sgcl.game import (
     game_to_dict,
     load,
     overtake_game,
+    product_profiles,
     save,
     survival_ladder,
     validate,
@@ -289,6 +293,127 @@ class TestValidateMatchesReference:
         ] + [f"{3 ** 10 - 1 - 5} more transition rows missing"]
         assert str(GameValidationError(violations)).endswith("; ...")
 
+    def test_forty_agents_with_one_row(self):
+        # 2 ** 40 complete profiles: the loader may spend memory on the
+        # rows the document has and on the few it names, never one slot
+        # per complete profile
+        agents = tuple(f"a{i}" for i in range(40))
+        doc = _document(agents, ("s",), ("x", "y"),
+                        [_row("s", {"s": "1"}, **{a: "y" for a in agents})])
+        names = sorted(agents)
+        expected = [dict(zip(names, combo))
+                    for combo in islice(product("xy", repeat=40), MISSING_ROWS_SHOWN)]
+        layouts = product_profiles.cache_info()
+        tracemalloc.start()
+        try:
+            violations = load_violations(doc)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert violations == [
+            f"missing transition row for ('s', {d!r})" for d in expected
+        ] + [f"{2 ** 40 - 1 - 5} more transition rows missing"]
+        assert peak < 1 << 20
+        assert product_profiles.cache_info() == layouts
+
+
+# literals the differential documents draw from: each is exact, and
+# they make rows out of range, short or long of 1, and equal rows
+# written differently
+LITERALS = ["0", "1", 1, 0, "1/2", "0.5", "1/3", "2/3", "-1/4", "3/2", "1/4", " 3/4 "]
+
+
+@st.composite
+def game_documents(draw):
+    """Small game documents: repeated agents, actions and states, empty
+    action lists, missing, duplicate, partial and foreign profiles,
+    unknown sources, targets, failures and valuation states, and rows
+    out of range or with bad sums.  Each kind of fault is drawn on its
+    own, so clean documents are frequent too."""
+    def names(prefix, min_size):
+        repeat = draw(st.integers(0, 5)) == 0
+        drawn = draw(st.lists(st.sampled_from("abc"), min_size=min_size, max_size=3,
+                              unique=not repeat))
+        return [prefix + a for a in drawn]
+
+    agents = names("ag_", 0)
+    actions = names("x", draw(st.sampled_from([0, 1, 1, 1, 1])))
+    states = draw(st.lists(st.sampled_from("stu"), min_size=1, max_size=3,
+                           unique=draw(st.integers(0, 5)) > 0))
+    known = sorted(set(states))
+    outside = draw(st.integers(0, 3)) == 0
+    failures = draw(st.lists(st.sampled_from(known + ["zz"] * outside), max_size=2,
+                             unique=True))
+    valuation = draw(st.dictionaries(
+        st.sampled_from(["v", "w"]),
+        st.lists(st.sampled_from(known + ["zz"] * outside), max_size=2, unique=True),
+        max_size=2))
+    distinct = list(dict.fromkeys(agents))
+    profiles = [dict(zip(distinct, combo))
+                for combo in product(sorted(set(actions)), repeat=len(distinct))]
+    keys = [(s, p) for s in known for p in profiles]
+    if draw(st.booleans()):
+        keys = [k for k in keys if draw(st.integers(0, 5))]
+    if draw(st.booleans()):
+        # an unknown source, a partial profile, an unknown action, an
+        # extra agent
+        for s, p in draw(st.lists(st.sampled_from(keys or [("s", {})]), max_size=2)):
+            kind = draw(st.sampled_from(["source", "partial", "action", "agent"]))
+            if kind == "source":
+                keys.append(("zz", p))
+            elif kind == "partial" and p:
+                keys.append((s, dict(list(p.items())[1:])))
+            elif kind == "action" and p:
+                keys.append((s, dict(p, **{next(iter(p)): "jump"})))
+            else:
+                keys.append((s, dict(p, extra="x")))
+    if keys and draw(st.integers(0, 9)) == 0:
+        keys.append(draw(st.sampled_from(keys)))
+    bad_rows = draw(st.booleans())
+    transitions = []
+    for s, p in draw(st.permutations(keys)):
+        if bad_rows and draw(st.integers(0, 3)) == 0:
+            to = draw(st.dictionaries(st.sampled_from(known + ["zz"]),
+                                      st.sampled_from(LITERALS), min_size=1, max_size=3))
+        elif len(known) > 1 and draw(st.booleans()):
+            half = draw(st.sampled_from(["1/2", "0.5", " 1/2"]))
+            to = dict.fromkeys(draw(st.permutations(known))[:2], half)
+        else:
+            to = {draw(st.sampled_from(known)): draw(st.sampled_from(["1", 1, "2/2"]))}
+        transitions.append({"from": s, "profile": p, "to": to})
+    return {"agents": agents, "states": states, "failures": failures,
+            "actions": actions, "transitions": transitions, "valuation": valuation}
+
+
+def first_duplicate(doc):
+    """The index of the first row whose state and profile an earlier row
+    has, or None."""
+    seen = set()
+    for i, entry in enumerate(doc["transitions"]):
+        key = (entry["from"], frozenset(entry["profile"].items()))
+        if key in seen:
+            return i
+        seen.add(key)
+    return None
+
+
+@settings(max_examples=200)
+@given(game_documents())
+def test_loader_matches_reference(doc):
+    """The one-pass loader against the reference check on generated
+    documents, and a clean document's game through the JSON round trip."""
+    duplicate = first_duplicate(doc)
+    if duplicate is not None:
+        with pytest.raises(SchemaError, match=rf"^/transitions/{duplicate}: duplicate row"):
+            game_from_dict(doc)
+        return
+    violations = load_violations(doc)
+    assert violations == shortened(reference_validate(doc))
+    if not violations:
+        g = game_from_dict(doc)
+        assert validate(g) == []
+        assert game_from_dict(game_to_dict(g)) == g
+
 
 class TestLayoutStop:
     """Repeated agents or actions, or an empty action domain, leave no
@@ -384,6 +509,37 @@ class TestConstructorShape:
             g.row("s", ActionProfile.of({"a": "z"}))
         with pytest.raises(GameError, match="no transition row for state 'zz'"):
             g.row("zz", ActionProfile.of({"a": "x"}))
+
+
+class Half(Fraction):
+    """A Fraction subclass, which the exact gate refuses."""
+
+
+class TestConstructorValues:
+    """The constructor keeps a row whose values are all Fractions as
+    given, and takes every other row through the exact gate."""
+
+    @staticmethod
+    def row_of(row):
+        return Game(("a",), ("s",), (), ("x",), [row], {"s": (0,)}, {}).rows[0]
+
+    def test_fraction_row_kept(self):
+        row = {"s": F(1)}
+        assert self.row_of(row) is row
+
+    @pytest.mark.parametrize("value", [1, "1", " 2/2 ", F(1)], ids=repr)
+    def test_int_and_str_converted(self, value):
+        row = {"s": value, "t": 0}
+        kept = self.row_of(row)
+        assert kept == {"s": F(1), "t": F(0)} and kept is not row
+        assert all(type(v) is Fraction for v in kept.values())
+
+    @pytest.mark.parametrize("value", [True, 0.5, Half(1)], ids=repr)
+    def test_inexact_values_rejected(self, value):
+        with pytest.raises(GameError, match="probability"):
+            self.row_of({"s": value})
+        with pytest.raises(GameError, match="probability"):
+            self.row_of({"s": F(0), "t": value})
 
 
 class TestSurvival:
@@ -601,6 +757,44 @@ class TestLoaderSharesRows:
         message = str(err.value)
         assert message.startswith(f"/transitions/{second}/to/ab: ")
         assert problem in message
+
+    @pytest.mark.parametrize("first", ["1", 1], ids=repr)
+    @pytest.mark.parametrize("later, problem", [
+        (1.0, "binary floating point is rejected"),
+        (True, "not a Fraction, an int or a string"),
+    ])
+    def test_parsed_literal_admits_no_equal_value(self, first, later, problem):
+        # "1" or 1 is parsed first; 1.0 and true equal 1, yet each still
+        # reaches the gate and fails at its own pointer
+        doc = _document(("a",), ("s", "t"), ("x",), [
+            _row("s", {"t": first}, a="x"), _row("t", {"s": later}, a="x")])
+        with pytest.raises(SchemaError) as err:
+            game_from_dict(doc)
+        assert str(err.value).startswith("/transitions/1/to/s: ")
+        assert problem in str(err.value)
+
+    def test_equal_literals_load_as_equal_rows(self):
+        doc = _document(("a",), ("s", "t"), ("x", "y"), [
+            _row("s", {"s": "1/2", "t": "1/2"}, a="x"),
+            _row("s", {"s": "0.5", "t": "0.5"}, a="y"),
+            _row("t", {"t": 1}, a="x"),
+            _row("t", {"t": "1"}, a="y"),
+        ])
+        g = game_from_dict(doc)
+        of = ActionProfile.of
+        for s in ("s", "t"):
+            row = g.row(s, of({"a": "x"}))
+            assert g.row(s, of({"a": "y"})) == row
+            assert all(type(v) is Fraction for v in row.values())
+        assert g.row("s", of({"a": "x"})) == {"s": F(1, 2), "t": F(1, 2)}
+
+    def test_repeated_bad_literal_reported_at_first_pointer(self):
+        doc = _document(("a",), ("s", "t"), ("x",), [
+            _row("s", {"s": "1/2", "t": "1/3e1"}, a="x"),
+            _row("t", {"t": "1/3e1"}, a="x"),
+        ])
+        with pytest.raises(SchemaError, match=r"^/transitions/0/to/t: '1/3e1'"):
+            game_from_dict(doc)
 
     def test_round_trip_of_sampled_games(self):
         rng = random.Random(3)
