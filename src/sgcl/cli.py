@@ -52,6 +52,8 @@ def _read_formula(args):
             return parse(fh.read().strip())
     except OSError as e:
         raise _InputError(f"cannot read formula file: {e}")
+    except UnicodeDecodeError as e:
+        raise _InputError(f"cannot read formula file: not UTF-8 at byte {e.start}")
 
 
 def _load_game(args):

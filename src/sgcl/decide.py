@@ -48,7 +48,7 @@ from .formula import (
     variables_of,
 )
 from .game import Game, game_to_dict, survival_ladder
-from .modelcheck import QUARTER_GRID, CheckContext, holds
+from .modelcheck import QUARTER_GRID, CheckContext, NodeTable, holds
 from .proof import SystemId
 
 
@@ -243,9 +243,10 @@ def bounded_countermodel(
     needed = agents_of(f)
     rng = random.Random(seed)
     names = tuple(sorted(variables_of(f))) or ("v",)
+    table = NodeTable()  # f's nodes, shared by the context of every game
     for _ in range(bounds.budget):
         game = sample_game(rng, bounds, variables=names, require_agents=needed)
-        ctx = CheckContext(game)
+        ctx = CheckContext(game, table=table)
         for state in game.states:
             if state in game.failures:
                 continue

@@ -182,7 +182,7 @@ class Coal:
             )
         coalition = frozenset(self.coalition)
         p = exact(self.p)
-        if not 0 <= p <= 1:
+        if not 0 <= p.numerator <= p.denominator:
             raise ValueError(f"modal subscript {_shown(p)} outside [0, 1]")
         object.__setattr__(self, "coalition", coalition)
         object.__setattr__(self, "p", p)

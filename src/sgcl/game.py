@@ -479,6 +479,8 @@ def load(path) -> Game:
             doc = json.load(fh, parse_int=json_int)
         except (json.JSONDecodeError, IntegerTooLong) as exc:
             raise SchemaError(f"/: not valid JSON: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise SchemaError(f"/: not valid JSON: not UTF-8 at byte {exc.start}") from exc
         except RecursionError:
             raise SchemaError("/: document nests too deeply") from None
     return game_from_dict(doc)

@@ -22,13 +22,22 @@ checking; :func:`witness` makes the one it reports.  Each coalition's
 choices are listed once per agents-and-actions layout, in the same
 order, with the indices of their completions in that table; the list
 is shared by every context, and so by every game, of that layout.
-Truth values are memoized per (state, formula) and computed on demand;
-states no query reaches are never compiled.  ``holds``, ``extent``,
-``witness`` and the schema audits stay lazy in this way, because a
-query of one formula at one state, or of a few formulas, touches only
-part of a game: compiling every state up front made the canonical
-route's decide slower, and a labeling ``extent`` was slower than the
-lazy one on the bench's extent queries.
+
+The lazy checker reads a formula once: a query first interns it in a
+:class:`NodeTable` (hash-consing, limited to the checker): every
+distinct subformula becomes one integer node id, children first, so two
+equal subformulas are one node whether or not they are one object.
+Truth values are memoized per (state, node id) and computed on demand,
+dispatching on each node's kind; no formula is hashed or compared while
+checking, and states no query reaches are never compiled.  A table
+depends on no game: a bounded search interns its formula once and shares
+the table among the contexts of every game it samples, and the schema
+audit interns each instance once and evaluates it by id at every state.
+``holds``, ``extent``, ``witness`` and the schema audits stay lazy in
+this way, because a query of one formula at one state, or of a few
+formulas, touches only part of a game: compiling every state up front
+made the canonical route's decide slower, and a labeling ``extent`` was
+slower than the lazy one on the bench's extent queries.
 
 :func:`label` is the eager route, the labeling algorithm of ATL model
 checking (Alur, Henzinger and Kupferman, JACM 2002), for a caller that
@@ -95,9 +104,79 @@ def choice_table(agents: tuple, actions: tuple, coalition: frozenset) -> tuple:
     return tuple(zip(choices, map(tuple, completions)))
 
 
+# the kinds of a node of a NodeTable, its first field
+VAR, BOT, NEG, IMPL, COAL = range(5)
+
+
+class NodeTable:
+    """Every distinct subformula interned once, as an integer node id.
+
+    ``nodes[i]`` is node i: ``(VAR, name)``, ``(BOT,)``, ``(NEG, body)``,
+    ``(IMPL, left, right)`` or ``(COAL, body, coalition, p numerator, p
+    denominator)``, its children given by their ids, which are smaller
+    than its own.  ``ids`` maps each node back to its id, so two equal
+    subformulas, the same object or not, are one node; ``interned`` maps
+    each formula interned so far to its id, so interning it again is one
+    lookup.  A table depends on no game and may be shared by the contexts
+    of several."""
+
+    def __init__(self):
+        self.nodes: list = []
+        self.ids: dict = {}
+        self.interned: dict = {}
+
+    def intern(self, f: Formula) -> int:
+        """The id of f, interning f and its subformulas, children first."""
+        found = self.interned.get(f)
+        if found is not None:
+            return found
+        # f's subformulas, each parent before its children and a right
+        # child before the left, so that read backwards they come children
+        # first and left to right
+        order = []
+        stack = [f]
+        while stack:
+            g = stack.pop()
+            order.append(g)
+            kind = type(g)
+            if kind is Impl:
+                stack.append(g.left)
+                stack.append(g.right)
+            elif kind is Neg or kind is Coal:
+                stack.append(g.body)
+        ids, nodes = self.ids, self.nodes
+        done = []  # ids of the subformulas read whose parent is still to come
+        for g in reversed(order):
+            kind = type(g)
+            if kind is Impl:
+                right = done.pop()
+                node = (IMPL, done.pop(), right)
+            elif kind is Coal:
+                node = (COAL, done.pop(), g.coalition, g.p.numerator, g.p.denominator)
+            elif kind is Neg:
+                node = (NEG, done.pop())
+            elif kind is Var:
+                node = (VAR, g.name)
+            elif kind is Bot:
+                node = (BOT,)
+            else:
+                raise CheckError(f"not a formula: {g!r}")
+            i = ids.get(node)
+            if i is None:
+                i = ids[node] = len(nodes)
+                nodes.append(node)
+            done.append(i)
+        self.interned[f] = i
+        return i
+
+
 @dataclass
 class CheckContext:
     """Memo tables shared across queries against one game.
+
+    ``memo`` holds the truth values computed so far, keyed by (state,
+    node id) in ``table``, the node table, which contexts of other games
+    may share.
 
     ``outcomes(state)`` is the state's outcome table: for each complete
     profile, in the order of ``game.row_ids(state)``, the ``entry`` of its
@@ -111,6 +190,7 @@ class CheckContext:
     game: Game
     memo: dict = field(default_factory=dict)
     profile_evals: int = 0
+    table: NodeTable = field(default_factory=NodeTable)
     _outcomes: dict = field(default_factory=dict, init=False, repr=False)
     _entries: dict = field(default_factory=dict, init=False, repr=False)
 
@@ -145,41 +225,47 @@ class CheckContext:
         return choice_table(self.game.agents, self.game.actions, coalition)
 
 
-def _committing_choice(ctx: CheckContext, state, f: Coal):
-    """The first choice of ``f``'s coalition (partial profile, completion
-    indices) under which every completion survives with probability at
-    least ``f.p`` and reaches only states satisfying ``f.body``, or None."""
+def _committing_choice(ctx: CheckContext, state, node: tuple):
+    """The first choice of a modality node's coalition (partial profile,
+    completion indices) under which every completion survives with
+    probability at least its threshold and reaches only states satisfying
+    its body, or None."""
+    _, body, coalition, p_num, p_den = node
     table = ctx.outcomes(state)
-    p_num, p_den = f.p.numerator, f.p.denominator
-    for choice in ctx.choices(f.coalition):
+    for choice in ctx.choices(coalition):
         for i in choice[1]:
             ctx.profile_evals += 1
             n, d, successors = table[i]
-            if n * p_den < p_num * d or not all(
-                    _eval(ctx, t, f.body) for t in successors):
+            if n * p_den < p_num * d:
                 break
+            for t in successors:
+                if not _eval(ctx, t, body):
+                    break
+            else:
+                continue  # this completion commits: try the next one
+            break  # a successor fails the body
         else:
             return choice
     return None
 
 
-def _eval(ctx: CheckContext, state, f: Formula) -> bool:
-    key = (state, f)
+def _eval(ctx: CheckContext, state, i: int) -> bool:
+    key = (state, i)
     cached = ctx.memo.get(key)
     if cached is not None:
         return cached
-    if isinstance(f, Var):
-        value = state in ctx.game.valuation.get(f.name, frozenset())
-    elif isinstance(f, Bot):
+    node = ctx.table.nodes[i]
+    kind = node[0]
+    if kind == COAL:
+        value = _committing_choice(ctx, state, node) is not None
+    elif kind == IMPL:
+        value = (not _eval(ctx, state, node[1])) or _eval(ctx, state, node[2])
+    elif kind == NEG:
+        value = not _eval(ctx, state, node[1])
+    elif kind == VAR:
+        value = state in ctx.game.valuation.get(node[1], frozenset())
+    else:  # BOT
         value = False
-    elif isinstance(f, Neg):
-        value = not _eval(ctx, state, f.body)
-    elif isinstance(f, Impl):
-        value = (not _eval(ctx, state, f.left)) or _eval(ctx, state, f.right)
-    elif isinstance(f, Coal):
-        value = _committing_choice(ctx, state, f) is not None
-    else:
-        raise CheckError(f"not a formula: {f!r}")
     ctx.memo[key] = value
     return value
 
@@ -203,7 +289,7 @@ def holds(game: Game, state, f: Formula, ctx: Optional[CheckContext] = None) -> 
     _require_checkable(game, state, f)
     if ctx is None:
         ctx = CheckContext(game)
-    return _eval(ctx, state, f)
+    return _eval(ctx, state, ctx.table.intern(f))
 
 
 def extent(game: Game, f: Formula, ctx: Optional[CheckContext] = None) -> frozenset:
@@ -211,9 +297,8 @@ def extent(game: Game, f: Formula, ctx: Optional[CheckContext] = None) -> frozen
     _require_agents(game, f)
     if ctx is None:
         ctx = CheckContext(game)
-    return frozenset(
-        s for s in game.nonfailure_states if holds(game, s, f, ctx)
-    )
+    i = ctx.table.intern(f)
+    return frozenset(s for s in game.nonfailure_states if _eval(ctx, s, i))
 
 
 def _compile_masks(ctx: CheckContext, bit: dict) -> list:
@@ -299,7 +384,7 @@ def witness(
     _require_checkable(game, state, modality)
     if ctx is None:
         ctx = CheckContext(game)
-    choice = _committing_choice(ctx, state, modality)
+    choice = _committing_choice(ctx, state, ctx.table.nodes[ctx.table.intern(modality)])
     if choice is None:
         return None
     partial, completions = choice
@@ -379,9 +464,10 @@ def audit_axiom_soundness(
 ) -> SoundnessReport:
     """Sample axiom instances over the pool and evaluate each one at every
     non-failure state; also check that universally true bodies stay
-    universally true under the threshold-zero modality.  A budget that is
-    not positive raises ValueError: an audit of no instances proves
-    nothing."""
+    universally true under the threshold-zero modality.  Each instance
+    is interned and its agents checked once, then evaluated by node id at
+    every state.  A budget that is not positive raises ValueError: an
+    audit of no instances proves nothing."""
     if sample_budget <= 0:
         raise ValueError("budget must be positive")
     pool = tuple(sorted(set(pool), key=canonical_key)) or (TOP,)
@@ -394,8 +480,12 @@ def audit_axiom_soundness(
         name, make = _SCHEMAS[rng.randrange(len(_SCHEMAS))]
         instance = make(rng, game.agents, pool)
         report.instances += 1
+        if not checkable:  # every state fails: nothing to evaluate
+            continue
+        _require_agents(game, instance)
+        i = ctx.table.intern(instance)
         for s in checkable:
-            if not holds(game, s, instance, ctx):
+            if not _eval(ctx, s, i):
                 report.violations.append((name, render(instance), s))
     for body in pool:
         coalition = _random_coalition(rng, game.agents)

@@ -604,6 +604,8 @@ def load_proof(path, universe=None) -> Derivation:
             doc = json.load(fh, parse_int=json_int)
         except (json.JSONDecodeError, IntegerTooLong) as exc:
             raise ProofFormatError(f"not valid JSON: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise ProofFormatError(f"not valid JSON: not UTF-8 at byte {exc.start}") from exc
         except RecursionError:
             raise ProofFormatError("document nests too deeply") from None
     return derivation_from_dict(doc, universe)

@@ -478,6 +478,37 @@ class TestOverlongLiterals:
         assert capsys.readouterr().err.strip() == message
 
 
+class TestNotUtf8:
+    """A game, proof or formula file that is not UTF-8 is an input error
+    naming the byte offset of the first bad byte, not the codec's own
+    message."""
+
+    # the 0xff stands at byte 15 and character 14: the é before it takes
+    # two bytes
+    DOC = '{"agents": ["é'.encode() + b'\xff"]}'
+
+    @pytest.mark.parametrize("argv, message", [
+        (["check", "--state", "s", "--formula", "v", "--game"],
+         "error: /: not valid JSON: not UTF-8 at byte 15"),
+        (["verify-proof", "--proof"],
+         "error: not valid JSON: not UTF-8 at byte 15"),
+        (["fmt", "--formula-file"],
+         "error: cannot read formula file: not UTF-8 at byte 15"),
+    ], ids=["game", "proof", "formula"])
+    def test_offset_is_reported(self, tmp_path, capsys, argv, message):
+        path = tmp_path / "bad"
+        path.write_bytes(self.DOC)
+        assert run(argv + [str(path)]) == 2
+        assert capsys.readouterr().err.strip() == message
+
+    def test_offset_counts_from_the_start_of_a_long_file(self, tmp_path, capsys):
+        path = tmp_path / "long.json"
+        path.write_bytes(b'{"agents": ["' + b"a" * 20000 + b'\xff"]}')
+        assert run(["verify-proof", "--proof", str(path)]) == 2
+        assert capsys.readouterr().err.strip() == (
+            "error: not valid JSON: not UTF-8 at byte 20013")
+
+
 class TestUsage:
     def test_no_arguments_is_usage_error(self):
         assert run([]) == 2

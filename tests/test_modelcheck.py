@@ -1,15 +1,21 @@
 """Model checker: modality semantics, extents, witnesses, schema audits."""
 
+import random
 from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sgcl.formula import Bot, Coal, Impl, Neg, Var, closure, parse, render
+from sgcl.formula import Bot, Coal, Impl, Neg, Var, closure, parse, render, subformulas
 from sgcl.game import ActionProfile, Game, overtake_game, survival_ladder
 from sgcl.modelcheck import (
+    QUARTER_GRID,
     CheckContext,
     CheckError,
+    NodeTable,
+    SoundnessReport,
     Witness,
     audit_axiom_soundness,
     extent,
@@ -372,6 +378,70 @@ class TestSharedTables:
                 assert isinstance(choice, tuple) and isinstance(choice[1], tuple)
 
 
+checked_formulas = st.recursive(
+    st.sampled_from([Var("v"), Var("u"), Bot()]),
+    lambda sub: st.one_of(
+        st.builds(Neg, sub),
+        st.builds(Impl, sub, sub),
+        st.builds(Coal, st.sampled_from([frozenset(), frozenset("a"),
+                                         frozenset("b"), frozenset("ab")]),
+                  st.sampled_from(QUARTER_GRID), sub),
+    ),
+    max_leaves=8,
+)
+
+
+class TestInternedChecker:
+    """The checker interns formulas into integer node tables; the
+    reference semantics walks the formulas themselves."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(checked_formulas, st.lists(st.integers(0, 2**32), min_size=1, max_size=3))
+    def test_agrees_with_reference(self, f, seeds):
+        from sgcl.decide import SearchBounds, sample_game
+
+        bounds = SearchBounds(max_states=3, max_actions=2, budget=1)
+        games = [sample_game(random.Random(seed), bounds, require_agents=("a", "b"),
+                             variables=("v", "u")) for seed in seeds]
+        shared = NodeTable()
+        for g in games:
+            truth = {s for s in g.nonfailure_states if naive_holds(g, s, f)}
+            assert extent(g, f) == truth
+            fresh, sharing = CheckContext(g), CheckContext(g, table=shared)
+            for ctx in (fresh, sharing):
+                for s in g.nonfailure_states:
+                    assert holds(g, s, f, ctx) == (s in truth)
+            assert fresh.profile_evals == sharing.profile_evals
+            assert len(fresh.memo) == len(sharing.memo)
+            if isinstance(f, Coal):
+                for s in g.nonfailure_states:
+                    assert witness(g, s, f) == naive_witness(g, s, f)
+
+        # an equal formula made of other objects is the same node
+        count = len(shared.nodes)
+        copy = parse(render(f))
+        assert copy == f and copy is not f
+        assert shared.intern(copy) == shared.intern(f)
+        assert len(shared.nodes) == count
+        table = NodeTable()
+        top = table.intern(Impl(f, copy))
+        assert table.nodes[top][1:] == (table.intern(f),) * 2
+        assert len(table.nodes) == count + 1
+
+    def test_children_before_parents(self):
+        table = NodeTable()
+        f = parse("([a]_1/2 (v -> u) -> ~[]_0 false)")
+        top = table.intern(f)
+        assert top == len(table.nodes) - 1
+        for i, node in enumerate(table.nodes):
+            assert all(child < i for child in node[1:] if isinstance(child, int))
+        assert len(table.nodes) == len(subformulas(f)) == 8
+
+    def test_not_a_formula(self):
+        with pytest.raises(CheckError, match="not a formula"):
+            NodeTable().intern("v")
+
+
 def assert_label_matches_holds(g: Game, order) -> None:
     """label against one lazy holds query per (state, formula); walking
     the same choices in the same order, both examine the same complete
@@ -467,3 +537,43 @@ class TestAudit:
         g = overtake_game()
         bogus = parse("[a]_0 passed -> [a]_1 passed")
         assert not all(holds(g, s, bogus) for s in g.nonfailure_states)
+
+    @pytest.mark.parametrize("game, pool, budget, seed, report, evals, entries", [
+        ("overtake", ["true", "passed", "behind", "passed -> behind"], 300, 11,
+         SoundnessReport(300, [], 1, []), 2045, 1276),
+        ("sampled", ["true", "false", "v", "u", "~v"], 400, 2,
+         SoundnessReport(400, [], 1, []), 3750, 2734),
+    ])
+    def test_audit_work_is_pinned(self, monkeypatch, game, pool, budget, seed,
+                                  report, evals, entries):
+        """The report and the checker's work of two fixed audits, one on a
+        three-agent sampled game: interning each instance once must not
+        change what is evaluated."""
+        from sgcl.decide import SearchBounds, sample_game
+
+        if game == "overtake":
+            g = overtake_game()
+        else:
+            g = sample_game(random.Random(0),
+                            SearchBounds(max_states=4, max_actions=2, budget=1,
+                                         agents=("a", "b", "c")),
+                            require_agents=("a", "b", "c"), variables=("v", "u"))
+            assert (len(g.states), len(g.actions), len(g.agents)) == (4, 2, 3)
+        made = []
+
+        class Recording(CheckContext):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self)
+
+        monkeypatch.setattr("sgcl.modelcheck.CheckContext", Recording)
+        got = audit_axiom_soundness(g, [parse(t) for t in pool],
+                                    sample_budget=budget, seed=seed)
+        assert got == report
+        assert len(made) == 1
+        assert (made[0].profile_evals, len(made[0].memo)) == (evals, entries)
+
+    def test_pool_agent_outside_the_game(self):
+        with pytest.raises(CheckError, match=r"outside the game: \['z'\]"):
+            audit_axiom_soundness(overtake_game(), [parse("[z]_1/2 passed")],
+                                  sample_budget=50, seed=0)
