@@ -111,6 +111,11 @@ _EXACT_TYPES = frozenset({Fraction})
 _KEYED_TYPES = frozenset({str, int})
 
 
+def _same_distribution(row: Mapping, other: Mapping) -> bool:
+    return row == other or ({t: v for t, v in row.items() if v}
+                            == {t: v for t, v in other.items() if v})
+
+
 class Game:
     """An immutable, complete game; :func:`validate` reports problems
     with its layout and rows as data.
@@ -183,6 +188,9 @@ class Game:
         return self.rows[self.row_index(state, profile)]
 
     def __eq__(self, other):
+        """Equal layouts, valuations and transition distributions: an
+        entry of probability 0 is no entry, as :func:`game_to_dict`
+        writes none."""
         if not isinstance(other, Game):
             return NotImplemented
         return (
@@ -190,7 +198,7 @@ class Game:
             and self.states == other.states
             and self.failures == other.failures
             and self.actions == other.actions
-            and all(self.rows[i] == other.rows[j]
+            and all(_same_distribution(self.rows[i], other.rows[j])
                     for s in self.states
                     for i, j in zip(self._row_ids[s], other._row_ids[s]))
             and self.valuation == other.valuation

@@ -31,8 +31,13 @@ Truth values are memoized per (state, node id) and computed on demand,
 dispatching on each node's kind; no formula is hashed or compared while
 checking, and states no query reaches are never compiled.  A table
 depends on no game: a bounded search interns its formula once and shares
-the table among the contexts of every game it samples, and the schema
-audit interns each instance once and evaluates it by id at every state.
+the table among the contexts of every game it samples.  The schema audit
+makes no formula for an axiom instance: it draws each one as indices
+(its schema, coalitions, grid thresholds and pool formulas), builds each
+distinct draw straight into its table as nodes over the pool's interned
+ids, and evaluates it by id at every state once; a repeated draw reuses
+that result, and only a violating instance is turned back into a formula
+(:meth:`NodeTable.formula`), to render it.
 ``holds``, ``extent``, ``witness`` and the schema audits stay lazy in
 this way, because a query of one formula at one state, or of a few
 formulas, touches only part of a game: compiling every state up front
@@ -144,7 +149,7 @@ class NodeTable:
                 stack.append(g.right)
             elif kind is Neg or kind is Coal:
                 stack.append(g.body)
-        ids, nodes = self.ids, self.nodes
+        add = self.add
         done = []  # ids of the subformulas read whose parent is still to come
         for g in reversed(order):
             kind = type(g)
@@ -161,13 +166,56 @@ class NodeTable:
                 node = (BOT,)
             else:
                 raise CheckError(f"not a formula: {g!r}")
-            i = ids.get(node)
-            if i is None:
-                i = ids[node] = len(nodes)
-                nodes.append(node)
+            i = add(node)
             done.append(i)
         self.interned[f] = i
         return i
+
+    def add(self, node: tuple) -> int:
+        """The id of a node whose children are in the table, adding it
+        when it is new."""
+        i = self.ids.get(node)
+        if i is None:
+            i = self.ids[node] = len(self.nodes)
+            self.nodes.append(node)
+        return i
+
+    def formula(self, i: int) -> Formula:
+        """The formula of node i, the inverse of :meth:`intern`: the nodes
+        i reaches are built in the order of their ids, children first, so
+        however deep the formula, nothing recurses."""
+        nodes = self.nodes
+        reached = {i}
+        stack = [i]
+        while stack:
+            node = nodes[stack.pop()]
+            kind = node[0]
+            if kind == IMPL:
+                children = node[1:]
+            elif kind == NEG or kind == COAL:
+                children = node[1:2]
+            else:
+                continue
+            for child in children:
+                if child not in reached:
+                    reached.add(child)
+                    stack.append(child)
+        built: dict = {}
+        for j in sorted(reached):
+            node = nodes[j]
+            kind = node[0]
+            if kind == COAL:
+                f = Coal(node[2], Fraction(node[3], node[4]), built[node[1]])
+            elif kind == IMPL:
+                f = Impl(built[node[1]], built[node[2]])
+            elif kind == NEG:
+                f = Neg(built[node[1]])
+            elif kind == VAR:
+                f = Var(node[1])
+            else:  # BOT
+                f = Bot()
+            built[j] = f
+        return built[i]
 
 
 @dataclass
@@ -270,10 +318,13 @@ def _eval(ctx: CheckContext, state, i: int) -> bool:
     return value
 
 
-def _require_agents(game: Game, f: Formula) -> None:
-    foreign = agents_of(f) - set(game.agents)
+def _reject_foreign(foreign) -> None:
     if foreign:
         raise CheckError(f"formula names agents outside the game: {sorted(foreign)}")
+
+
+def _require_agents(game: Game, f: Formula) -> None:
+    _reject_foreign(agents_of(f) - set(game.agents))
 
 
 def _require_checkable(game: Game, state, f: Formula) -> None:
@@ -422,38 +473,47 @@ def _random_coalition(rng, agents) -> frozenset:
     return frozenset(a for a in agents if rng.random() < 0.5)
 
 
-def _cooperation_instance(rng, agents, pool):
-    side = {a: rng.randrange(3) for a in agents}
-    c1 = frozenset(a for a in agents if side[a] == 0)
-    c2 = frozenset(a for a in agents if side[a] == 1)
-    p, q = rng.choice(QUARTER_GRID), rng.choice(QUARTER_GRID)
-    left, right = rng.choice(pool), rng.choice(pool)
-    return Impl(
-        Coal(c1, p, Impl(left, right)),
-        Impl(Coal(c2, q, left), Coal(c1 | c2, max(p, q), right)),
-    )
+_SCHEMAS = ("cooperation", "monotonicity", "falsehood")
+
+# a threshold drawn as an index of QUARTER_GRID, which ascends from 0, so
+# indices compare as the thresholds do and the positive ones start at 1
+_GRID_INDICES = range(len(QUARTER_GRID))
+_POSITIVE_INDICES = range(1, len(QUARTER_GRID))
+_GRID_NODES = tuple((g.numerator, g.denominator) for g in QUARTER_GRID)
 
 
-def _monotonicity_instance(rng, agents, pool):
-    c = _random_coalition(rng, agents)
-    p, q = rng.choice(QUARTER_GRID), rng.choice(QUARTER_GRID)
-    if q > p:
-        p, q = q, p
-    body = rng.choice(pool)
-    return Impl(Coal(c, p, body), Coal(c, q, body))
+def _instance_node(table: NodeTable, key: tuple, coalition_of, bodies) -> int:
+    """The id of the axiom instance drawn as ``key``, built into ``table``
+    as the nodes :meth:`NodeTable.intern` would make of its formula.
 
+    A key is a schema's index in ``_SCHEMAS`` and its draws: coalitions as
+    bit masks over the game's agents, read by ``coalition_of(mask)``;
+    thresholds as indices of ``QUARTER_GRID``; pool formulas as indices of
+    the pool, whose node ids ``bodies(*indices)`` gives; it raises
+    CheckError when they name agents outside the game.
 
-def _falsehood_instance(rng, agents, pool):
-    c = _random_coalition(rng, agents)
-    p = rng.choice([g for g in QUARTER_GRID if g > 0])
-    return Neg(Coal(c, p, Bot()))
-
-
-_SCHEMAS = (
-    ("cooperation", _cooperation_instance),
-    ("monotonicity", _monotonicity_instance),
-    ("falsehood", _falsehood_instance),
-)
+    * cooperation ``(0, c1, c2, p, q, x, y)``:
+      ``[c1]_p (x -> y) -> ([c2]_q x -> [c1 | c2]_max(p, q) y)``;
+    * monotonicity ``(1, c, p, q, x)``, p at least q:
+      ``[c]_p x -> [c]_q x``;
+    * falsehood ``(2, c, p)``: ``~[c]_p false``."""
+    add = table.add
+    schema = key[0]
+    if schema == 0:
+        _, c1, c2, p, q, x, y = key
+        x, y = bodies(x, y)
+        return add((IMPL,
+                    add((COAL, add((IMPL, x, y)), coalition_of(c1), *_GRID_NODES[p])),
+                    add((IMPL,
+                         add((COAL, x, coalition_of(c2), *_GRID_NODES[q])),
+                         add((COAL, y, coalition_of(c1 | c2), *_GRID_NODES[max(p, q)]))))))
+    if schema == 1:
+        _, c, p, q, x = key
+        (x,) = bodies(x)
+        return add((IMPL, add((COAL, x, coalition_of(c), *_GRID_NODES[p])),
+                    add((COAL, x, coalition_of(c), *_GRID_NODES[q]))))
+    _, c, p = key
+    return add((NEG, add((COAL, add((BOT,)), coalition_of(c), *_GRID_NODES[p]))))
 
 
 def audit_axiom_soundness(
@@ -464,29 +524,91 @@ def audit_axiom_soundness(
 ) -> SoundnessReport:
     """Sample axiom instances over the pool and evaluate each one at every
     non-failure state; also check that universally true bodies stay
-    universally true under the threshold-zero modality.  Each instance
-    is interned and its agents checked once, then evaluated by node id at
-    every state.  A budget that is not positive raises ValueError: an
-    audit of no instances proves nothing."""
+    universally true under the threshold-zero modality.  A budget that is
+    not positive raises ValueError: an audit of no instances proves
+    nothing.
+
+    Each instance is drawn as indices (see :func:`_instance_node`), with
+    the random calls a draw of the thresholds and pool formulas themselves
+    would make: ``choice`` draws an index below a sequence's length, so
+    choosing from a range of indices takes the same draws.  The first
+    draw of a key builds its instance straight into the context's node
+    table, checks its agents and evaluates it by node id at every
+    non-failure state; a key drawn again reports the failing states
+    stored for it.  A pool formula is interned and its agents checked on
+    first use, and a violating instance is rendered from its node; no
+    formula is made for a drawn instance."""
     if sample_budget <= 0:
         raise ValueError("budget must be positive")
     pool = tuple(sorted(set(pool), key=canonical_key)) or (TOP,)
     rng = random.Random(seed)
+    below, pick, draw = rng.randrange, rng.choice, rng.random
     ctx = CheckContext(game)
-    report = SoundnessReport()
+    table = ctx.table
+    report = SoundnessReport(instances=sample_budget)
     checkable = game.nonfailure_states
     everywhere = frozenset(checkable)
+    agents = game.agents
+    members = set(agents)
+    bits = [1 << j for j in range(len(agents))]
+    pool_indices = range(len(pool))
+
+    coalitions: dict = {}  # agent bit mask -> coalition
+
+    def coalition_of(mask: int) -> frozenset:
+        c = coalitions.get(mask)
+        if c is None:
+            c = coalitions[mask] = frozenset(a for a, bit in zip(agents, bits) if mask & bit)
+        return c
+
+    pool_entries: list = [None] * len(pool)  # (node id, agents outside the game)
+
+    def bodies(*indices) -> list:
+        ids, foreign = [], set()
+        for k in indices:
+            entry = pool_entries[k]
+            if entry is None:
+                f = pool[k]
+                entry = pool_entries[k] = (table.intern(f), agents_of(f) - members)
+            ids.append(entry[0])
+            foreign |= entry[1]
+        _reject_foreign(foreign)
+        return ids
+
+    seen: dict = {}  # key -> the violations of its instance
     for _ in range(sample_budget):
-        name, make = _SCHEMAS[rng.randrange(len(_SCHEMAS))]
-        instance = make(rng, game.agents, pool)
-        report.instances += 1
+        schema = below(len(_SCHEMAS))
+        if schema == 0:
+            c1 = c2 = 0
+            for bit in bits:
+                side = below(3)
+                if side == 0:
+                    c1 |= bit
+                elif side == 1:
+                    c2 |= bit
+            key = (0, c1, c2, pick(_GRID_INDICES), pick(_GRID_INDICES),
+                   pick(pool_indices), pick(pool_indices))
+        else:
+            c = 0
+            for bit in bits:
+                if draw() < 0.5:
+                    c |= bit
+            if schema == 1:
+                p, q = pick(_GRID_INDICES), pick(_GRID_INDICES)
+                if q > p:
+                    p, q = q, p
+                key = (1, c, p, q, pick(pool_indices))
+            else:
+                key = (2, c, pick(_POSITIVE_INDICES))
         if not checkable:  # every state fails: nothing to evaluate
             continue
-        _require_agents(game, instance)
-        i = ctx.table.intern(instance)
-        for s in checkable:
-            if not _eval(ctx, s, i):
-                report.violations.append((name, render(instance), s))
+        found = seen.get(key)
+        if found is None:
+            i = _instance_node(table, key, coalition_of, bodies)
+            failing = [s for s in checkable if not _eval(ctx, s, i)]
+            text = render(table.formula(i)) if failing else ""
+            found = seen[key] = [(_SCHEMAS[schema], text, s) for s in failing]
+        report.violations.extend(found)
     for body in pool:
         coalition = _random_coalition(rng, game.agents)
         if extent(game, body, ctx) == everywhere:

@@ -818,6 +818,17 @@ class TestLoaderSharesRows:
     def test_round_trip_of_builtin_games(self, g):
         assert game_from_dict(game_to_dict(g)) == g
 
+    def test_round_trip_of_a_zero_entry(self):
+        # the document's "s": "0" is written as no entry
+        doc = _document((), ("s", "t"), ("x",), [
+            _row("s", {"s": "0", "t": "1"}), _row("t", {"s": "1"})])
+        g = game_from_dict(doc)
+        assert g.rows[g.row_ids("s")[0]] == {"s": 0, "t": 1}
+        assert game_to_dict(g)["transitions"][0]["to"] == {"t": "1"}
+        assert game_from_dict(game_to_dict(g)) == g
+        doc["transitions"][0]["to"] = {"s": "1/2", "t": "1/2"}
+        assert game_from_dict(doc) != g
+
 
 class TestLadder:
     def test_negative_n_rejected(self):

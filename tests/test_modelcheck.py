@@ -8,8 +8,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sgcl.formula import Bot, Coal, Impl, Neg, Var, closure, parse, render, subformulas
-from sgcl.game import ActionProfile, Game, overtake_game, survival_ladder
+from sgcl import modelcheck
+from sgcl.formula import (
+    TOP,
+    Bot,
+    Coal,
+    Impl,
+    Neg,
+    Var,
+    canonical_key,
+    closure,
+    parse,
+    render,
+    subformulas,
+)
+from sgcl.game import (
+    ActionProfile,
+    Game,
+    game_from_dict,
+    game_to_dict,
+    overtake_game,
+    survival_ladder,
+)
 from sgcl.modelcheck import (
     QUARTER_GRID,
     CheckContext,
@@ -417,6 +437,10 @@ class TestInternedChecker:
                 for s in g.nonfailure_states:
                     assert witness(g, s, f) == naive_witness(g, s, f)
 
+        # formula() is the inverse of intern
+        back = shared.formula(shared.intern(f))
+        assert back == f and render(back) == render(f)
+
         # an equal formula made of other objects is the same node
         count = len(shared.nodes)
         copy = parse(render(f))
@@ -440,6 +464,14 @@ class TestInternedChecker:
     def test_not_a_formula(self):
         with pytest.raises(CheckError, match="not a formula"):
             NodeTable().intern("v")
+
+    def test_deep_formula_round_trip(self):
+        # 3000 nested negations: formula() builds children first in a loop
+        deep = parse("~" * 3000 + "[a]_1/2 (v -> false)")
+        table = NodeTable()
+        back = table.formula(table.intern(deep))
+        assert render(back) == render(deep)
+        assert len(table.nodes) == 3000 + 4
 
 
 def assert_label_matches_holds(g: Game, order) -> None:
@@ -515,6 +547,137 @@ class TestLabel:
             label(survival_ladder(1), closure([parse("[z]_1/2 true")]).formulas)
 
 
+# ---------------------------------------------------------------------------
+# the schema audit over formulas, the reference audit_axiom_soundness is
+# checked against: each instance is drawn as a formula and checked with
+# holds at every non-failure state
+
+
+def reference_coalition(rng, agents) -> frozenset:
+    return frozenset(a for a in agents if rng.random() < 0.5)
+
+
+def cooperation_instance(rng, agents, pool):
+    side = {a: rng.randrange(3) for a in agents}
+    c1 = frozenset(a for a in agents if side[a] == 0)
+    c2 = frozenset(a for a in agents if side[a] == 1)
+    p, q = rng.choice(QUARTER_GRID), rng.choice(QUARTER_GRID)
+    left, right = rng.choice(pool), rng.choice(pool)
+    return Impl(
+        Coal(c1, p, Impl(left, right)),
+        Impl(Coal(c2, q, left), Coal(c1 | c2, max(p, q), right)),
+    )
+
+
+def monotonicity_instance(rng, agents, pool):
+    c = reference_coalition(rng, agents)
+    p, q = rng.choice(QUARTER_GRID), rng.choice(QUARTER_GRID)
+    if q > p:
+        p, q = q, p
+    body = rng.choice(pool)
+    return Impl(Coal(c, p, body), Coal(c, q, body))
+
+
+def falsehood_instance(rng, agents, pool):
+    c = reference_coalition(rng, agents)
+    p = rng.choice([g for g in QUARTER_GRID if g > 0])
+    return Neg(Coal(c, p, Bot()))
+
+
+REFERENCE_SCHEMAS = (
+    ("cooperation", cooperation_instance),
+    ("monotonicity", monotonicity_instance),
+    ("falsehood", falsehood_instance),
+)
+
+
+def reference_audit(game, pool, sample_budget, seed) -> SoundnessReport:
+    """Each instance a formula; ``holds`` checks its agents, interns it
+    and evaluates it, state by state.  The context is made through the
+    module, as the audit makes its own, so that a test can record it."""
+    pool = tuple(sorted(set(pool), key=canonical_key)) or (TOP,)
+    rng = random.Random(seed)
+    ctx = modelcheck.CheckContext(game)
+    report = SoundnessReport()
+    everywhere = frozenset(game.nonfailure_states)
+    for _ in range(sample_budget):
+        name, make = REFERENCE_SCHEMAS[rng.randrange(len(REFERENCE_SCHEMAS))]
+        instance = make(rng, game.agents, pool)
+        report.instances += 1
+        for s in game.nonfailure_states:
+            if not holds(game, s, instance, ctx):
+                report.violations.append((name, render(instance), s))
+    for body in pool:
+        coalition = reference_coalition(rng, game.agents)
+        if extent(game, body, ctx) == everywhere:
+            report.necessitation_cases += 1
+            lifted = Coal(coalition, F(0), body)
+            if extent(game, lifted, ctx) != everywhere:
+                report.necessitation_violations.append((render(lifted),))
+    return report
+
+
+def audit_outcome(audit, game, pool, budget, seed):
+    """(report, or the CheckError's message, profile_evals, memo size) of
+    one audit, read from the one context it makes."""
+    made = []
+
+    class Recording(CheckContext):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(modelcheck, "CheckContext", Recording)
+        try:
+            result = audit(game, pool, budget, seed)
+        except CheckError as e:
+            result = f"CheckError: {e}"
+    assert len(made) == 1
+    return result, made[0].profile_evals, len(made[0].memo)
+
+
+def plant_threshold_zero_fault(mp) -> None:
+    """Break the checker: every modality at threshold 0 is judged false."""
+    committing = modelcheck._committing_choice
+    mp.setattr(modelcheck, "_committing_choice",
+               lambda ctx, state, node: None if node[3] == 0 else committing(ctx, state, node))
+
+
+def all_failing(g: Game) -> Game:
+    """The same game with every state a failure state."""
+    doc = game_to_dict(g)
+    doc["failures"] = list(doc["states"])
+    return game_from_dict(doc)
+
+
+@st.composite
+def audit_cases(draw):
+    """A sampled game of 1-3 agents, a failure-only copy now and then, a
+    pool over its agents with repeats, a budget and a seed."""
+    from sgcl.decide import SearchBounds, sample_game
+
+    agents = ("a", "b", "c")[:draw(st.integers(1, 3))]
+    g = sample_game(random.Random(draw(st.integers(0, 2**32))),
+                    SearchBounds(max_states=4, max_actions=2, budget=1, agents=agents),
+                    require_agents=agents, variables=("v", "u"))
+    if draw(st.integers(0, 4)) == 0:
+        g = all_failing(g)
+    formulas = st.recursive(
+        st.sampled_from([Var("v"), Var("u"), Bot(), TOP]),
+        lambda sub: st.one_of(
+            st.builds(Neg, sub),
+            st.builds(Impl, sub, sub),
+            st.builds(Coal, st.frozensets(st.sampled_from(agents)),
+                      st.sampled_from(QUARTER_GRID), sub),
+        ),
+        max_leaves=4,
+    )
+    distinct = draw(st.lists(formulas, max_size=5))
+    pool = draw(st.lists(st.sampled_from(distinct), max_size=7)) if distinct else []
+    return g, pool, draw(st.integers(1, 300)), draw(st.integers())
+
+
 class TestAudit:
     def test_clean_on_ladder(self):
         g = survival_ladder(2)
@@ -531,12 +694,41 @@ class TestAudit:
         assert report.clean
         assert report.necessitation_cases >= 1
 
-    def test_detects_planted_violation(self):
-        # a deliberately broken checker would trip the audit; here we
-        # check the audit notices a false "axiom" by feeding one directly
+    def test_grid_ascends(self):
+        # the audit draws thresholds as grid indices and compares those
+        assert list(QUARTER_GRID) == sorted(set(QUARTER_GRID))
+        assert QUARTER_GRID[0] == 0
+
+    @settings(max_examples=150, deadline=None)
+    @given(audit_cases(), st.booleans())
+    def test_agrees_with_reference(self, case, planted):
+        g, pool, budget, seed = case
+        with pytest.MonkeyPatch.context() as mp:
+            if planted:
+                plant_threshold_zero_fault(mp)
+            got = audit_outcome(audit_axiom_soundness, g, pool, budget, seed)
+            assert got == audit_outcome(reference_audit, g, pool, budget, seed)
+
+    def test_detects_planted_violation(self, monkeypatch):
         g = overtake_game()
-        bogus = parse("[a]_0 passed -> [a]_1 passed")
-        assert not all(holds(g, s, bogus) for s in g.nonfailure_states)
+        pool = [parse(t) for t in ("true", "passed", "behind", "passed -> behind",
+                                   "passed -> passed", "behind -> behind")]
+        plant_threshold_zero_fault(monkeypatch)
+        got = audit_axiom_soundness(g, pool, sample_budget=300, seed=12)
+        # schema name, text and state, one entry per draw, in draw order
+        assert got.violations == reference_audit(g, pool, 300, 12).violations
+        assert len(got.violations) == 59 and len(set(got.violations)) == 49
+        # a cooperation instance at threshold 0 has a false antecedent
+        assert {name for name, _, _ in got.violations} == {"monotonicity"}
+        assert got.violations[:2] == [
+            ("monotonicity", "([b]_1 passed -> [b]_0 passed)", "ba"),
+            ("monotonicity", "([a,b]_3/4 (passed -> behind) -> [a,b]_0 (passed -> behind))",
+             "p"),
+        ]
+        # the lifts' coalitions are the last draws of the stream
+        assert got.necessitation_violations == [
+            ("[a,b]_0 true",), ("[b]_0 (behind -> behind)",), ("[a,b]_0 (passed -> passed)",)]
+        assert got == reference_audit(g, pool, 300, 12)
 
     @pytest.mark.parametrize("game, pool, budget, seed, report, evals, entries", [
         ("overtake", ["true", "passed", "behind", "passed -> behind"], 300, 11,
@@ -544,11 +736,11 @@ class TestAudit:
         ("sampled", ["true", "false", "v", "u", "~v"], 400, 2,
          SoundnessReport(400, [], 1, []), 3750, 2734),
     ])
-    def test_audit_work_is_pinned(self, monkeypatch, game, pool, budget, seed,
-                                  report, evals, entries):
+    def test_audit_work_is_pinned(self, game, pool, budget, seed, report, evals, entries):
         """The report and the checker's work of two fixed audits, one on a
-        three-agent sampled game: interning each instance once must not
-        change what is evaluated."""
+        three-agent sampled game: building each drawn instance as nodes,
+        and checking each distinct one once, must not change what is
+        evaluated."""
         from sgcl.decide import SearchBounds, sample_game
 
         if game == "overtake":
@@ -559,21 +751,57 @@ class TestAudit:
                                          agents=("a", "b", "c")),
                             require_agents=("a", "b", "c"), variables=("v", "u"))
             assert (len(g.states), len(g.actions), len(g.agents)) == (4, 2, 3)
+        got = audit_outcome(audit_axiom_soundness, g, [parse(t) for t in pool], budget, seed)
+        assert got == (report, evals, entries)
+
+    def test_instances_make_no_formulas(self, monkeypatch):
+        """A clean audit makes no formula for a drawn instance: the only
+        formulas it makes are the necessitation lifts, one per pool body
+        true everywhere."""
+        g = overtake_game()
+        pool = [parse(t) for t in ("true", "passed", "behind", "passed -> behind")]
         made = []
+        for kind in (Var, Bot, Neg, Impl, Coal):
+            post_init = kind.__post_init__
 
-        class Recording(CheckContext):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                made.append(self)
+            def counting(self, post_init=post_init):
+                made.append(type(self))
+                post_init(self)
 
-        monkeypatch.setattr("sgcl.modelcheck.CheckContext", Recording)
-        got = audit_axiom_soundness(g, [parse(t) for t in pool],
-                                    sample_budget=budget, seed=seed)
-        assert got == report
-        assert len(made) == 1
-        assert (made[0].profile_evals, len(made[0].memo)) == (evals, entries)
+            monkeypatch.setattr(kind, "__post_init__", counting)
+        report = audit_axiom_soundness(g, pool, sample_budget=2000, seed=0)
+        assert report.clean and report.instances == 2000
+        assert made == [Coal] * report.necessitation_cases
+        assert len(made) <= len(pool)
 
     def test_pool_agent_outside_the_game(self):
         with pytest.raises(CheckError, match=r"outside the game: \['z'\]"):
             audit_axiom_soundness(overtake_game(), [parse("[z]_1/2 passed")],
                                   sample_budget=50, seed=0)
+
+    def test_foreign_pool_formula_fails_its_first_instance(self):
+        # the error comes where the reference's does: the work done before
+        # it, the instances drawn before the first one using [z]_1/2 passed,
+        # is the same
+        pool = [parse(t) for t in ("passed", "behind", "[z]_1/2 passed")]
+        got = audit_outcome(audit_axiom_soundness, overtake_game(), pool, 200, 4)
+        assert got == audit_outcome(reference_audit, overtake_game(), pool, 200, 4)
+        message, evals, _ = got
+        assert message == "CheckError: formula names agents outside the game: ['z']"
+        assert evals > 0
+
+    def test_cooperation_lists_both_foreign_agents(self):
+        pool = [parse("[z]_1/2 passed"), parse("[y]_1/4 behind"), parse("passed")]
+        got = audit_outcome(audit_axiom_soundness, overtake_game(), pool, 50, 3)
+        assert got == audit_outcome(reference_audit, overtake_game(), pool, 50, 3)
+        assert got[0] == "CheckError: formula names agents outside the game: ['y', 'z']"
+
+    def test_foreign_agent_on_a_failure_only_game(self):
+        # no instance is evaluated, so the necessitation loop's extent
+        # raises
+        g = all_failing(overtake_game())
+        with pytest.raises(CheckError,
+                           match=r"^formula names agents outside the game: \['z'\]$") as info:
+            audit_axiom_soundness(g, [parse("[z]_1/2 passed")], sample_budget=50, seed=0)
+        called = [entry.name for entry in info.traceback]
+        assert "extent" in called and "bodies" not in called
