@@ -7,18 +7,19 @@ variables and modalities); every other member follows by evaluation, so
 the sets are enumerated over atom signs and a pluggable oracle rejects
 those whose modal literals visibly contradict a theorem.
 
-Each agent's action is a request: the pair (body, threshold) of a
-modality [C]_p body of the closure whose coalition C is non-empty, or
-the opt-out (true, -1), which belongs to no modality and so grants
-nothing.
+Each agent's action is a request: the pair (body, p) of a modality
+[C]_p body of the closure whose coalition C is non-empty, or the opt-out
+(true, -1), which belongs to no modality and so grants nothing.  The
+requests are numbered in the order of :func:`action_domain`, and a
+profile is a tuple of those numbers, one per agent.
 
 At a state s under a complete profile, the granted commitments are the
-modalities in s whose coalition members all chose exactly the matching
-(body, threshold) pair; a modality with an empty coalition is granted by
-every profile and so needs no action.  Their strongest threshold (0 when
-none is granted) is shared uniformly among the target states, the
-maximal sets containing every granted body; the rest of the mass goes to
-the failure state.  The point of the construction is that membership
+modalities in s whose coalition members all chose the number of the
+matching (body, p) request; a modality with an empty coalition is
+granted by every profile and so needs no action.  Their strongest
+threshold (0 when none is granted) is shared uniformly among the target
+states, the maximal sets containing every granted body; the rest of the
+mass goes to the failure state.  The point of the construction is that membership
 and truth coincide, which :func:`audit_truth_lemma` measures rather than
 assumes.
 
@@ -41,6 +42,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 from typing import Mapping, Optional, Protocol, Sequence
 
 from .formula import (
@@ -53,12 +55,11 @@ from .formula import (
     Neg,
     Var,
     evaluate,
-    exact,
     formula_size,
     in_plus_language,
     render,
 )
-from .game import Game, product_profiles
+from .game import Game
 from .modelcheck import CheckError, label
 from .proof import SystemId
 
@@ -205,24 +206,8 @@ def enumerate_maximal_sets(
 # ---------------------------------------------------------------------------
 # actions and transition data
 
-
-@dataclass(frozen=True)
-class CanonicalAction:
-    """A request (formula, value); value -1 is the opt-out sentinel."""
-
-    formula: Formula
-    value: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "value", exact(self.value))
-
-    @property
-    def action_id(self) -> str:
-        return _action_id(render(self.formula), self.value)
-
-
-def _action_id(text: str, value: Fraction) -> str:
-    return f"({text},{value})"
+# the request that belongs to no modality and so grants nothing
+OPT_OUT = (TOP, Fraction(-1))
 
 
 def _text(sigma: ClosureSet, f: Formula) -> str:
@@ -232,78 +217,58 @@ def _text(sigma: ClosureSet, f: Formula) -> str:
 
 
 def action_domain(sigma: ClosureSet) -> tuple:
-    """One request (body, p) per modality [C]_p body of the closure with a
-    non-empty coalition, plus the opt-out (true, -1), in canonical order
-    of the formula, then of the value."""
-    requests = {
-        CanonicalAction(f.body, f.p)
-        for f in sigma
-        if isinstance(f, Coal) and f.coalition
-    }
-    requests.add(CanonicalAction(TOP, Fraction(-1)))
-    return tuple(sorted(requests, key=lambda a: (
-        formula_size(a.formula), _text(sigma, a.formula), a.value)))
+    """One request ``(body, p)`` per modality [C]_p body of the closure
+    with a non-empty coalition, plus :data:`OPT_OUT`, in canonical order
+    of the body, then of the threshold."""
+    requests = {(f.body, f.p) for f in sigma if isinstance(f, Coal) and f.coalition}
+    requests.add(OPT_OUT)
+    return tuple(sorted(requests, key=lambda r: (
+        formula_size(r[0]), _text(sigma, r[0]), r[1])))
 
 
-def _granted(s: MaximalSet, profile: Mapping[str, CanonicalAction]):
-    for m in s.members:
-        if isinstance(m, Coal) and all(
-            profile[a] == CanonicalAction(m.body, m.p) for a in m.coalition
-        ):
-            yield m
-
-
-def mu(s: MaximalSet, profile: Mapping[str, CanonicalAction]) -> Fraction:
-    """Strongest granted threshold at s under the profile; 0 when no
-    modality in s is granted.  A modality with an empty coalition is
-    granted by every profile."""
-    best = Fraction(0)
-    for m in _granted(s, profile):
-        if m.p > best:
-            best = m.p
-    if not 0 <= best <= 1:  # pragma: no cover - thresholds live in [0, 1]
-        raise CanonicalError(f"granted threshold {best} outside [0, 1]")
-    return best
-
-
-def targets(
-    s: MaximalSet,
-    profile: Mapping[str, CanonicalAction],
-    all_sets: Sequence[MaximalSet],
-) -> tuple:
-    """Maximal sets containing every granted body, in input order."""
-    required = {m.body for m in _granted(s, profile)}
-    return tuple(t for t in all_sets if required <= t.members)
-
-
-def _row(mu_value: Fraction, target_names: Sequence[str]) -> tuple:
-    """``(row, guarded)`` for a granted threshold and its target states:
-    ``mu_value`` shared uniformly among the targets, the rest of the mass
-    on the failure state.  When no maximal set contains all granted
-    bodies yet the threshold is positive, the construction cannot honor
-    the grant; all mass then routes to the failure state and ``guarded``
-    is true (callers report such pairs)."""
-    if not target_names and mu_value > 0:
+def _row(granted: tuple, sets: Sequence[MaximalSet], names: Sequence[str]) -> tuple:
+    """``(row, guarded)`` for the modalities a profile grants at a state:
+    their strongest threshold mu (0 when none is granted) shared
+    uniformly among the targets, the states of ``sets`` (named by
+    ``names``) containing every granted body, and the rest of the mass on
+    the failure state.  When no maximal set contains all granted bodies
+    yet mu is positive, the construction cannot honor the grant; all mass
+    then routes to the failure state and ``guarded`` is true (callers
+    report such pairs)."""
+    mu = max((m.p for m in granted), default=0)
+    if mu == 0:
+        return {FAILURE_STATE: Fraction(1)}, False
+    bodies = {m.body for m in granted}
+    targets = [name for name, t in zip(names, sets) if bodies <= t.members]
+    if not targets:
         return {FAILURE_STATE: Fraction(1)}, True
-    row = {}
-    if mu_value > 0:
-        row = dict.fromkeys(target_names, mu_value / len(target_names))
-    if mu_value < 1:
-        row[FAILURE_STATE] = 1 - mu_value
+    row = dict.fromkeys(targets, mu / len(targets))
+    if mu < 1:
+        row[FAILURE_STATE] = 1 - mu
     return row, False
 
 
 @dataclass
 class CanonicalDiagnostics:
     guard_pairs: list = field(default_factory=list)
-    no_consistent_sets: bool = False
-    state_count: int = 0
     action_count: int = 0
-    profile_count: int = 0
     # state name -> MaximalSet, s0, s1, ... in order
     sets: dict = field(default_factory=dict, repr=False)
     # the closure the sets were drawn from
     closure: Optional[ClosureSet] = field(default=None, init=False, repr=False)
+
+    @property
+    def state_count(self) -> int:
+        return len(self.sets)
+
+    @property
+    def profile_count(self) -> int:
+        """(non-failure state, complete profile) pairs."""
+        return len(self.sets) * self.action_count ** len(self.closure.agents())
+
+    @property
+    def no_consistent_sets(self) -> bool:
+        return not self.sets
 
     @property
     def state_members(self) -> dict:
@@ -350,55 +315,60 @@ def build_canonical_game(
         for f, text in texts.items():
             if not in_plus_language(f):
                 raise CanonicalError(f"{text} lies outside the restricted language")
-    agent_tuple = tuple(sorted(sigma.agents()))
+    agents = tuple(sorted(sigma.agents()))
     sets = sorted(
         enumerate_maximal_sets(sigma, oracle, cap),
         key=lambda s: sorted(texts[f] for f in s.members),
     )
     actions = action_domain(sigma)
-    action_ids = tuple(
-        _action_id(_text(sigma, a.formula), a.value) for a in actions)
-    diag = CanonicalDiagnostics()
-    diag.state_count = len(sets)
-    diag.action_count = len(actions)
+    action_ids = tuple(f"({_text(sigma, body)},{p})" for body, p in actions)
+    diag = CanonicalDiagnostics(action_count=len(actions))
     diag.sets = {f"s{i}": s for i, s in enumerate(sets)}
     diag.closure = sigma
-    names = {s: name for name, s in diag.sets.items()}
-    diag.no_consistent_sets = not sets
-    action_of = dict(zip(action_ids, actions))
-    profiles = product_profiles(agent_tuple, action_ids)
-    requests = [{a: action_of[x] for a, x in p.assignment} for p in profiles]
-    diag.profile_count = len(sets) * len(profiles)
+    names = tuple(diag.sets)
+    # each modality of the closure with the index of its request (-1 when
+    # the domain has none) and the positions of its coalition's members;
+    # a profile is a tuple of action indices in product order, and it
+    # grants a modality when every member chose the request's index
+    index = {r: i for i, r in enumerate(actions)}
+    position = {a: j for j, a in enumerate(agents)}
+    modalities = [
+        (f, index.get((f.body, f.p), -1), tuple(position[a] for a in f.coalition))
+        for f in sigma if isinstance(f, Coal)
+    ]
+    profiles = tuple(product(range(len(actions)), repeat=len(agents)))
     # a row depends only on the granted modalities, so each distinct
-    # granted set is turned into a row once: granted -> (row id, guarded)
+    # granted tuple (in closure order) is turned into a row once:
+    # granted -> (row id, guarded)
     rows = []
     row_of = {}
     row_ids = {}
-    for s in sets:
-        name = names[s]
+    for name, s in diag.sets.items():
+        held = [m for m in modalities if m[0] in s.members]
         ids = []
-        for profile, game_profile in zip(requests, profiles):
-            granted = frozenset(_granted(s, profile))
+        for profile in profiles:
+            granted = tuple(
+                f for f, r, js in held if all(profile[j] == r for j in js))
             entry = row_of.get(granted)
             if entry is None:
-                target_names = [names[t] for t in targets(s, profile, sets)]
-                row, guarded = _row(mu(s, profile), target_names)
+                row, guarded = _row(granted, sets, names)
                 entry = row_of[granted] = (len(rows), guarded)
                 rows.append(row)
             i, guarded = entry
             if guarded:
-                diag.guard_pairs.append((name, game_profile.as_dict()))
+                diag.guard_pairs.append(
+                    (name, {a: action_ids[x] for a, x in zip(agents, profile)}))
             ids.append(i)
         row_ids[name] = ids
     row_ids[FAILURE_STATE] = (len(rows),) * len(profiles)
     rows.append({FAILURE_STATE: Fraction(1)})
     valuation = {
-        v: frozenset(names[s] for s in sets if Var(v) in s.members)
+        v: frozenset(name for name, s in diag.sets.items() if Var(v) in s.members)
         for v in sorted(sigma.variables())
     }
     game = Game(
-        agents=agent_tuple,
-        states=tuple(diag.sets) + (FAILURE_STATE,),
+        agents=agents,
+        states=names + (FAILURE_STATE,),
         failures=(FAILURE_STATE,),
         actions=action_ids,
         rows=rows,

@@ -391,9 +391,9 @@ def run(argv: Optional[list] = None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except RecursionError:
-        # the parser's parentheses, the model checker and == between two
-        # distinct deep formulas recurse; hashing and the tautology check
-        # do not
+        # the parser's parentheses and its -> chains, render of nested
+        # implications, the model checker and == between two distinct
+        # deep formulas recurse; hashing and the tautology check do not
         print("error: formula nests too deeply", file=sys.stderr)
         return 2
 

@@ -520,10 +520,9 @@ class ClosureSet:
         return frozenset(out)
 
     def variables(self) -> frozenset:
-        out: set = set()
-        for f in self.formulas:
-            out |= variables_of(f)
-        return frozenset(out)
+        """Names of the closure's variables: being subformula-closed, it
+        holds each of them as a member."""
+        return frozenset(f.name for f in self.formulas if isinstance(f, Var))
 
 
 def _direct_children(f: Formula):

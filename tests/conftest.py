@@ -1,10 +1,12 @@
 """Checks and builders shared by the test modules."""
 
 import os
+from fractions import Fraction
 
 import pytest
 from hypothesis import settings
 
+from sgcl.formula import Coal, render
 from sgcl.game import game_from_dict, game_to_dict, validate
 
 # under CI the property tests draw the same examples on every run and
@@ -47,3 +49,53 @@ def assert_builder_output(g):
 def builder_output():
     """:func:`assert_builder_output`, for the modules that build games."""
     return assert_builder_output
+
+
+# ---------------------------------------------------------------------------
+# the paper's grant rule, the reference the canonical builder is checked
+# against: a profile maps each agent to its request, a (formula,
+# threshold) pair, compared as values
+
+
+def reference_action_id(request):
+    """The name of a request in a game: ``(formula,threshold)``."""
+    body, p = request
+    return f"({render(body)},{p})"
+
+
+def reference_granted(s, profile):
+    """The modalities [C]_p x of the maximal set s that the profile
+    grants: every member of C requested (x, p), so a modality with an
+    empty coalition is granted by every profile."""
+    return frozenset(
+        m for m in s.members
+        if isinstance(m, Coal)
+        and all(profile[a] == (m.body, m.p) for a in m.coalition)
+    )
+
+
+def reference_mu(s, profile):
+    """The strongest threshold granted at s, 0 when none is."""
+    return max((m.p for m in reference_granted(s, profile)), default=Fraction(0))
+
+
+def reference_targets(s, profile, sets):
+    """The names of the states of ``sets``, a map from name to maximal
+    set, that contain every body granted at s, in the order of ``sets``."""
+    bodies = {m.body for m in reference_granted(s, profile)}
+    return [name for name, t in sets.items() if bodies <= t.members]
+
+
+def reference_row(s, profile, sets):
+    """``(row, guarded)`` at s: mu shared evenly among the targets, in
+    their order, then the rest of the mass on the failure state ``f``.
+    A positive mu with no target cannot be honored; all mass then goes to
+    ``f`` and the pair is guarded."""
+    mu = reference_mu(s, profile)
+    names = reference_targets(s, profile, sets)
+    if mu > 0 and not names:
+        return {"f": Fraction(1)}, True
+    row = {name: mu / len(names) for name in names} if mu > 0 else {}
+    if mu < 1:
+        row["f"] = 1 - mu
+    return row, False

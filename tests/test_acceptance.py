@@ -17,7 +17,6 @@ from sgcl.canonical import (
     build_canonical_game,
     default_oracle,
     enumerate_maximal_sets,
-    mu,
 )
 from sgcl.decide import QUARTER_GRID, Refuted, SearchBounds, classify, incompleteness_demo, sample_game
 from sgcl.formula import (
@@ -53,6 +52,8 @@ from sgcl.proof import (
 )
 
 import pytest
+
+from conftest import reference_action_id, reference_mu
 
 F = Fraction
 L, LPLUS = SystemId.L, SystemId.LPLUS
@@ -306,14 +307,14 @@ def test_canonical_construction_audit():
                     row = game.row(
                         f"s{i}",
                         ActionProfile.of(
-                            {a: act.action_id for a, act in profile.items()}
+                            {a: reference_action_id(r) for a, r in profile.items()}
                         ),
                     )
                     survival = sum(
                         (p for t, p in row.items() if t != "f"), start=F(0)
                     )
                     assert sum(row.values(), start=F(0)) == 1
-                    assert survival <= mu(s, profile)
+                    assert survival <= reference_mu(s, profile)
 
             audit = audit_truth_lemma(game, sigma, diag.sets)
             assert audit.disagreements == []

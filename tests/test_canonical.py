@@ -8,7 +8,7 @@ import pytest
 
 import sgcl.canonical
 from sgcl.canonical import (
-    CanonicalAction,
+    OPT_OUT,
     CanonicalError,
     ClosureCapError,
     Judgment,
@@ -19,8 +19,6 @@ from sgcl.canonical import (
     build_canonical_game,
     default_oracle,
     enumerate_maximal_sets,
-    mu,
-    targets,
 )
 from sgcl.decide import Refuted, classify
 from sgcl.formula import (
@@ -42,6 +40,14 @@ from sgcl.game import ActionProfile, validate
 from sgcl.modelcheck import CheckContext, CheckError, holds, label
 from sgcl.proof import SystemId
 
+from conftest import (
+    reference_action_id,
+    reference_granted,
+    reference_mu,
+    reference_row,
+    reference_targets,
+)
+
 F = Fraction
 
 
@@ -54,7 +60,7 @@ def reference_action_domain(sigma):
         pool.append(TOP)
     pool.sort(key=canonical_key)
     values = sorted(sigma.subscripts() | {F(0), F(-1)})
-    return tuple(CanonicalAction(f, val) for f in pool for val in values)
+    return tuple((f, val) for f in pool for val in values)
 
 
 def reference_satisfiable(members):
@@ -252,32 +258,29 @@ class TestActionDomain:
     def test_values_harvested_with_sentinels(self):
         sig = closure([parse("[a]_1/2 v")])
         dom = reference_action_domain(sig)
-        values = {a.value for a in dom}
+        values = {p for _, p in dom}
         assert values == {F(-1), F(0), F(1, 2)}
-        assert [a.action_id for a in action_domain(sig)] == ["(v,1/2)", "(true,-1)"]
+        assert action_domain(sig) == ((v, F(1, 2)), OPT_OUT)
 
     def test_no_modalities_means_sentinel_values_only(self):
         sig = closure([parse("~v")])
         dom = reference_action_domain(sig)
-        assert {a.value for a in dom} == {F(-1), F(0)}
-        assert action_domain(sig) == (CanonicalAction(TOP, F(-1)),)
+        assert {p for _, p in dom} == {F(-1), F(0)}
+        assert action_domain(sig) == ((TOP, F(-1)),)
 
     def test_top_always_requestable(self):
         dom = action_domain(closure([parse("~v")]))
-        assert any(a.formula == TOP and a.value == -1 for a in dom)
+        assert (TOP, -1) in dom
 
     def test_action_id_format(self):
-        act = CanonicalAction(v, F(1, 2))
-        assert act.action_id == "(v,1/2)"
-        assert CanonicalAction(TOP, -1).action_id == "(true,-1)"
+        game, _ = build_canonical_game(closure([parse("[a]_1/2 v")]))
+        assert game.actions == ("(v,1/2)", "(true,-1)")
 
     def test_one_request_per_nonempty_coalition_modality(self):
         sig = closure([parse("([a]_1/4 v -> ([a,b]_1/4 v -> []_1/2 v))")])
         # [a]_1/4 v and [a,b]_1/4 v ask for the same request; the
         # empty-coalition modality needs none
-        assert [a.action_id for a in action_domain(sig)] == [
-            "(v,1/4)", "(true,-1)",
-        ]
+        assert action_domain(sig) == ((v, F(1, 4)), OPT_OUT)
 
     def test_lean_domain_is_part_of_reference(self):
         for seed in SEEDS:
@@ -289,48 +292,45 @@ class TestTransitionData:
     def make_set(self, *members):
         return MaximalSet(frozenset(members))
 
+    # the reference grant rule itself
+
     def test_mu_defaults_to_zero(self):
         s = self.make_set(v)
-        profile = {"a": CanonicalAction(TOP, F(-1))}
-        assert mu(s, profile) == 0
+        assert reference_mu(s, {"a": OPT_OUT}) == 0
 
     def test_mu_singleton_match(self):
         box = coal({"a"}, "1/2", v)
         s = self.make_set(v, box)
-        profile = {"a": CanonicalAction(v, F(1, 2))}
-        assert mu(s, profile) == F(1, 2)
+        assert reference_mu(s, {"a": (v, F(1, 2))}) == F(1, 2)
 
     def test_mu_requires_exact_request(self):
         box = coal({"a"}, "1/2", v)
         s = self.make_set(v, box)
-        profile = {"a": CanonicalAction(v, F(1, 4))}
-        assert mu(s, profile) == 0
+        assert reference_mu(s, {"a": (v, F(1, 4))}) == 0
 
     def test_mu_max_over_matches(self):
         u = Var("u")
         low, high = coal({"a"}, "1/4", v), coal({"a"}, "3/4", u)
         s = self.make_set(low, high)
-        profile = {"a": CanonicalAction(u, F(3, 4))}
-        assert mu(s, profile) == F(3, 4)
+        assert reference_mu(s, {"a": (u, F(3, 4))}) == F(3, 4)
 
     def test_mu_empty_coalition_matches_everything(self):
         box = coal((), "9/10", v)
         s = self.make_set(box)
-        profile = {"a": CanonicalAction(TOP, F(-1))}
-        assert mu(s, profile) == F(9, 10)
+        assert reference_mu(s, {"a": OPT_OUT}) == F(9, 10)
 
     def test_targets_unconstrained_when_nothing_granted(self):
-        all_sets = [self.make_set(v), self.make_set(Neg(v))]
+        all_sets = {"s0": self.make_set(v), "s1": self.make_set(Neg(v))}
         s = self.make_set(v)
-        profile = {"a": CanonicalAction(TOP, F(-1))}
-        assert targets(s, profile, all_sets) == tuple(all_sets)
+        assert reference_targets(s, {"a": OPT_OUT}, all_sets) == ["s0", "s1"]
 
     def test_targets_filter_on_granted_body(self):
         box = coal({"a"}, "1/2", v)
         with_v, without_v = self.make_set(v, box), self.make_set(Neg(v), box)
         s = self.make_set(v, box)
-        profile = {"a": CanonicalAction(v, F(1, 2))}
-        assert targets(s, profile, [with_v, without_v]) == (with_v,)
+        profile = {"a": (v, F(1, 2))}
+        assert reference_targets(
+            s, profile, {"s0": with_v, "s1": without_v}) == ["s0"]
 
     # rows of the constructed game, read through its states
 
@@ -414,13 +414,13 @@ class TestBuildCanonicalGame:
             for combo in product(action_domain(sig), repeat=len(agents)):
                 profile = dict(zip(agents, combo))
                 game_profile = ActionProfile.of(
-                    {a: act.action_id for a, act in profile.items()}
+                    {a: reference_action_id(r) for a, r in profile.items()}
                 )
                 row = game.row(f"s{i}", game_profile)
                 nonfailure = sum(
                     (p for t, p in row.items() if t != "f"), start=F(0)
                 )
-                assert nonfailure <= mu(s, profile)
+                assert nonfailure <= reference_mu(s, profile)
 
     @pytest.mark.parametrize("seed", SEEDS + ["([a]_1/2 v -> [a,b]_3/4 v)"])
     def test_rows_with_equal_granted_sets_are_one_object(self, seed):
@@ -432,12 +432,9 @@ class TestBuildCanonicalGame:
         for i, s in enumerate(sets):
             for combo in product(action_domain(sig), repeat=len(agents)):
                 profile = dict(zip(agents, combo))
-                granted = frozenset(
-                    m for m in s.members if isinstance(m, Coal) and all(
-                        profile[a] == CanonicalAction(m.body, m.p)
-                        for a in m.coalition))
+                granted = reference_granted(s, profile)
                 index = game.row_index(f"s{i}", ActionProfile.of(
-                    {a: act.action_id for a, act in profile.items()}))
+                    {a: reference_action_id(r) for a, r in profile.items()}))
                 assert row_of.setdefault(granted, index) == index
         assert len(set(row_of.values())) == len(row_of)
         failure_rows = {i for (state, _), i in game.transitions.items()
@@ -611,6 +608,7 @@ class TestLeanMatchesReference:
 
         for (state, profile), i in paper.transitions.items():
             assert paper.rows[i] == lean.row(state, project(profile))
+        assert_rows_follow_grant_rule(paper, paper_diag, reference_action_domain(sig))
 
     def test_corpus_verdicts_and_refuting_states(self, monkeypatch):
         corpus = acceptance_corpus()
@@ -703,6 +701,61 @@ class TestBuiltGamesAreSound:
             builder_output(game)
 
 
+def assert_rows_follow_grant_rule(game, diag, domain):
+    """Every row of a built game against the paper's grant rule: the row
+    of each state of ``diag.sets`` under each profile over ``domain``,
+    entries in order, and the guard pairs, in product order."""
+    agents = tuple(sorted(diag.closure.agents()))
+    assert game.agents == agents
+    assert game.actions == tuple(map(reference_action_id, domain))
+    guards = []
+    for name, s in diag.sets.items():
+        for combo in product(domain, repeat=len(agents)):
+            profile = dict(zip(agents, combo))
+            ids = {a: reference_action_id(r) for a, r in profile.items()}
+            row, guarded = reference_row(s, profile, diag.sets)
+            got = game.row(name, ActionProfile.of(ids))
+            assert list(got.items()) == list(row.items()), (name, ids)
+            if guarded:
+                guards.append((name, ids))
+    assert diag.guard_pairs == guards
+    return len(guards)
+
+
+class TestRowsFollowGrantRule:
+    """The builder grants by comparing action indices; the reference
+    compares each member's (formula, threshold) request with the
+    modality's.  Every row of every built game must agree."""
+
+    @pytest.mark.parametrize(
+        "seed", SEEDS + ["([a]_1/2 v -> [a,b]_3/4 v)"] + WIDE_SEEDS
+    )
+    def test_seed_closures(self, seed):
+        sig = closure([parse(seed)])
+        game, diag = build_canonical_game(sig, cap=26)
+        assert_rows_follow_grant_rule(game, diag, action_domain(sig))
+
+    def test_corpus_negation_closures(self):
+        guarded = 0
+        for sig in corpus_negation_closures():
+            game, diag = build_canonical_game(sig)
+            guarded += assert_rows_follow_grant_rule(game, diag, action_domain(sig))
+        assert guarded > 0
+
+    def test_guarded_pairs(self):
+        base = default_oracle()
+
+        class NoV:
+            def judge(self, candidate):
+                if v in candidate:
+                    return Judgment.INCONSISTENT
+                return base.judge(candidate)
+
+        sig = closure([parse("([a]_1/2 v -> [a,b]_3/4 v)")])
+        game, diag = build_canonical_game(sig, oracle=NoV())
+        assert assert_rows_follow_grant_rule(game, diag, action_domain(sig)) > 0
+
+
 # ---------------------------------------------------------------------------
 # hashes and agent sets cached on formula nodes
 
@@ -789,6 +842,20 @@ class TestCachedNodeData:
         cached = [reference_node(f) for f in set(formulas)]
         generated = list({reference_node(f) for f in formulas})
         assert cached == generated
+
+
+class TestClosureVariables:
+    """A closure is subformula-closed, so its variables are its own
+    ``Var`` members: the same names as a walk of every member."""
+
+    def test_members_equal_subformula_walk(self):
+        closures = [closure([Neg(f)]) for f in acceptance_corpus()] + [
+            closure([parse(seed)]) for seed in WIDE_SEEDS]
+        assert any(len(sig.variables()) == 3 for sig in closures)
+        for sig in closures:
+            walked = {g.name for f in sig for g in subformulas(f)
+                      if isinstance(g, Var)}
+            assert sig.variables() == walked
 
 
 class TestTautologyMatchesTruthTable:
@@ -922,8 +989,8 @@ class TestRenderOnce:
             }
             domain = action_domain(sig)
             assert list(domain) == sorted(
-                domain, key=lambda a: (canonical_key(a.formula), a.value))
-            assert game.actions == tuple(a.action_id for a in domain)
+                domain, key=lambda r: (canonical_key(r[0]), r[1]))
+            assert game.actions == tuple(map(reference_action_id, domain))
 
     def test_opt_out_outside_the_closure(self):
         sig = closure([parse("v")])

@@ -529,8 +529,9 @@ class TestUsage:
             ["check", "--game", LADDER, "--state", "s",
              "--formula", "~" * 3000 + "v"],
             ["fmt", "--formula", "(" * 3000 + "v" + ")" * 3000],
+            ["fmt", "--formula", "v -> " * 3000 + "v"],
         ],
-        ids=["decide", "check", "fmt"],
+        ids=["decide", "check", "fmt", "fmt-implications"],
     )
     def test_deep_nesting_is_input_error(self, capsys, argv):
         assert run(argv) == 2

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from sgcl.canonical import CanonicalAction
 from sgcl.decide import SearchBounds
 from sgcl.formula import (
     ATOM_CAP,
@@ -204,7 +203,6 @@ ENTRY_POINTS = {
     "Game": _game_row,
     "game_from_dict": _game_file,
     "SearchBounds": lambda v: SearchBounds(probability_grid=(0, v, 1)).probability_grid[1],
-    "CanonicalAction": lambda v: CanonicalAction(TOP, v).value,
     "build_coalition_weakening": lambda v: build_coalition_weakening(
         ["a"], ["a", "b"], v, Var("v")).conclusion.left.p,
     "build_lifted_implication": lambda v: build_lifted_implication(
