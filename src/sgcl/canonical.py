@@ -263,8 +263,8 @@ class CanonicalDiagnostics:
 
     @property
     def profile_count(self) -> int:
-        """(non-failure state, complete profile) pairs."""
-        return len(self.sets) * self.action_count ** len(self.closure.agents())
+        """Complete profiles: one action for each agent of the closure."""
+        return self.action_count ** len(self.closure.agents())
 
     @property
     def no_consistent_sets(self) -> bool:

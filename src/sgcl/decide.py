@@ -10,8 +10,12 @@ states to expose a countermodel.
 
 The bounded search is the cross-check: it samples small games with exact
 grid probabilities and looks for any non-failure state falsifying the
-formula.  The two routes are independent, and each refutation either
-route returns is re-verified before being reported.
+formula.  Each game is drawn as integers, its rows as grid units over
+the grid's common denominator, and compiled straight into the model
+checker's outcome tables; only a countermodel is built as a
+:class:`Game`.  The two routes are independent, and each refutation
+either route returns is re-verified, on a ``Game``, before being
+reported.
 
 One blind spot of the canonical route is worth knowing about: a
 zero-threshold claim [C]_0 x is vacuously true at any state all of whose
@@ -33,7 +37,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .canonical import ClosureCapError, build_canonical_game
 from .formula import (
@@ -48,7 +52,7 @@ from .formula import (
     variables_of,
 )
 from .game import Game, game_to_dict, survival_ladder
-from .modelcheck import QUARTER_GRID, CheckContext, NodeTable, holds
+from .modelcheck import QUARTER_GRID, CheckContext, NodeTable, _eval, holds
 from .proof import SystemId
 
 
@@ -80,12 +84,12 @@ class SearchBounds:
             raise DecideError("grid probabilities must lie in [0, 1]")
         if Fraction(0) not in grid or Fraction(1) not in grid:
             raise DecideError("probability grid must contain 0 and 1")
-        # for sample_game: the grid's common denominator, each grid point
-        # with its integer units over it, and every residual k / den
+        # for the sampler: the grid's common denominator, each grid point's
+        # integer units over it, and the Fraction of every k units
         den = lcm(*(p.denominator for p in grid))
         object.__setattr__(self, "_units", (
             den,
-            tuple((p.numerator * (den // p.denominator), p) for p in grid),
+            tuple(p.numerator * (den // p.denominator) for p in grid),
             tuple(Fraction(k, den) for k in range(den + 1)),
         ))
 
@@ -149,23 +153,42 @@ def classify(f: Formula, system: SystemId = SystemId.L, cap: int = 24):
     return ValidRelativeToOracle(len(sigma), diag.state_count)
 
 
-def sample_game(
+class Draw(NamedTuple):
+    """One random game as :func:`sample_game` draws it, by state index.
+
+    ``states`` names the states ``q0``, ``q1``, ...; ``failures`` and
+    the ``valuation`` (variable -> states where it holds) give states by
+    their index in it.  ``rows`` holds one row per state and complete
+    profile, state by state and each state's in product order, a row
+    being its positive entries in draw order as (target state index,
+    units) pairs over ``SearchBounds``' grid denominator, summing to it."""
+
+    agents: tuple
+    states: tuple
+    failures: frozenset
+    actions: tuple
+    rows: list
+    valuation: dict
+
+
+def _draw(
     rng: random.Random,
     bounds: SearchBounds,
-    variables: Sequence[str] = ("u", "v"),
-    require_agents: frozenset = frozenset(),
-) -> Game:
-    """One random game within bounds.  Rows are exact: all but one entry
-    come from the grid and the remaining state absorbs the residual;
-    draws pushing the partial sum past 1 are discarded and retried.
+    variables: Sequence[str],
+    require_agents: frozenset,
+) -> Draw:
+    """The random part of :func:`sample_game`: the only code of the
+    search that reads the random stream.  Rows are exact: all but one
+    entry come from the grid and the remaining state absorbs the
+    residual; draws pushing the partial sum past 1 are discarded and
+    retried.
 
-    Each state gets one row per complete profile, in product order, and
-    the row table goes straight into :class:`Game`.  The row loop's ``shuffle`` and
-    ``choice`` are replayed through ``rng.getrandbits`` as CPython's
-    ``Random._randbelow`` draws them (n.bit_length() bits, drawn again
-    while the value is at least n), so the random stream and the games
-    are those of the plain calls.  ``TestSamplerMatchesReference`` in
-    ``tests/test_decide.py`` pins this, random state included."""
+    The row loop's ``shuffle`` and ``choice`` are replayed through
+    ``rng.getrandbits`` as CPython's ``Random._randbelow`` draws them
+    (n.bit_length() bits, drawn again while the value is at least n), so
+    the random stream and the games are those of the plain calls.
+    ``TestSamplerMatchesReference`` in ``tests/test_decide.py`` pins
+    this, random state included."""
     missing = set(require_agents) - set(bounds.agents)
     if missing:
         raise DecideError(f"bounds omit required agents {sorted(missing)}")
@@ -174,62 +197,109 @@ def sample_game(
     extra = rng.randint(0 if required else 1, len(optional))
     agent_pool = tuple(sorted(required + tuple(optional[:extra])))
     n_states = rng.randint(1, bounds.max_states)
-    states = tuple(f"q{i}" for i in range(n_states))
+    indices = range(n_states)
     n_fail = rng.randint(0, n_states - 1)
-    failures = tuple(sorted(rng.sample(states, n_fail)))
+    failures = frozenset(rng.sample(indices, n_fail))
     actions = tuple(f"m{i}" for i in range(rng.randint(1, bounds.max_actions)))
     n_profiles = len(actions) ** len(agent_pool)
     # partial sums are kept as integers over the grid's common denominator
-    den, draws, residuals = bounds._units
+    den, units, _ = bounds._units
     getrandbits = rng.getrandbits
     # shuffle swaps position i with a draw below i + 1, for i from the end
     swaps = [(i, (i + 1).bit_length()) for i in reversed(range(1, n_states))]
-    n_draws = len(draws)
-    draw_bits = n_draws.bit_length()
+    n_units = len(units)
+    unit_bits = n_units.bit_length()
     rows = []
     for _ in range(n_states * n_profiles):
         row = None
         for _attempt in range(16):
-            order = list(states)
+            order = list(indices)
             for i, k in swaps:
                 j = getrandbits(k)
                 while j > i:
                     j = getrandbits(k)
                 order[i], order[j] = order[j], order[i]
-            entries = {}
+            entries = []
             total = 0
             for target in order[:-1]:
-                r = getrandbits(draw_bits)
-                while r >= n_draws:
-                    r = getrandbits(draw_bits)
-                units, p = draws[r]
-                total += units
+                r = getrandbits(unit_bits)
+                while r >= n_units:
+                    r = getrandbits(unit_bits)
+                u = units[r]
+                total += u
                 if total > den:
                     break
-                if units:
-                    entries[target] = p
+                if u:
+                    entries.append((target, u))
             else:
                 if total < den:
-                    entries[order[-1]] = residuals[den - total]
+                    entries.append((order[-1], den - total))
                 row = entries
                 break
         if row is None:
-            row = {rng.choice(states): Fraction(1)}
+            row = [(rng.choice(indices), den)]
         rows.append(row)
     valuation = {
-        v: frozenset(s for s in states if rng.choice((True, False)))
+        v: frozenset(i for i in indices if rng.choice((True, False)))
         for v in variables
     }
+    return Draw(agent_pool, tuple(f"q{i}" for i in indices), failures,
+                actions, rows, valuation)
+
+
+def _materialize(draw: Draw, bounds: SearchBounds) -> Game:
+    """The :class:`Game` of a draw, its row table handed straight to the
+    constructor with each entry's units as an exact ``Fraction``."""
+    fractions = bounds._units[2]
+    states = draw.states
+    n_profiles = len(draw.actions) ** len(draw.agents)
     return Game(
-        agents=agent_pool,
+        agents=draw.agents,
         states=states,
-        failures=failures,
-        actions=actions,
-        rows=rows,
+        failures=[states[i] for i in draw.failures],
+        actions=draw.actions,
+        rows=[{states[t]: fractions[u] for t, u in row} for row in draw.rows],
         row_ids={s: range(k * n_profiles, (k + 1) * n_profiles)
                  for k, s in enumerate(states)},
-        valuation=valuation,
+        valuation={v: [states[i] for i in members]
+                   for v, members in draw.valuation.items()},
     )
+
+
+def sample_game(
+    rng: random.Random,
+    bounds: SearchBounds,
+    variables: Sequence[str] = ("u", "v"),
+    require_agents: frozenset = frozenset(),
+) -> Game:
+    """One random game within bounds (see :func:`_draw`).  Each state
+    gets one row per complete profile, in product order."""
+    return _materialize(_draw(rng, bounds, variables, require_agents), bounds)
+
+
+def _outcome_tables(draw: Draw, den: int) -> dict:
+    """The outcome table of each non-failure state of a draw, keyed by
+    state index, in state order: per complete profile, in product order,
+    the ``CheckContext.outcomes`` entry of its row, (survival units, den,
+    non-failure targets in row order).  Truth is undefined at a failure
+    state, so no table is made for one."""
+    failures = draw.failures
+    rows = draw.rows
+    width = len(draw.actions) ** len(draw.agents)
+    tables = {}
+    for s in range(len(draw.states)):
+        if s in failures:
+            continue
+        entries = tables[s] = []
+        for row in rows[s * width:(s + 1) * width]:
+            survival = 0
+            successors = []
+            for t, u in row:
+                if t not in failures:
+                    survival += u
+                    successors.append(t)
+            entries.append((survival, den, tuple(successors)))
+    return tables
 
 
 def bounded_countermodel(
@@ -237,20 +307,38 @@ def bounded_countermodel(
 ) -> Optional[tuple]:
     """Search seeded random games for a non-failure state falsifying f.
     Returns (game, state) re-verified under the model checker, or None
-    when the budget runs out."""
+    when the budget runs out.
+
+    The games are those :func:`sample_game` makes from ``Random(seed)``,
+    but each is checked as drawn: its rows go straight into the outcome
+    tables of its non-failure states (:func:`_outcome_tables`), and f,
+    interned once, is evaluated by node id on one context per game, the
+    draw standing in for the game.  Every drawn game has the agents of
+    f, so no state checks them again.  Only a refuting draw becomes a
+    :class:`Game`: ``sample_game`` makes it from a fresh ``Random(seed)``
+    advanced past the draws before it, so that ``sample_game`` stays the
+    one maker of a sampled game, the one the benchmark's tracer counts
+    (``decide.games_sampled``), and a fresh :func:`holds` re-verifies
+    it."""
     if bounds is None:
         bounds = SearchBounds()
     needed = agents_of(f)
     rng = random.Random(seed)
     names = tuple(sorted(variables_of(f))) or ("v",)
     table = NodeTable()  # f's nodes, shared by the context of every game
-    for _ in range(bounds.budget):
-        game = sample_game(rng, bounds, variables=names, require_agents=needed)
-        ctx = CheckContext(game, table=table)
-        for state in game.states:
-            if state in game.failures:
-                continue
-            if not holds(game, state, f, ctx):
+    root = table.intern(f)
+    den = bounds._units[0]
+    for attempt in range(bounds.budget):
+        draw = _draw(rng, bounds, names, needed)
+        outcome_tables = _outcome_tables(draw, den)
+        ctx = CheckContext(draw, table=table, outcome_tables=outcome_tables)
+        for s in outcome_tables:
+            if not _eval(ctx, s, root):
+                replay = random.Random(seed)
+                for _ in range(attempt):
+                    _draw(replay, bounds, names, needed)
+                game = sample_game(replay, bounds, variables=names, require_agents=needed)
+                state = game.states[s]
                 if holds(game, state, f):  # pragma: no cover - fresh re-check
                     raise DecideError(
                         "countermodel failed independent re-verification"

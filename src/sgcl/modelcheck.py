@@ -21,7 +21,10 @@ p.numerator * denominator``.  No ``Fraction`` is made or compared while
 checking; :func:`witness` makes the one it reports.  Each coalition's
 choices are listed once per agents-and-actions layout, in the same
 order, with the indices of their completions in that table; the list
-is shared by every context, and so by every game, of that layout.
+is shared by every context, and so by every game, of that layout.  A
+caller that compiles the tables itself hands them to the context
+(``CheckContext.outcome_tables``): the bounded search does so for each
+game it draws, which never becomes a :class:`Game` unless it refutes.
 
 The lazy checker reads a formula once: a query first interns it in a
 :class:`NodeTable` (hash-consing, limited to the checker): every
@@ -31,7 +34,7 @@ Truth values are memoized per (state, node id) and computed on demand,
 dispatching on each node's kind; no formula is hashed or compared while
 checking, and states no query reaches are never compiled.  A table
 depends on no game: a bounded search interns its formula once and shares
-the table among the contexts of every game it samples.  The schema audit
+the table among the contexts of every game it draws.  The schema audit
 makes no formula for an axiom instance: it draws each one as indices
 (its schema, coalitions, grid thresholds and pool formulas), builds each
 distinct draw straight into its table as nodes over the pool's interned
@@ -233,13 +236,21 @@ class CheckContext:
     ``choices(coalition)`` lists the coalition's choices in the same
     order, each as (partial profile, indices of its completions in the
     outcome table); it is :func:`choice_table`, built once per
-    agents-and-actions layout and shared across contexts."""
+    agents-and-actions layout and shared across contexts.
+
+    ``outcome_tables`` maps each state to its outcome table.  A caller
+    that has the tables ready passes them in, as the bounded search does
+    for the games it draws (:func:`sgcl.decide.bounded_countermodel`):
+    it gives one for every state it evaluates, and ``game`` then need
+    only have the ``agents``, ``actions`` and ``valuation`` of a game,
+    its states being the keys of the tables and the successors in
+    them."""
 
     game: Game
     memo: dict = field(default_factory=dict)
     profile_evals: int = 0
     table: NodeTable = field(default_factory=NodeTable)
-    _outcomes: dict = field(default_factory=dict, init=False, repr=False)
+    outcome_tables: dict = field(default_factory=dict, repr=False)
     _entries: dict = field(default_factory=dict, init=False, repr=False)
 
     def entry(self, i: int) -> tuple:
@@ -264,9 +275,10 @@ class CheckContext:
         return entry
 
     def outcomes(self, state) -> list:
-        table = self._outcomes.get(state)
+        table = self.outcome_tables.get(state)
         if table is None:
-            table = self._outcomes[state] = list(map(self.entry, self.game.row_ids(state)))
+            table = self.outcome_tables[state] = list(
+                map(self.entry, self.game.row_ids(state)))
         return table
 
     def choices(self, coalition: frozenset) -> tuple:

@@ -462,7 +462,7 @@ class TestBuildCanonicalGame:
     def test_two_requests_for_one_modality(self):
         _, diag = build_canonical_game(closure([parse("[a]_1/2 v")]))
         assert diag.action_count == 2
-        assert diag.profile_count == 4 * 2
+        assert diag.profile_count == 2
 
     def test_valuation_tracks_membership(self):
         game, diag = build_canonical_game(closure([parse("[a]_1/2 v")]))

@@ -385,6 +385,12 @@ class TestDecide:
         assert captured.out == ""
         assert "argument --max-closure: must be nonnegative" in captured.err
 
+    def test_negative_budget_is_input_error(self, capsys):
+        assert run(["decide", "--formula", "v", "--budget", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip() == "error: budget must be positive"
+
 
 class TestDemoIncompleteness:
     def test_depth_three_report(self, capsys):

@@ -2,6 +2,7 @@
 
 import json
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -14,6 +15,8 @@ from sgcl.decide import (
     Refuted,
     SearchBounds,
     ValidRelativeToOracle,
+    _draw,
+    _outcome_tables,
     bounded_countermodel,
     classify,
     decide_formula,
@@ -26,11 +29,13 @@ from sgcl.formula import (
     Impl,
     Neg,
     Var,
+    agents_of,
     closure,
     is_tautology,
     parse,
     render,
     subformulas,
+    variables_of,
 )
 from sgcl.game import ActionProfile, game_to_dict, validate
 from sgcl.modelcheck import CheckContext, holds
@@ -310,6 +315,28 @@ class TestIntegerRowSums:
             (F(131, 231), ("s", "t", "u")), (F(5, 6), ("t", "u"))]
 
 
+    @pytest.mark.parametrize("index", range(len(SAMPLER_BOUNDS)))
+    def test_drawn_tables_equal_compiled_rows(self, index):
+        """The search compiles a draw's integer rows into outcome tables
+        without a Game: each must equal, as exact Fractions with the
+        successors in the same order, the table a context compiles from
+        the game sample_game makes of the same stream, at every
+        non-failure state, and no table is made for a failure state."""
+        bounds = SAMPLER_BOUNDS[index]
+        ours, theirs = random.Random(50 + index), random.Random(50 + index)
+        for _ in range(100):
+            draw = _draw(ours, bounds, ("u", "v"), frozenset({"a"}))
+            g = sample_game(theirs, bounds, require_agents=frozenset({"a"}))
+            tables = _outcome_tables(draw, bounds._units[0])
+            names = draw.states
+            assert [names[s] for s in tables] == list(g.nonfailure_states)
+            ctx = CheckContext(g)
+            for s, table in tables.items():
+                assert [(F(n, d), tuple(names[t] for t in successors))
+                        for n, d, successors in table] == [
+                    (F(n, d), successors) for n, d, successors in ctx.outcomes(names[s])]
+
+
 class TestSampledGamesAreSound:
     """sample_game builds its row table straight into the constructor,
     which checks only its shape: its games must still validate and
@@ -371,6 +398,69 @@ class TestBoundedCountermodel:
     def test_bounds_must_cover_formula_agents(self):
         with pytest.raises(DecideError):
             bounded_countermodel(parse("[c]_1 v"), SearchBounds(agents=("a",)))
+
+
+def reference_countermodel(f, bounds, seed):
+    """The search as a loop over sampled games: each game from
+    sample_game, then holds at each of its non-failure states in order.
+    Returns (game, state, games sampled before it) or None."""
+    rng = random.Random(seed)
+    names = tuple(sorted(variables_of(f))) or ("v",)
+    for attempt in range(bounds.budget):
+        game = sample_game(rng, bounds, variables=names, require_agents=agents_of(f))
+        ctx = CheckContext(game)
+        for state in game.nonfailure_states:
+            if not holds(game, state, f, ctx):
+                return game, state, attempt
+    return None
+
+
+# formulas over agent a, refuted in the first game, later or never, with
+# thresholds on and off each grid of SAMPLER_BOUNDS
+SEARCH_FORMULAS = [
+    "[]_1 true",
+    "~[a]_1/3 (v -> u)",
+    "([a]_0 v -> v)",
+    "(v -> [a]_1 ~[]_1/3 u)",
+    "(~[]_0 false -> [a]_1/2 true)",
+    "(u -> (v -> [a]_1/3 (u -> v)))",
+    "([a]_1/2 v -> [a]_1/2 [a]_1/2 v)",
+    "([a]_1/2 u -> ~[a]_1/2 ~u)",
+    "([a]_2/3 v -> [a]_3/4 v)",
+    "([a]_1/2 (v -> u) -> ([a]_1/4 v -> [a]_1/2 u))",
+    "([a]_1/2 v -> [a]_1/4 v)",
+    "([]_1/4 v -> [a]_1/6 v)",
+    "(v -> v)",
+]
+
+
+class TestSearchMatchesReference:
+    """The search draws each game into integer outcome tables and builds
+    a Game only for a refutation, replaying the stream up to it: against
+    the loop over sample_game and holds it must return the same None, or
+    the same refuting state and an equal game, also when the refuting
+    game is not the first."""
+
+    @pytest.mark.parametrize("index", range(len(SAMPLER_BOUNDS)))
+    def test_same_verdicts(self, index):
+        bounds = replace(SAMPLER_BOUNDS[index], budget=30)
+        hits = late = misses = 0
+        for text in SEARCH_FORMULAS:
+            f = parse(text)
+            for seed in range(15):
+                got = bounded_countermodel(f, bounds, seed=seed)
+                want = reference_countermodel(f, bounds, seed)
+                if want is None:
+                    assert got is None, (text, seed)
+                    misses += 1
+                    continue
+                game, state, attempt = want
+                assert got is not None, (text, seed)
+                assert got[1] == state, (text, seed)
+                assert game_to_dict(got[0]) == game_to_dict(game), (text, seed)
+                hits += 1
+                late += attempt > 0
+        assert hits >= 100 and late >= 50 and misses >= 45, (hits, late, misses)
 
 
 def two_connective_corpus():
