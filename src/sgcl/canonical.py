@@ -4,8 +4,10 @@ Given a closure set of formulas, the states of the canonical game are
 the maximal consistent subsets of that closure, plus one failure state.
 A maximal set is fixed by the truth values of the closure's atoms (its
 variables and modalities); every other member follows by evaluation, so
-the sets are enumerated over atom signs and a pluggable oracle rejects
-those whose modal literals visibly contradict a theorem.
+the sets are enumerated over atom signs, each non-atomic member settled
+as soon as its last atom is, and a pluggable oracle judges each complete
+set once, rejecting those whose modal literals visibly contradict a
+theorem.
 
 Each agent's action is a request: the pair (body, p) of a modality
 [C]_p body of the closure whose coalition C is non-empty, or the opt-out
@@ -54,7 +56,6 @@ from .formula import (
     Impl,
     Neg,
     Var,
-    evaluate,
     formula_size,
     in_plus_language,
     render,
@@ -83,6 +84,10 @@ class Judgment(enum.Enum):
 
 
 class ConsistencyOracle(Protocol):
+    """Judges a complete candidate set: one of f and ~f for every
+    non-negation f of the closure.  :func:`enumerate_maximal_sets` calls
+    it once for each assignment of the closure's atoms."""
+
     def judge(self, candidate: frozenset) -> Judgment: ...
 
 
@@ -95,9 +100,10 @@ class HintikkaOracle:
     closure principles (threshold weakening, coalition weakening,
     cooperation).  Every rejection is backed by a theorem, so rejected
     sets are genuinely inconsistent; accepted sets are only "not refuted
-    here".  Propositional consistency of a whole maximal set is not
-    checked here: :func:`enumerate_maximal_sets` derives every
-    non-atomic member by evaluation.
+    here".  It judges each complete set once.  Propositional consistency
+    of a whole maximal set is not checked here:
+    :func:`enumerate_maximal_sets` derives every non-atomic member by
+    evaluation.
     """
 
     def judge(self, candidate: frozenset) -> Judgment:
@@ -155,50 +161,74 @@ class MaximalSet:
 
     members: frozenset
 
-    def key(self) -> tuple:
-        return tuple(sorted((render(f) for f in self.members)))
-
 
 def enumerate_maximal_sets(
     sigma: ClosureSet,
     oracle: Optional[ConsistencyOracle] = None,
     cap: int = 24,
 ) -> tuple:
-    """All maximal subsets of the closure accepted by the oracle.
+    """The complete sets of the closure that the oracle accepts, in order.
 
     A maximal set is fixed by the truth values of its atoms, the
     variables and modalities of the closure.  Backtracking picks a sign
-    for each atom in canonical order and prunes a branch as soon as the
-    oracle rejects the atom literals chosen so far.  At a leaf every other
-    member follows by evaluation (canonical order puts subformulas first),
-    and the oracle judges the whole set once, so a custom oracle still
-    sees complete sets."""
+    for each atom in canonical order, true before false, and the first
+    atom outermost.  Every other formula is settled at the depth of the
+    last atom it depends on (formulas over no atom, such as ``false``,
+    before the first), so setting an atom evaluates only the formulas it
+    completes; the true ones sit on one member stack that backtracking
+    pops.  At a leaf the stack holds one of f and ~f for every
+    non-negation f of the closure, and the oracle judges that complete
+    set once."""
     if len(sigma) > cap:
         raise ClosureCapError(len(sigma), cap)
     if oracle is None:
         oracle = default_oracle()
-    atoms = [f for f in sigma if isinstance(f, (Var, Coal))]
-    truth: dict = {}
-    literals: list = []
+    formulas = sigma.formulas
+    position = {f: k for k, f in enumerate(formulas)}
+    atoms = [(k, f) for k, f in enumerate(formulas) if isinstance(f, (Var, Coal))]
+    # schedule[d]: the formulas settled once d atoms are set, each as
+    # (position, formula, a, b) with value ``not truth[a] or truth[b]``;
+    # a negation ~x is x -> false, read from the extra last slot of
+    # ``truth``, which stays false, as does ``false`` itself
+    false = len(formulas)
+    schedule: list = [[] for _ in range(len(atoms) + 1)]
+    depth = {f: d for d, (_, f) in enumerate(atoms, 1)}
+    for k, f in enumerate(formulas):
+        if isinstance(f, Bot):
+            depth[f] = 0
+        elif isinstance(f, Neg):
+            d = depth[f] = depth[f.body]
+            schedule[d].append((k, f, position[f.body], false))
+        elif isinstance(f, Impl):
+            d = depth[f] = max(depth[f.left], depth[f.right])
+            schedule[d].append((k, f, position[f.left], position[f.right]))
+    truth = [False] * (len(formulas) + 1)
+    members: list = []
     out = []
+
+    def settle(steps) -> None:
+        for k, f, a, b in steps:
+            value = truth[k] = not truth[a] or truth[b]
+            if value:
+                members.append(f)
 
     def descend(i: int) -> None:
         if i == len(atoms):
-            value = evaluate(sigma, dict(truth))
-            members = frozenset(f for f in sigma if value[f])
-            if oracle.judge(members) is not Judgment.INCONSISTENT:
-                out.append(MaximalSet(members))
+            candidate = frozenset(members)
+            if oracle.judge(candidate) is not Judgment.INCONSISTENT:
+                out.append(MaximalSet(candidate))
             return
-        if oracle.judge(frozenset(literals)) is Judgment.INCONSISTENT:
-            return
-        atom = atoms[i]
-        for sign in (-1, 0):  # true, false
-            truth[atom] = sign
-            literals.append(atom if sign else Neg(atom))
+        k, atom = atoms[i]
+        mark = len(members)
+        for value in (True, False):
+            truth[k] = value
+            if value:
+                members.append(atom)
+            settle(schedule[i + 1])
             descend(i + 1)
-            literals.pop()
-        del truth[atom]
+            del members[mark:]
 
+    settle(schedule[0])
     descend(0)
     return tuple(out)
 
@@ -302,13 +332,13 @@ def build_canonical_game(
     """Construct the canonical game for a closure set.
 
     Returns ``(game, diagnostics)``.  States are named s0, s1, ... in the
-    order of their sorted member renderings (:meth:`MaximalSet.key`, read
-    from the closure's stored texts), plus the failure state
-    ``f``; ``diagnostics.sets`` maps each name to its maximal set.  The
-    rows are exact and well formed by construction, so the game is built
-    from its row table and not validated (the tests validate it); when
-    the oracle rejects every candidate set the game has only the failure
-    state and the diagnostics say so.
+    order of their sorted member renderings (read from the closure's
+    stored texts), plus the failure state ``f``; ``diagnostics.sets``
+    maps each name to its maximal set.  The rows are exact and well
+    formed by construction, so the game is built from its row table and
+    not validated (the tests validate it); when the oracle rejects every
+    candidate set the game has only the failure state and the diagnostics
+    say so.
     """
     texts = sigma.texts
     if system is SystemId.LPLUS:

@@ -506,13 +506,6 @@ class ClosureSet:
     def __len__(self) -> int:
         return len(self.formulas)
 
-    def subscripts(self) -> frozenset:
-        out: set = set()
-        for f in self.formulas:
-            if isinstance(f, Coal):
-                out.add(f.p)
-        return frozenset(out)
-
     def agents(self) -> frozenset:
         out: set = set()
         for f in self.formulas:

@@ -51,6 +51,12 @@ def builder_output():
     return assert_builder_output
 
 
+def set_key(s):
+    """A maximal set's sorted member renderings, the order in which the
+    builder names its states."""
+    return tuple(sorted(render(f) for f in s.members))
+
+
 # ---------------------------------------------------------------------------
 # the paper's grant rule, the reference the canonical builder is checked
 # against: a profile maps each agent to its request, a (formula,

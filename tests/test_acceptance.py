@@ -11,7 +11,6 @@ import time
 from fractions import Fraction
 
 from sgcl.canonical import (
-    MaximalSet,
     action_domain,
     audit_truth_lemma,
     build_canonical_game,
@@ -53,7 +52,7 @@ from sgcl.proof import (
 
 import pytest
 
-from conftest import reference_action_id, reference_mu
+from conftest import reference_action_id, reference_mu, set_key
 
 F = Fraction
 L, LPLUS = SystemId.L, SystemId.LPLUS
@@ -296,7 +295,7 @@ def test_canonical_construction_audit():
             assert diag.guard_pairs == []
 
             sets = sorted(
-                enumerate_maximal_sets(sigma, oracle), key=MaximalSet.key
+                enumerate_maximal_sets(sigma, oracle), key=set_key
             )
             agents = tuple(sorted(sigma.agents()))
             for i, s in enumerate(sets):

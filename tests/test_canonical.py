@@ -1,8 +1,10 @@
 """Canonical game construction: oracle, maximal sets, transitions, audit."""
 
+import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -31,6 +33,7 @@ from sgcl.formula import (
     agents_of,
     canonical_key,
     closure,
+    evaluate,
     is_tautology,
     parse,
     render,
@@ -46,6 +49,7 @@ from conftest import (
     reference_mu,
     reference_row,
     reference_targets,
+    set_key,
 )
 
 F = Fraction
@@ -59,7 +63,7 @@ def reference_action_domain(sigma):
     if TOP not in sigma:
         pool.append(TOP)
     pool.sort(key=canonical_key)
-    values = sorted(sigma.subscripts() | {F(0), F(-1)})
+    values = sorted({f.p for f in sigma if isinstance(f, Coal)} | {F(0), F(-1)})
     return tuple((f, val) for f in pool for val in values)
 
 
@@ -132,8 +136,43 @@ def reference_maximal_sets(sigma, oracle=None):
     return tuple(out)
 
 
+def literal_pruning_maximal_sets(sigma, oracle=None):
+    """The enumerator before incremental settling: a sign for each atom
+    in canonical order, true before false, pruning a branch as soon as
+    the oracle rejects the atom literals chosen so far; at a leaf every
+    other member follows by :func:`evaluate` and the oracle judges the
+    whole set.  :func:`enumerate_maximal_sets` is checked against it,
+    tuple for tuple."""
+    if oracle is None:
+        oracle = default_oracle()
+    atoms = [f for f in sigma if isinstance(f, (Var, Coal))]
+    truth = {}
+    literals = []
+    out = []
+
+    def descend(i):
+        if i == len(atoms):
+            value = evaluate(sigma, dict(truth))
+            members = frozenset(f for f in sigma if value[f])
+            if oracle.judge(members) is not Judgment.INCONSISTENT:
+                out.append(MaximalSet(members))
+            return
+        if oracle.judge(frozenset(literals)) is Judgment.INCONSISTENT:
+            return
+        atom = atoms[i]
+        for sign in (-1, 0):  # true, false
+            truth[atom] = sign
+            literals.append(atom if sign else Neg(atom))
+            descend(i + 1)
+            literals.pop()
+        del truth[atom]
+
+    descend(0)
+    return tuple(out)
+
+
 def sorted_keys(sets):
-    return sorted(s.key() for s in sets)
+    return sorted(map(set_key, sets))
 
 
 def use_reference(monkeypatch):
@@ -147,6 +186,28 @@ def coal(agents, p, body):
 
 
 v = Var("v")
+
+
+BASE_ORACLE = default_oracle()
+
+
+class NoV:
+    """The default oracle, stricter: a set holding v is inconsistent."""
+
+    def judge(self, candidate):
+        if v in candidate:
+            return Judgment.INCONSISTENT
+        return BASE_ORACLE.judge(candidate)
+
+
+class NoImplication:
+    """The default oracle, stricter: a set holding an implication is
+    inconsistent."""
+
+    def judge(self, candidate):
+        if any(isinstance(f, Impl) for f in candidate):
+            return Judgment.INCONSISTENT
+        return BASE_ORACLE.judge(candidate)
 
 
 class TestOracle:
@@ -241,15 +302,7 @@ class TestEnumerateMaximalSets:
 
     def test_stricter_oracle_never_adds_states(self):
         sig = closure([parse("[a]_1/2 v")])
-        base = default_oracle()
-
-        class Stricter:
-            def judge(self, candidate):
-                if v in candidate:
-                    return Judgment.INCONSISTENT
-                return base.judge(candidate)
-
-        assert len(enumerate_maximal_sets(sig, oracle=Stricter())) <= len(
+        assert len(enumerate_maximal_sets(sig, oracle=NoV())) <= len(
             enumerate_maximal_sets(sig)
         )
 
@@ -370,14 +423,6 @@ class TestTransitionData:
                 assert all(v in named[t] for t in row if t != "f")
 
     def test_probability_guard_routes_to_failure(self):
-        base = default_oracle()
-
-        class NoV:
-            def judge(self, candidate):
-                if v in candidate:
-                    return Judgment.INCONSISTENT
-                return base.judge(candidate)
-
         game, diag, named = self.build("[a]_1/2 v", oracle=NoV())
         grant = ActionProfile.of({"a": "(v,1/2)"})
         box = coal({"a"}, "1/2", v)
@@ -409,7 +454,7 @@ class TestBuildCanonicalGame:
         sig = closure([parse("([a]_1/4 v -> [a,b]_1/4 v)")])
         game, _ = build_canonical_game(sig)
         agents = tuple(sorted(sig.agents()))
-        sets = sorted(enumerate_maximal_sets(sig), key=MaximalSet.key)
+        sets = sorted(enumerate_maximal_sets(sig), key=set_key)
         for i, s in enumerate(sets):
             for combo in product(action_domain(sig), repeat=len(agents)):
                 profile = dict(zip(agents, combo))
@@ -427,7 +472,7 @@ class TestBuildCanonicalGame:
         sig = closure([parse(seed)])
         game, _ = build_canonical_game(sig)
         agents = tuple(sorted(sig.agents()))
-        sets = sorted(enumerate_maximal_sets(sig), key=MaximalSet.key)
+        sets = sorted(enumerate_maximal_sets(sig), key=set_key)
         row_of = {}  # granted set -> the index of the one row built for it
         for i, s in enumerate(sets):
             for combo in product(action_domain(sig), repeat=len(agents)):
@@ -644,6 +689,8 @@ WIDE_SEEDS = [
     "~(([a]_1/2 u -> [b]_1/2 v) -> ([a,b]_1/2 (u -> w) -> [a]_0 (v -> w)))",
 ]
 
+LABELED_SEEDS = SEEDS + ["([a]_1/2 v -> [a,b]_3/4 v)"] + WIDE_SEEDS
+
 
 class TestAtomEnumerationMatchesReference:
     """Branching on atoms against a sign for every formula with a truth
@@ -668,20 +715,92 @@ class TestAtomEnumerationMatchesReference:
     def test_leaf_judgment_sees_whole_sets(self):
         # an implication is never an atom, so only the judgment of a
         # complete set can reject it
-        base = default_oracle()
-
-        class NoImplication:
-            def judge(self, candidate):
-                if any(isinstance(f, Impl) for f in candidate):
-                    return Judgment.INCONSISTENT
-                return base.judge(candidate)
-
         box = coal({"a"}, "1/2", v)
         sig = closure([Impl(v, box)])
         strict = NoImplication()
         (only,) = enumerate_maximal_sets(sig, oracle=strict)
         assert only.members == frozenset({v, Neg(box), Neg(Impl(v, box))})
-        assert sorted_keys(reference_maximal_sets(sig, strict)) == [only.key()]
+        assert sorted_keys(reference_maximal_sets(sig, strict)) == [set_key(only)]
+
+
+POOLS = Path(__file__).resolve().parents[1] / "perfbench" / "data"
+
+
+def pool_formulas():
+    """The formulas of the bench's coalition and canonical pools, read
+    from their recorded files."""
+    out = []
+    for name in ("coalition_pool.json", "canonical_pool.json"):
+        entries = json.loads((POOLS / name).read_text(encoding="utf-8"))
+        out += [entry["formula"] for entry in entries]
+    return out
+
+
+ORACLES = {"default": None, "no-v": NoV(), "no-implication": NoImplication()}
+
+
+class TestIncrementalMatchesLiteralPruning:
+    """The enumerator against the one that judged every partial literal
+    set: the same tuple of sets, in the same order, under each oracle."""
+
+    @pytest.mark.parametrize("oracle", ORACLES.values(), ids=list(ORACLES))
+    def test_seed_and_corpus_closures(self, oracle):
+        closures = [(seed, closure([parse(seed)])) for seed in LABELED_SEEDS]
+        closures += [(render(Neg(f)), closure([Neg(f)])) for f in acceptance_corpus()]
+        assert len(closures) == 803
+        for text, sig in closures:
+            assert enumerate_maximal_sets(sig, oracle, cap=26) == (
+                literal_pruning_maximal_sets(sig, oracle)), text
+
+    @pytest.mark.parametrize("oracle", ORACLES.values(), ids=list(ORACLES))
+    def test_pool_closures(self, oracle):
+        texts = pool_formulas()
+        assert len(texts) == 180
+        for text in texts:
+            sig = closure([parse(text)])
+            assert enumerate_maximal_sets(sig, oracle, cap=32) == (
+                literal_pruning_maximal_sets(sig, oracle)), text
+
+
+class RecordingOracle:
+    """The default oracle, keeping every candidate it is asked to judge."""
+
+    def __init__(self):
+        self.candidates = []
+
+    def judge(self, candidate):
+        self.candidates.append(candidate)
+        return BASE_ORACLE.judge(candidate)
+
+
+class TestOracleContract:
+    """The oracle judges each complete set once: one candidate per
+    assignment of the closure's atoms, in enumeration order, and the
+    result is exactly the candidates it accepts."""
+
+    def closures(self):
+        return [closure([parse(seed)]) for seed in LABELED_SEEDS] + [
+            closure([Neg(f)]) for f in acceptance_corpus()[::CORPUS_STRIDE]]
+
+    def test_one_judgment_per_assignment_in_order(self):
+        for sig in self.closures():
+            atoms = [f for f in sig if isinstance(f, (Var, Coal))]
+            oracle = RecordingOracle()
+            sets = enumerate_maximal_sets(sig, oracle, cap=26)
+            assert [tuple(a in c for a in atoms) for c in oracle.candidates] == (
+                list(product((True, False), repeat=len(atoms))))
+            assert sets == tuple(
+                MaximalSet(c) for c in oracle.candidates
+                if BASE_ORACLE.judge(c) is not Judgment.INCONSISTENT)
+
+    def test_every_candidate_is_complete(self):
+        for sig in self.closures():
+            oracle = RecordingOracle()
+            enumerate_maximal_sets(sig, oracle, cap=26)
+            decided = [f for f in sig if not isinstance(f, Neg)]
+            for c in oracle.candidates:
+                assert c <= set(sig)
+                assert all((f in c) != (Neg(f) in c) for f in decided), c
 
 
 class TestBuiltGamesAreSound:
@@ -743,14 +862,6 @@ class TestRowsFollowGrantRule:
         assert guarded > 0
 
     def test_guarded_pairs(self):
-        base = default_oracle()
-
-        class NoV:
-            def judge(self, candidate):
-                if v in candidate:
-                    return Judgment.INCONSISTENT
-                return base.judge(candidate)
-
         sig = closure([parse("([a]_1/2 v -> [a,b]_3/4 v)")])
         game, diag = build_canonical_game(sig, oracle=NoV())
         assert assert_rows_follow_grant_rule(game, diag, action_domain(sig)) > 0
@@ -908,9 +1019,6 @@ def corpus_negation_closures():
     return [closure([Neg(f)]) for f in acceptance_corpus()[::CORPUS_STRIDE]]
 
 
-LABELED_SEEDS = SEEDS + ["([a]_1/2 v -> [a,b]_3/4 v)"] + WIDE_SEEDS
-
-
 class TestLabeledAuditMatchesReference:
     @pytest.mark.parametrize("seed", LABELED_SEEDS)
     def test_seed_closures(self, seed):
@@ -981,7 +1089,7 @@ class TestRenderOnce:
     def test_state_order_members_and_action_ids(self):
         for sig in self.seed_closures() + corpus_negation_closures():
             game, diag = build_canonical_game(sig, cap=26)
-            expected = sorted(enumerate_maximal_sets(sig, cap=26), key=MaximalSet.key)
+            expected = sorted(enumerate_maximal_sets(sig, cap=26), key=set_key)
             assert list(diag.sets.values()) == expected
             assert diag.state_members == {
                 name: [render(f) for f in sorted(s.members, key=canonical_key)]

@@ -38,6 +38,10 @@ def test_tracer_counts_canonical_and_decide_requests(capsys):
     for name in ("canonical.rows", "canonical.actions",
                  "canonical.oracle.judgments", "modelcheck.holds.calls"):
         assert tracer.counters[name] > 0, name
+    # the oracle judges only complete sets, so every set it accepts is
+    # one of the maximal sets the enumerator returns
+    assert tracer.counters["canonical.oracle.consistent"] == (
+        tracer.counters["canonical.maximal_sets"])
     assert {"canonical.build", "canonical.action_domain"} <= {
         span[0] for span in tracer.spans}
     assert sgcl.canonical.action_domain is original
