@@ -10,7 +10,12 @@ states to expose a countermodel.
 
 The bounded search is the cross-check: it samples small games with exact
 grid probabilities and looks for any non-failure state falsifying the
-formula.  Each game is drawn as integers, its rows as grid units over
+formula.  A formula whose propositional skeleton, every variable and
+modality an opaque atom, is a tautology holds at every non-failure state
+of every game, so the search settles it by :func:`is_tautology` and
+returns before it draws a game; a skeleton of more than ``ATOM_CAP``
+atoms, which that check refuses, is searched like any other formula.
+Each game is drawn as integers, its rows as grid units over
 the grid's common denominator, and compiled straight into the model
 checker's outcome tables; only a countermodel is built as a
 :class:`Game`.  The two routes are independent, and each refutation
@@ -42,12 +47,14 @@ from typing import NamedTuple, Optional, Sequence
 from .canonical import ClosureCapError, build_canonical_game
 from .formula import (
     TOP,
+    AtomCapError,
     Coal,
     Formula,
     Neg,
     agents_of,
     closure,
     exact,
+    is_tautology,
     render,
     variables_of,
 )
@@ -62,7 +69,11 @@ class DecideError(Exception):
 
 @dataclass(frozen=True)
 class SearchBounds:
-    """Limits for the random game search."""
+    """Limits for the random game search.  ``budget`` is the number of
+    games a search may draw; a formula that :func:`is_tautology` settles
+    draws none, and its ``Exhausted`` verdict still reports the budget.
+    ``budget``, ``max_states`` and ``max_actions`` must be ints, not
+    bools."""
 
     max_states: int = 4
     max_actions: int = 3
@@ -71,6 +82,11 @@ class SearchBounds:
     budget: int = 2000
 
     def __post_init__(self):
+        for name in ("budget", "max_states", "max_actions"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise DecideError(
+                    f"{name} must be an int, not {type(value).__name__}")
         grid = tuple(sorted({exact(x) for x in self.probability_grid}))
         object.__setattr__(self, "probability_grid", grid)
         object.__setattr__(self, "agents", tuple(self.agents))
@@ -188,10 +204,8 @@ def _draw(
     (n.bit_length() bits, drawn again while the value is at least n), so
     the random stream and the games are those of the plain calls.
     ``TestSamplerMatchesReference`` in ``tests/test_decide.py`` pins
-    this, random state included."""
-    missing = set(require_agents) - set(bounds.agents)
-    if missing:
-        raise DecideError(f"bounds omit required agents {sorted(missing)}")
+    this, random state included.  The caller has checked that the
+    bounds hold ``require_agents`` (:func:`_check_agents`)."""
     required = tuple(sorted(require_agents))
     optional = [a for a in bounds.agents if a not in require_agents]
     extra = rng.randint(0 if required else 1, len(optional))
@@ -247,6 +261,13 @@ def _draw(
                 actions, rows, valuation)
 
 
+def _check_agents(bounds: SearchBounds, require_agents: frozenset) -> None:
+    """Raise DecideError when the bounds lack an agent the game needs."""
+    missing = set(require_agents) - set(bounds.agents)
+    if missing:
+        raise DecideError(f"bounds omit required agents {sorted(missing)}")
+
+
 def _materialize(draw: Draw, bounds: SearchBounds) -> Game:
     """The :class:`Game` of a draw, its row table handed straight to the
     constructor with each entry's units as an exact ``Fraction``."""
@@ -274,6 +295,7 @@ def sample_game(
 ) -> Game:
     """One random game within bounds (see :func:`_draw`).  Each state
     gets one row per complete profile, in product order."""
+    _check_agents(bounds, require_agents)
     return _materialize(_draw(rng, bounds, variables, require_agents), bounds)
 
 
@@ -309,6 +331,13 @@ def bounded_countermodel(
     Returns (game, state) re-verified under the model checker, or None
     when the budget runs out.
 
+    ``~`` and ``->`` are read classically at every non-failure state, so
+    no game falsifies a formula whose skeleton :func:`is_tautology`
+    accepts: such a search returns None before it seeds the stream,
+    having drawn no game.  The agents check comes first, so bounds that
+    omit an agent of f raise DecideError whatever f is.  A skeleton of
+    more than ``ATOM_CAP`` atoms is searched as below.
+
     The games are those :func:`sample_game` makes from ``Random(seed)``,
     but each is checked as drawn: its rows go straight into the outcome
     tables of its non-failure states (:func:`_outcome_tables`), and f,
@@ -323,6 +352,12 @@ def bounded_countermodel(
     if bounds is None:
         bounds = SearchBounds()
     needed = agents_of(f)
+    _check_agents(bounds, needed)
+    try:
+        if is_tautology(f):
+            return None
+    except AtomCapError:
+        pass  # too wide for a truth table: draw games as for any formula
     rng = random.Random(seed)
     names = tuple(sorted(variables_of(f))) or ("v",)
     table = NodeTable()  # f's nodes, shared by the context of every game

@@ -594,12 +594,24 @@ def _skeleton(f: Formula) -> list:
     return order
 
 
+def _column(i: int, every: int) -> int:
+    """The truth value of inner atom i when ``every`` has one set bit per
+    valuation of the inner atoms: bit b is bit i of b, so the columns of
+    the inner atoms hold every valuation once.  The column repeats 2**i
+    zeros then 2**i ones, a block of 2 << i bits; ``every`` divided by
+    an all-ones block has a 1 at the start of each block, so one product
+    lays the ones of every block at once."""
+    return every // ((1 << (2 << i)) - 1) * (((1 << (1 << i)) - 1) << (1 << i))
+
+
 def is_tautology(f: Formula) -> bool:
     """Truth-table validity of f's propositional skeleton, in which every
     variable and modality is an opaque atom.
 
-    Raises :class:`AtomCapError` rather than approximating when the
-    skeleton has more than :data:`ATOM_CAP` distinct atoms.
+    The proof kernel's ``taut`` rule and the bounded search's screen
+    both call it.  Raises :class:`AtomCapError` rather than
+    approximating when the skeleton has more than :data:`ATOM_CAP`
+    distinct atoms.
     """
     order = _skeleton(f)
     atoms = [g for g in order if isinstance(g, (Var, Coal))]
@@ -608,12 +620,7 @@ def is_tautology(f: Formula) -> bool:
     inner, outer = atoms[:_PARALLEL], atoms[_PARALLEL:]
     rows = 1 << len(inner)
     every = (1 << rows) - 1
-    # bit b of an inner atom's column is bit i of b, so the columns hold
-    # every valuation of the inner atoms once
-    columns = {
-        a: sum(1 << b for b in range(rows) if b >> i & 1)
-        for i, a in enumerate(inner)
-    }
+    columns = {a: _column(i, every) for i, a in enumerate(inner)}
     for signs in product((-1, 0), repeat=len(outer)):
         truth = dict(zip(outer, signs))
         truth.update(columns)

@@ -1,12 +1,14 @@
 """Checks and builders shared by the test modules."""
 
+import json
 import os
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import settings
 
-from sgcl.formula import Coal, render
+from sgcl.formula import Coal, Impl, Neg, Var, render
 from sgcl.game import game_from_dict, game_to_dict, validate
 
 # under CI the property tests draw the same examples on every run and
@@ -49,6 +51,36 @@ def assert_builder_output(g):
 def builder_output():
     """:func:`assert_builder_output`, for the modules that build games."""
     return assert_builder_output
+
+
+def acceptance_corpus():
+    """The 793 formulas of the acceptance corpus: one variable v,
+    coalitions [] and [a], subscripts 0, 1/2, 1, at most three
+    connectives, layer by layer."""
+    subscripts = (Fraction(0), Fraction(1, 2), Fraction(1))
+    layers = [[Var("v")]]
+    for k in range(1, 4):
+        layer = []
+        for f in layers[k - 1]:
+            layer.append(Neg(f))
+            for c in (frozenset(), frozenset({"a"})):
+                for p in subscripts:
+                    layer.append(Coal(c, p, f))
+        for i in range(k):
+            for a in layers[i]:
+                for b in layers[k - 1 - i]:
+                    layer.append(Impl(a, b))
+        layers.append(layer)
+    return [f for layer in layers for f in layer]
+
+
+def pool_decides():
+    """The ``decide`` queries of the benchmark's game-queries pool, as
+    recorded: each with its ``formula``, ``argv`` (budget and seed
+    included), ``kind`` and ``verdict``.  The file is only read."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "game_queries_pool.json"
+    queries = json.loads(path.read_text(encoding="utf-8"))["queries"]
+    return [q for q in queries if q["kind"].startswith("decide-")]
 
 
 def set_key(s):

@@ -52,7 +52,7 @@ from sgcl.proof import (
 
 import pytest
 
-from conftest import reference_action_id, reference_mu, set_key
+from conftest import acceptance_corpus, reference_action_id, reference_mu, set_key
 
 F = Fraction
 L, LPLUS = SystemId.L, SystemId.LPLUS
@@ -331,27 +331,6 @@ def test_canonical_construction_audit():
 # 5 ---------------------------------------------------------------------------
 
 
-def _corpus_upto(connectives: int):
-    """All formulas over the single variable v with at most the given
-    number of connectives, one agent, and subscripts 0, 1/2, 1."""
-    subs = (F(0), F(1, 2), F(1))
-    coals = (frozenset(), frozenset({"a"}))
-    layers = [[Var("v")]]
-    for k in range(1, connectives + 1):
-        layer = []
-        for f in layers[k - 1]:
-            layer.append(Neg(f))
-            for c in coals:
-                for p in subs:
-                    layer.append(Coal(c, p, f))
-        for i in range(k):
-            for a in layers[i]:
-                for b in layers[k - 1 - i]:
-                    layer.append(Impl(a, b))
-        layers.append(layer)
-    return [f for layer in layers for f in layer]
-
-
 def _obvious_theorem(f):
     """A verified theorem-mode derivation for transparently valid shapes:
     tautologies, direct axiom instances, coalition weakening, and the
@@ -390,7 +369,7 @@ def test_decision_agreement_on_small_corpus():
     obvious-theorem proof is ever refuted, and every refutation's witness
     survives an independent model-checker pass."""
     t0 = time.monotonic()
-    corpus = _corpus_upto(3)
+    corpus = acceptance_corpus()
     assert len(corpus) == 793
     provable = 0
     refuted = 0

@@ -44,6 +44,7 @@ from sgcl.modelcheck import CheckContext, CheckError, holds, label
 from sgcl.proof import SystemId
 
 from conftest import (
+    acceptance_corpus,
     reference_action_id,
     reference_granted,
     reference_mu,
@@ -601,26 +602,6 @@ class TestTruthLemmaAudit:
         assert not report.clean
         hit = report.disagreements[0]
         assert set(hit) == {"state", "formula", "member", "holds"}
-
-
-def acceptance_corpus():
-    """The 793 formulas of the acceptance corpus: one variable v,
-    coalitions [] and [a], subscripts 0, 1/2, 1, at most three
-    connectives, in the order tests/test_acceptance.py builds them."""
-    layers = [[v]]
-    for k in range(1, 4):
-        layer = []
-        for f in layers[k - 1]:
-            layer.append(Neg(f))
-            for c in ((), ("a",)):
-                for p in (0, "1/2", 1):
-                    layer.append(coal(c, p, f))
-        for i in range(k):
-            for a in layers[i]:
-                for b in layers[k - 1 - i]:
-                    layer.append(Impl(a, b))
-        layers.append(layer)
-    return [f for layer in layers for f in layer]
 
 
 # the paper-faithful classify takes about 12 s over the whole corpus, so

@@ -24,6 +24,8 @@ from sgcl.decide import (
     sample_game,
 )
 from sgcl.formula import (
+    ATOM_CAP,
+    AtomCapError,
     Bot,
     Coal,
     Impl,
@@ -41,7 +43,7 @@ from sgcl.game import ActionProfile, game_to_dict, validate
 from sgcl.modelcheck import CheckContext, holds
 from sgcl.proof import SystemId
 
-from conftest import keyed_game
+from conftest import acceptance_corpus, keyed_game, pool_decides
 
 F = Fraction
 
@@ -141,6 +143,12 @@ class TestSearchBounds:
             {"probability_grid": (0, F(1, 2))},
             {"probability_grid": (F(1, 2), 1)},
             {"probability_grid": (0, 1, 2)},
+            {"budget": 1.5},
+            {"budget": True},
+            {"max_states": 2.5},
+            {"max_states": True},
+            {"max_actions": 1.0},
+            {"max_actions": "2"},
         ],
     )
     def test_rejects_bad_limits(self, kwargs):
@@ -461,6 +469,65 @@ class TestSearchMatchesReference:
                 hits += 1
                 late += attempt > 0
         assert hits >= 100 and late >= 50 and misses >= 45, (hits, late, misses)
+
+
+class TestTautologyScreen:
+    """A formula whose skeleton is a tautology holds at every non-failure
+    state of every game, so the search returns None before it draws;
+    a skeleton wider than ATOM_CAP atoms is searched as before."""
+
+    def test_pool_decides_match_reference(self):
+        """Every decide query of the game-queries pool, at its recorded
+        seed, with a smaller budget: the same None, or the same refuting
+        state and an equal game, as the loop over sample_game."""
+        found = 0
+        for q in pool_decides():
+            f = parse(q["formula"])
+            seed = int(q["argv"][q["argv"].index("--seed") + 1])
+            bounds = SearchBounds(agents=tuple(sorted(agents_of(f))) or ("a",), budget=40)
+            got = bounded_countermodel(f, bounds, seed=seed)
+            want = reference_countermodel(f, bounds, seed)
+            if want is None:
+                assert got is None, q["formula"]
+                continue
+            game, state, _ = want
+            assert got is not None and got[1] == state, q["formula"]
+            assert game_to_dict(got[0]) == game_to_dict(game), q["formula"]
+            found += 1
+        assert found == 12
+
+    def test_corpus_tautologies_draw_nothing(self, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("a tautology drew a game")
+
+        monkeypatch.setattr("sgcl.decide._draw", no_draw)
+        tautologies = [f for f in acceptance_corpus() if is_tautology(f)]
+        assert len(tautologies) == 32
+        for f in tautologies:
+            assert bounded_countermodel(f, SearchBounds(agents=("a",)), seed=3) is None
+
+    def test_wider_than_the_cap_draws_its_budget(self, monkeypatch):
+        chain = Var("x0")
+        for i in range(ATOM_CAP, 0, -1):
+            chain = Impl(Var(f"x{i}"), chain)
+        f = Impl(Var("x0"), chain)  # a tautology over 21 atoms
+        draws = []
+
+        def counting(*args):
+            draws.append(1)
+            return _draw(*args)
+
+        monkeypatch.setattr("sgcl.decide._draw", counting)
+        with pytest.raises(AtomCapError):
+            is_tautology(f)
+        assert bounded_countermodel(f, SearchBounds(budget=7), seed=1) is None
+        assert len(draws) == 7
+
+    def test_agents_are_checked_before_the_screen(self):
+        f = parse("([c]_1 v -> [c]_1 v)")
+        assert is_tautology(f)
+        with pytest.raises(DecideError, match="omit required agents"):
+            bounded_countermodel(f, SearchBounds(agents=("a",)))
 
 
 def two_connective_corpus():

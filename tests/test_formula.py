@@ -1,12 +1,13 @@
 """Formula syntax: parser, printer, closure sets, tautology checking."""
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from sgcl.decide import SearchBounds
+from sgcl.decide import SearchBounds, sample_game
 from sgcl.formula import (
     ATOM_CAP,
     TOP,
@@ -19,6 +20,8 @@ from sgcl.formula import (
     Neg,
     ParseError,
     Var,
+    _column,
+    _skeleton,
     agents_of,
     canonical_key,
     closure,
@@ -37,6 +40,7 @@ from sgcl.game import (
     game_to_dict,
     survival_ladder,
 )
+from sgcl.modelcheck import CheckContext, holds
 from sgcl.proof import (
     Derivation,
     ProofLine,
@@ -45,6 +49,8 @@ from sgcl.proof import (
     build_coalition_weakening,
     build_lifted_implication,
 )
+
+from conftest import acceptance_corpus, pool_decides
 
 F = Fraction
 
@@ -478,6 +484,28 @@ class TestTautology:
         assert is_tautology(TOP)
         assert not is_tautology(Bot())
 
+    @pytest.mark.parametrize("inner", range(1, 11))
+    def test_columns_equal_the_comprehension(self, inner):
+        """Each closed-form column sets bit b exactly when bit i of b is
+        set, as the comprehension over the valuations does."""
+        rows = 1 << inner
+        every = (1 << rows) - 1
+        for i in range(inner):
+            assert _column(i, every) == sum(
+                1 << b for b in range(rows) if b >> i & 1), (inner, i)
+
+    def test_corpus_verdicts(self):
+        assert sum(is_tautology(f) for f in acceptance_corpus()) == 32
+
+    def test_pool_decide_verdicts(self):
+        """The decide queries of the game-queries pool: every
+        ``decide-tautology`` entry is a tautology, and one
+        ``decide-random`` entry is one too."""
+        queries = pool_decides()
+        kinds = [q["kind"] for q in queries if is_tautology(parse(q["formula"]))]
+        assert len(queries) == 32
+        assert sorted(kinds) == ["decide-random"] + ["decide-tautology"] * 16
+
 
 @settings(max_examples=300)
 @given(formulas)
@@ -485,3 +513,49 @@ def test_tautology_agrees_with_naive_oracle(f):
     atoms = {g for g in subformulas(f) if isinstance(g, (Var, Coal))}
     assume(len(atoms) <= 10)
     assert is_tautology(f) == naive_tautology(f)
+
+
+# formulas over u and v with coalitions of agents a and b, and shapes that
+# are tautologies whatever their parts, so that tautologies over modal
+# atoms come up often
+SEARCH_SUBSCRIPTS = st.sampled_from([F(0), F(1, 4), F(1, 2), F(1)])
+search_formulas = st.recursive(
+    st.one_of(st.sampled_from(["u", "v"]).map(Var), st.just(Bot())),
+    lambda sub: st.one_of(
+        sub.map(Neg),
+        st.tuples(sub, sub).map(lambda t: Impl(*t)),
+        st.tuples(st.frozensets(st.sampled_from(["a", "b"])), SEARCH_SUBSCRIPTS, sub)
+        .map(lambda t: Coal(*t)),
+    ),
+    max_leaves=6,
+)
+tautology_shapes = st.one_of(
+    search_formulas,
+    search_formulas.map(lambda x: Impl(x, x)),
+    search_formulas.map(lambda x: Impl(Neg(Neg(x)), x)),
+    st.tuples(search_formulas, search_formulas).map(
+        lambda t: Impl(t[0], Impl(t[1], t[0]))),
+    st.tuples(search_formulas, search_formulas, search_formulas).map(
+        lambda t: Impl(Impl(t[0], Impl(t[1], t[2])),
+                       Impl(Impl(t[0], t[1]), Impl(t[0], t[2])))),
+)
+
+
+@settings(max_examples=100)
+@given(tautology_shapes, st.integers(0, 2**32 - 1))
+def test_tautologies_hold_in_sampled_games(f, seed):
+    """The screen the bounded search applies is sound: a formula that
+    is_tautology accepts holds at every non-failure state of sampled
+    games, and is_tautology agrees with evaluating the skeleton under
+    each valuation of its atoms."""
+    atoms = [g for g in _skeleton(f) if isinstance(g, (Var, Coal))]
+    assume(len(atoms) <= 12)
+    verdict = is_tautology(f)
+    assert verdict == naive_tautology(f)
+    if verdict:
+        rng = random.Random(seed)
+        for _ in range(20):
+            game = sample_game(rng, SearchBounds(), require_agents=agents_of(f))
+            ctx = CheckContext(game)
+            for state in game.nonfailure_states:
+                assert holds(game, state, f, ctx), (render(f), state)
