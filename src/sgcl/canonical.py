@@ -7,7 +7,10 @@ variables and modalities); every other member follows by evaluation, so
 the sets are enumerated over atom signs, each non-atomic member settled
 as soon as its last atom is, and a pluggable oracle judges each complete
 set once, rejecting those whose modal literals visibly contradict a
-theorem.
+theorem.  Each set carries its members twice: as a ``frozenset``, which
+the oracle judges, and as an integer mask over the closure's positions
+(bit k for ``sigma.formulas[k]``), on which the rest of this module
+works.
 
 Each agent's action is a request: the pair (body, p) of a modality
 [C]_p body of the closure whose coalition C is non-empty, or the opt-out
@@ -21,9 +24,12 @@ matching (body, p) request; a modality with an empty coalition is
 granted by every profile and so needs no action.  Their strongest
 threshold (0 when none is granted) is shared uniformly among the target
 states, the maximal sets containing every granted body; the rest of the
-mass goes to the failure state.  The point of the construction is that membership
-and truth coincide, which :func:`audit_truth_lemma` measures rather than
-assumes.
+mass goes to the failure state.  As masks, a profile's grant is the AND
+over its agents of the modalities each agent's choice leaves grantable,
+the modalities granted at s are ``s.mask & grant``, and a target is a
+state whose mask holds every granted body's bit.  The point of the
+construction is that membership and truth coincide, which
+:func:`audit_truth_lemma` measures rather than assumes.
 
 The domain is a quotient of the paper's, where an agent may request any
 closure formula (or true) at any subscript of the closure, 0 or -1.  A
@@ -44,7 +50,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
 from typing import Mapping, Optional, Protocol, Sequence
 
 from .formula import (
@@ -104,47 +109,49 @@ class HintikkaOracle:
     of a whole maximal set is not checked here:
     :func:`enumerate_maximal_sets` derives every non-atomic member by
     evaluation.
+
+    One pass over the candidate collects its modalities and indexes its
+    negated modalities ("denials") by body, so the weakening and
+    cooperation checks look only at the denials on the body they
+    concern, and the cooperation check builds no formula for its
+    conclusion.
     """
 
     def judge(self, candidate: frozenset) -> Judgment:
+        # the formula classes are final, so the pass dispatches on type
+        positives = []
+        denials: dict = {}  # body -> [(coalition, p)] of each ~[C]_p body
         for f in candidate:
-            if isinstance(f, Bot) or (isinstance(f, Neg) and f.body in candidate):
+            kind = type(f)
+            if kind is Neg:
+                body = f.body
+                if body in candidate:
+                    return Judgment.INCONSISTENT
+                if type(body) is Coal:
+                    denials.setdefault(body.body, []).append((body.coalition, body.p))
+            elif kind is Coal:
+                positives.append(f)
+            elif kind is Bot:
                 return Judgment.INCONSISTENT
-        positives = [f for f in candidate if isinstance(f, Coal)]
-        negatives = [
-            f.body for f in candidate
-            if isinstance(f, Neg) and isinstance(f.body, Coal)
-        ]
-
-        def denied(claim: Coal) -> bool:
-            # anything the claim entails by weakening the threshold or
-            # enlarging the coalition must not be negated alongside it
-            return any(
-                g.body == claim.body
-                and g.coalition >= claim.coalition
-                and g.p <= claim.p
-                for g in negatives
-            )
-
+        # anything [C]_p x entails by weakening the threshold or enlarging
+        # the coalition must not be denied alongside it
         for f in positives:
-            if isinstance(f.body, Bot) and f.p > 0:
+            if type(f.body) is Bot and f.p > 0:
                 return Judgment.INCONSISTENT
-            if denied(f):
+            if any(c >= f.coalition and r <= f.p for c, r in denials.get(f.body, ())):
                 return Judgment.INCONSISTENT
+        # cooperation: [C]_p (x -> y) and [D]_q x with C, D disjoint give
+        # [C u D]_max(p,q) y
         for outer in positives:
-            if not isinstance(outer.body, Impl):
+            body = outer.body
+            if type(body) is not Impl or body.right not in denials:
                 continue
             for inner in positives:
-                if inner.body != outer.body.left:
+                if inner.body != body.left or outer.coalition & inner.coalition:
                     continue
-                if outer.coalition & inner.coalition:
-                    continue
-                combined = Coal(
-                    outer.coalition | inner.coalition,
-                    max(outer.p, inner.p),
-                    outer.body.right,
-                )
-                if denied(combined):
+                coalition = outer.coalition | inner.coalition
+                p = max(outer.p, inner.p)
+                if any(c >= coalition and r <= p for c, r in denials[body.right]):
                     return Judgment.INCONSISTENT
         return Judgment.CONSISTENT
 
@@ -157,9 +164,12 @@ def default_oracle() -> HintikkaOracle:
 class MaximalSet:
     """A maximal consistent subset of a closure set: for every
     non-negation formula of the closure, exactly one of it and its
-    negation is a member."""
+    negation is a member.  ``mask`` holds the same members as bits over
+    the closure's positions: bit k is set when ``sigma.formulas[k]`` is
+    a member."""
 
     members: frozenset
+    mask: int
 
 
 def enumerate_maximal_sets(
@@ -176,9 +186,9 @@ def enumerate_maximal_sets(
     last atom it depends on (formulas over no atom, such as ``false``,
     before the first), so setting an atom evaluates only the formulas it
     completes; the true ones sit on one member stack that backtracking
-    pops.  At a leaf the stack holds one of f and ~f for every
-    non-negation f of the closure, and the oracle judges that complete
-    set once."""
+    pops, and their bits are ORed into the mask passed down.  At a leaf
+    the stack holds one of f and ~f for every non-negation f of the
+    closure, and the oracle judges that complete set once."""
     if len(sigma) > cap:
         raise ClosureCapError(len(sigma), cap)
     if oracle is None:
@@ -206,17 +216,19 @@ def enumerate_maximal_sets(
     members: list = []
     out = []
 
-    def settle(steps) -> None:
+    def settle(steps, mask: int) -> int:
         for k, f, a, b in steps:
             value = truth[k] = not truth[a] or truth[b]
             if value:
                 members.append(f)
+                mask |= 1 << k
+        return mask
 
-    def descend(i: int) -> None:
+    def descend(i: int, mask: int) -> None:
         if i == len(atoms):
             candidate = frozenset(members)
             if oracle.judge(candidate) is not Judgment.INCONSISTENT:
-                out.append(MaximalSet(candidate))
+                out.append(MaximalSet(candidate, mask))
             return
         k, atom = atoms[i]
         mark = len(members)
@@ -224,12 +236,10 @@ def enumerate_maximal_sets(
             truth[k] = value
             if value:
                 members.append(atom)
-            settle(schedule[i + 1])
-            descend(i + 1)
+            descend(i + 1, settle(schedule[i + 1], mask | value << k))
             del members[mark:]
 
-    settle(schedule[0])
-    descend(0)
+    descend(0, settle(schedule[0], 0))
     return tuple(out)
 
 
@@ -256,20 +266,27 @@ def action_domain(sigma: ClosureSet) -> tuple:
         formula_size(r[0]), _text(sigma, r[0]), r[1])))
 
 
-def _row(granted: tuple, sets: Sequence[MaximalSet], names: Sequence[str]) -> tuple:
-    """``(row, guarded)`` for the modalities a profile grants at a state:
-    their strongest threshold mu (0 when none is granted) shared
-    uniformly among the targets, the states of ``sets`` (named by
-    ``names``) containing every granted body, and the rest of the mass on
-    the failure state.  When no maximal set contains all granted bodies
-    yet mu is positive, the construction cannot honor the grant; all mass
-    then routes to the failure state and ``guarded`` is true (callers
-    report such pairs)."""
-    mu = max((m.p for m in granted), default=0)
+def _row(granted: int, modalities: Sequence[tuple], masks: Sequence[int],
+         names: Sequence[str]) -> tuple:
+    """``(row, guarded)`` for the modalities a profile grants at a state,
+    given as the mask ``granted`` over the closure's positions, with
+    ``modalities`` listing each modality of the closure as (bit,
+    threshold, its body's bit): their strongest threshold mu (0 when
+    none is granted) shared uniformly among the targets, the states
+    named by ``names`` whose ``masks`` hold every granted body, and the
+    rest of the mass on the failure state.  When no maximal set contains
+    all granted bodies yet mu is positive, the construction cannot honor
+    the grant; all mass then routes to the failure state and ``guarded``
+    is true (callers report such pairs)."""
+    mu = 0
+    bodies = 0
+    for bit, p, body in modalities:
+        if granted & bit:
+            mu = max(mu, p)
+            bodies |= body
     if mu == 0:
         return {FAILURE_STATE: Fraction(1)}, False
-    bodies = {m.body for m in granted}
-    targets = [name for name, t in zip(names, sets) if bodies <= t.members]
+    targets = [name for name, m in zip(names, masks) if m & bodies == bodies]
     if not targets:
         return {FAILURE_STATE: Fraction(1)}, True
     row = dict.fromkeys(targets, mu / len(targets))
@@ -304,9 +321,9 @@ class CanonicalDiagnostics:
     def state_members(self) -> dict:
         """State name -> rendered members in canonical order: the
         closure's own order and texts, filtered by membership."""
-        texts = self.closure.texts.items()
+        texts = [(1 << k, text) for k, text in enumerate(self.closure.texts.values())]
         return {
-            name: [text for f, text in texts if f in s.members]
+            name: [text for bit, text in texts if s.mask & bit]
             for name, s in self.sets.items()
         }
 
@@ -339,16 +356,31 @@ def build_canonical_game(
     not validated (the tests validate it); when the oracle rejects every
     candidate set the game has only the failure state and the diagnostics
     say so.
+
+    The construction works on the sets' masks.  States are sorted by the
+    ranks of their members among the closure's sorted texts; the texts
+    are unique, so this is the order of the sorted texts themselves.
+    Once per closure, each agent's choice of each action gets the mask
+    of the modalities it leaves grantable (those whose coalition lacks
+    the agent, or whose request is that action), and each complete
+    profile, in product order, the AND of its agents' masks.  A state's
+    modalities granted by profile k are then ``mask & grants[k]``, and
+    the row built for that int is shared by every pair granting it.
     """
     texts = sigma.texts
     if system is SystemId.LPLUS:
         for f, text in texts.items():
             if not in_plus_language(f):
                 raise CanonicalError(f"{text} lies outside the restricted language")
+    formulas = sigma.formulas
     agents = tuple(sorted(sigma.agents()))
+    # rank_bits[r]: the bit of the closure position whose text is r-th
+    # in sorted order, so a set's ranks are read off its mask in order
+    rank_bits = [1 << k for k in sorted(range(len(formulas)),
+                                         key=list(texts.values()).__getitem__)]
     sets = sorted(
         enumerate_maximal_sets(sigma, oracle, cap),
-        key=lambda s: sorted(texts[f] for f in s.members),
+        key=lambda s: [r for r, b in enumerate(rank_bits) if s.mask & b],
     )
     actions = action_domain(sigma)
     action_ids = tuple(f"({_text(sigma, body)},{p})" for body, p in actions)
@@ -356,46 +388,53 @@ def build_canonical_game(
     diag.sets = {f"s{i}": s for i, s in enumerate(sets)}
     diag.closure = sigma
     names = tuple(diag.sets)
-    # each modality of the closure with the index of its request (-1 when
-    # the domain has none) and the positions of its coalition's members;
-    # a profile is a tuple of action indices in product order, and it
-    # grants a modality when every member chose the request's index
+    masks = [s.mask for s in sets]
+    position = {f: k for k, f in enumerate(formulas)}
+    coals = [(1 << k, f) for k, f in enumerate(formulas) if isinstance(f, Coal)]
+    modalities = [(bit, f.p, 1 << position[f.body]) for bit, f in coals]
+    # grants[k]: the modalities profile k grants, profiles in product
+    # order of the action indices over the agents, first agent outermost;
+    # a modality with an empty coalition is granted by every profile
     index = {r: i for i, r in enumerate(actions)}
-    position = {a: j for j, a in enumerate(agents)}
-    modalities = [
-        (f, index.get((f.body, f.p), -1), tuple(position[a] for a in f.coalition))
-        for f in sigma if isinstance(f, Coal)
-    ]
-    profiles = tuple(product(range(len(actions)), repeat=len(agents)))
+    grants = [sum(bit for bit, _ in coals)]
+    for a in agents:
+        allowed = [sum(bit for bit, f in coals if a not in f.coalition)] * len(actions)
+        for bit, f in coals:
+            if a in f.coalition:
+                allowed[index[f.body, f.p]] |= bit
+        grants = [g & m for g in grants for m in allowed]
     # a row depends only on the granted modalities, so each distinct
-    # granted tuple (in closure order) is turned into a row once:
-    # granted -> (row id, guarded)
+    # granted mask is turned into a row once: granted -> (row id, guarded)
     rows = []
     row_of = {}
     row_ids = {}
-    for name, s in diag.sets.items():
-        held = [m for m in modalities if m[0] in s.members]
+    for name, held in zip(names, masks):
         ids = []
-        for profile in profiles:
-            granted = tuple(
-                f for f, r, js in held if all(profile[j] == r for j in js))
+        for k, grant in enumerate(grants):
+            granted = held & grant
             entry = row_of.get(granted)
             if entry is None:
-                row, guarded = _row(granted, sets, names)
+                row, guarded = _row(granted, modalities, masks, names)
                 entry = row_of[granted] = (len(rows), guarded)
                 rows.append(row)
             i, guarded = entry
             if guarded:
-                diag.guard_pairs.append(
-                    (name, {a: action_ids[x] for a, x in zip(agents, profile)}))
+                # profile k's action indices are its base-len(actions)
+                # digits, the last agent's least significant
+                chosen = []
+                rest = k
+                for _ in agents:
+                    rest, x = divmod(rest, len(actions))
+                    chosen.append(action_ids[x])
+                diag.guard_pairs.append((name, dict(zip(agents, reversed(chosen)))))
             ids.append(i)
         row_ids[name] = ids
-    row_ids[FAILURE_STATE] = (len(rows),) * len(profiles)
+    row_ids[FAILURE_STATE] = (len(rows),) * len(grants)
     rows.append({FAILURE_STATE: Fraction(1)})
-    valuation = {
-        v: frozenset(name for name, s in diag.sets.items() if Var(v) in s.members)
-        for v in sorted(sigma.variables())
-    }
+    valuation = {}
+    for v in sorted(sigma.variables()):
+        bit = 1 << position[Var(v)]
+        valuation[v] = frozenset(name for name, m in zip(names, masks) if m & bit)
     game = Game(
         agents=agents,
         states=names + (FAILURE_STATE,),
@@ -433,35 +472,42 @@ def audit_truth_lemma(
     once by :func:`sgcl.modelcheck.label`, children first, and truth is
     read bit by bit from each extent; the point queries of
     :func:`sgcl.modelcheck.holds` stay lazy for the callers that ask
-    about one state."""
+    about one state.  Membership is read from the sets' masks, which must
+    be over sigma's positions: they are transposed into one column of
+    state bits per closure formula and compared with its extent."""
     extents = label(game, sigma.formulas)
     bit = {s: 1 << i for i, s in enumerate(game.nonfailure_states)}
-    # membership as masks over the same bits as the extents
-    membership = dict.fromkeys(sigma.texts, 0)
+    # the set masks transposed: per closure position, the states (as
+    # bits like the extents') whose set holds that formula
+    column = [0] * len(sigma)
     audited = 0
     for name, s in sets.items():
         b = bit.get(name)
         if b is None:
             raise CheckError(f"{name!r} is not a non-failure state of the game")
         audited |= b
-        for f in s.members:
-            if f in membership:
-                membership[f] |= b
-    wrong = {}  # formula -> bits of the states where membership and truth split
-    for f, m in membership.items():
-        split = (extents[f] ^ m) & audited
+        mask = s.mask
+        while mask:
+            low = mask & -mask
+            column[low.bit_length() - 1] |= b
+            mask ^= low
+    # (position, bits of the states where membership and truth split)
+    wrong = []
+    for k, f in enumerate(sigma.formulas):
+        split = (extents[f] ^ column[k]) & audited
         if split:
-            wrong[f] = split
+            wrong.append((k, split))
     report = TruthLemmaReport(checked=len(sets) * len(sigma))
     if not wrong:
         return report
+    texts = list(sigma.texts.values())
     for name, s in sets.items():
         b = bit[name]
-        for f, split in wrong.items():
+        for k, split in wrong:
             if split & b:
-                member = f in s.members
+                member = s.mask >> k & 1 == 1
                 report.disagreements.append(
-                    {"state": name, "formula": sigma.texts[f],
+                    {"state": name, "formula": texts[k],
                      "member": member, "holds": not member}
                 )
     return report

@@ -73,7 +73,7 @@ class SearchBounds:
     games a search may draw; a formula that :func:`is_tautology` settles
     draws none, and its ``Exhausted`` verdict still reports the budget.
     ``budget``, ``max_states`` and ``max_actions`` must be ints, not
-    bools."""
+    bools; ``agents`` is a sequence of distinct names, not a string."""
 
     max_states: int = 4
     max_actions: int = 3
@@ -87,6 +87,8 @@ class SearchBounds:
             if not isinstance(value, int) or isinstance(value, bool):
                 raise DecideError(
                     f"{name} must be an int, not {type(value).__name__}")
+        if isinstance(self.agents, str):
+            raise DecideError("agents must be a sequence of names, not a string")
         grid = tuple(sorted({exact(x) for x in self.probability_grid}))
         object.__setattr__(self, "probability_grid", grid)
         object.__setattr__(self, "agents", tuple(self.agents))
@@ -94,6 +96,8 @@ class SearchBounds:
             raise DecideError("need at least one state and one action")
         if not self.agents:
             raise DecideError("need at least one agent")
+        if len(set(self.agents)) != len(self.agents):
+            raise DecideError("duplicate entries in agents")
         if self.budget <= 0:
             raise DecideError("budget must be positive")
         if any(p < 0 or p > 1 for p in grid):

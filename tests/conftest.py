@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import settings
 
+from sgcl.canonical import MaximalSet
 from sgcl.formula import Coal, Impl, Neg, Var, render
 from sgcl.game import game_from_dict, game_to_dict, validate
 
@@ -81,6 +82,15 @@ def pool_decides():
     path = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "game_queries_pool.json"
     queries = json.loads(path.read_text(encoding="utf-8"))["queries"]
     return [q for q in queries if q["kind"].startswith("decide-")]
+
+
+def maximal_set(sigma, members):
+    """The :class:`MaximalSet` of ``members`` over the closure ``sigma``,
+    its mask read member by member: bit k is set when
+    ``sigma.formulas[k]`` is a member."""
+    members = frozenset(members)
+    return MaximalSet(members, sum(
+        1 << k for k, f in enumerate(sigma.formulas) if f in members))
 
 
 def set_key(s):

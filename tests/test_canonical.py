@@ -14,7 +14,6 @@ from sgcl.canonical import (
     CanonicalError,
     ClosureCapError,
     Judgment,
-    MaximalSet,
     TruthLemmaReport,
     action_domain,
     audit_truth_lemma,
@@ -45,6 +44,7 @@ from sgcl.proof import SystemId
 
 from conftest import (
     acceptance_corpus,
+    maximal_set,
     reference_action_id,
     reference_granted,
     reference_mu,
@@ -126,7 +126,7 @@ def reference_maximal_sets(sigma, oracle=None):
         if oracle.judge(current) is Judgment.INCONSISTENT:
             return
         if i == len(decisions):
-            out.append(MaximalSet(current))
+            out.append(maximal_set(sigma, current))
             return
         for sign in (True, False):
             signs[decisions[i]] = sign
@@ -156,7 +156,7 @@ def literal_pruning_maximal_sets(sigma, oracle=None):
             value = evaluate(sigma, dict(truth))
             members = frozenset(f for f in sigma if value[f])
             if oracle.judge(members) is not Judgment.INCONSISTENT:
-                out.append(MaximalSet(members))
+                out.append(maximal_set(sigma, members))
             return
         if oracle.judge(frozenset(literals)) is Judgment.INCONSISTENT:
             return
@@ -344,7 +344,7 @@ class TestActionDomain:
 
 class TestTransitionData:
     def make_set(self, *members):
-        return MaximalSet(frozenset(members))
+        return maximal_set(closure(members), members)
 
     # the reference grant rule itself
 
@@ -717,6 +717,11 @@ def pool_formulas():
     return out
 
 
+def pool_closures():
+    """The closures of the 180 pool formulas, as the bench builds them."""
+    return [closure([parse(text)]) for text in pool_formulas()]
+
+
 ORACLES = {"default": None, "no-v": NoV(), "no-implication": NoImplication()}
 
 
@@ -771,7 +776,7 @@ class TestOracleContract:
             assert [tuple(a in c for a in atoms) for c in oracle.candidates] == (
                 list(product((True, False), repeat=len(atoms))))
             assert sets == tuple(
-                MaximalSet(c) for c in oracle.candidates
+                maximal_set(sig, c) for c in oracle.candidates
                 if BASE_ORACLE.judge(c) is not Judgment.INCONSISTENT)
 
     def test_every_candidate_is_complete(self):
@@ -782,6 +787,73 @@ class TestOracleContract:
             for c in oracle.candidates:
                 assert c <= set(sig)
                 assert all((f in c) != (Neg(f) in c) for f in decided), c
+
+
+def reference_judge(candidate):
+    """The consistency oracle as a scan of the whole candidate for each
+    rule, building the cooperation conclusion as a ``Coal``:
+    ``HintikkaOracle.judge``, which indexes the denials by body in one
+    pass, is checked against it."""
+    for f in candidate:
+        if isinstance(f, Bot) or (isinstance(f, Neg) and f.body in candidate):
+            return Judgment.INCONSISTENT
+    positives = [f for f in candidate if isinstance(f, Coal)]
+    negatives = [
+        f.body for f in candidate
+        if isinstance(f, Neg) and isinstance(f.body, Coal)
+    ]
+
+    def denied(claim):
+        return any(
+            g.body == claim.body
+            and g.coalition >= claim.coalition
+            and g.p <= claim.p
+            for g in negatives
+        )
+
+    for f in positives:
+        if isinstance(f.body, Bot) and f.p > 0:
+            return Judgment.INCONSISTENT
+        if denied(f):
+            return Judgment.INCONSISTENT
+    for outer in positives:
+        if not isinstance(outer.body, Impl):
+            continue
+        for inner in positives:
+            if inner.body != outer.body.left:
+                continue
+            if outer.coalition & inner.coalition:
+                continue
+            combined = Coal(
+                outer.coalition | inner.coalition,
+                max(outer.p, inner.p),
+                outer.body.right,
+            )
+            if denied(combined):
+                return Judgment.INCONSISTENT
+    return Judgment.CONSISTENT
+
+
+class TestOracleMatchesReference:
+    """The one-pass oracle against the whole-candidate scan: the same
+    judgment on every complete candidate the enumerator hands it, over
+    the seed, corpus negation and pool closures."""
+
+    def test_complete_candidates(self):
+        closures = [closure([parse(seed)]) for seed in LABELED_SEEDS]
+        closures += [closure([Neg(f)]) for f in acceptance_corpus()]
+        closures += pool_closures()
+        candidates = inconsistent = 0
+        for sig in closures:
+            oracle = RecordingOracle()
+            enumerate_maximal_sets(sig, oracle, cap=32)
+            for c in oracle.candidates:
+                want = reference_judge(c)
+                assert BASE_ORACLE.judge(c) is want, sorted(map(render, c))
+                candidates += 1
+                inconsistent += want is Judgment.INCONSISTENT
+        # 266 seed, 15 562 corpus and pool candidates
+        assert (candidates, inconsistent) == (15828, 495)
 
 
 class TestBuiltGamesAreSound:
@@ -808,6 +880,10 @@ def assert_rows_follow_grant_rule(game, diag, domain):
     agents = tuple(sorted(diag.closure.agents()))
     assert game.agents == agents
     assert game.actions == tuple(map(reference_action_id, domain))
+    assert diag.state_members == {
+        name: [text for f, text in diag.closure.texts.items() if f in s.members]
+        for name, s in diag.sets.items()
+    }
     guards = []
     for name, s in diag.sets.items():
         for combo in product(domain, repeat=len(agents)):
@@ -839,6 +915,14 @@ class TestRowsFollowGrantRule:
         guarded = 0
         for sig in corpus_negation_closures():
             game, diag = build_canonical_game(sig)
+            guarded += assert_rows_follow_grant_rule(game, diag, action_domain(sig))
+        assert guarded > 0
+
+    def test_pool_closures(self):
+        # the coalition pool's two-agent closures, some with guard pairs
+        guarded = 0
+        for sig in pool_closures():
+            game, diag = build_canonical_game(sig, cap=32)
             guarded += assert_rows_follow_grant_rule(game, diag, action_domain(sig))
         assert guarded > 0
 
@@ -1013,6 +1097,13 @@ class TestLabeledAuditMatchesReference:
             game, diag = build_canonical_game(sig)
             unclean += not assert_labeled_audit_matches(game, sig, diag.sets).clean
         # the zero-threshold blind spot shows in some of them
+        assert unclean > 0
+
+    def test_pool_closures(self):
+        unclean = 0
+        for sig in pool_closures():
+            game, diag = build_canonical_game(sig, cap=32)
+            unclean += not assert_labeled_audit_matches(game, sig, diag.sets).clean
         assert unclean > 0
 
     def test_zero_threshold_blind_spot(self):

@@ -140,6 +140,10 @@ class TestSearchBounds:
             {"budget": 0},
             {"max_states": 0},
             {"agents": ()},
+            {"agents": "ab"},
+            {"agents": "a"},
+            {"agents": ("a", "a")},
+            {"agents": ("a", "b", "a")},
             {"probability_grid": (0, F(1, 2))},
             {"probability_grid": (F(1, 2), 1)},
             {"probability_grid": (0, 1, 2)},
