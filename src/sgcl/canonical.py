@@ -5,12 +5,12 @@ the maximal consistent subsets of that closure, plus one failure state.
 A maximal set is fixed by the truth values of the closure's atoms (its
 variables and modalities); every other member follows by evaluation, so
 the sets are enumerated over atom signs, each non-atomic member settled
-as soon as its last atom is, and a pluggable oracle judges each complete
-set once, rejecting those whose modal literals visibly contradict a
-theorem.  Each set carries its members twice: as a ``frozenset``, which
-the oracle judges, and as an integer mask over the closure's positions
-(bit k for ``sigma.formulas[k]``), on which the rest of this module
-works.
+as soon as its last atom is, and an oracle judges each complete set once,
+rejecting those whose modal literals visibly contradict a theorem.  A set
+is one integer mask over the closure's positions (bit k for
+``sigma.formulas[k]``): the enumerator builds it, the oracle, compiled
+once per closure into nogoods over those bits, judges it, and the rest of
+this module works on it.
 
 Each agent's action is a request: the pair (body, p) of a modality
 [C]_p body of the closure whose coalition C is non-empty, or the opt-out
@@ -26,8 +26,8 @@ threshold (0 when none is granted) is shared uniformly among the target
 states, the maximal sets containing every granted body; the rest of the
 mass goes to the failure state.  As masks, a profile's grant is the AND
 over its agents of the modalities each agent's choice leaves grantable,
-the modalities granted at s are ``s.mask & grant``, and a target is a
-state whose mask holds every granted body's bit.  The point of the
+the modalities granted at s are s's mask AND the grant, and a target
+is a state whose mask holds every granted body's bit.  The point of the
 construction is that membership and truth coincide, which
 :func:`audit_truth_lemma` measures rather than assumes.
 
@@ -50,7 +50,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Optional, Protocol, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .formula import (
     TOP,
@@ -88,96 +88,73 @@ class Judgment(enum.Enum):
     INCONSISTENT = "inconsistent"
 
 
-class ConsistencyOracle(Protocol):
-    """Judges a complete candidate set: one of f and ~f for every
-    non-negation f of the closure.  :func:`enumerate_maximal_sets` calls
-    it once for each assignment of the closure's atoms."""
-
-    def judge(self, candidate: frozenset) -> Judgment: ...
-
-
 class HintikkaOracle:
-    """Sound but incomplete consistency filter.
+    """Sound but incomplete consistency filter over the masks of one
+    closure (bit k for ``sigma.formulas[k]``).
 
-    Rejects a candidate set when it holds a formula and its negation (or
-    falsum itself), when it claims falsum achievable at positive
-    threshold, or when it visibly contradicts one of the derivable
-    closure principles (threshold weakening, coalition weakening,
-    cooperation).  Every rejection is backed by a theorem, so rejected
-    sets are genuinely inconsistent; accepted sets are only "not refuted
-    here".  It judges each complete set once.  Propositional consistency
-    of a whole maximal set is not checked here:
-    :func:`enumerate_maximal_sets` derives every non-atomic member by
-    evaluation.
+    Every rule is a theorem-backed constraint on two or three modalities
+    of the closure, so the oracle is compiled once, on construction, into
+    nogoods: pairs ``(need, deny)`` of bit masks, and a set is rejected
+    when it holds every modality of ``need`` and none of ``deny``.  There
+    are three kinds:
 
-    One pass over the candidate collects its modalities and indexes its
-    negated modalities ("denials") by body, so the weakening and
-    cooperation checks look only at the denials on the body they
-    concern, and the cooperation check builds no formula for its
-    conclusion.
+    - falsum at a positive threshold: ``[C]_p false`` with ``p > 0``;
+    - threshold and coalition weakening: ``[C]_p x`` without
+      ``[D]_r x``, where ``C ⊆ D`` and ``r ≤ p``;
+    - cooperation: ``[C]_p (x -> y)`` and ``[D]_q x`` with ``C`` and
+      ``D`` disjoint, without ``[E]_r y``, where ``C ∪ D ⊆ E`` and
+      ``r ≤ max(p, q)``.
+
+    The closure holds the negation of every modality, and a maximal set
+    holds exactly one of the two, so lacking ``[D]_r x`` is denying it.
+    A pair whose ``deny`` shares a bit with its ``need`` could never fire
+    and is not kept.
+    Rejected sets are genuinely inconsistent; accepted sets are only "not
+    refuted here".  A formula beside its negation, or ``false`` as a
+    member, needs no rule: :func:`enumerate_maximal_sets` derives every
+    non-atomic member by evaluation, which makes both impossible.
     """
 
-    def judge(self, candidate: frozenset) -> Judgment:
-        # the formula classes are final, so the pass dispatches on type
-        positives = []
-        denials: dict = {}  # body -> [(coalition, p)] of each ~[C]_p body
-        for f in candidate:
-            kind = type(f)
-            if kind is Neg:
-                body = f.body
-                if body in candidate:
-                    return Judgment.INCONSISTENT
-                if type(body) is Coal:
-                    denials.setdefault(body.body, []).append((body.coalition, body.p))
-            elif kind is Coal:
-                positives.append(f)
-            elif kind is Bot:
-                return Judgment.INCONSISTENT
-        # anything [C]_p x entails by weakening the threshold or enlarging
-        # the coalition must not be denied alongside it
-        for f in positives:
-            if type(f.body) is Bot and f.p > 0:
-                return Judgment.INCONSISTENT
-            if any(c >= f.coalition and r <= f.p for c, r in denials.get(f.body, ())):
-                return Judgment.INCONSISTENT
-        # cooperation: [C]_p (x -> y) and [D]_q x with C, D disjoint give
-        # [C u D]_max(p,q) y
-        for outer in positives:
+    def __init__(self, sigma: ClosureSet):
+        bits = {f: 1 << k for k, f in enumerate(sigma.formulas)}
+        coals = [f for f in sigma.formulas if isinstance(f, Coal)]
+        on_body: dict = {}  # body -> [(bit, coalition, p)] of each [C]_p body
+        for f in coals:
+            on_body.setdefault(f.body, []).append((bits[f], f.coalition, f.p))
+        nogoods = []
+        for f in coals:
+            bit = bits[f]
+            if isinstance(f.body, Bot) and f.p > 0:
+                nogoods.append((bit, 0))
+            nogoods += [(bit, b) for b, c, r in on_body[f.body]
+                        if not bit & b and c >= f.coalition and r <= f.p]
+        for outer in coals:
             body = outer.body
-            if type(body) is not Impl or body.right not in denials:
+            if not isinstance(body, Impl) or body.right not in on_body:
                 continue
-            for inner in positives:
-                if inner.body != body.left or outer.coalition & inner.coalition:
+            for bit, coalition, q in on_body.get(body.left, ()):
+                if outer.coalition & coalition:
                     continue
-                coalition = outer.coalition | inner.coalition
-                p = max(outer.p, inner.p)
-                if any(c >= coalition and r <= p for c, r in denials[body.right]):
-                    return Judgment.INCONSISTENT
+                union = outer.coalition | coalition
+                p = max(outer.p, q)
+                need = bits[outer] | bit
+                nogoods += [(need, b) for b, c, r in on_body[body.right]
+                            if not need & b and c >= union and r <= p]
+        self.nogoods = tuple(nogoods)
+
+    def judge(self, mask: int) -> Judgment:
+        for need, deny in self.nogoods:
+            if mask & need == need and not mask & deny:
+                return Judgment.INCONSISTENT
         return Judgment.CONSISTENT
 
 
-def default_oracle() -> HintikkaOracle:
-    return HintikkaOracle()
-
-
-@dataclass(frozen=True)
-class MaximalSet:
-    """A maximal consistent subset of a closure set: for every
-    non-negation formula of the closure, exactly one of it and its
-    negation is a member.  ``mask`` holds the same members as bits over
-    the closure's positions: bit k is set when ``sigma.formulas[k]`` is
-    a member."""
-
-    members: frozenset
-    mask: int
-
-
-def enumerate_maximal_sets(
-    sigma: ClosureSet,
-    oracle: Optional[ConsistencyOracle] = None,
-    cap: int = 24,
-) -> tuple:
-    """The complete sets of the closure that the oracle accepts, in order.
+def enumerate_maximal_sets(sigma: ClosureSet, oracle=None, cap: int = 24) -> tuple:
+    """The masks of the complete sets of the closure that the oracle
+    accepts, in order; bit k of a mask is set when ``sigma.formulas[k]``
+    is a member.  ``oracle`` defaults to the closure's
+    :class:`HintikkaOracle`; any object whose ``judge`` takes a mask can
+    stand in for it, as the tests' stricter oracles do.
 
     A maximal set is fixed by the truth values of its atoms, the
     variables and modalities of the closure.  Backtracking picks a sign
@@ -185,59 +162,46 @@ def enumerate_maximal_sets(
     atom outermost.  Every other formula is settled at the depth of the
     last atom it depends on (formulas over no atom, such as ``false``,
     before the first), so setting an atom evaluates only the formulas it
-    completes; the true ones sit on one member stack that backtracking
-    pops, and their bits are ORed into the mask passed down.  At a leaf
-    the stack holds one of f and ~f for every non-negation f of the
+    completes, reading its operands' bits from the mask passed down.  At
+    a leaf the mask holds one of f and ~f for every non-negation f of the
     closure, and the oracle judges that complete set once."""
     if len(sigma) > cap:
         raise ClosureCapError(len(sigma), cap)
     if oracle is None:
-        oracle = default_oracle()
+        oracle = HintikkaOracle(sigma)
     formulas = sigma.formulas
-    position = {f: k for k, f in enumerate(formulas)}
-    atoms = [(k, f) for k, f in enumerate(formulas) if isinstance(f, (Var, Coal))]
+    bits = {f: 1 << k for k, f in enumerate(formulas)}
+    atoms = [f for f in formulas if isinstance(f, (Var, Coal))]
+    atom_bits = [bits[f] for f in atoms]
     # schedule[d]: the formulas settled once d atoms are set, each as
-    # (position, formula, a, b) with value ``not truth[a] or truth[b]``;
-    # a negation ~x is x -> false, read from the extra last slot of
-    # ``truth``, which stays false, as does ``false`` itself
-    false = len(formulas)
+    # (bit, a, b), a member when the mask lacks a or holds b; a negation
+    # ~x is x -> false, and ``false`` is never a member, so its b is 0
     schedule: list = [[] for _ in range(len(atoms) + 1)]
-    depth = {f: d for d, (_, f) in enumerate(atoms, 1)}
-    for k, f in enumerate(formulas):
+    depth = {f: d for d, f in enumerate(atoms, 1)}
+    for f in formulas:
         if isinstance(f, Bot):
             depth[f] = 0
         elif isinstance(f, Neg):
             d = depth[f] = depth[f.body]
-            schedule[d].append((k, f, position[f.body], false))
+            schedule[d].append((bits[f], bits[f.body], 0))
         elif isinstance(f, Impl):
             d = depth[f] = max(depth[f.left], depth[f.right])
-            schedule[d].append((k, f, position[f.left], position[f.right]))
-    truth = [False] * (len(formulas) + 1)
-    members: list = []
+            schedule[d].append((bits[f], bits[f.left], bits[f.right]))
     out = []
 
     def settle(steps, mask: int) -> int:
-        for k, f, a, b in steps:
-            value = truth[k] = not truth[a] or truth[b]
-            if value:
-                members.append(f)
-                mask |= 1 << k
+        for bit, a, b in steps:
+            if not mask & a or mask & b:
+                mask |= bit
         return mask
 
     def descend(i: int, mask: int) -> None:
         if i == len(atoms):
-            candidate = frozenset(members)
-            if oracle.judge(candidate) is not Judgment.INCONSISTENT:
-                out.append(MaximalSet(candidate, mask))
+            if oracle.judge(mask) is not Judgment.INCONSISTENT:
+                out.append(mask)
             return
-        k, atom = atoms[i]
-        mark = len(members)
-        for value in (True, False):
-            truth[k] = value
-            if value:
-                members.append(atom)
-            descend(i + 1, settle(schedule[i + 1], mask | value << k))
-            del members[mark:]
+        for bit in (atom_bits[i], 0):  # true, then false
+            descend(i + 1, settle(schedule[i + 1], mask | bit))
 
     descend(0, settle(schedule[0], 0))
     return tuple(out)
@@ -299,7 +263,7 @@ def _row(granted: int, modalities: Sequence[tuple], masks: Sequence[int],
 class CanonicalDiagnostics:
     guard_pairs: list = field(default_factory=list)
     action_count: int = 0
-    # state name -> MaximalSet, s0, s1, ... in order
+    # state name -> the mask of its maximal set, s0, s1, ... in order
     sets: dict = field(default_factory=dict, repr=False)
     # the closure the sets were drawn from
     closure: Optional[ClosureSet] = field(default=None, init=False, repr=False)
@@ -323,8 +287,8 @@ class CanonicalDiagnostics:
         closure's own order and texts, filtered by membership."""
         texts = [(1 << k, text) for k, text in enumerate(self.closure.texts.values())]
         return {
-            name: [text for bit, text in texts if s.mask & bit]
-            for name, s in self.sets.items()
+            name: [text for bit, text in texts if mask & bit]
+            for name, mask in self.sets.items()
         }
 
     def to_dict(self) -> dict:
@@ -343,7 +307,7 @@ class CanonicalDiagnostics:
 def build_canonical_game(
     sigma: ClosureSet,
     system: SystemId = SystemId.L,
-    oracle: Optional[ConsistencyOracle] = None,
+    oracle=None,
     cap: int = 24,
 ) -> tuple:
     """Construct the canonical game for a closure set.
@@ -351,15 +315,15 @@ def build_canonical_game(
     Returns ``(game, diagnostics)``.  States are named s0, s1, ... in the
     order of their sorted member renderings (read from the closure's
     stored texts), plus the failure state ``f``; ``diagnostics.sets``
-    maps each name to its maximal set.  The rows are exact and well
-    formed by construction, so the game is built from its row table and
-    not validated (the tests validate it); when the oracle rejects every
-    candidate set the game has only the failure state and the diagnostics
-    say so.
+    maps each name to the mask of its maximal set.  The rows are exact
+    and well formed by construction, so the game is built from its row
+    table and not validated (the tests validate it); when the oracle
+    rejects every candidate set the game has only the failure state and
+    the diagnostics say so.
 
-    The construction works on the sets' masks.  States are sorted by the
-    ranks of their members among the closure's sorted texts; the texts
-    are unique, so this is the order of the sorted texts themselves.
+    States are sorted by the ranks of their members among the closure's
+    sorted texts; the texts are unique, so this is the order of the
+    sorted texts themselves.
     Once per closure, each agent's choice of each action gets the mask
     of the modalities it leaves grantable (those whose coalition lacks
     the agent, or whose request is that action), and each complete
@@ -378,17 +342,16 @@ def build_canonical_game(
     # in sorted order, so a set's ranks are read off its mask in order
     rank_bits = [1 << k for k in sorted(range(len(formulas)),
                                          key=list(texts.values()).__getitem__)]
-    sets = sorted(
+    masks = sorted(
         enumerate_maximal_sets(sigma, oracle, cap),
-        key=lambda s: [r for r, b in enumerate(rank_bits) if s.mask & b],
+        key=lambda m: [r for r, b in enumerate(rank_bits) if m & b],
     )
     actions = action_domain(sigma)
     action_ids = tuple(f"({_text(sigma, body)},{p})" for body, p in actions)
     diag = CanonicalDiagnostics(action_count=len(actions))
-    diag.sets = {f"s{i}": s for i, s in enumerate(sets)}
+    diag.sets = {f"s{i}": m for i, m in enumerate(masks)}
     diag.closure = sigma
     names = tuple(diag.sets)
-    masks = [s.mask for s in sets]
     position = {f: k for k, f in enumerate(formulas)}
     coals = [(1 << k, f) for k, f in enumerate(formulas) if isinstance(f, Coal)]
     modalities = [(bit, f.p, 1 << position[f.body]) for bit, f in coals]
@@ -458,11 +421,12 @@ class TruthLemmaReport:
 
 
 def audit_truth_lemma(
-    game: Game, sigma: ClosureSet, sets: Mapping[str, MaximalSet]
+    game: Game, sigma: ClosureSet, sets: Mapping[str, int]
 ) -> TruthLemmaReport:
     """Compare membership against model-checked truth for every formula of
     the closure at every state of ``sets``, which maps non-failure state
-    names to maximal sets, as ``CanonicalDiagnostics.sets`` does.
+    names to the masks of maximal sets over sigma's positions, as
+    ``CanonicalDiagnostics.sets`` does.
     Disagreements are listed by state in the order of ``sets``, then by
     formula in closure order, and localize a gap in the oracle (or a
     construction bug); a clean report is evidence the canonical game
@@ -472,21 +436,19 @@ def audit_truth_lemma(
     once by :func:`sgcl.modelcheck.label`, children first, and truth is
     read bit by bit from each extent; the point queries of
     :func:`sgcl.modelcheck.holds` stay lazy for the callers that ask
-    about one state.  Membership is read from the sets' masks, which must
-    be over sigma's positions: they are transposed into one column of
-    state bits per closure formula and compared with its extent."""
+    about one state.  The masks are transposed into one column of state
+    bits per closure formula, which is compared with its extent."""
     extents = label(game, sigma.formulas)
     bit = {s: 1 << i for i, s in enumerate(game.nonfailure_states)}
     # the set masks transposed: per closure position, the states (as
     # bits like the extents') whose set holds that formula
     column = [0] * len(sigma)
     audited = 0
-    for name, s in sets.items():
+    for name, mask in sets.items():
         b = bit.get(name)
         if b is None:
             raise CheckError(f"{name!r} is not a non-failure state of the game")
         audited |= b
-        mask = s.mask
         while mask:
             low = mask & -mask
             column[low.bit_length() - 1] |= b
@@ -501,11 +463,11 @@ def audit_truth_lemma(
     if not wrong:
         return report
     texts = list(sigma.texts.values())
-    for name, s in sets.items():
+    for name, mask in sets.items():
         b = bit[name]
         for k, split in wrong:
             if split & b:
-                member = s.mask >> k & 1 == 1
+                member = mask >> k & 1 == 1
                 report.disagreements.append(
                     {"state": name, "formula": texts[k],
                      "member": member, "holds": not member}

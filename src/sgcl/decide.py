@@ -163,8 +163,9 @@ def classify(f: Formula, system: SystemId = SystemId.L, cap: int = 24):
     sigma = closure([negation])
     game, diag = build_canonical_game(sigma, system=system, cap=cap)
     ctx = CheckContext(game)
-    for state, s in diag.sets.items():
-        if negation not in s.members:
+    bit = 1 << sigma.formulas.index(negation)
+    for state, mask in diag.sets.items():
+        if not mask & bit:
             continue
         if not holds(game, state, f, ctx):
             if holds(game, state, f):  # pragma: no cover - fresh re-check

@@ -8,7 +8,6 @@ from pathlib import Path
 import pytest
 from hypothesis import settings
 
-from sgcl.canonical import MaximalSet
 from sgcl.formula import Coal, Impl, Neg, Var, render
 from sgcl.game import game_from_dict, game_to_dict, validate
 
@@ -85,24 +84,29 @@ def pool_decides():
 
 
 def maximal_set(sigma, members):
-    """The :class:`MaximalSet` of ``members`` over the closure ``sigma``,
-    its mask read member by member: bit k is set when
-    ``sigma.formulas[k]`` is a member."""
+    """The mask of ``members`` over the closure ``sigma``, the one form a
+    maximal set takes: bit k is set when ``sigma.formulas[k]`` is a
+    member."""
     members = frozenset(members)
-    return MaximalSet(members, sum(
-        1 << k for k, f in enumerate(sigma.formulas) if f in members))
+    return sum(1 << k for k, f in enumerate(sigma.formulas) if f in members)
 
 
-def set_key(s):
-    """A maximal set's sorted member renderings, the order in which the
-    builder names its states."""
-    return tuple(sorted(render(f) for f in s.members))
+def members(sigma, mask):
+    """The formulas of the closure ``sigma`` whose bits ``mask`` holds:
+    :func:`maximal_set` decoded."""
+    return frozenset(f for k, f in enumerate(sigma.formulas) if mask >> k & 1)
+
+
+def set_key(sigma, mask):
+    """The sorted member renderings of a maximal set over ``sigma``, the
+    order in which the builder names its states."""
+    return tuple(sorted(render(f) for f in members(sigma, mask)))
 
 
 # ---------------------------------------------------------------------------
 # the paper's grant rule, the reference the canonical builder is checked
-# against: a profile maps each agent to its request, a (formula,
-# threshold) pair, compared as values
+# against: a maximal set is given by its members, and a profile maps each
+# agent to its request, a (formula, threshold) pair, compared as values
 
 
 def reference_action_id(request):
@@ -112,11 +116,11 @@ def reference_action_id(request):
 
 
 def reference_granted(s, profile):
-    """The modalities [C]_p x of the maximal set s that the profile
-    grants: every member of C requested (x, p), so a modality with an
-    empty coalition is granted by every profile."""
+    """The modalities [C]_p x of the maximal set s, a set of members,
+    that the profile grants: every member of C requested (x, p), so a
+    modality with an empty coalition is granted by every profile."""
     return frozenset(
-        m for m in s.members
+        m for m in s
         if isinstance(m, Coal)
         and all(profile[a] == (m.body, m.p) for a in m.coalition)
     )
@@ -128,10 +132,11 @@ def reference_mu(s, profile):
 
 
 def reference_targets(s, profile, sets):
-    """The names of the states of ``sets``, a map from name to maximal
-    set, that contain every body granted at s, in the order of ``sets``."""
+    """The names of the states of ``sets``, a map from name to the
+    members of a maximal set, that contain every body granted at s, in
+    the order of ``sets``."""
     bodies = {m.body for m in reference_granted(s, profile)}
-    return [name for name, t in sets.items() if bodies <= t.members]
+    return [name for name, t in sets.items() if bodies <= t]
 
 
 def reference_row(s, profile, sets):

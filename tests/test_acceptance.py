@@ -14,7 +14,6 @@ from sgcl.canonical import (
     action_domain,
     audit_truth_lemma,
     build_canonical_game,
-    default_oracle,
     enumerate_maximal_sets,
 )
 from sgcl.decide import QUARTER_GRID, Refuted, SearchBounds, classify, incompleteness_demo, sample_game
@@ -52,7 +51,7 @@ from sgcl.proof import (
 
 import pytest
 
-from conftest import acceptance_corpus, reference_action_id, reference_mu, set_key
+from conftest import acceptance_corpus, members, reference_action_id, reference_mu, set_key
 
 F = Fraction
 L, LPLUS = SystemId.L, SystemId.LPLUS
@@ -289,13 +288,12 @@ def test_canonical_construction_audit():
             systems.append(LPLUS)
         for system in systems:
             t0 = time.monotonic()
-            oracle = default_oracle()
-            game, diag = build_canonical_game(sigma, system=system, oracle=oracle)
+            game, diag = build_canonical_game(sigma, system=system)
             assert validate(game) == []
             assert diag.guard_pairs == []
 
             sets = sorted(
-                enumerate_maximal_sets(sigma, oracle), key=set_key
+                enumerate_maximal_sets(sigma), key=lambda m: set_key(sigma, m)
             )
             agents = tuple(sorted(sigma.agents()))
             for i, s in enumerate(sets):
@@ -313,7 +311,7 @@ def test_canonical_construction_audit():
                         (p for t, p in row.items() if t != "f"), start=F(0)
                     )
                     assert sum(row.values(), start=F(0)) == 1
-                    assert survival <= reference_mu(s, profile)
+                    assert survival <= reference_mu(members(sigma, s), profile)
 
             audit = audit_truth_lemma(game, sigma, diag.sets)
             assert audit.disagreements == []

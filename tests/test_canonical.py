@@ -2,6 +2,7 @@
 
 import json
 from dataclasses import dataclass
+from functools import partial
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -13,12 +14,12 @@ from sgcl.canonical import (
     OPT_OUT,
     CanonicalError,
     ClosureCapError,
+    HintikkaOracle,
     Judgment,
     TruthLemmaReport,
     action_domain,
     audit_truth_lemma,
     build_canonical_game,
-    default_oracle,
     enumerate_maximal_sets,
 )
 from sgcl.decide import Refuted, classify
@@ -45,6 +46,7 @@ from sgcl.proof import SystemId
 from conftest import (
     acceptance_corpus,
     maximal_set,
+    members,
     reference_action_id,
     reference_granted,
     reference_mu,
@@ -98,14 +100,59 @@ def reference_satisfiable(members):
     return False
 
 
-def reference_maximal_sets(sigma, oracle=None):
+def reference_judge(candidate):
+    """The consistency oracle on a set of formulas, complete or not, as a
+    scan of the whole candidate for each rule, building the cooperation
+    conclusion as a ``Coal``.  The reference enumerators judge with it,
+    and :class:`HintikkaOracle`, compiled to nogoods over a closure's
+    masks, is checked against it."""
+    for f in candidate:
+        if isinstance(f, Bot) or (isinstance(f, Neg) and f.body in candidate):
+            return Judgment.INCONSISTENT
+    positives = [f for f in candidate if isinstance(f, Coal)]
+    negatives = [
+        f.body for f in candidate
+        if isinstance(f, Neg) and isinstance(f.body, Coal)
+    ]
+
+    def denied(claim):
+        return any(
+            g.body == claim.body
+            and g.coalition >= claim.coalition
+            and g.p <= claim.p
+            for g in negatives
+        )
+
+    for f in positives:
+        if isinstance(f.body, Bot) and f.p > 0:
+            return Judgment.INCONSISTENT
+        if denied(f):
+            return Judgment.INCONSISTENT
+    for outer in positives:
+        if not isinstance(outer.body, Impl):
+            continue
+        for inner in positives:
+            if inner.body != outer.body.left:
+                continue
+            if outer.coalition & inner.coalition:
+                continue
+            combined = Coal(
+                outer.coalition | inner.coalition,
+                max(outer.p, inner.p),
+                outer.body.right,
+            )
+            if denied(combined):
+                return Judgment.INCONSISTENT
+    return Judgment.CONSISTENT
+
+
+def reference_maximal_sets(sigma, judge=reference_judge):
     """Maximal sets by a sign for every non-negation formula of the
     closure, each partial set checked by a truth table over its
-    propositional skeleton and by the oracle.  Membership of a negation
-    follows from the sign of what it negates.  :func:`enumerate_maximal_sets`
-    branches on atoms only and is checked against it."""
-    if oracle is None:
-        oracle = default_oracle()
+    propositional skeleton and by ``judge``, an oracle on sets of
+    formulas.  Membership of a negation follows from the sign of what it
+    negates.  :func:`enumerate_maximal_sets` branches on atoms only and is
+    checked against it; the sets are returned as masks."""
     decisions = [f for f in sigma if not isinstance(f, Neg)]
     out = []
 
@@ -123,7 +170,7 @@ def reference_maximal_sets(sigma, oracle=None):
         current = resolved(signs)
         if not reference_satisfiable(current):
             return
-        if oracle.judge(current) is Judgment.INCONSISTENT:
+        if judge(current) is Judgment.INCONSISTENT:
             return
         if i == len(decisions):
             out.append(maximal_set(sigma, current))
@@ -137,15 +184,14 @@ def reference_maximal_sets(sigma, oracle=None):
     return tuple(out)
 
 
-def literal_pruning_maximal_sets(sigma, oracle=None):
+def literal_pruning_maximal_sets(sigma, judge=reference_judge):
     """The enumerator before incremental settling: a sign for each atom
     in canonical order, true before false, pruning a branch as soon as
-    the oracle rejects the atom literals chosen so far; at a leaf every
-    other member follows by :func:`evaluate` and the oracle judges the
-    whole set.  :func:`enumerate_maximal_sets` is checked against it,
-    tuple for tuple."""
-    if oracle is None:
-        oracle = default_oracle()
+    ``judge``, an oracle on sets of formulas, rejects the atom literals
+    chosen so far; at a leaf every other member follows by
+    :func:`evaluate` and ``judge`` judges the whole set.
+    :func:`enumerate_maximal_sets` is checked against it, tuple for
+    tuple, on the sets' masks."""
     atoms = [f for f in sigma if isinstance(f, (Var, Coal))]
     truth = {}
     literals = []
@@ -155,10 +201,10 @@ def literal_pruning_maximal_sets(sigma, oracle=None):
         if i == len(atoms):
             value = evaluate(sigma, dict(truth))
             members = frozenset(f for f in sigma if value[f])
-            if oracle.judge(members) is not Judgment.INCONSISTENT:
+            if judge(members) is not Judgment.INCONSISTENT:
                 out.append(maximal_set(sigma, members))
             return
-        if oracle.judge(frozenset(literals)) is Judgment.INCONSISTENT:
+        if judge(frozenset(literals)) is Judgment.INCONSISTENT:
             return
         atom = atoms[i]
         for sign in (-1, 0):  # true, false
@@ -172,8 +218,8 @@ def literal_pruning_maximal_sets(sigma, oracle=None):
     return tuple(out)
 
 
-def sorted_keys(sets):
-    return sorted(map(set_key, sets))
+def sorted_keys(sigma, sets):
+    return sorted(set_key(sigma, m) for m in sets)
 
 
 def use_reference(monkeypatch):
@@ -189,73 +235,82 @@ def coal(agents, p, body):
 v = Var("v")
 
 
-BASE_ORACLE = default_oracle()
+class DecodingOracle:
+    """An oracle over the masks of the closure ``sigma`` that decodes each
+    mask and judges its members by the subclass's ``rule``, an oracle on
+    sets of formulas, which the reference enumerators take as it is."""
+
+    def __init__(self, sigma):
+        self.sigma = sigma
+
+    def judge(self, mask):
+        return self.rule(members(self.sigma, mask))
 
 
-class NoV:
+class NoV(DecodingOracle):
     """The default oracle, stricter: a set holding v is inconsistent."""
 
-    def judge(self, candidate):
+    @staticmethod
+    def rule(candidate):
         if v in candidate:
             return Judgment.INCONSISTENT
-        return BASE_ORACLE.judge(candidate)
+        return reference_judge(candidate)
 
 
-class NoImplication:
+class NoImplication(DecodingOracle):
     """The default oracle, stricter: a set holding an implication is
     inconsistent."""
 
-    def judge(self, candidate):
+    @staticmethod
+    def rule(candidate):
         if any(isinstance(f, Impl) for f in candidate):
             return Judgment.INCONSISTENT
-        return BASE_ORACLE.judge(candidate)
+        return reference_judge(candidate)
+
+
+def judged(*held):
+    """The compiled oracle's judgment, over the closure of ``held``, of
+    the mask holding exactly those formulas: every other modality of the
+    closure is denied."""
+    sigma = closure(held)
+    return HintikkaOracle(sigma).judge(maximal_set(sigma, held))
 
 
 class TestOracle:
-    def test_propositional_clash(self):
-        assert default_oracle().judge(frozenset({v, Neg(v)})) is Judgment.INCONSISTENT
-
     def test_falsehood_at_positive_threshold(self):
-        claim = coal({"a"}, "1/2", Bot())
-        assert default_oracle().judge(frozenset({claim})) is Judgment.INCONSISTENT
+        assert judged(coal({"a"}, "1/2", Bot())) is Judgment.INCONSISTENT
 
     def test_falsehood_at_zero_threshold_allowed(self):
-        claim = coal({"a"}, 0, Bot())
-        assert default_oracle().judge(frozenset({claim})) is Judgment.CONSISTENT
+        assert judged(coal({"a"}, 0, Bot())) is Judgment.CONSISTENT
 
     def test_threshold_weakening_denied(self):
-        members = frozenset({coal({"a"}, "1/2", v), Neg(coal({"a"}, "1/4", v))})
-        assert default_oracle().judge(members) is Judgment.INCONSISTENT
+        held = coal({"a"}, "1/2", v), Neg(coal({"a"}, "1/4", v))
+        assert judged(*held) is Judgment.INCONSISTENT
 
     def test_coalition_weakening_denied(self):
-        members = frozenset({coal({"a"}, "1/4", v), Neg(coal({"a", "b"}, "1/4", v))})
-        assert default_oracle().judge(members) is Judgment.INCONSISTENT
+        held = coal({"a"}, "1/4", v), Neg(coal({"a", "b"}, "1/4", v))
+        assert judged(*held) is Judgment.INCONSISTENT
 
     def test_cooperation_conclusion_denied(self):
         u = Var("u")
-        members = frozenset(
-            {
-                coal({"a"}, "1/2", Impl(v, u)),
-                coal({"b"}, "3/4", v),
-                Neg(coal({"a", "b"}, "3/4", u)),
-            }
+        held = (
+            coal({"a"}, "1/2", Impl(v, u)),
+            coal({"b"}, "3/4", v),
+            Neg(coal({"a", "b"}, "3/4", u)),
         )
-        assert default_oracle().judge(members) is Judgment.INCONSISTENT
+        assert judged(*held) is Judgment.INCONSISTENT
 
     def test_cooperation_needs_disjoint_coalitions(self):
         u = Var("u")
-        members = frozenset(
-            {
-                coal({"a"}, "1/2", Impl(v, u)),
-                coal({"a"}, "3/4", v),
-                Neg(coal({"a"}, "3/4", u)),
-            }
+        held = (
+            coal({"a"}, "1/2", Impl(v, u)),
+            coal({"a"}, "3/4", v),
+            Neg(coal({"a"}, "3/4", u)),
         )
-        assert default_oracle().judge(members) is Judgment.CONSISTENT
+        assert judged(*held) is Judgment.CONSISTENT
 
     def test_unrelated_modal_literals_consistent(self):
-        members = frozenset({coal({"a"}, "1/2", v), Neg(v)})
-        assert default_oracle().judge(members) is Judgment.CONSISTENT
+        assert judged(coal({"a"}, "1/2", v), Neg(v)) is Judgment.CONSISTENT
 
 
 class TestEnumerateMaximalSets:
@@ -272,12 +327,14 @@ class TestEnumerateMaximalSets:
         assert len(enumerate_maximal_sets(closure([parse(seed)]))) == count
 
     def test_members_for_single_variable(self):
-        sets = {s.members for s in enumerate_maximal_sets(closure([parse("~v")]))}
+        sig = closure([parse("~v")])
+        sets = {members(sig, m) for m in enumerate_maximal_sets(sig)}
         assert sets == {frozenset({v}), frozenset({Neg(v)})}
 
     def test_modal_literal_free_over_variable(self):
         box = coal({"a"}, "1/2", v)
-        sets = {s.members for s in enumerate_maximal_sets(closure([box]))}
+        sig = closure([box])
+        sets = {members(sig, m) for m in enumerate_maximal_sets(sig)}
         assert sets == {
             frozenset({v, box}),
             frozenset({v, Neg(box)}),
@@ -286,15 +343,17 @@ class TestEnumerateMaximalSets:
         }
 
     def test_falsehood_survivor(self):
-        (only,) = enumerate_maximal_sets(closure([parse("[a]_1/2 false")]))
-        assert only.members == frozenset({Neg(Bot()), Neg(coal({"a"}, "1/2", Bot()))})
+        sig = closure([parse("[a]_1/2 false")])
+        (only,) = enumerate_maximal_sets(sig)
+        assert members(sig, only) == frozenset({Neg(Bot()), Neg(coal({"a"}, "1/2", Bot()))})
 
     def test_every_formula_decided(self):
         sig = closure([parse("([a]_1/4 v -> [a,b]_1/4 v)")])
-        for s in enumerate_maximal_sets(sig):
+        for m in enumerate_maximal_sets(sig):
+            s = members(sig, m)
             for f in sig:
                 if not isinstance(f, Neg):
-                    assert (f in s.members) != (Neg(f) in s.members)
+                    assert (f in s) != (Neg(f) in s)
 
     def test_cap_enforced(self):
         sig = closure([parse("([a]_1/4 v -> [a,b]_1/4 v)")])
@@ -303,7 +362,7 @@ class TestEnumerateMaximalSets:
 
     def test_stricter_oracle_never_adds_states(self):
         sig = closure([parse("[a]_1/2 v")])
-        assert len(enumerate_maximal_sets(sig, oracle=NoV())) <= len(
+        assert len(enumerate_maximal_sets(sig, oracle=NoV(sig))) <= len(
             enumerate_maximal_sets(sig)
         )
 
@@ -343,8 +402,8 @@ class TestActionDomain:
 
 
 class TestTransitionData:
-    def make_set(self, *members):
-        return maximal_set(closure(members), members)
+    def make_set(self, *held):
+        return frozenset(held)
 
     # the reference grant rule itself
 
@@ -388,9 +447,12 @@ class TestTransitionData:
 
     # rows of the constructed game, read through its states
 
-    def build(self, text, **kwargs):
-        game, diag = build_canonical_game(closure([parse(text)]), **kwargs)
-        named = {name: s.members for name, s in diag.sets.items()}
+    def build(self, text, oracle=None):
+        """The game of the closure of ``text``, its diagnostics and each
+        state's members; ``oracle``, when given, is an oracle class."""
+        sig = closure([parse(text)])
+        game, diag = build_canonical_game(sig, oracle=oracle and oracle(sig))
+        named = {name: members(sig, m) for name, m in diag.sets.items()}
         return game, diag, named
 
     def test_probability_shared_uniformly(self):
@@ -424,7 +486,7 @@ class TestTransitionData:
                 assert all(v in named[t] for t in row if t != "f")
 
     def test_probability_guard_routes_to_failure(self):
-        game, diag, named = self.build("[a]_1/2 v", oracle=NoV())
+        game, diag, named = self.build("[a]_1/2 v", oracle=NoV)
         grant = ActionProfile.of({"a": "(v,1/2)"})
         box = coal({"a"}, "1/2", v)
         granting = sorted(s for s, m in named.items() if box in m)
@@ -455,8 +517,9 @@ class TestBuildCanonicalGame:
         sig = closure([parse("([a]_1/4 v -> [a,b]_1/4 v)")])
         game, _ = build_canonical_game(sig)
         agents = tuple(sorted(sig.agents()))
-        sets = sorted(enumerate_maximal_sets(sig), key=set_key)
-        for i, s in enumerate(sets):
+        sets = sorted(enumerate_maximal_sets(sig), key=partial(set_key, sig))
+        for i, m in enumerate(sets):
+            s = members(sig, m)
             for combo in product(action_domain(sig), repeat=len(agents)):
                 profile = dict(zip(agents, combo))
                 game_profile = ActionProfile.of(
@@ -473,9 +536,10 @@ class TestBuildCanonicalGame:
         sig = closure([parse(seed)])
         game, _ = build_canonical_game(sig)
         agents = tuple(sorted(sig.agents()))
-        sets = sorted(enumerate_maximal_sets(sig), key=set_key)
+        sets = sorted(enumerate_maximal_sets(sig), key=partial(set_key, sig))
         row_of = {}  # granted set -> the index of the one row built for it
-        for i, s in enumerate(sets):
+        for i, m in enumerate(sets):
+            s = members(sig, m)
             for combo in product(action_domain(sig), repeat=len(agents)):
                 profile = dict(zip(agents, combo))
                 granted = reference_granted(s, profile)
@@ -531,7 +595,7 @@ class TestBuildCanonicalGame:
 
     def test_reject_all_oracle_leaves_only_failure(self):
         class RejectAll:
-            def judge(self, candidate):
+            def judge(self, mask):
                 return Judgment.INCONSISTENT
 
         game, diag = build_canonical_game(closure([parse("~v")]), oracle=RejectAll())
@@ -565,7 +629,7 @@ class TestTruthLemmaAudit:
         sig = closure([parse("[a]_1/2 false")])
         game, diag = build_canonical_game(sig)
         denial = Neg(coal({"a"}, "1/2", Bot()))
-        assert all(denial in s.members for s in diag.sets.values())
+        assert all(denial in members(sig, m) for m in diag.sets.values())
         assert audit_truth_lemma(game, sig, diag.sets).clean
 
     def test_zero_threshold_blind_spot_is_measured(self):
@@ -577,7 +641,7 @@ class TestTruthLemmaAudit:
         report = audit_truth_lemma(game, sig, diag.sets)
         denial = Neg(coal({"a"}, 0, v))
         deniers = {
-            name for name, s in diag.sets.items() if denial in s.members
+            name for name, m in diag.sets.items() if denial in members(sig, m)
         }
         assert len(deniers) == 2
         # each denying state disagrees on the modality and, mirrored, on
@@ -682,15 +746,15 @@ class TestAtomEnumerationMatchesReference:
     )
     def test_same_sets(self, seed):
         sig = closure([parse(seed)])
-        assert sorted_keys(enumerate_maximal_sets(sig, cap=26)) == sorted_keys(
-            reference_maximal_sets(sig)
+        assert sorted_keys(sig, enumerate_maximal_sets(sig, cap=26)) == sorted_keys(
+            sig, reference_maximal_sets(sig)
         )
 
     def test_corpus_negation_closures(self):
         for f in acceptance_corpus()[::CORPUS_STRIDE]:
             sig = closure([Neg(f)])
-            assert sorted_keys(enumerate_maximal_sets(sig)) == sorted_keys(
-                reference_maximal_sets(sig)
+            assert sorted_keys(sig, enumerate_maximal_sets(sig)) == sorted_keys(
+                sig, reference_maximal_sets(sig)
             ), render(f)
 
     def test_leaf_judgment_sees_whole_sets(self):
@@ -698,10 +762,9 @@ class TestAtomEnumerationMatchesReference:
         # complete set can reject it
         box = coal({"a"}, "1/2", v)
         sig = closure([Impl(v, box)])
-        strict = NoImplication()
-        (only,) = enumerate_maximal_sets(sig, oracle=strict)
-        assert only.members == frozenset({v, Neg(box), Neg(Impl(v, box))})
-        assert sorted_keys(reference_maximal_sets(sig, strict)) == [set_key(only)]
+        (only,) = enumerate_maximal_sets(sig, oracle=NoImplication(sig))
+        assert members(sig, only) == frozenset({v, Neg(box), Neg(Impl(v, box))})
+        assert reference_maximal_sets(sig, NoImplication.rule) == (only,)
 
 
 POOLS = Path(__file__).resolve().parents[1] / "perfbench" / "data"
@@ -722,41 +785,50 @@ def pool_closures():
     return [closure([parse(text)]) for text in pool_formulas()]
 
 
-ORACLES = {"default": None, "no-v": NoV(), "no-implication": NoImplication()}
+# the enumerator's oracle (None for the default, compiled one, else a
+# class over a closure's masks) and the reference enumerator's rule on
+# sets of formulas
+ORACLES = {
+    "default": (None, reference_judge),
+    "no-v": (NoV, NoV.rule),
+    "no-implication": (NoImplication, NoImplication.rule),
+}
 
 
 class TestIncrementalMatchesLiteralPruning:
     """The enumerator against the one that judged every partial literal
     set: the same tuple of sets, in the same order, under each oracle."""
 
-    @pytest.mark.parametrize("oracle", ORACLES.values(), ids=list(ORACLES))
-    def test_seed_and_corpus_closures(self, oracle):
+    @pytest.mark.parametrize("oracle, rule", ORACLES.values(), ids=list(ORACLES))
+    def test_seed_and_corpus_closures(self, oracle, rule):
         closures = [(seed, closure([parse(seed)])) for seed in LABELED_SEEDS]
         closures += [(render(Neg(f)), closure([Neg(f)])) for f in acceptance_corpus()]
         assert len(closures) == 803
         for text, sig in closures:
-            assert enumerate_maximal_sets(sig, oracle, cap=26) == (
-                literal_pruning_maximal_sets(sig, oracle)), text
+            assert enumerate_maximal_sets(sig, oracle and oracle(sig), cap=26) == (
+                literal_pruning_maximal_sets(sig, rule)), text
 
-    @pytest.mark.parametrize("oracle", ORACLES.values(), ids=list(ORACLES))
-    def test_pool_closures(self, oracle):
+    @pytest.mark.parametrize("oracle, rule", ORACLES.values(), ids=list(ORACLES))
+    def test_pool_closures(self, oracle, rule):
         texts = pool_formulas()
         assert len(texts) == 180
         for text in texts:
             sig = closure([parse(text)])
-            assert enumerate_maximal_sets(sig, oracle, cap=32) == (
-                literal_pruning_maximal_sets(sig, oracle)), text
+            assert enumerate_maximal_sets(sig, oracle and oracle(sig), cap=32) == (
+                literal_pruning_maximal_sets(sig, rule)), text
 
 
 class RecordingOracle:
-    """The default oracle, keeping every candidate it is asked to judge."""
+    """The default oracle of the closure ``sigma``, keeping every mask it
+    is asked to judge."""
 
-    def __init__(self):
+    def __init__(self, sigma):
+        self.base = HintikkaOracle(sigma)
         self.candidates = []
 
-    def judge(self, candidate):
-        self.candidates.append(candidate)
-        return BASE_ORACLE.judge(candidate)
+    def judge(self, mask):
+        self.candidates.append(mask)
+        return self.base.judge(mask)
 
 
 class TestOracleContract:
@@ -771,89 +843,76 @@ class TestOracleContract:
     def test_one_judgment_per_assignment_in_order(self):
         for sig in self.closures():
             atoms = [f for f in sig if isinstance(f, (Var, Coal))]
-            oracle = RecordingOracle()
+            oracle = RecordingOracle(sig)
             sets = enumerate_maximal_sets(sig, oracle, cap=26)
-            assert [tuple(a in c for a in atoms) for c in oracle.candidates] == (
+            candidates = [members(sig, m) for m in oracle.candidates]
+            assert [tuple(a in c for a in atoms) for c in candidates] == (
                 list(product((True, False), repeat=len(atoms))))
             assert sets == tuple(
-                maximal_set(sig, c) for c in oracle.candidates
-                if BASE_ORACLE.judge(c) is not Judgment.INCONSISTENT)
+                m for m in oracle.candidates
+                if oracle.base.judge(m) is not Judgment.INCONSISTENT)
 
     def test_every_candidate_is_complete(self):
+        # so a set never holds a formula beside its negation, nor false,
+        # and the oracle needs no rule for either
         for sig in self.closures():
-            oracle = RecordingOracle()
+            oracle = RecordingOracle(sig)
             enumerate_maximal_sets(sig, oracle, cap=26)
             decided = [f for f in sig if not isinstance(f, Neg)]
-            for c in oracle.candidates:
-                assert c <= set(sig)
+            for m in oracle.candidates:
+                assert 0 <= m < 1 << len(sig)
+                c = members(sig, m)
                 assert all((f in c) != (Neg(f) in c) for f in decided), c
 
 
-def reference_judge(candidate):
-    """The consistency oracle as a scan of the whole candidate for each
-    rule, building the cooperation conclusion as a ``Coal``:
-    ``HintikkaOracle.judge``, which indexes the denials by body in one
-    pass, is checked against it."""
-    for f in candidate:
-        if isinstance(f, Bot) or (isinstance(f, Neg) and f.body in candidate):
-            return Judgment.INCONSISTENT
-    positives = [f for f in candidate if isinstance(f, Coal)]
-    negatives = [
-        f.body for f in candidate
-        if isinstance(f, Neg) and isinstance(f.body, Coal)
-    ]
+def assert_oracle_matches_reference(closures):
+    """The compiled oracle against the whole-candidate scan on every
+    complete candidate the enumerator hands it; returns the number of
+    candidates and of inconsistent ones."""
+    candidates = inconsistent = 0
+    for sig in closures:
+        oracle = RecordingOracle(sig)
+        enumerate_maximal_sets(sig, oracle, cap=32)
+        for m in oracle.candidates:
+            c = members(sig, m)
+            want = reference_judge(c)
+            assert oracle.base.judge(m) is want, sorted(map(render, c))
+            candidates += 1
+            inconsistent += want is Judgment.INCONSISTENT
+    return candidates, inconsistent
 
-    def denied(claim):
-        return any(
-            g.body == claim.body
-            and g.coalition >= claim.coalition
-            and g.p <= claim.p
-            for g in negatives
-        )
 
-    for f in positives:
-        if isinstance(f.body, Bot) and f.p > 0:
-            return Judgment.INCONSISTENT
-        if denied(f):
-            return Judgment.INCONSISTENT
-    for outer in positives:
-        if not isinstance(outer.body, Impl):
-            continue
-        for inner in positives:
-            if inner.body != outer.body.left:
-                continue
-            if outer.coalition & inner.coalition:
-                continue
-            combined = Coal(
-                outer.coalition | inner.coalition,
-                max(outer.p, inner.p),
-                outer.body.right,
-            )
-            if denied(combined):
-                return Judgment.INCONSISTENT
-    return Judgment.CONSISTENT
+def cooperation_closures():
+    """The negation closures of the two cooperation shapes, one agent
+    beside another and one beside the empty coalition, at every
+    p, q, r in {0, 1/2, 1}: 27 two-agent closures, then 27 one-agent."""
+    shapes = ("([a]_{p} (u -> w) -> ([b]_{q} u -> [a,b]_{r} w))",
+              "([a]_{p} (u -> w) -> ([]_{q} u -> [a]_{r} w))")
+    grid = ("0", "1/2", "1")
+    return [closure([Neg(parse(shape.format(p=p, q=q, r=r)))])
+            for shape in shapes for p, q, r in product(grid, repeat=3)]
 
 
 class TestOracleMatchesReference:
-    """The one-pass oracle against the whole-candidate scan: the same
-    judgment on every complete candidate the enumerator hands it, over
-    the seed, corpus negation and pool closures."""
+    """The compiled oracle against the whole-candidate scan: the same
+    judgment on every complete candidate the enumerator hands it."""
 
     def test_complete_candidates(self):
+        # the seed, corpus negation and pool closures
         closures = [closure([parse(seed)]) for seed in LABELED_SEEDS]
         closures += [closure([Neg(f)]) for f in acceptance_corpus()]
         closures += pool_closures()
-        candidates = inconsistent = 0
-        for sig in closures:
-            oracle = RecordingOracle()
-            enumerate_maximal_sets(sig, oracle, cap=32)
-            for c in oracle.candidates:
-                want = reference_judge(c)
-                assert BASE_ORACLE.judge(c) is want, sorted(map(render, c))
-                candidates += 1
-                inconsistent += want is Judgment.INCONSISTENT
         # 266 seed, 15 562 corpus and pool candidates
-        assert (candidates, inconsistent) == (15828, 495)
+        assert assert_oracle_matches_reference(closures) == (15828, 495)
+
+    def test_cooperation_closures(self):
+        # no seed, corpus or pool closure has a set that only the
+        # cooperation rule rejects; these do, on the two-agent half
+        closures = cooperation_closures()
+        assert len(closures) == 54
+        assert_oracle_matches_reference(closures)
+        counts = [len(enumerate_maximal_sets(sig)) for sig in closures]
+        assert (sum(counts[:27]), sum(counts[27:])) == (776, 776)
 
 
 class TestBuiltGamesAreSound:
@@ -880,16 +939,17 @@ def assert_rows_follow_grant_rule(game, diag, domain):
     agents = tuple(sorted(diag.closure.agents()))
     assert game.agents == agents
     assert game.actions == tuple(map(reference_action_id, domain))
+    named = {name: members(diag.closure, m) for name, m in diag.sets.items()}
     assert diag.state_members == {
-        name: [text for f, text in diag.closure.texts.items() if f in s.members]
-        for name, s in diag.sets.items()
+        name: [text for f, text in diag.closure.texts.items() if f in s]
+        for name, s in named.items()
     }
     guards = []
-    for name, s in diag.sets.items():
+    for name, s in named.items():
         for combo in product(domain, repeat=len(agents)):
             profile = dict(zip(agents, combo))
             ids = {a: reference_action_id(r) for a, r in profile.items()}
-            row, guarded = reference_row(s, profile, diag.sets)
+            row, guarded = reference_row(s, profile, named)
             got = game.row(name, ActionProfile.of(ids))
             assert list(got.items()) == list(row.items()), (name, ids)
             if guarded:
@@ -928,7 +988,7 @@ class TestRowsFollowGrantRule:
 
     def test_guarded_pairs(self):
         sig = closure([parse("([a]_1/2 v -> [a,b]_3/4 v)")])
-        game, diag = build_canonical_game(sig, oracle=NoV())
+        game, diag = build_canonical_game(sig, oracle=NoV(sig))
         assert assert_rows_follow_grant_rule(game, diag, action_domain(sig)) > 0
 
 
@@ -1052,9 +1112,10 @@ def reference_audit(game, sigma, sets):
     :func:`audit_truth_lemma` is checked against it."""
     report = TruthLemmaReport()
     ctx = CheckContext(game)
-    for name, s in sets.items():
+    for name, m in sets.items():
+        s = members(sigma, m)
         for f in sigma:
-            member = f in s.members
+            member = f in s
             truth = holds(game, name, f, ctx)
             report.checked += 1
             if member != truth:
@@ -1161,11 +1222,11 @@ class TestRenderOnce:
     def test_state_order_members_and_action_ids(self):
         for sig in self.seed_closures() + corpus_negation_closures():
             game, diag = build_canonical_game(sig, cap=26)
-            expected = sorted(enumerate_maximal_sets(sig, cap=26), key=set_key)
+            expected = sorted(enumerate_maximal_sets(sig, cap=26), key=partial(set_key, sig))
             assert list(diag.sets.values()) == expected
             assert diag.state_members == {
-                name: [render(f) for f in sorted(s.members, key=canonical_key)]
-                for name, s in diag.sets.items()
+                name: [render(f) for f in sorted(members(sig, m), key=canonical_key)]
+                for name, m in diag.sets.items()
             }
             domain = action_domain(sig)
             assert list(domain) == sorted(

@@ -1,6 +1,9 @@
 """Command-line interface: exit codes, JSON payloads, input faults."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -20,7 +23,8 @@ from sgcl.proof import (
     save_proof,
 )
 
-GAMES = Path(__file__).resolve().parents[1] / "games"
+ROOT = Path(__file__).resolve().parents[1]
+GAMES = ROOT / "games"
 LADDER = str(GAMES / "ladder1.json")
 OVERTAKE = str(GAMES / "overtake.json")
 
@@ -607,3 +611,33 @@ class TestParserBuiltOnce:
         self.outputs(capsys)
         info = sgcl.cli._build_parser.cache_info()
         assert (info.misses, info.hits) == (1, len(PARSER_SEQUENCE) - 1)
+
+
+class TestClosedStdout:
+    """A reader that closes stdout early ends ``sgcl`` in exit 2 with one
+    ``error:`` line, not a traceback and exit 1, which means "refuted"."""
+
+    @pytest.mark.parametrize("argv", [
+        # a short text report, left in the buffer until the flush at exit
+        ["decide", "--formula", "[a]_1/2 v"],
+        # a JSON countermodel of about 970 KB, which fails inside print
+        ["decide", "--format", "json", "--formula",
+         "(([a]_1/2 u -> [b]_1/2 v) -> ([a,b]_1/2 (u -> w) -> [a]_0 (v -> w)))"],
+    ])
+    def test_exit_2_with_one_error_line(self, argv):
+        # the read end is closed before the child starts, so its first
+        # write to stdout fails, whatever the timing
+        read, write = os.pipe()
+        os.close(read)
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        try:
+            done = subprocess.run([sys.executable, "-m", "sgcl.cli", *argv],
+                                  stdout=write, stderr=subprocess.PIPE,
+                                  env=env, timeout=120)
+        finally:
+            os.close(write)
+        err = done.stderr.decode()
+        assert done.returncode == 2, err
+        assert "Traceback" not in err
+        (line,) = err.splitlines()
+        assert line.startswith("error: ")

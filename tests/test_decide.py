@@ -43,7 +43,7 @@ from sgcl.game import ActionProfile, game_to_dict, validate
 from sgcl.modelcheck import CheckContext, holds
 from sgcl.proof import SystemId
 
-from conftest import acceptance_corpus, keyed_game, pool_decides
+from conftest import acceptance_corpus, keyed_game, members, pool_decides
 
 F = Fraction
 
@@ -117,9 +117,9 @@ class TestClassify:
         for f in two_connective_corpus():
             verdict = classify(f)
             if isinstance(verdict, Refuted):
-                _, diag = build_canonical_game(closure([Neg(f)]))
-                members = diag.sets[verdict.state].members
-                assert Neg(f) in members, render(f)
+                sigma = closure([Neg(f)])
+                _, diag = build_canonical_game(sigma)
+                assert Neg(f) in members(sigma, diag.sets[verdict.state]), render(f)
 
     def test_refuted_verdict_serializes_game(self):
         verdict = classify(parse("[a]_1/2 v"))
