@@ -34,24 +34,26 @@ Truth values are memoized per (state, node id) and computed on demand,
 dispatching on each node's kind; no formula is hashed or compared while
 checking, and states no query reaches are never compiled.  A table
 depends on no game: a bounded search interns its formula once and shares
-the table among the contexts of every game it draws.  The schema audit
-makes no formula for an axiom instance: it draws each one as indices
-(its schema, coalitions, grid thresholds and pool formulas), builds each
-distinct draw straight into its table as nodes over the pool's interned
-ids, and evaluates it by id at every state once; a repeated draw reuses
-that result, and only a violating instance is turned back into a formula
-(:meth:`NodeTable.formula`), to render it.
-``holds``, ``extent``, ``witness`` and the schema audits stay lazy in
-this way, because a query of one formula at one state, or of a few
-formulas, touches only part of a game: compiling every state up front
-made the canonical route's decide slower, and a labeling ``extent`` was
-slower than the lazy one on the bench's extent queries.
+the table among the contexts of every game it draws.
+``holds``, ``extent`` and ``witness`` stay lazy in this way, because a
+query of one formula at one state, or of a few formulas, touches only
+part of a game: compiling every state up front made the canonical
+route's decide slower, and a labeling ``extent`` was slower than the
+lazy one on the bench's extent queries.
 
 :func:`label` is the eager route, the labeling algorithm of ATL model
 checking (Alur, Henzinger and Kupferman, JACM 2002), for a caller that
 needs every formula of a list at every state, as the truth-lemma audit
 of the canonical game does.  It computes each formula's extent once, as
-an int bit mask over the non-failure states, children first.
+an int bit mask over the non-failure states, children first; a
+modality's extent comes from its body's by :func:`_modality_mask`, the
+one kernel over the game's rows compiled to masks.  The schema audit
+shares that kernel: an axiom instance's truth at every state depends
+only on the extents of its modalities, so it draws each instance as
+indices (its schema, coalitions, grid thresholds and pool formulas),
+labels each distinct modality once, and finds the states that violate an
+instance by integer AND over their extents; no formula is made for an
+instance unless it is violated, to render it.
 
 Truth is defined at non-failure states only; querying a failure state is
 an error.  Variables missing from the valuation are false everywhere.
@@ -182,43 +184,6 @@ class NodeTable:
             i = self.ids[node] = len(self.nodes)
             self.nodes.append(node)
         return i
-
-    def formula(self, i: int) -> Formula:
-        """The formula of node i, the inverse of :meth:`intern`: the nodes
-        i reaches are built in the order of their ids, children first, so
-        however deep the formula, nothing recurses."""
-        nodes = self.nodes
-        reached = {i}
-        stack = [i]
-        while stack:
-            node = nodes[stack.pop()]
-            kind = node[0]
-            if kind == IMPL:
-                children = node[1:]
-            elif kind == NEG or kind == COAL:
-                children = node[1:2]
-            else:
-                continue
-            for child in children:
-                if child not in reached:
-                    reached.add(child)
-                    stack.append(child)
-        built: dict = {}
-        for j in sorted(reached):
-            node = nodes[j]
-            kind = node[0]
-            if kind == COAL:
-                f = Coal(node[2], Fraction(node[3], node[4]), built[node[1]])
-            elif kind == IMPL:
-                f = Impl(built[node[1]], built[node[2]])
-            elif kind == NEG:
-                f = Neg(built[node[1]])
-            elif kind == VAR:
-                f = Var(node[1])
-            else:  # BOT
-                f = Bot()
-            built[j] = f
-        return built[i]
 
 
 @dataclass
@@ -374,6 +339,28 @@ def _compile_masks(ctx: CheckContext, bit: dict) -> list:
     return [(b, [triples[i] for i in game.row_ids(s)]) for s, b in bit.items()]
 
 
+def _modality_mask(compiled: list, choices: tuple, p_num: int, p_den: int,
+                   outside: int) -> tuple:
+    """(mask, evaluations): the states of ``compiled`` (see
+    :func:`_compile_masks`) at which some choice of ``choices``, taken in
+    order, has every completion survive with probability at least p_num /
+    p_den and reach no successor in the mask ``outside``, ORed from their
+    bits; and the number of complete profiles examined."""
+    mask = evals = 0
+    for b, table in compiled:
+        for _, completions in choices:
+            for i in completions:
+                evals += 1
+                n, d, successors = table[i]
+                # survival n / d < p exactly when n * p_den < p_num * d
+                if n * p_den < p_num * d or successors & outside:
+                    break
+            else:
+                mask |= b
+                break
+    return mask, evals
+
+
 def label(game: Game, order: Iterable[Formula],
           ctx: Optional[CheckContext] = None) -> dict:
     """The extent of every formula of ``order``, which lists children
@@ -384,9 +371,10 @@ def label(game: Game, order: Iterable[Formula],
     carry meaning.  A modality holds at a state when some choice of its
     coalition, taken in the order ``ctx.choices`` lists them, has every
     completion survive with probability at least its threshold and reach
-    no successor outside the body's extent.  Every row of the game is
-    compiled, and its successor set turned into a mask, once.  The memo
-    is neither read nor filled."""
+    no successor outside the body's extent; :func:`_modality_mask`, which
+    the schema audit shares, computes its extent from the body's.  Every
+    row of the game is compiled, and its successor set turned into a mask,
+    once.  The memo is neither read nor filled."""
     if ctx is None:
         ctx = CheckContext(game)
     bit = {s: 1 << i for i, s in enumerate(game.nonfailure_states)}
@@ -400,22 +388,9 @@ def label(game: Game, order: Iterable[Formula],
             _require_agents(game, f)
             if compiled is None:
                 compiled = _compile_masks(ctx, bit)
-            # survival n / d < p exactly when n * p_den < p_num * d
-            p_num, p_den = f.p.numerator, f.p.denominator
-            outside = ~ext[f.body]
-            choices = ctx.choices(f.coalition)
-            mask = 0
-            for b, table in compiled:
-                for _, completions in choices:
-                    for i in completions:
-                        evals += 1
-                        n, d, successors = table[i]
-                        if n * p_den < p_num * d or successors & outside:
-                            break
-                    else:
-                        mask |= b
-                        break
-            ext[f] = mask
+            ext[f], n = _modality_mask(compiled, ctx.choices(f.coalition),
+                                       f.p.numerator, f.p.denominator, ~ext[f.body])
+            evals += n
         elif isinstance(f, (Bot, Neg, Impl)):
             evaluate((f,), ext)
         else:
@@ -485,47 +460,50 @@ def _random_coalition(rng, agents) -> frozenset:
     return frozenset(a for a in agents if rng.random() < 0.5)
 
 
+def _below(getrandbits, n: int) -> int:
+    """An index below n, drawn as ``Random.randrange(n)`` and
+    ``Random.choice`` of n items draw it (``Random._randbelow`` on CPython
+    3.10 to 3.13): n.bit_length() random bits, drawn again until they fall
+    below n."""
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
 _SCHEMAS = ("cooperation", "monotonicity", "falsehood")
 
 # a threshold drawn as an index of QUARTER_GRID, which ascends from 0, so
 # indices compare as the thresholds do and the positive ones start at 1
-_GRID_INDICES = range(len(QUARTER_GRID))
-_POSITIVE_INDICES = range(1, len(QUARTER_GRID))
+_GRID = len(QUARTER_GRID)
 _GRID_NODES = tuple((g.numerator, g.denominator) for g in QUARTER_GRID)
 
 
-def _instance_node(table: NodeTable, key: tuple, coalition_of, bodies) -> int:
-    """The id of the axiom instance drawn as ``key``, built into ``table``
-    as the nodes :meth:`NodeTable.intern` would make of its formula.
-
-    A key is a schema's index in ``_SCHEMAS`` and its draws: coalitions as
-    bit masks over the game's agents, read by ``coalition_of(mask)``;
-    thresholds as indices of ``QUARTER_GRID``; pool formulas as indices of
-    the pool, whose node ids ``bodies(*indices)`` gives; it raises
-    CheckError when they name agents outside the game.
+def _instance(key: tuple, coalition_of, pool: tuple) -> Formula:
+    """The axiom instance drawn as ``key``: a schema's index in
+    ``_SCHEMAS`` and its draws, coalitions as bit masks over the game's
+    agents, read by ``coalition_of(mask)``, thresholds as indices of
+    ``QUARTER_GRID`` and pool formulas as indices of ``pool``.
 
     * cooperation ``(0, c1, c2, p, q, x, y)``:
       ``[c1]_p (x -> y) -> ([c2]_q x -> [c1 | c2]_max(p, q) y)``;
     * monotonicity ``(1, c, p, q, x)``, p at least q:
       ``[c]_p x -> [c]_q x``;
     * falsehood ``(2, c, p)``: ``~[c]_p false``."""
-    add = table.add
-    schema = key[0]
-    if schema == 0:
+    grid = QUARTER_GRID
+    if key[0] == 0:
         _, c1, c2, p, q, x, y = key
-        x, y = bodies(x, y)
-        return add((IMPL,
-                    add((COAL, add((IMPL, x, y)), coalition_of(c1), *_GRID_NODES[p])),
-                    add((IMPL,
-                         add((COAL, x, coalition_of(c2), *_GRID_NODES[q])),
-                         add((COAL, y, coalition_of(c1 | c2), *_GRID_NODES[max(p, q)]))))))
-    if schema == 1:
+        x, y = pool[x], pool[y]
+        return Impl(Coal(coalition_of(c1), grid[p], Impl(x, y)),
+                    Impl(Coal(coalition_of(c2), grid[q], x),
+                         Coal(coalition_of(c1 | c2), grid[max(p, q)], y)))
+    if key[0] == 1:
         _, c, p, q, x = key
-        (x,) = bodies(x)
-        return add((IMPL, add((COAL, x, coalition_of(c), *_GRID_NODES[p])),
-                    add((COAL, x, coalition_of(c), *_GRID_NODES[q]))))
+        return Impl(Coal(coalition_of(c), grid[p], pool[x]),
+                    Coal(coalition_of(c), grid[q], pool[x]))
     _, c, p = key
-    return add((NEG, add((COAL, add((BOT,)), coalition_of(c), *_GRID_NODES[p]))))
+    return Neg(Coal(coalition_of(c), grid[p], Bot()))
 
 
 def audit_axiom_soundness(
@@ -534,93 +512,130 @@ def audit_axiom_soundness(
     sample_budget: int = 1000,
     seed: int = 0,
 ) -> SoundnessReport:
-    """Sample axiom instances over the pool and evaluate each one at every
+    """Sample axiom instances over the pool and check each one at every
     non-failure state; also check that universally true bodies stay
     universally true under the threshold-zero modality.  A budget that is
     not positive raises ValueError: an audit of no instances proves
     nothing.
 
-    Each instance is drawn as indices (see :func:`_instance_node`), with
-    the random calls a draw of the thresholds and pool formulas themselves
-    would make: ``choice`` draws an index below a sequence's length, so
-    choosing from a range of indices takes the same draws.  The first
-    draw of a key builds its instance straight into the context's node
-    table, checks its agents and evaluates it by node id at every
-    non-failure state; a key drawn again reports the failing states
-    stored for it.  A pool formula is interned and its agents checked on
-    first use, and a violating instance is rendered from its node; no
-    formula is made for a drawn instance."""
+    Each instance is drawn as indices (see :func:`_instance`), with the
+    random stream a draw of the thresholds and pool formulas themselves
+    would read: ``randrange`` and ``choice`` draw an index below a length
+    (:func:`_below`).  An instance's truth at every state depends only on
+    the extents of its modalities, so the first draw of a key checks its
+    pool formulas' agents and reads the states that violate it by integer
+    AND over extent masks:
+
+    * cooperation, ``A & B & ~C`` for its three modalities in order;
+    * monotonicity, ``M_p & ~M_q``;
+    * falsehood, ``F``, the extent of ``[c]_p false``.
+
+    Each pool formula's extent is evaluated by node id at every
+    non-failure state before the first draw; one that names agents
+    outside the game raises CheckError at the first instance drawn with
+    it.  A modality's extent comes from :func:`_modality_mask`, once per
+    (coalition, threshold, body extent), over rows compiled once per
+    audit.  A key drawn again reports the violations stored for it,
+    and only a violating instance is built as a formula, to render it."""
     if sample_budget <= 0:
         raise ValueError("budget must be positive")
     pool = tuple(sorted(set(pool), key=canonical_key)) or (TOP,)
     rng = random.Random(seed)
-    below, pick, draw = rng.randrange, rng.choice, rng.random
+    bits, draw = rng.getrandbits, rng.random
     ctx = CheckContext(game)
-    table = ctx.table
     report = SoundnessReport(instances=sample_budget)
     checkable = game.nonfailure_states
     everywhere = frozenset(checkable)
     agents = game.agents
     members = set(agents)
-    bits = [1 << j for j in range(len(agents))]
-    pool_indices = range(len(pool))
+    agent_bits = [1 << j for j in range(len(agents))]
+    size = len(pool)
+    bit = {s: 1 << i for i, s in enumerate(checkable)}
+    full = (1 << len(checkable)) - 1
 
     coalitions: dict = {}  # agent bit mask -> coalition
 
     def coalition_of(mask: int) -> frozenset:
         c = coalitions.get(mask)
         if c is None:
-            c = coalitions[mask] = frozenset(a for a, bit in zip(agents, bits) if mask & bit)
+            c = coalitions[mask] = frozenset(a for a, b in zip(agents, agent_bits) if mask & b)
         return c
 
-    pool_entries: list = [None] * len(pool)  # (node id, agents outside the game)
+    def pool_extent(f: Formula) -> int:
+        i = ctx.table.intern(f)
+        return sum(b for s, b in bit.items() if _eval(ctx, s, i))
 
-    def bodies(*indices) -> list:
-        ids, foreign = [], set()
-        for k in indices:
-            entry = pool_entries[k]
-            if entry is None:
-                f = pool[k]
-                entry = pool_entries[k] = (table.intern(f), agents_of(f) - members)
-            ids.append(entry[0])
-            foreign |= entry[1]
-        _reject_foreign(foreign)
-        return ids
+    # each pool formula's agents outside the game, and its extent, or None
+    # when it names such agents: the first instance drawn with it fails
+    foreign = [agents_of(f) - members for f in pool]
+    extents = [None if outsiders else pool_extent(f) for f, outsiders in zip(pool, foreign)]
+
+    compiled = _compile_masks(ctx, bit)
+    modalities: dict = {}  # (coalition mask, grid index, body extent) -> extent
+
+    def modality(c: int, p: int, body: int) -> int:
+        key = (c, p, body)
+        mask = modalities.get(key)
+        if mask is None:
+            mask, evals = _modality_mask(compiled, ctx.choices(coalition_of(c)),
+                                         *_GRID_NODES[p], ~body)
+            ctx.profile_evals += evals
+            modalities[key] = mask
+        return mask
 
     seen: dict = {}  # key -> the violations of its instance
     for _ in range(sample_budget):
-        schema = below(len(_SCHEMAS))
+        schema = _below(bits, len(_SCHEMAS))
         if schema == 0:
             c1 = c2 = 0
-            for bit in bits:
-                side = below(3)
+            for b in agent_bits:
+                side = _below(bits, 3)
                 if side == 0:
-                    c1 |= bit
+                    c1 |= b
                 elif side == 1:
-                    c2 |= bit
-            key = (0, c1, c2, pick(_GRID_INDICES), pick(_GRID_INDICES),
-                   pick(pool_indices), pick(pool_indices))
+                    c2 |= b
+            p, q = _below(bits, _GRID), _below(bits, _GRID)
+            i, j = _below(bits, size), _below(bits, size)
+            key = (0, c1, c2, p, q, i, j)
         else:
             c = 0
-            for bit in bits:
+            for b in agent_bits:
                 if draw() < 0.5:
-                    c |= bit
+                    c |= b
             if schema == 1:
-                p, q = pick(_GRID_INDICES), pick(_GRID_INDICES)
+                p, q = _below(bits, _GRID), _below(bits, _GRID)
                 if q > p:
                     p, q = q, p
-                key = (1, c, p, q, pick(pool_indices))
+                i = _below(bits, size)
+                key = (1, c, p, q, i)
             else:
-                key = (2, c, pick(_POSITIVE_INDICES))
+                p = 1 + _below(bits, _GRID - 1)
+                key = (2, c, p)
         if not checkable:  # every state fails: nothing to evaluate
             continue
         found = seen.get(key)
         if found is None:
-            i = _instance_node(table, key, coalition_of, bodies)
-            failing = [s for s in checkable if not _eval(ctx, s, i)]
-            text = render(table.formula(i)) if failing else ""
-            found = seen[key] = [(_SCHEMAS[schema], text, s) for s in failing]
-        report.violations.extend(found)
+            # bad: the states at which the instance is false
+            if schema == 0:
+                x, y = extents[i], extents[j]
+                if x is None or y is None:
+                    _reject_foreign(foreign[i] | foreign[j])
+                # (~x | y) & full is the extent of x -> y
+                bad = (modality(c1, p, (~x | y) & full) & modality(c2, q, x)
+                       & ~modality(c1 | c2, max(p, q), y))
+            elif schema == 1:
+                x = extents[i]
+                if x is None:
+                    _reject_foreign(foreign[i])
+                bad = modality(c, p, x) & ~modality(c, q, x)
+            else:
+                bad = modality(c, p, 0)
+            found = []
+            if bad:
+                text = render(_instance(key, coalition_of, pool))
+                found = [(_SCHEMAS[schema], text, s) for s, b in bit.items() if bad & b]
+            seen[key] = found
+        report.violations += found
     for body in pool:
         coalition = _random_coalition(rng, game.agents)
         if extent(game, body, ctx) == everywhere:

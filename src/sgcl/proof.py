@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import enum
 import json
+import re
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Union
 
@@ -508,6 +509,13 @@ def _rule_to_str(rule: Justification) -> str:
     raise TypeError(f"unknown rule {rule!r}")
 
 
+# a rule's line references: ASCII decimals only, as _rule_to_str writes
+# them, so that int() reads no other digits, spaces or underscores
+_LINE_REF = re.compile(r"[0-9]+")
+_LINE_RULES = (("mp:", MP, 2), ("nec:", Necessitation, 1),
+               ("mono-rule:", RuleMonotonicity, 1))
+
+
 def _rule_from_str(text: str) -> Justification:
     if text == "taut":
         return Tautology()
@@ -521,16 +529,15 @@ def _rule_from_str(text: str) -> Justification:
         return Assumption()
     if text.startswith("import:"):
         return TheoremImport(text[len("import:"):])
-    try:
-        if text.startswith("mp:"):
-            i, j = text[3:].split(",")
-            return MP(int(i), int(j))
-        if text.startswith("nec:"):
-            return Necessitation(int(text[4:]))
-        if text.startswith("mono-rule:"):
-            return RuleMonotonicity(int(text[len("mono-rule:"):]))
-    except ValueError as exc:
-        raise ProofFormatError(f"malformed rule {text!r}") from exc
+    for prefix, rule, count in _LINE_RULES:
+        if text.startswith(prefix):
+            refs = text[len(prefix):].split(",")
+            try:
+                if len(refs) == count and all(map(_LINE_REF.fullmatch, refs)):
+                    return rule(*map(int, refs))
+            except ValueError:  # more digits than int() reads
+                pass
+            raise ProofFormatError(f"malformed rule {text!r}")
     raise ProofFormatError(f"unknown rule {text!r}")
 
 
@@ -555,7 +562,11 @@ def derivation_to_dict(d: Derivation) -> dict:
 def derivation_from_dict(doc: dict, universe=None) -> Derivation:
     if not isinstance(doc, dict):
         raise ProofFormatError("proof document must be an object")
-    system_text = doc.get("system")
+    if "system" not in doc:
+        raise ProofFormatError("system is missing")
+    system_text = doc["system"]
+    if not isinstance(system_text, str):
+        raise ProofFormatError("system must be a string")
     try:
         system = SystemId(system_text)
     except ValueError:

@@ -238,6 +238,17 @@ class TestVerifyProof:
         path.write_text('{"lines": "nope"}')
         assert run(["verify-proof", "--proof", str(path)]) == 2
 
+    @pytest.mark.parametrize("doc, message", [
+        ({"agents": []}, "error: system is missing"),
+        ({"system": 1, "mode": "theorem", "lines": []}, "error: system must be a string"),
+        ({"system": "K", "mode": "theorem", "lines": []}, "error: unknown system 'K'"),
+    ], ids=["missing", "not-a-string", "unknown"])
+    def test_proof_system_is_named(self, tmp_path, capsys, doc, message):
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps(doc))
+        assert run(["verify-proof", "--proof", str(path)]) == 2
+        assert capsys.readouterr().err.strip() == message
+
     def test_missing_proof_file_is_input_error(self):
         assert run(["verify-proof", "--proof", "absent.json"]) == 2
 

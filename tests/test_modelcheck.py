@@ -1,6 +1,7 @@
 """Model checker: modality semantics, extents, witnesses, schema audits."""
 
 import random
+import types
 from fractions import Fraction
 from itertools import product
 
@@ -411,6 +412,45 @@ checked_formulas = st.recursive(
 )
 
 
+def node_formula(table: NodeTable, i: int):
+    """The formula of node i of the table, the inverse of
+    :meth:`NodeTable.intern`: the nodes i reaches are built in the order of
+    their ids, children first, so however deep the formula, nothing
+    recurses."""
+    nodes = table.nodes
+    reached = {i}
+    stack = [i]
+    while stack:
+        node = nodes[stack.pop()]
+        kind = node[0]
+        if kind == modelcheck.IMPL:
+            children = node[1:]
+        elif kind == modelcheck.NEG or kind == modelcheck.COAL:
+            children = node[1:2]
+        else:
+            continue
+        for child in children:
+            if child not in reached:
+                reached.add(child)
+                stack.append(child)
+    built: dict = {}
+    for j in sorted(reached):
+        node = nodes[j]
+        kind = node[0]
+        if kind == modelcheck.COAL:
+            f = Coal(node[2], F(node[3], node[4]), built[node[1]])
+        elif kind == modelcheck.IMPL:
+            f = Impl(built[node[1]], built[node[2]])
+        elif kind == modelcheck.NEG:
+            f = Neg(built[node[1]])
+        elif kind == modelcheck.VAR:
+            f = Var(node[1])
+        else:  # BOT
+            f = Bot()
+        built[j] = f
+    return built[i]
+
+
 class TestInternedChecker:
     """The checker interns formulas into integer node tables; the
     reference semantics walks the formulas themselves."""
@@ -437,8 +477,8 @@ class TestInternedChecker:
                 for s in g.nonfailure_states:
                     assert witness(g, s, f) == naive_witness(g, s, f)
 
-        # formula() is the inverse of intern
-        back = shared.formula(shared.intern(f))
+        # node_formula is the inverse of intern
+        back = node_formula(shared, shared.intern(f))
         assert back == f and render(back) == render(f)
 
         # an equal formula made of other objects is the same node
@@ -466,10 +506,10 @@ class TestInternedChecker:
             NodeTable().intern("v")
 
     def test_deep_formula_round_trip(self):
-        # 3000 nested negations: formula() builds children first in a loop
+        # 3000 nested negations: node_formula builds children first in a loop
         deep = parse("~" * 3000 + "[a]_1/2 (v -> false)")
         table = NodeTable()
-        back = table.formula(table.intern(deep))
+        back = node_formula(table, table.intern(deep))
         assert render(back) == render(deep)
         assert len(table.nodes) == 3000 + 4
 
@@ -591,18 +631,31 @@ REFERENCE_SCHEMAS = (
 )
 
 
+def audit_pool(pool) -> tuple:
+    """The pool as the audit reads it: sorted, without repeats, and
+    ``true`` alone when empty."""
+    return tuple(sorted(set(pool), key=canonical_key)) or (TOP,)
+
+
+def reference_instances(game, pool, sample_budget, rng):
+    """(schema name, instance) for each of the reference audit's draws, in
+    order."""
+    for _ in range(sample_budget):
+        name, make = REFERENCE_SCHEMAS[rng.randrange(len(REFERENCE_SCHEMAS))]
+        yield name, make(rng, game.agents, pool)
+
+
 def reference_audit(game, pool, sample_budget, seed) -> SoundnessReport:
     """Each instance a formula; ``holds`` checks its agents, interns it
-    and evaluates it, state by state.  The context is made through the
-    module, as the audit makes its own, so that a test can record it."""
-    pool = tuple(sorted(set(pool), key=canonical_key)) or (TOP,)
-    rng = random.Random(seed)
+    and evaluates it, state by state.  The context and the random stream
+    are made through the module, as the audit makes its own, so that a
+    test can record them."""
+    pool = audit_pool(pool)
+    rng = modelcheck.random.Random(seed)
     ctx = modelcheck.CheckContext(game)
     report = SoundnessReport()
     everywhere = frozenset(game.nonfailure_states)
-    for _ in range(sample_budget):
-        name, make = REFERENCE_SCHEMAS[rng.randrange(len(REFERENCE_SCHEMAS))]
-        instance = make(rng, game.agents, pool)
+    for name, instance in reference_instances(game, pool, sample_budget, rng):
         report.instances += 1
         for s in game.nonfailure_states:
             if not holds(game, s, instance, ctx):
@@ -617,31 +670,72 @@ def reference_audit(game, pool, sample_budget, seed) -> SoundnessReport:
     return report
 
 
-def audit_outcome(audit, game, pool, budget, seed):
-    """(report, or the CheckError's message, profile_evals, memo size) of
-    one audit, read from the one context it makes."""
-    made = []
+def audit_run(audit, game, pool, budget, seed):
+    """(outcome, context) of one audit.  The outcome is its report, or the
+    CheckError's message, and the state of its random stream when it
+    returned or raised, so two audits with equal outcomes made the same
+    draws; the context is the one it made."""
+    made, streams = [], []
 
     class Recording(CheckContext):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
             made.append(self)
 
+    class Stream(random.Random):
+        def __init__(self, *args):
+            super().__init__(*args)
+            streams.append(self)
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(modelcheck, "CheckContext", Recording)
+        mp.setattr(modelcheck, "random", types.SimpleNamespace(Random=Stream))
         try:
             result = audit(game, pool, budget, seed)
         except CheckError as e:
             result = f"CheckError: {e}"
-    assert len(made) == 1
-    return result, made[0].profile_evals, len(made[0].memo)
+    assert len(made) == len(streams) == 1
+    return (result, streams[0].getstate()), made[0]
+
+
+def audit_outcome(audit, game, pool, budget, seed):
+    return audit_run(audit, game, pool, budget, seed)[0]
+
+
+def schema_modalities(instance) -> list:
+    """The modalities a schema instance is made of: three for a
+    cooperation instance, two for monotonicity, one for falsehood."""
+    if isinstance(instance, Neg):
+        return [instance.body]
+    if isinstance(instance.right, Impl):
+        return [instance.left, instance.right.left, instance.right.right]
+    return [instance.left, instance.right]
+
+
+def audit_game(name: str) -> Game:
+    """The overtake game, or a three-agent game sampled from seed 0."""
+    from sgcl.decide import SearchBounds, sample_game
+
+    if name == "overtake":
+        return overtake_game()
+    g = sample_game(random.Random(0),
+                    SearchBounds(max_states=4, max_actions=2, budget=1,
+                                 agents=("a", "b", "c")),
+                    require_agents=("a", "b", "c"), variables=("v", "u"))
+    assert (len(g.states), len(g.actions), len(g.agents)) == (4, 2, 3)
+    return g
 
 
 def plant_threshold_zero_fault(mp) -> None:
-    """Break the checker: every modality at threshold 0 is judged false."""
+    """Break the checker: every modality at threshold 0 is judged false,
+    by the lazy checker and by the extent kernel alike."""
     committing = modelcheck._committing_choice
     mp.setattr(modelcheck, "_committing_choice",
                lambda ctx, state, node: None if node[3] == 0 else committing(ctx, state, node))
+    kernel = modelcheck._modality_mask
+    mp.setattr(modelcheck, "_modality_mask",
+               lambda compiled, choices, p_num, p_den, outside: (0, 0) if p_num == 0
+               else kernel(compiled, choices, p_num, p_den, outside))
 
 
 def all_failing(g: Game) -> Game:
@@ -709,6 +803,21 @@ class TestAudit:
             got = audit_outcome(audit_axiom_soundness, g, pool, budget, seed)
             assert got == audit_outcome(reference_audit, g, pool, budget, seed)
 
+    def test_draws_replay_randrange_and_choice(self):
+        """The audit draws each index below n with one getrandbits loop.
+        For seeds 0-49 and every n from 1 to 9 (the audit draws below 3, 4,
+        5 and its pool's size), it reads the stream as Random.randrange(n)
+        and Random.choice(range(n)) do, with random() calls interleaved."""
+        below = modelcheck._below
+        for seed in range(50):
+            ours, theirs = random.Random(seed), random.Random(seed)
+            for n in range(1, 10):
+                for _ in range(4):
+                    assert below(ours.getrandbits, n) == theirs.randrange(n)
+                    assert below(ours.getrandbits, n) == theirs.choice(range(n))
+                    assert ours.random() == theirs.random()
+            assert ours.getstate() == theirs.getstate()
+
     def test_detects_planted_violation(self, monkeypatch):
         g = overtake_game()
         pool = [parse(t) for t in ("true", "passed", "behind", "passed -> behind",
@@ -732,27 +841,53 @@ class TestAudit:
 
     @pytest.mark.parametrize("game, pool, budget, seed, report, evals, entries", [
         ("overtake", ["true", "passed", "behind", "passed -> behind"], 300, 11,
-         SoundnessReport(300, [], 1, []), 2045, 1276),
+         SoundnessReport(300, [], 1, []), 1258, 18),
         ("sampled", ["true", "false", "v", "u", "~v"], 400, 2,
-         SoundnessReport(400, [], 1, []), 3750, 2734),
-    ])
+         SoundnessReport(400, [], 1, []), 2113, 24),
+    ], ids=["overtake", "sampled"])
     def test_audit_work_is_pinned(self, game, pool, budget, seed, report, evals, entries):
         """The report and the checker's work of two fixed audits, one on a
-        three-agent sampled game: building each drawn instance as nodes,
-        and checking each distinct one once, must not change what is
-        evaluated."""
-        from sgcl.decide import SearchBounds, sample_game
+        three-agent sampled game: the profiles the extent kernel examines,
+        once per distinct modality, and the lazy checker's memo, which
+        holds only the pool formulas and the necessitation lifts."""
+        g = audit_game(game)
+        (got, _), ctx = audit_run(audit_axiom_soundness, g, [parse(t) for t in pool],
+                                  budget, seed)
+        assert (got, ctx.profile_evals, len(ctx.memo)) == (report, evals, entries)
 
-        if game == "overtake":
-            g = overtake_game()
-        else:
-            g = sample_game(random.Random(0),
-                            SearchBounds(max_states=4, max_actions=2, budget=1,
-                                         agents=("a", "b", "c")),
-                            require_agents=("a", "b", "c"), variables=("v", "u"))
-            assert (len(g.states), len(g.actions), len(g.agents)) == (4, 2, 3)
-        got = audit_outcome(audit_axiom_soundness, g, [parse(t) for t in pool], budget, seed)
-        assert got == (report, evals, entries)
+    @pytest.mark.parametrize("game, pool, budget, seed", [
+        ("overtake", ["true", "passed", "behind", "passed -> behind"], 300, 11),
+        ("overtake", ["true", "false", "passed", "behind"], 2000, 0),
+        ("sampled", ["true", "false", "v", "u", "~v"], 400, 2),
+    ], ids=["overtake-implication", "overtake-cli-pool", "sampled"])
+    def test_each_modality_is_labelled_once(self, monkeypatch, game, pool, budget, seed):
+        """The audit compiles the game's rows once and calls the extent
+        kernel once for each distinct modality of the instances it draws:
+        a coalition, a threshold and the extent of a body, read here from
+        the reference's instances."""
+        g = audit_game(game)
+        pool = [parse(t) for t in pool]
+        want = set()
+        for _, instance in reference_instances(g, audit_pool(pool), budget,
+                                               random.Random(seed)):
+            for m in schema_modalities(instance):
+                want.add((m.coalition, m.p, extent(g, m.body)))
+        calls, compiles = [], []
+        kernel, compile_masks = modelcheck._modality_mask, modelcheck._compile_masks
+
+        def counting_kernel(compiled, choices, p_num, p_den, outside):
+            calls.append((choices, F(p_num, p_den), outside))
+            return kernel(compiled, choices, p_num, p_den, outside)
+
+        def counting_compile(*args):
+            compiles.append(args)
+            return compile_masks(*args)
+
+        monkeypatch.setattr(modelcheck, "_modality_mask", counting_kernel)
+        monkeypatch.setattr(modelcheck, "_compile_masks", counting_compile)
+        assert audit_axiom_soundness(g, pool, budget, seed).clean
+        assert len(calls) == len(set(calls)) == len(want)
+        assert len(compiles) == 1
 
     def test_instances_make_no_formulas(self, monkeypatch):
         """A clean audit makes no formula for a drawn instance: the only
@@ -780,15 +915,14 @@ class TestAudit:
                                   sample_budget=50, seed=0)
 
     def test_foreign_pool_formula_fails_its_first_instance(self):
-        # the error comes where the reference's does: the work done before
-        # it, the instances drawn before the first one using [z]_1/2 passed,
-        # is the same
+        # the error comes at the reference's draw, the first instance using
+        # [z]_1/2 passed: the random stream stands at the same place, and
+        # the instances drawn before it were checked
         pool = [parse(t) for t in ("passed", "behind", "[z]_1/2 passed")]
-        got = audit_outcome(audit_axiom_soundness, overtake_game(), pool, 200, 4)
+        got, ctx = audit_run(audit_axiom_soundness, overtake_game(), pool, 200, 4)
         assert got == audit_outcome(reference_audit, overtake_game(), pool, 200, 4)
-        message, evals, _ = got
-        assert message == "CheckError: formula names agents outside the game: ['z']"
-        assert evals > 0
+        assert got[0] == "CheckError: formula names agents outside the game: ['z']"
+        assert ctx.profile_evals > 0
 
     def test_cooperation_lists_both_foreign_agents(self):
         pool = [parse("[z]_1/2 passed"), parse("[y]_1/4 behind"), parse("passed")]
@@ -804,4 +938,7 @@ class TestAudit:
                            match=r"^formula names agents outside the game: \['z'\]$") as info:
             audit_axiom_soundness(g, [parse("[z]_1/2 passed")], sample_budget=50, seed=0)
         called = [entry.name for entry in info.traceback]
-        assert "extent" in called and "bodies" not in called
+        assert "extent" in called
+        pool = [parse("[z]_1/2 passed")]
+        assert audit_outcome(audit_axiom_soundness, g, pool, 50, 0) == audit_outcome(
+            reference_audit, g, pool, 50, 0)

@@ -1,6 +1,7 @@
 """Proof kernel: axiom matching, verification, deduction, derived rules."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -388,8 +389,45 @@ class TestSerialization:
 
     def test_unknown_system_rejected(self):
         doc = {"system": "K", "mode": "theorem", "lines": []}
-        with pytest.raises(ProofFormatError, match="unknown system"):
+        with pytest.raises(ProofFormatError, match="^unknown system 'K'$"):
             derivation_from_dict(doc)
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"agents": []}, "system is missing"),
+        ({"system": None, "mode": "theorem", "lines": []}, "system must be a string"),
+        ({"system": ["L"], "mode": "theorem", "lines": []}, "system must be a string"),
+    ])
+    def test_system_missing_or_not_a_string(self, doc, message):
+        with pytest.raises(ProofFormatError, match=f"^{message}$"):
+            derivation_from_dict(doc)
+
+    @pytest.mark.parametrize("rule", [
+        "nec:\u0663", "mono-rule:\u0661", "mp: 0, 0", "mp:1_0,0", "nec:+0", "nec:0 ",
+        "nec:", "mp:0", "mp:0,1,2", "nec:0,0", "mp:,0",
+    ])
+    def test_line_references_are_ascii_decimals(self, rule):
+        doc = {"system": "L", "mode": "theorem",
+               "lines": [{"formula": "v -> v", "rule": rule}]}
+        with pytest.raises(ProofFormatError, match="^malformed rule "):
+            derivation_from_dict(doc)
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="int() reads any number of digits")
+    def test_line_reference_longer_than_int_reads(self):
+        doc = {"system": "L", "mode": "theorem",
+               "lines": [{"formula": "v -> v", "rule": "nec:" + "1" * 5000}]}
+        with pytest.raises(ProofFormatError, match="^malformed rule "):
+            derivation_from_dict(doc)
+
+    def test_loaded_rules_round_trip(self):
+        doc = {"system": "L", "mode": "theorem", "lines": [
+            {"formula": "(v -> v)", "rule": "taut"},
+            {"formula": "[a]_0 (v -> v)", "rule": "nec:0"},
+            {"formula": "([a]_1/2 (v -> v) -> [a]_1/4 (v -> v))", "rule": "mono-ax"},
+            {"formula": "([a]_0 (v -> v) -> [a]_0 (v -> v))", "rule": "taut"},
+            {"formula": "[a]_0 (v -> v)", "rule": "mp:1,3"},
+        ]}
+        assert derivation_to_dict(derivation_from_dict(doc)) == doc
 
 
 class TestTheoremSoundnessBridge:
