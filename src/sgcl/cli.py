@@ -50,7 +50,7 @@ def _read_formula(args):
         return parse(args.formula)
     try:
         with open(args.formula_file, "r", encoding="utf-8") as fh:
-            return parse(fh.read().strip())
+            return parse(fh.read())
     except OSError as e:
         raise _InputError(f"cannot read formula file: {e}")
     except UnicodeDecodeError as e:
@@ -392,9 +392,9 @@ def run(argv: Optional[list] = None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except RecursionError:
-        # the parser's parentheses and its -> chains, render of nested
-        # implications, the model checker and == between two distinct
-        # deep formulas recurse; hashing and the tautology check do not
+        # render of nested implications, the model checker and == between
+        # two distinct deep formulas recurse; the parser, hashing and the
+        # tautology check do not
         print("error: formula nests too deeply", file=sys.stderr)
         return 2
 

@@ -20,6 +20,12 @@ Concrete grammar (whitespace-insensitive)::
 ``true`` is parsed as ``~false``; ``[]`` is the empty coalition.  The
 full language allows the empty coalition, the restricted "plus"
 sub-language does not (see :func:`in_plus_language`).
+
+:func:`parse` reads a text in one pass.  One regex scan yields its
+tokens as strings.  One loop then reads them with an explicit stack of
+open parentheses and pending ``->`` left operands (operator-precedence
+parsing), so no nesting exhausts the interpreter stack.  Token positions
+are found only to word an error.
 """
 
 from __future__ import annotations
@@ -307,148 +313,27 @@ def canonical_key(f: Formula):
 # ---------------------------------------------------------------------------
 # parsing
 
-_TOKEN_RE = re.compile(
-    r"(->)|([A-Za-z][A-Za-z0-9_]*)|([0-9]+\.[0-9]+)|([0-9]+)|([~\[\](),/_])"
+# one token after any blanks (ASCII whitespace only, as in the literals
+# `exact` reads): an arrow, an identifier, a number or any other single
+# character, which the parser refuses unless it is a punctuation mark
+_TOKEN = re.compile(
+    r"[ \t\n\r\f\v]*(->|[A-Za-z][A-Za-z0-9_]*|[0-9]+(?:\.[0-9]+)?|[^ \t\n\r\f\v])"
 )
-
-_ARROW, _IDENT, _DECIMAL, _INT, _PUNCT = range(1, 6)
-
-# ASCII whitespace only, as in the literals `exact` reads
-_BLANKS = frozenset(" \t\n\r\f\v")
+_PUNCT = "~[](),/_"
+_LETTERS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz")
+_DIGITS = frozenset("0123456789")
 
 
-def _tokenize(text: str):
-    tokens = []
-    pos = 0
-    n = len(text)
-    while pos < n:
-        if text[pos] in _BLANKS:
-            pos += 1
-            continue
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        kind = m.lastindex
-        tokens.append((kind, m.group(kind), pos))
-        pos = m.end()
-    return tokens
-
-
-class _Parser:
-    def __init__(self, tokens, text_len: int, universe: Optional[frozenset]):
-        self.tokens = tokens
-        self.i = 0
-        self.text_len = text_len
-        self.universe = universe
-
-    def _pos(self) -> int:
-        if self.i < len(self.tokens):
-            return self.tokens[self.i][2]
-        return self.text_len
-
-    def peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
-
-    def take(self):
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of input", self.text_len)
-        self.i += 1
-        return tok
-
-    def expect_punct(self, ch: str):
-        tok = self.peek()
-        if tok is None or tok[0] != _PUNCT or tok[1] != ch:
-            raise ParseError(f"expected {ch!r}", self._pos())
-        self.i += 1
-
-    def at_punct(self, ch: str) -> bool:
-        tok = self.peek()
-        return tok is not None and tok[0] == _PUNCT and tok[1] == ch
-
-    def impl(self) -> Formula:
-        left = self.unary()
-        tok = self.peek()
-        if tok is not None and tok[0] == _ARROW:
-            self.i += 1
-            return Impl(left, self.impl())
-        return left
-
-    def unary(self) -> Formula:
-        # a chain of prefixes is read in a loop and applied innermost
-        # first, so a deep chain never exhausts the interpreter stack
-        prefixes = []
-        while True:
-            if self.at_punct("~"):
-                self.i += 1
-                prefixes.append(None)
-            elif self.at_punct("["):
-                prefixes.append(self.modal())
-            else:
-                break
-        f = self.atom()
-        for prefix in reversed(prefixes):
-            f = Neg(f) if prefix is None else Coal(prefix[0], prefix[1], f)
-        return f
-
-    def modal(self):
-        self.expect_punct("[")
-        agents = []
-        if not self.at_punct("]"):
-            agents.append(self.agent())
-            while self.at_punct(","):
-                self.i += 1
-                agents.append(self.agent())
-        self.expect_punct("]")
-        self.expect_punct("_")
-        p = self.rational()
-        return frozenset(agents), p
-
-    def agent(self) -> str:
-        tok = self.peek()
-        if tok is None or tok[0] != _IDENT:
-            raise ParseError("expected an agent name", self._pos())
-        if tok[1] in _RESERVED:
-            raise ParseError(f"reserved word {tok[1]!r} cannot name an agent", tok[2])
-        if self.universe is not None and tok[1] not in self.universe:
-            raise ParseError(f"unknown agent {tok[1]!r}", tok[2])
-        self.i += 1
-        return tok[1]
-
-    def rational(self) -> Fraction:
-        kind, text, pos = self.take()
-        if kind not in (_DECIMAL, _INT):
-            raise ParseError("expected a rational subscript", pos)
-        if kind == _INT and self.at_punct("/"):
-            self.i += 1
-            den = self.take()
-            if den[0] != _INT:
-                raise ParseError("expected a denominator", den[2])
-            if not den[1].strip("0"):
-                raise ParseError("zero denominator is not a rational", den[2])
-            text += "/" + den[1]
-        try:
-            value = exact(text)
-        except ValueError as exc:
-            raise ParseError(str(exc), pos) from None
-        if not 0 <= value <= 1:
-            raise ParseError(f"subscript {_shown(value)} outside [0, 1]", pos)
-        return value
-
-    def atom(self) -> Formula:
-        tok = self.take()
-        kind, text, pos = tok
-        if kind == _IDENT:
-            if text == "false":
-                return Bot()
-            if text == "true":
-                return Neg(Bot())
-            return Var(text)
-        if kind == _PUNCT and text == "(":
-            inner = self.impl()
-            self.expect_punct(")")
-            return inner
-        raise ParseError(f"unexpected token {text!r}", pos)
+def _error(text: str, tokens: list, message: str, index: int) -> ParseError:
+    """The error to raise at token ``index`` (the end of input past the
+    last token), unless the text holds a character no token may start
+    with: the first such character is reported instead, wherever it is.
+    Token positions are found only here, by the same regex."""
+    starts = [m.start(1) for m in _TOKEN.finditer(text)]
+    for t, start in zip(tokens, starts):
+        if len(t) == 1 and t not in _PUNCT and not (t.isascii() and t.isalnum()):
+            return ParseError(f"unexpected character {t!r}", start)
+    return ParseError(message, starts[index] if index < len(starts) else len(text))
 
 
 def parse(text: str, universe: Optional[Iterable[str]] = None) -> Formula:
@@ -458,12 +343,98 @@ def parse(text: str, universe: Optional[Iterable[str]] = None) -> Formula:
     otherwise agent names are taken at face value.
     """
     uni = frozenset(universe) if universe is not None else None
-    parser = _Parser(_tokenize(text), len(text), uni)
-    result = parser.impl()
-    tok = parser.peek()
-    if tok is not None:
-        raise ParseError(f"unexpected trailing token {tok[1]!r}", tok[2])
-    return result
+    tokens = _TOKEN.findall(text)
+    end = len(tokens)
+    tokens.append("")  # the end of input
+    atoms = {"false": TOP.body, "true": TOP}
+    # for each open parenthesis, the list of prefixes read before it; for
+    # each pending "->", its left operand
+    stack: list = []
+    prefixes: list = []
+    i = 0
+    while True:
+        t = tokens[i]
+        if t == "~":
+            prefixes.append(None)
+            i += 1
+            continue
+        if t == "[":
+            i += 1
+            agents = []
+            if tokens[i] != "]":
+                while True:
+                    t = tokens[i]
+                    if t[:1] not in _LETTERS:
+                        raise _error(text, tokens, "expected an agent name", i)
+                    if t in _RESERVED:
+                        raise _error(text, tokens, f"reserved word {t!r} cannot name an agent", i)
+                    if uni is not None and t not in uni:
+                        raise _error(text, tokens, f"unknown agent {t!r}", i)
+                    agents.append(t)
+                    i += 1
+                    if tokens[i] != ",":
+                        break
+                    i += 1
+            for mark in "]_":
+                if tokens[i] != mark:
+                    raise _error(text, tokens, f"expected {mark!r}", i)
+                i += 1
+            t, at = tokens[i], i
+            if t[:1] not in _DIGITS:
+                raise _error(text, tokens, "unexpected end of input" if i == end
+                             else "expected a rational subscript", i)
+            i += 1
+            if "." not in t and tokens[i] == "/":
+                i += 1
+                den = tokens[i]
+                if den[:1] not in _DIGITS or "." in den:
+                    raise _error(text, tokens, "unexpected end of input" if i == end
+                                 else "expected a denominator", i)
+                if not den.strip("0"):
+                    raise _error(text, tokens, "zero denominator is not a rational", i)
+                t += "/" + den
+                i += 1
+            try:
+                p = exact(t)
+            except ValueError as exc:
+                raise _error(text, tokens, str(exc), at) from None
+            if p.numerator > p.denominator:
+                raise _error(text, tokens, f"subscript {_shown(p)} outside [0, 1]", at)
+            prefixes.append((frozenset(agents), p))
+            continue
+        if t == "(":
+            stack.append(prefixes)
+            prefixes = []
+            i += 1
+            continue
+        if t[:1] not in _LETTERS:
+            raise _error(text, tokens, "unexpected end of input" if i == end
+                         else f"unexpected token {t!r}", i)
+        f = atoms.get(t)
+        if f is None:
+            f = atoms[t] = Var(t)
+        i += 1
+        # an operand is complete: apply its prefixes innermost first, then
+        # close every implication and parenthesis that it completes
+        while True:
+            for prefix in reversed(prefixes):
+                f = Neg(f) if prefix is None else Coal(prefix[0], prefix[1], f)
+            prefixes = []
+            t = tokens[i]
+            if t == "->":
+                stack.append(f)
+                i += 1
+                break
+            while stack and type(stack[-1]) is not list:
+                f = Impl(stack.pop(), f)
+            if not stack:
+                if i < end:
+                    raise _error(text, tokens, f"unexpected trailing token {t!r}", i)
+                return f
+            if t != ")":
+                raise _error(text, tokens, "expected ')'", i)
+            prefixes = stack.pop()
+            i += 1
 
 
 # ---------------------------------------------------------------------------

@@ -560,6 +560,20 @@ def derivation_to_dict(d: Derivation) -> dict:
 
 
 def derivation_from_dict(doc: dict, universe=None) -> Derivation:
+    return _derivation_from_dict(doc, universe, {})
+
+
+def _derivation_from_dict(doc, universe, parsed: dict) -> Derivation:
+    """The derivation of ``doc``; ``parsed`` maps each formula text read
+    so far in the document, imports included, to its formula, so each
+    distinct text is parsed once."""
+
+    def read(text):
+        f = parsed.get(text)
+        if f is None:
+            f = parsed[text] = parse(text, universe)
+        return f
+
     if not isinstance(doc, dict):
         raise ProofFormatError("proof document must be an object")
     if "system" not in doc:
@@ -578,7 +592,7 @@ def derivation_from_dict(doc: dict, universe=None) -> Derivation:
         texts = mode["assumptions"]
         if not all(isinstance(text, str) for text in texts):
             raise ProofFormatError("assumptions must be formula strings")
-        assumptions = frozenset(parse(text, universe) for text in texts)
+        assumptions = frozenset(read(text) for text in texts)
     else:
         raise ProofFormatError(
             "mode must be \"theorem\" or {\"assumptions\": [...]}"
@@ -592,14 +606,14 @@ def derivation_from_dict(doc: dict, universe=None) -> Derivation:
                 or not isinstance(entry.get("rule"), str):
             raise ProofFormatError(f"line {i}: expected formula and rule strings")
         lines.append(
-            ProofLine(parse(entry["formula"], universe), _rule_from_str(entry["rule"]))
+            ProofLine(read(entry["formula"]), _rule_from_str(entry["rule"]))
         )
     imports = {}
     raw_imports = doc.get("imports", {})
     if not isinstance(raw_imports, dict):
         raise ProofFormatError("imports must be an object")
     for name, sub in raw_imports.items():
-        imports[name] = derivation_from_dict(sub, universe)
+        imports[name] = _derivation_from_dict(sub, universe, parsed)
     return Derivation(system, tuple(lines), assumptions, imports)
 
 

@@ -2,13 +2,14 @@
 
 import json
 import os
+import re
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import settings
 
-from sgcl.formula import Coal, Impl, Neg, Var, render
+from sgcl.formula import Bot, Coal, Impl, Neg, ParseError, Var, _shown, exact, render
 from sgcl.game import game_from_dict, game_to_dict, validate
 
 # under CI the property tests draw the same examples on every run and
@@ -74,13 +75,18 @@ def acceptance_corpus():
     return [f for layer in layers for f in layer]
 
 
-def pool_decides():
-    """The ``decide`` queries of the benchmark's game-queries pool, as
-    recorded: each with its ``formula``, ``argv`` (budget and seed
-    included), ``kind`` and ``verdict``.  The file is only read."""
+def pool_queries():
+    """The queries of the benchmark's game-queries pool, as recorded: each
+    with its ``argv`` and ``kind``.  The file is only read."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "game_queries_pool.json"
-    queries = json.loads(path.read_text(encoding="utf-8"))["queries"]
-    return [q for q in queries if q["kind"].startswith("decide-")]
+    return json.loads(path.read_text(encoding="utf-8"))["queries"]
+
+
+def pool_decides():
+    """The ``decide`` queries of the game-queries pool: each with its
+    ``formula``, ``argv`` (budget and seed included), ``kind`` and
+    ``verdict``."""
+    return [q for q in pool_queries() if q["kind"].startswith("decide-")]
 
 
 def maximal_set(sigma, members):
@@ -152,3 +158,156 @@ def reference_row(s, profile, sets):
     if mu < 1:
         row["f"] = 1 - mu
     return row, False
+
+
+# ---------------------------------------------------------------------------
+# the recursive-descent parser that the explicit-stack ``parse`` replaced,
+# the reference it is checked against: a tokenizer that stops at the first
+# character no token starts with, then one method per grammar rule
+
+_REFERENCE_TOKEN = re.compile(
+    r"(->)|([A-Za-z][A-Za-z0-9_]*)|([0-9]+\.[0-9]+)|([0-9]+)|([~\[\](),/_])"
+)
+_ARROW, _IDENT, _DECIMAL, _INT, _PUNCT = range(1, 6)
+_REFERENCE_BLANKS = frozenset(" \t\n\r\f\v")
+
+
+def _reference_tokenize(text):
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        if text[pos] in _REFERENCE_BLANKS:
+            pos += 1
+            continue
+        m = _REFERENCE_TOKEN.match(text, pos)
+        if m is None:
+            raise ParseError(f"unexpected character {text[pos]!r}", pos)
+        kind = m.lastindex
+        tokens.append((kind, m.group(kind), pos))
+        pos = m.end()
+    return tokens
+
+
+class _ReferenceParser:
+    def __init__(self, tokens, text_len, universe):
+        self.tokens = tokens
+        self.i = 0
+        self.text_len = text_len
+        self.universe = universe
+
+    def _pos(self):
+        if self.i < len(self.tokens):
+            return self.tokens[self.i][2]
+        return self.text_len
+
+    def peek(self):
+        return self.tokens[self.i] if self.i < len(self.tokens) else None
+
+    def take(self):
+        tok = self.peek()
+        if tok is None:
+            raise ParseError("unexpected end of input", self.text_len)
+        self.i += 1
+        return tok
+
+    def expect_punct(self, ch):
+        tok = self.peek()
+        if tok is None or tok[0] != _PUNCT or tok[1] != ch:
+            raise ParseError(f"expected {ch!r}", self._pos())
+        self.i += 1
+
+    def at_punct(self, ch):
+        tok = self.peek()
+        return tok is not None and tok[0] == _PUNCT and tok[1] == ch
+
+    def impl(self):
+        left = self.unary()
+        tok = self.peek()
+        if tok is not None and tok[0] == _ARROW:
+            self.i += 1
+            return Impl(left, self.impl())
+        return left
+
+    def unary(self):
+        prefixes = []
+        while True:
+            if self.at_punct("~"):
+                self.i += 1
+                prefixes.append(None)
+            elif self.at_punct("["):
+                prefixes.append(self.modal())
+            else:
+                break
+        f = self.atom()
+        for prefix in reversed(prefixes):
+            f = Neg(f) if prefix is None else Coal(prefix[0], prefix[1], f)
+        return f
+
+    def modal(self):
+        self.expect_punct("[")
+        agents = []
+        if not self.at_punct("]"):
+            agents.append(self.agent())
+            while self.at_punct(","):
+                self.i += 1
+                agents.append(self.agent())
+        self.expect_punct("]")
+        self.expect_punct("_")
+        return frozenset(agents), self.rational()
+
+    def agent(self):
+        tok = self.peek()
+        if tok is None or tok[0] != _IDENT:
+            raise ParseError("expected an agent name", self._pos())
+        if tok[1] in ("false", "true"):
+            raise ParseError(f"reserved word {tok[1]!r} cannot name an agent", tok[2])
+        if self.universe is not None and tok[1] not in self.universe:
+            raise ParseError(f"unknown agent {tok[1]!r}", tok[2])
+        self.i += 1
+        return tok[1]
+
+    def rational(self):
+        kind, text, pos = self.take()
+        if kind not in (_DECIMAL, _INT):
+            raise ParseError("expected a rational subscript", pos)
+        if kind == _INT and self.at_punct("/"):
+            self.i += 1
+            den = self.take()
+            if den[0] != _INT:
+                raise ParseError("expected a denominator", den[2])
+            if not den[1].strip("0"):
+                raise ParseError("zero denominator is not a rational", den[2])
+            text += "/" + den[1]
+        try:
+            value = exact(text)
+        except ValueError as exc:
+            raise ParseError(str(exc), pos) from None
+        if not 0 <= value <= 1:
+            raise ParseError(f"subscript {_shown(value)} outside [0, 1]", pos)
+        return value
+
+    def atom(self):
+        kind, text, pos = self.take()
+        if kind == _IDENT:
+            if text == "false":
+                return Bot()
+            if text == "true":
+                return Neg(Bot())
+            return Var(text)
+        if kind == _PUNCT and text == "(":
+            inner = self.impl()
+            self.expect_punct(")")
+            return inner
+        raise ParseError(f"unexpected token {text!r}", pos)
+
+
+def reference_parse(text, universe=None):
+    """The formula that ``text`` reads as, or the ParseError it raises,
+    by recursive descent: nested parentheses and ``->`` chains recurse."""
+    uni = frozenset(universe) if universe is not None else None
+    parser = _ReferenceParser(_reference_tokenize(text), len(text), uni)
+    result = parser.impl()
+    tok = parser.peek()
+    if tok is not None:
+        raise ParseError(f"unexpected trailing token {tok[1]!r}", tok[2])
+    return result

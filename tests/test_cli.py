@@ -447,6 +447,25 @@ class TestFmt:
         assert code == 0
         assert doc == {"command": "fmt", "formula": text}
 
+    def test_deep_parentheses_print_the_body(self, capsys):
+        assert run(["fmt", "--formula", "(" * 3000 + "v" + ")" * 3000]) == 0
+        assert capsys.readouterr().out == "v\n"
+
+    def test_formula_file_is_parsed_as_read(self, capsys, tmp_path):
+        """Only ASCII blanks separate tokens in a formula file, as on the
+        command line, and an error's position counts the leading blanks."""
+        src = tmp_path / "f.txt"
+        src.write_text("\u2003v\u2003", encoding="utf-8")
+        assert run(["fmt", "--formula-file", str(src)]) == 2
+        from_file = capsys.readouterr().err
+        assert run(["fmt", "--formula", "\u2003v\u2003"]) == 2
+        assert from_file == capsys.readouterr().err == (
+            "error: unexpected character '\\u2003' (at position 0)\n")
+        src.write_text("   p q\n")
+        assert run(["fmt", "--formula-file", str(src)]) == 2
+        assert capsys.readouterr().err == (
+            "error: unexpected trailing token 'q' (at position 5)\n")
+
 
 class TestOverlongLiterals:
     """A probability or subscript too long for ``Fraction`` is an input
@@ -549,10 +568,9 @@ class TestUsage:
             ["decide", "--formula", "~" * 3000 + "v"],
             ["check", "--game", LADDER, "--state", "s",
              "--formula", "~" * 3000 + "v"],
-            ["fmt", "--formula", "(" * 3000 + "v" + ")" * 3000],
             ["fmt", "--formula", "v -> " * 3000 + "v"],
         ],
-        ids=["decide", "check", "fmt", "fmt-implications"],
+        ids=["decide", "check", "fmt-implications"],
     )
     def test_deep_nesting_is_input_error(self, capsys, argv):
         assert run(argv) == 2

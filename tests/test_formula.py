@@ -1,6 +1,7 @@
 """Formula syntax: parser, printer, closure sets, tautology checking."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -50,7 +51,7 @@ from sgcl.proof import (
     build_lifted_implication,
 )
 
-from conftest import acceptance_corpus, pool_decides
+from conftest import acceptance_corpus, pool_decides, pool_queries, reference_parse
 
 F = Fraction
 
@@ -116,6 +117,87 @@ class TestParse:
 
     def test_duplicate_agents_collapse(self):
         assert parse("[a,a]_1 v") == coal({"a"}, 1, Var("v"))
+
+
+def _pool_texts():
+    """Every ``--formula`` argument of the game-queries pool."""
+    return sorted({a for q in pool_queries()
+                   for flag, a in zip(q["argv"], q["argv"][1:]) if flag == "--formula"})
+
+
+# pieces a mutation inserts: every kind of token, blanks ASCII and not,
+# and characters no token starts with
+_PIECES = [
+    "~", "[", "]", "(", ")", ",", "/", "_", "->", "-", ">", ".", "0", "1",
+    "2", "0.5", "1/2", "3/2", "1/0", "a", "b", "c", "v", "u", "true", "false",
+    "[a]_1/2 ", "[]_0 ", " ", "\t", "\n", "\u2003", "\u0663", "\xe9", "#",
+]
+
+
+def _mutate(rng, text):
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(text) + 1)
+        j = min(len(text), i + rng.randint(1, 4))
+        k = rng.random()
+        if k < 0.3:
+            text = text[:i] + text[j:]
+        elif k < 0.6:
+            text = text[:i] + rng.choice(_PIECES) + text[i:]
+        elif k < 0.85:
+            text = text[:i] + rng.choice(_PIECES) + text[j:]
+        else:
+            text = text[:i] + text[i:j] * 2 + text[j:]
+    return text
+
+
+def _reading(parser, text, universe):
+    """What a parser makes of a text: the formula's rendering and hash
+    (``==`` would recurse on deep formulas), or the error's message and
+    position."""
+    try:
+        f = parser(text, universe)
+    except ParseError as exc:
+        return "error", str(exc), exc.position
+    return "formula", render(f), hash(f)
+
+
+class TestParserMatchesReference:
+    """``parse`` reads every text as the recursive-descent reference does:
+    the same formula, or the same error at the same position."""
+
+    def test_corpus_pool_and_mutations(self):
+        texts = [render(f) for f in acceptance_corpus()] + _pool_texts()
+        rng = random.Random(2026)
+        universes = (None, None, {"a"}, {"a", "b"})
+        cases = [(t, None) for t in texts] + [(t, {"a", "b"}) for t in texts]
+        cases += [(_mutate(rng, rng.choice(texts)), rng.choice(universes))
+                  for _ in range(20_000)]
+        kinds = {"formula": 0, "error": 0}
+        for text, universe in cases:
+            got = _reading(parse, text, universe)
+            assert got == _reading(reference_parse, text, universe), (text, universe)
+            kinds[got[0]] += 1
+        assert kinds["formula"] > 3000 and kinds["error"] > 10_000, kinds
+
+    def test_deep_parentheses_and_chains_do_not_recurse(self):
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(200)
+        try:
+            nested = parse("(" * 3000 + "v" + ")" * 3000)
+            chain = parse("v -> " * 3000 + "v")
+        finally:
+            sys.setrecursionlimit(limit)
+        assert nested == Var("v")
+        depth = 0
+        while isinstance(chain, Impl):
+            assert chain.left == Var("v")
+            chain, depth = chain.right, depth + 1
+        assert depth == 3000 and chain == Var("v")
+
+    def test_one_var_per_name(self):
+        f = parse("(v -> (u -> ~v))")
+        assert f.left is f.right.right.body
+        assert f.right.left == Var("u")
 
 
 # ---------------------------------------------------------------------------

@@ -738,6 +738,25 @@ def plant_threshold_zero_fault(mp) -> None:
                else kernel(compiled, choices, p_num, p_den, outside))
 
 
+def plant_joint_fault(mp) -> None:
+    """Break the checker where only cooperation can see it: a modality
+    whose coalition has two or more agents is judged false at every
+    positive threshold, by the lazy checker and by the extent kernel
+    alike.  A cooperation instance of two coalitions whose union has two
+    agents then has a false consequent where its antecedents can hold,
+    while a monotonicity or falsehood instance of such a coalition stays
+    true."""
+    committing = modelcheck._committing_choice
+    mp.setattr(modelcheck, "_committing_choice",
+               lambda ctx, state, node: None if len(node[2]) > 1 and node[3] > 0
+               else committing(ctx, state, node))
+    kernel = modelcheck._modality_mask
+    mp.setattr(modelcheck, "_modality_mask",
+               lambda compiled, choices, p_num, p_den, outside:
+               (0, 0) if len(choices[0][0].assignment) > 1 and p_num > 0
+               else kernel(compiled, choices, p_num, p_den, outside))
+
+
 def all_failing(g: Game) -> Game:
     """The same game with every state a failure state."""
     doc = game_to_dict(g)
@@ -794,12 +813,13 @@ class TestAudit:
         assert QUARTER_GRID[0] == 0
 
     @settings(max_examples=150, deadline=None)
-    @given(audit_cases(), st.booleans())
-    def test_agrees_with_reference(self, case, planted):
+    @given(audit_cases(), st.sampled_from([None, plant_threshold_zero_fault,
+                                           plant_joint_fault]))
+    def test_agrees_with_reference(self, case, plant):
         g, pool, budget, seed = case
         with pytest.MonkeyPatch.context() as mp:
-            if planted:
-                plant_threshold_zero_fault(mp)
+            if plant is not None:
+                plant(mp)
             got = audit_outcome(audit_axiom_soundness, g, pool, budget, seed)
             assert got == audit_outcome(reference_audit, g, pool, budget, seed)
 
@@ -837,6 +857,26 @@ class TestAudit:
         # the lifts' coalitions are the last draws of the stream
         assert got.necessitation_violations == [
             ("[a,b]_0 true",), ("[b]_0 (behind -> behind)",), ("[a,b]_0 (passed -> passed)",)]
+        assert got == reference_audit(g, pool, 300, 12)
+
+    def test_detects_planted_cooperation_violation(self, monkeypatch):
+        g = overtake_game()
+        pool = [parse(t) for t in ("true", "passed", "behind", "passed -> behind",
+                                   "passed -> passed", "behind -> behind")]
+        plant_joint_fault(monkeypatch)
+        got = audit_axiom_soundness(g, pool, sample_budget=300, seed=12)
+        assert got.violations == reference_audit(g, pool, 300, 12).violations
+        # monotonicity and falsehood instances of [a,b] stay true under
+        # the fault, so every violation is a cooperation instance's
+        assert {name for name, _, _ in got.violations} == {"cooperation"}
+        assert len(got.violations) == len(set(got.violations)) == 26
+        assert got.violations[:2] == [
+            ("cooperation", "([]_1 ((behind -> behind) -> passed) -> ([a,b]_0 (behind -> behind)"
+             " -> [a,b]_1 passed))", "ba"),
+            ("cooperation", "([a]_1 ((passed -> behind) -> (passed -> passed)) -> ([b]_3/4"
+             " (passed -> behind) -> [a,b]_1 (passed -> passed)))", "ab"),
+        ]
+        assert got.necessitation_violations == []
         assert got == reference_audit(g, pool, 300, 12)
 
     @pytest.mark.parametrize("game, pool, budget, seed, report, evals, entries", [

@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from sgcl.formula import Coal, Impl, Var, parse, render
+import sgcl.proof
+from sgcl.formula import Coal, Impl, ParseError, Var, parse, render
 from sgcl.proof import (
     Assumption,
     AxCooperation,
@@ -374,6 +375,42 @@ class TestSerialization:
         again = load_proof(path)
         verify(again)
         assert again.conclusion == out.conclusion
+
+    def test_each_distinct_text_parsed_once(self, monkeypatch):
+        """A document's assumptions, lines and imports share one parse per
+        distinct text, so a repeated text is parsed once."""
+        phi = parse("v")
+        base = Derivation(L, (ProofLine(phi, Assumption()),),
+                          assumptions=frozenset({phi}))
+        doc = derivation_to_dict(deduction_transform(base, phi))
+
+        def texts(d):
+            mode = d["mode"]
+            own = [] if mode == "theorem" else list(mode["assumptions"])
+            own += [line["formula"] for line in d["lines"]]
+            return own + [t for sub in d.get("imports", {}).values() for t in texts(sub)]
+
+        calls = []
+
+        def counting(text, universe=None):
+            calls.append(text)
+            return parse(text, universe)
+
+        monkeypatch.setattr(sgcl.proof, "parse", counting)
+        read = derivation_from_dict(doc)
+        assert "imports" in doc and len(texts(doc)) > len(set(texts(doc)))
+        assert sorted(calls) == sorted(set(texts(doc)))
+        assert derivation_to_dict(read) == doc
+
+    def test_first_bad_text_in_document_order_raises(self):
+        doc = {"system": "L", "mode": {"assumptions": ["v", "(v"]},
+               "lines": [{"formula": "v ->", "rule": "taut"}]}
+        with pytest.raises(ParseError, match=r"^expected '\)' \(at position 2\)$"):
+            derivation_from_dict(doc)
+        doc["mode"] = "theorem"
+        doc["lines"].insert(0, {"formula": "v", "rule": "taut"})
+        with pytest.raises(ParseError, match=r"^unexpected end of input \(at position 4\)$"):
+            derivation_from_dict(doc)
 
     def test_rule_strings(self):
         d = build_coalition_weakening({"a"}, {"a", "b"}, F(1, 2), parse("v"))
