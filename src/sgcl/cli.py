@@ -19,7 +19,7 @@ from typing import Optional
 from .canonical import CanonicalError, audit_truth_lemma, build_canonical_game
 from .decide import DecideError, Refuted, SearchBounds, decide_formula, incompleteness_demo
 from .formula import TOP, Bot, ParseError, Var, agents_of, closure, parse, render
-from .game import GameError, SchemaError, game_to_dict, load
+from .game import Game, GameError, SchemaError, game_json, load
 from .modelcheck import CheckError, audit_axiom_soundness, extent, holds, witness
 from .proof import ProofError, ProofFormatError, SystemId, load_proof, verify
 
@@ -65,8 +65,15 @@ def _load_game(args):
 
 
 def _emit(args, payload: dict, text_lines) -> None:
+    # a payload carries a game as the Game itself: game_json writes it
+    # from its row table, json.dumps writes every other value, and the
+    # object reads as json.dumps of the payload with the game's document
+    # in its place.  Text output renders no game
     if args.format == "json":
-        print(json.dumps(payload))
+        print("{" + ", ".join(
+            f"{json.dumps(key)}: "
+            + (game_json(value) if isinstance(value, Game) else json.dumps(value))
+            for key, value in payload.items()) + "}")
     else:
         for line in text_lines:
             print(line)
@@ -203,7 +210,7 @@ def _cmd_canonical(args) -> int:
     payload = {
         "command": "canonical",
         "closure_size": len(sigma),
-        "game": game_to_dict(game),
+        "game": game,
         "diagnostics": diag.to_dict(),
         "truth_audit": {
             "checked": audit.checked,
@@ -238,7 +245,7 @@ def _cmd_decide(args) -> int:
         seed=args.seed,
         cap=args.max_closure,
     )
-    payload = dict(verdict.to_dict())
+    payload = verdict.fields() if isinstance(verdict, Refuted) else verdict.to_dict()
     payload.update({"command": "decide", "formula": render(f), "seed": args.seed})
     kind = payload["verdict"]
     if isinstance(verdict, Refuted):
@@ -256,7 +263,7 @@ def _cmd_decide(args) -> int:
 
 def _cmd_demo_incompleteness(args) -> int:
     report = incompleteness_demo(args.n)
-    payload = dict(report.to_dict())
+    payload = report.fields()
     payload["command"] = "demo-incompleteness"
     lines = [
         f"start-state one-step survival: {report.survival}",

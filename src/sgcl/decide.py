@@ -121,12 +121,12 @@ class Refuted:
     game: Game
     state: str
 
+    def fields(self) -> dict:
+        """:meth:`to_dict` with the Game itself as ``"game"``."""
+        return {"verdict": "refuted", "state": self.state, "game": self.game}
+
     def to_dict(self) -> dict:
-        return {
-            "verdict": "refuted",
-            "state": self.state,
-            "game": game_to_dict(self.game),
-        }
+        return {**self.fields(), "game": game_to_dict(self.game)}
 
 
 @dataclass(frozen=True)
@@ -436,7 +436,8 @@ class IncompletenessReport:
             and self.limit_at_absorbing
         )
 
-    def to_dict(self) -> dict:
+    def fields(self) -> dict:
+        """:meth:`to_dict` with the Game itself as ``"game"``."""
         return {
             "depth": self.depth,
             "survival": str(self.survival),
@@ -447,8 +448,11 @@ class IncompletenessReport:
                 "holds_at_absorbing": self.limit_at_absorbing,
             },
             "gap_demonstrated": self.gap_demonstrated,
-            "game": game_to_dict(self.game),
+            "game": self.game,
         }
+
+    def to_dict(self) -> dict:
+        return {**self.fields(), "game": game_to_dict(self.game)}
 
 
 def incompleteness_demo(n: int) -> IncompletenessReport:

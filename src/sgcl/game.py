@@ -18,8 +18,12 @@ table of the wrong shape, but leaves the layout and the rows to
 :func:`validate`, which the tests call on every builder's output.
 
 The JSON exchange format keys each row by its state and profile, and
-writes probabilities as strings ("9/10", "0.25") or integers.  The
-loader reads a document in one pass.  It takes each distinct literal
+writes probabilities as strings ("9/10", "0.25") or integers.
+:func:`game_json` is the one writer: it renders each row of the table
+and each profile of the layout once and joins the document's text from
+those pieces; :func:`game_to_dict` and :func:`save` read that text back.
+
+The loader reads a document in one pass.  It takes each distinct literal
 through :func:`sgcl.formula.exact` once, which rejects binary floats,
 parses equal rows once, into one row of the table, and puts each row's
 index straight into its state's slot numbered by the profile's product
@@ -35,6 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice, product
+from json.encoder import encode_basestring_ascii as _quote
 from math import gcd
 from typing import Mapping
 
@@ -95,12 +100,6 @@ def product_profiles(agents: tuple, actions: tuple) -> tuple:
     the model checker; the tuple is shared by every game of the layout."""
     return tuple(ActionProfile(tuple(zip(agents, combo)))
                  for combo in product(actions, repeat=len(agents)))
-
-
-@lru_cache(maxsize=PROFILE_LAYOUTS_KEPT)
-def _profile_positions(agents: tuple, actions: tuple) -> dict:
-    """Each complete profile's index in :func:`product_profiles`."""
-    return {p: i for i, p in enumerate(product_profiles(agents, actions))}
 
 
 # the value types of a row that the constructor keeps as given
@@ -177,19 +176,9 @@ class Game:
         except KeyError:
             raise GameError(f"no transition row for state {state!r}") from None
 
-    def row_index(self, state: StateId, profile: ActionProfile) -> int:
-        position = _profile_positions(self.agents, self.actions).get(profile)
-        if position is None or state not in self._row_ids:
-            raise GameError(
-                f"no transition row for state {state!r}, profile {profile.as_dict()!r}")
-        return self._row_ids[state][position]
-
-    def row(self, state: StateId, profile: ActionProfile) -> Mapping:
-        return self.rows[self.row_index(state, profile)]
-
     def __eq__(self, other):
         """Equal layouts, valuations and transition distributions: an
-        entry of probability 0 is no entry, as :func:`game_to_dict`
+        entry of probability 0 is no entry, as :func:`game_json`
         writes none."""
         if not isinstance(other, Game):
             return NotImplemented
@@ -360,28 +349,56 @@ def _expect_list_of_strings(doc, key):
     return value
 
 
-def game_to_dict(game: Game) -> dict:
-    """The JSON document of a game, its rows keyed by state and profile in
-    sorted order.  Each row of the table is rendered once; every key gets
-    its own copy."""
-    rendered = [{t: str(v) for t, v in sorted(row.items()) if v != 0}
-                for row in game.rows]
-    profiles = product_profiles(game.agents, game.actions)
+@lru_cache(maxsize=PROFILE_LAYOUTS_KEPT)
+def _profile_texts(agents: tuple, actions: tuple) -> tuple:
+    """``(order, texts)`` for a layout: the product positions of its
+    complete profiles sorted by assignment, the order a document lists
+    them in, and each one's ``"profile"`` object as JSON text in that
+    order, followed by the ``"to"`` key that comes next."""
+    profiles = product_profiles(agents, actions)
     order = sorted(range(len(profiles)), key=lambda k: profiles[k].assignment)
+    texts = tuple(
+        "{" + ", ".join(f"{_quote(a)}: {_quote(x)}" for a, x in profiles[k].assignment)
+        + '}, "to": '
+        for k in order)
+    return order, texts
+
+
+def _strings(names) -> str:
+    return "[" + ", ".join(map(_quote, names)) + "]"
+
+
+def game_json(game: Game) -> str:
+    """The JSON document of a game as the text ``json.dumps`` writes for
+    it with its default settings: rows keyed by state and profile in
+    sorted order, each with its nonzero entries in target order and every
+    probability a string.  Each row of the table and each profile of the
+    layout is rendered once, and each key's text is joined from its
+    state's head, its profile's text and its row's text."""
+    # a row's text also closes the transition object it ends
+    rendered = [
+        "{" + ", ".join(f'{_quote(t)}: "{v}"' for t, v in sorted(row.items()) if v)
+        + "}}"
+        for row in game.rows]
+    order, profiles = _profile_texts(game.agents, game.actions)
     rows = []
     for s in sorted(game.states):
         ids = game.row_ids(s)
-        rows.extend(
-            {"from": s, "profile": profiles[k].as_dict(), "to": dict(rendered[ids[k]])}
-            for k in order)
-    return {
-        "agents": list(game.agents),
-        "states": list(game.states),
-        "failures": sorted(game.failures),
-        "actions": list(game.actions),
-        "transitions": rows,
-        "valuation": {v: sorted(sts) for v, sts in sorted(game.valuation.items())},
-    }
+        head = f'{{"from": {_quote(s)}, "profile": '
+        rows.extend(head + p + rendered[ids[k]] for k, p in zip(order, profiles))
+    valuation = ", ".join(f"{_quote(v)}: {_strings(sorted(sts))}"
+                          for v, sts in sorted(game.valuation.items()))
+    return (
+        f'{{"agents": {_strings(game.agents)}, "states": {_strings(game.states)}, '
+        f'"failures": {_strings(sorted(game.failures))}, '
+        f'"actions": {_strings(game.actions)}, '
+        f'"transitions": [{", ".join(rows)}], "valuation": {{{valuation}}}}}'
+    )
+
+
+def game_to_dict(game: Game) -> dict:
+    """The JSON document of a game as a dict: :func:`game_json` read back."""
+    return json.loads(game_json(game))
 
 
 def game_from_dict(doc: dict) -> Game:

@@ -4,13 +4,14 @@ import json
 import os
 import re
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
 from hypothesis import settings
 
 from sgcl.formula import Bot, Coal, Impl, Neg, ParseError, Var, _shown, exact, render
-from sgcl.game import game_from_dict, game_to_dict, validate
+from sgcl.game import GameError, game_from_dict, game_to_dict, product_profiles, validate
 
 # under CI the property tests draw the same examples on every run and
 # have no deadline, since shared runners time them unevenly
@@ -46,6 +47,53 @@ def assert_builder_output(g):
     survives the JSON round trip."""
     assert validate(g) == []
     assert game_from_dict(game_to_dict(g)) == g
+
+
+@lru_cache(maxsize=None)
+def _profile_positions(agents, actions):
+    """Each complete profile's index in ``product_profiles``."""
+    return {p: i for i, p in enumerate(product_profiles(agents, actions))}
+
+
+def profile_row_index(game, state, profile):
+    """The index into ``game.rows`` of the row of ``state`` under the
+    complete ``profile``; GameError when the game has no such row."""
+    ids = game.row_ids(state)
+    position = _profile_positions(game.agents, game.actions).get(profile)
+    if position is None:
+        raise GameError(
+            f"no transition row for state {state!r}, profile {profile.as_dict()!r}")
+    return ids[position]
+
+
+def profile_row(game, state, profile):
+    """The row of ``state`` under the complete ``profile``."""
+    return game.rows[profile_row_index(game, state, profile)]
+
+
+def reference_game_to_dict(game):
+    """The JSON document of a game, built as a dict: rows keyed by state
+    and profile in sorted order, each row's nonzero entries by target and
+    every probability its string.  The reference ``game_json`` is checked
+    against."""
+    rendered = [{t: str(v) for t, v in sorted(row.items()) if v != 0}
+                for row in game.rows]
+    profiles = product_profiles(game.agents, game.actions)
+    order = sorted(range(len(profiles)), key=lambda k: profiles[k].assignment)
+    rows = []
+    for s in sorted(game.states):
+        ids = game.row_ids(s)
+        rows.extend(
+            {"from": s, "profile": profiles[k].as_dict(), "to": dict(rendered[ids[k]])}
+            for k in order)
+    return {
+        "agents": list(game.agents),
+        "states": list(game.states),
+        "failures": sorted(game.failures),
+        "actions": list(game.actions),
+        "transitions": rows,
+        "valuation": {v: sorted(sts) for v, sts in sorted(game.valuation.items())},
+    }
 
 
 @pytest.fixture

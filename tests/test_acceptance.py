@@ -51,7 +51,8 @@ from sgcl.proof import (
 
 import pytest
 
-from conftest import acceptance_corpus, members, reference_action_id, reference_mu, set_key
+from conftest import (
+    acceptance_corpus, members, profile_row, reference_action_id, reference_mu, set_key)
 
 F = Fraction
 L, LPLUS = SystemId.L, SystemId.LPLUS
@@ -301,7 +302,8 @@ def test_canonical_construction_audit():
                     action_domain(sigma), repeat=len(agents)
                 ):
                     profile = dict(zip(agents, combo))
-                    row = game.row(
+                    row = profile_row(
+                        game,
                         f"s{i}",
                         ActionProfile.of(
                             {a: reference_action_id(r) for a, r in profile.items()}

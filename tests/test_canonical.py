@@ -47,6 +47,8 @@ from conftest import (
     acceptance_corpus,
     maximal_set,
     members,
+    profile_row,
+    profile_row_index,
     reference_action_id,
     reference_granted,
     reference_mu,
@@ -460,7 +462,7 @@ class TestTransitionData:
         box = coal({"a"}, "1/2", v)
         grant = ActionProfile.of({"a": "(v,1/2)"})
         for state, members in named.items():
-            row = game.row(state, grant)
+            row = profile_row(game, state, grant)
             if box in members:
                 assert row == {
                     **{t: F(1, 4) for t, m in named.items() if v in m},
@@ -482,7 +484,7 @@ class TestTransitionData:
         box = coal({"a"}, "1/2", v)
         for state, members in named.items():
             if box in members:
-                row = game.row(state, grant)
+                row = profile_row(game, state, grant)
                 assert all(v in named[t] for t in row if t != "f")
 
     def test_probability_guard_routes_to_failure(self):
@@ -492,14 +494,14 @@ class TestTransitionData:
         granting = sorted(s for s, m in named.items() if box in m)
         assert granting
         for state in granting:
-            assert game.row(state, grant) == {"f": F(1)}
+            assert profile_row(game, state, grant) == {"f": F(1)}
         assert diag.guard_pairs == [(s, {"a": "(v,1/2)"}) for s in granting]
 
     def test_granting_nothing_sends_everything_to_failure(self):
         game, _, named = self.build("[a]_1/2 v")
         opt_out = ActionProfile.of({"a": "(true,-1)"})
         for state in named:
-            assert game.row(state, opt_out) == {"f": F(1)}
+            assert profile_row(game, state, opt_out) == {"f": F(1)}
 
 
 SEEDS = ["v", "~v", "[a]_1/2 v", "[a]_1/2 false", "([a]_1/4 v -> [a,b]_1/4 v)"]
@@ -525,7 +527,7 @@ class TestBuildCanonicalGame:
                 game_profile = ActionProfile.of(
                     {a: reference_action_id(r) for a, r in profile.items()}
                 )
-                row = game.row(f"s{i}", game_profile)
+                row = profile_row(game, f"s{i}", game_profile)
                 nonfailure = sum(
                     (p for t, p in row.items() if t != "f"), start=F(0)
                 )
@@ -543,7 +545,7 @@ class TestBuildCanonicalGame:
             for combo in product(action_domain(sig), repeat=len(agents)):
                 profile = dict(zip(agents, combo))
                 granted = reference_granted(s, profile)
-                index = game.row_index(f"s{i}", ActionProfile.of(
+                index = profile_row_index(game, f"s{i}", ActionProfile.of(
                     {a: reference_action_id(r) for a, r in profile.items()}))
                 assert row_of.setdefault(granted, index) == index
         assert len(set(row_of.values())) == len(row_of)
@@ -697,7 +699,7 @@ class TestLeanMatchesReference:
             ))
 
         for (state, profile), i in paper.transitions.items():
-            assert paper.rows[i] == lean.row(state, project(profile))
+            assert paper.rows[i] == profile_row(lean, state, project(profile))
         assert_rows_follow_grant_rule(paper, paper_diag, reference_action_domain(sig))
 
     def test_corpus_verdicts_and_refuting_states(self, monkeypatch):
@@ -950,7 +952,7 @@ def assert_rows_follow_grant_rule(game, diag, domain):
             profile = dict(zip(agents, combo))
             ids = {a: reference_action_id(r) for a, r in profile.items()}
             row, guarded = reference_row(s, profile, named)
-            got = game.row(name, ActionProfile.of(ids))
+            got = profile_row(game, name, ActionProfile.of(ids))
             assert list(got.items()) == list(row.items()), (name, ids)
             if guarded:
                 guards.append((name, ids))

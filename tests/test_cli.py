@@ -10,8 +10,12 @@ from pathlib import Path
 import pytest
 
 import sgcl.cli
+import sgcl.decide
+import sgcl.game
+from sgcl.canonical import audit_truth_lemma, build_canonical_game
 from sgcl.cli import run
-from sgcl.formula import parse
+from sgcl.decide import Refuted, SearchBounds, decide_formula, incompleteness_demo
+from sgcl.formula import closure, parse
 from sgcl.proof import (
     SystemId,
     build_coalition_weakening,
@@ -22,6 +26,8 @@ from sgcl.proof import (
     Tautology,
     save_proof,
 )
+
+from conftest import reference_game_to_dict
 
 ROOT = Path(__file__).resolve().parents[1]
 GAMES = ROOT / "games"
@@ -670,3 +676,95 @@ class TestClosedStdout:
         assert "Traceback" not in err
         (line,) = err.splitlines()
         assert line.startswith("error: ")
+
+
+KILLED_INSTANCE = "(([a]_1/2 u -> [b]_1/2 v) -> ([a,b]_1/2 (u -> w) -> [a]_0 (v -> w)))"
+EXHAUSTING = ("([a]_1/2 ([a]_1/2 ([a]_1/2 ([a]_1/2 v -> v) -> v) -> v)"
+              " -> [a]_1/2 ([a]_1/2 ([a]_1/2 ([a]_1/2 v -> v) -> v) -> v))")
+
+
+class TestPrintedGames:
+    """The routes that print a game write ``json.dumps`` of their payload
+    with the reference document in the game's place, byte for byte; text
+    output renders no game."""
+
+    def json_out(self, capsys, argv):
+        code = run(list(argv) + ["--format", "json"])
+        return code, capsys.readouterr().out
+
+    @pytest.mark.parametrize("text, code", [
+        ("[a]_1/2 v", 1),
+        (KILLED_INSTANCE, 1),
+        ("(v -> v)", 0),
+    ])
+    def test_decide_on_the_canonical_route(self, capsys, text, code):
+        verdict = decide_formula(parse(text))
+        expected = verdict.to_dict()
+        if isinstance(verdict, Refuted):
+            expected["game"] = reference_game_to_dict(verdict.game)
+        expected.update({"command": "decide", "formula": text, "seed": 0})
+        assert self.json_out(capsys, ["decide", "--formula", text]) == (
+            code, json.dumps(expected) + "\n")
+
+    def test_decide_exhausted(self, capsys):
+        verdict = decide_formula(parse(EXHAUSTING), cap=4,
+                                 bounds=SearchBounds(agents=("a",), budget=25))
+        expected = {**verdict.to_dict(),
+                    "command": "decide", "formula": EXHAUSTING, "seed": 0}
+        assert expected["verdict"] == "exhausted"
+        got = self.json_out(capsys, ["decide", "--formula", EXHAUSTING,
+                                     "--max-closure", "4", "--budget", "25"])
+        assert got == (0, json.dumps(expected) + "\n")
+
+    @pytest.mark.parametrize("text", ["[a]_1/2 v", "([a]_1/2 v -> [a,b]_3/4 v)"])
+    def test_canonical(self, capsys, text):
+        sigma = closure([parse(text)])
+        game, diag = build_canonical_game(sigma)
+        audit = audit_truth_lemma(game, sigma, diag.sets)
+        clean = audit.clean and not diag.guard_pairs
+        expected = {
+            "command": "canonical",
+            "closure_size": len(sigma),
+            "game": reference_game_to_dict(game),
+            "diagnostics": diag.to_dict(),
+            "truth_audit": {"checked": audit.checked,
+                            "disagreements": audit.disagreements},
+            "clean": clean,
+        }
+        assert self.json_out(capsys, ["canonical", "--formula", text]) == (
+            0 if clean else 1, json.dumps(expected) + "\n")
+
+    def test_demo_incompleteness(self, capsys):
+        report = incompleteness_demo(3)
+        expected = {**report.to_dict(), "game": reference_game_to_dict(report.game),
+                    "command": "demo-incompleteness"}
+        assert self.json_out(capsys, ["demo-incompleteness", "--n", "3"]) == (
+            0, json.dumps(expected) + "\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["decide", "--formula", "[a]_1/2 v"],
+        ["canonical", "--formula", "[a]_1/2 v"],
+        ["demo-incompleteness", "--n", "3"],
+    ], ids=["decide", "canonical", "demo-incompleteness"])
+    def test_text_output_renders_no_game(self, capsys, monkeypatch, argv):
+        calls = []
+
+        def spy(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args):
+                calls.append(name)
+                return original(*args)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        spy(sgcl.cli, "game_json")
+        spy(sgcl.game, "game_json")
+        spy(sgcl.decide, "game_to_dict")
+        assert run(argv) in (0, 1)
+        assert "{" not in capsys.readouterr().out
+        assert calls == []
+        # the spies are in place: JSON output renders the game once
+        assert run(argv + ["--format", "json"]) in (0, 1)
+        capsys.readouterr()
+        assert calls == ["game_json"]

@@ -43,7 +43,7 @@ from sgcl.game import ActionProfile, game_to_dict, validate
 from sgcl.modelcheck import CheckContext, holds
 from sgcl.proof import SystemId
 
-from conftest import acceptance_corpus, keyed_game, members, pool_decides
+from conftest import acceptance_corpus, keyed_game, members, pool_decides, profile_row
 
 F = Fraction
 
@@ -292,7 +292,7 @@ def assert_outcomes_match_rows(g):
         for (n, d, successors), profile in zip(table, profiles):
             assert type(n) is int and type(d) is int and d > 0
             assert (F(n, d), successors) == reference_outcome(
-                g.row(s, profile), g.failures)
+                profile_row(g, s, profile), g.failures)
 
 
 class TestIntegerRowSums:

@@ -51,7 +51,8 @@ from sgcl.proof import (
     build_lifted_implication,
 )
 
-from conftest import acceptance_corpus, pool_decides, pool_queries, reference_parse
+from conftest import (
+    acceptance_corpus, pool_decides, pool_queries, profile_row, reference_parse)
 
 F = Fraction
 
@@ -272,14 +273,14 @@ class TestFloatSubscripts:
 
 def _game_row(value):
     game = Game(("a",), ("s",), (), ("x",), [{"s": value}], {"s": (0,)}, {})
-    return game.row("s", ActionProfile.of({"a": "x"}))["s"]
+    return profile_row(game, "s", ActionProfile.of({"a": "x"}))["s"]
 
 
 def _game_file(value):
     # the loader checks row sums, and every accepted value below is 1/2
     doc = game_to_dict(survival_ladder(0))
     doc["transitions"][0]["to"] = {"f": value, "s": "1/2"}
-    return game_from_dict(doc).row("f", ActionProfile.of({"a": "act"}))["f"]
+    return profile_row(game_from_dict(doc), "f", ActionProfile.of({"a": "act"}))["f"]
 
 
 _REFLEXIVE = Derivation(SystemId.L, (ProofLine(parse("v -> v"), Tautology()),))

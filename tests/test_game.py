@@ -32,7 +32,7 @@ from sgcl.game import (
 )
 from sgcl.modelcheck import CheckContext
 
-from conftest import keyed_game
+from conftest import keyed_game, profile_row, profile_row_index
 
 F = Fraction
 GAMES = Path(__file__).resolve().parents[1] / "games"
@@ -478,7 +478,7 @@ class TestRowIds:
         g = overtake_game()
         keys = [(s, p) for s in g.states for p in complete_profiles(g)]
         assert list(g.transitions) == keys
-        assert all(g.transitions[k] == g.row_index(*k) for k in keys)
+        assert all(g.transitions[k] == profile_row_index(g, *k) for k in keys)
 
 
 class TestConstructorShape:
@@ -506,9 +506,9 @@ class TestConstructorShape:
     def test_profile_outside_the_game(self):
         g = self.make({"s": (0, 0), "t": (0, 0)})
         with pytest.raises(GameError, match="no transition row for state 's'"):
-            g.row("s", ActionProfile.of({"a": "z"}))
+            profile_row(g, "s", ActionProfile.of({"a": "z"}))
         with pytest.raises(GameError, match="no transition row for state 'zz'"):
-            g.row("zz", ActionProfile.of({"a": "x"}))
+            profile_row(g, "zz", ActionProfile.of({"a": "x"}))
 
 
 class Half(Fraction):
@@ -572,7 +572,7 @@ class TestSurvival:
             table = ctx.outcomes(s)
             assert len(table) == len(profiles) == 9
             for (num, den, successors), profile in zip(table, profiles):
-                row = g.row(s, profile)
+                row = profile_row(g, s, profile)
                 fail = sum((v for t, v in row.items() if t in g.failures), F(0))
                 assert F(num, den) + fail == 1
                 assert set(successors) == {
@@ -635,8 +635,8 @@ class TestJson:
         # the rest of the mass goes to s, so that the row sums to 1
         doc = game_to_dict(survival_ladder(0))
         doc["transitions"][0]["to"] = {"f": literal, "s": str(1 - value)}
-        assert game_from_dict(doc).row(
-            "f", ActionProfile.of({"a": "act"})) == {"f": value, "s": 1 - value}
+        assert profile_row(game_from_dict(doc), "f", ActionProfile.of(
+            {"a": "act"})) == {"f": value, "s": 1 - value}
 
     @pytest.mark.parametrize("literal", ["0e-999999999", "1E0", "2.5e-1"])
     def test_exponent_notation_rejected(self, literal):
@@ -661,7 +661,7 @@ class TestJson:
         half = F(1, 2)
         g = Game(("a",), ("s", "t"), (), ("x",),
                  [{"s": half, "t": "1/2"}, {"t": 1}], {"s": (0,), "t": (1,)}, {})
-        row = g.row("s", ActionProfile.of({"a": "x"}))
+        row = profile_row(g, "s", ActionProfile.of({"a": "x"}))
         assert row["s"] is half and row["t"] == half
 
     def test_deeply_nested_document_is_schema_error(self, tmp_path):
@@ -694,7 +694,7 @@ class TestJson:
         doc = game_to_dict(survival_ladder(0))
         g = game_from_dict(doc)
         prof = ActionProfile.of({"a": "act"})
-        assert g.row("s", prof).get("t") is None
+        assert profile_row(g, "s", prof).get("t") is None
         assert survivals(CheckContext(g).outcomes("s")) == [(0, ())]
 
     def test_duplicate_row_rejected(self):
@@ -730,8 +730,8 @@ class TestLoaderSharesRows:
         t_row["to"] = dict(reversed(s_row["to"].items()))
         loaded = game_from_dict(doc)
         prof = ActionProfile.of({"a": "act"})
-        assert list(loaded.row("s", prof)) == ["f", "t"]
-        assert list(loaded.row("t", prof)) == ["t", "f"]
+        assert list(profile_row(loaded, "s", prof)) == ["f", "t"]
+        assert list(profile_row(loaded, "t", prof)) == ["t", "f"]
 
     @pytest.mark.parametrize("bad, problem", [
         (1.0, "binary floating point is rejected"),
@@ -783,10 +783,10 @@ class TestLoaderSharesRows:
         g = game_from_dict(doc)
         of = ActionProfile.of
         for s in ("s", "t"):
-            row = g.row(s, of({"a": "x"}))
-            assert g.row(s, of({"a": "y"})) == row
+            row = profile_row(g, s, of({"a": "x"}))
+            assert profile_row(g, s, of({"a": "y"})) == row
             assert all(type(v) is Fraction for v in row.values())
-        assert g.row("s", of({"a": "x"})) == {"s": F(1, 2), "t": F(1, 2)}
+        assert profile_row(g, "s", of({"a": "x"})) == {"s": F(1, 2), "t": F(1, 2)}
 
     def test_repeated_bad_literal_reported_at_first_pointer(self):
         doc = _document(("a",), ("s", "t"), ("x",), [
@@ -838,18 +838,18 @@ class TestLadder:
     def test_zero_case_routes_all_mass_to_failure(self):
         g = survival_ladder(0)
         prof = ActionProfile.of({"a": "act"})
-        assert g.row("s", prof) == {"f": 1}
+        assert profile_row(g, "s", prof) == {"f": 1}
 
 
 class TestOvertake:
     def test_fixed_rows(self):
         g = overtake_game()
         of = ActionProfile.of
-        assert g.row("p", of({"a": "minus", "b": "plus"})) == {"ab": 1}
-        assert g.row("p", of({"a": "plus", "b": "minus"})) == {
+        assert profile_row(g, "p", of({"a": "minus", "b": "plus"})) == {"ab": 1}
+        assert profile_row(g, "p", of({"a": "plus", "b": "minus"})) == {
             "ba": F(9, 10), "f_t": F(1, 10)}
-        assert g.row("p", of({"a": "plus", "b": "zero"}))["ba"] == F(3, 5)
-        assert g.row("p", of({"a": "plus", "b": "plus"})).get("ba") is None
-        assert g.row("p", of({"a": "zero", "b": "minus"}))["f_t"] == F(1, 10)
-        assert g.row("p", of({"a": "minus", "b": "zero"}))["ab"] == F(9, 10)
-        assert g.row("p", of({"a": "zero", "b": "plus"}))["ab"] == F(9, 10)
+        assert profile_row(g, "p", of({"a": "plus", "b": "zero"}))["ba"] == F(3, 5)
+        assert profile_row(g, "p", of({"a": "plus", "b": "plus"})).get("ba") is None
+        assert profile_row(g, "p", of({"a": "zero", "b": "minus"}))["f_t"] == F(1, 10)
+        assert profile_row(g, "p", of({"a": "minus", "b": "zero"}))["ab"] == F(9, 10)
+        assert profile_row(g, "p", of({"a": "zero", "b": "plus"}))["ab"] == F(9, 10)

@@ -45,7 +45,7 @@ from sgcl.modelcheck import (
     witness,
 )
 
-from conftest import keyed_game
+from conftest import keyed_game, profile_row_index
 
 F = Fraction
 
@@ -298,7 +298,7 @@ class TestAgainstNaiveSemantics:
             combos = list(product(g.actions, repeat=len(g.agents)))
             assert len(table) == len(combos)
             for entry, combo in zip(table, combos):
-                i = g.row_index(s, ActionProfile(tuple(zip(g.agents, combo))))
+                i = profile_row_index(g, s, ActionProfile(tuple(zip(g.agents, combo))))
                 row = g.rows[i]
                 survival = sum((v for t, v in row.items() if t not in g.failures), F(0))
                 successors = tuple(t for t, v in row.items()
