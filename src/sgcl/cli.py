@@ -399,9 +399,8 @@ def run(argv: Optional[list] = None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except RecursionError:
-        # render of nested implications, the model checker and == between
-        # two distinct deep formulas recurse; the parser, hashing and the
-        # tautology check do not
+        # render of nested implications and the model checker recurse;
+        # the parser, hashing, == and the tautology check do not
         print("error: formula nests too deeply", file=sys.stderr)
         return 2
 

@@ -59,7 +59,7 @@ from .formula import (
     variables_of,
 )
 from .game import Game, game_to_dict, survival_ladder
-from .modelcheck import QUARTER_GRID, CheckContext, NodeTable, _eval, holds
+from .modelcheck import QUARTER_GRID, CheckContext, _eval, holds
 from .proof import SystemId
 
 
@@ -345,9 +345,9 @@ def bounded_countermodel(
 
     The games are those :func:`sample_game` makes from ``Random(seed)``,
     but each is checked as drawn: its rows go straight into the outcome
-    tables of its non-failure states (:func:`_outcome_tables`), and f,
-    interned once, is evaluated by node id on one context per game, the
-    draw standing in for the game.  Every drawn game has the agents of
+    tables of its non-failure states (:func:`_outcome_tables`), and f is
+    evaluated on one context per game, the draw standing in for the
+    game; the contexts share nothing.  Every drawn game has the agents of
     f, so no state checks them again.  Only a refuting draw becomes a
     :class:`Game`: ``sample_game`` makes it from a fresh ``Random(seed)``
     advanced past the draws before it, so that ``sample_game`` stays the
@@ -365,15 +365,13 @@ def bounded_countermodel(
         pass  # too wide for a truth table: draw games as for any formula
     rng = random.Random(seed)
     names = tuple(sorted(variables_of(f))) or ("v",)
-    table = NodeTable()  # f's nodes, shared by the context of every game
-    root = table.intern(f)
     den = bounds._units[0]
     for attempt in range(bounds.budget):
         draw = _draw(rng, bounds, names, needed)
         outcome_tables = _outcome_tables(draw, den)
-        ctx = CheckContext(draw, table=table, outcome_tables=outcome_tables)
+        ctx = CheckContext(draw, outcome_tables=outcome_tables)
         for s in outcome_tables:
-            if not _eval(ctx, s, root):
+            if not _eval(ctx, s, f):
                 replay = random.Random(seed)
                 for _ in range(attempt):
                     _draw(replay, bounds, names, needed)

@@ -125,42 +125,71 @@ def _union(a: frozenset, b: frozenset) -> frozenset:
     return a | b if a and b else a or b
 
 
-@dataclass(frozen=True)
-class Var:
+class _Node:
+    """What every formula node shares: its cached hash, and ``==``, which
+    walks two formulas along their chains of single children, keeping the
+    right operands of implications on an explicit stack, so no depth
+    exhausts the interpreter stack.  A pair of subtrees that are one
+    object is equal unwalked; one whose types or cached hashes differ is
+    unequal."""
+
+    __slots__ = ()
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        a, b = self, other
+        pending = []  # pairs of right operands still to compare
+        while True:
+            if a is not b:
+                kind = type(a)
+                if kind is not type(b) or a._hash != b._hash:
+                    return False
+                if kind is Impl:
+                    pending.append((a.right, b.right))
+                    a, b = a.left, b.left
+                    continue
+                if kind is Var:
+                    if a.name != b.name:
+                        return False
+                elif kind is not Bot:  # a negation or a modality
+                    if kind is Coal and (a.p != b.p or a.coalition != b.coalition):
+                        return False
+                    a, b = a.body, b.body
+                    continue
+            if not pending:
+                return True
+            a, b = pending.pop()
+
+
+@dataclass(frozen=True, eq=False)
+class Var(_Node):
     name: str
 
     def __post_init__(self):
         object.__setattr__(self, "_hash", hash((self.name,)))
         object.__setattr__(self, "_agents", _NO_AGENTS)
 
-    def __hash__(self):
-        return self._hash
 
-
-@dataclass(frozen=True)
-class Bot:
+@dataclass(frozen=True, eq=False)
+class Bot(_Node):
     def __post_init__(self):
         object.__setattr__(self, "_hash", hash(()))
         object.__setattr__(self, "_agents", _NO_AGENTS)
 
-    def __hash__(self):
-        return self._hash
 
-
-@dataclass(frozen=True)
-class Neg:
+@dataclass(frozen=True, eq=False)
+class Neg(_Node):
     body: "Formula"
 
     def __post_init__(self):
         object.__setattr__(self, "_hash", hash((self.body,)))
         object.__setattr__(self, "_agents", self.body._agents)
 
-    def __hash__(self):
-        return self._hash
 
-
-@dataclass(frozen=True)
-class Impl:
+@dataclass(frozen=True, eq=False)
+class Impl(_Node):
     left: "Formula"
     right: "Formula"
 
@@ -168,12 +197,9 @@ class Impl:
         object.__setattr__(self, "_hash", hash((self.left, self.right)))
         object.__setattr__(self, "_agents", _union(self.left._agents, self.right._agents))
 
-    def __hash__(self):
-        return self._hash
 
-
-@dataclass(frozen=True)
-class Coal:
+@dataclass(frozen=True, eq=False)
+class Coal(_Node):
     """Coalition modality.  ``coalition`` is a set of agent names and may
     be empty; ``p`` must be an exact rational in [0, 1] (see :func:`exact`)."""
 
@@ -194,9 +220,6 @@ class Coal:
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "_hash", hash((coalition, p, self.body)))
         object.__setattr__(self, "_agents", _union(coalition, self.body._agents))
-
-    def __hash__(self):
-        return self._hash
 
 
 Formula = Union[Var, Bot, Neg, Impl, Coal]

@@ -26,15 +26,12 @@ caller that compiles the tables itself hands them to the context
 (``CheckContext.outcome_tables``): the bounded search does so for each
 game it draws, which never becomes a :class:`Game` unless it refutes.
 
-The lazy checker reads a formula once: a query first interns it in a
-:class:`NodeTable` (hash-consing, limited to the checker): every
-distinct subformula becomes one integer node id, children first, so two
-equal subformulas are one node whether or not they are one object.
-Truth values are memoized per (state, node id) and computed on demand,
-dispatching on each node's kind; no formula is hashed or compared while
-checking, and states no query reaches are never compiled.  A table
-depends on no game: a bounded search interns its formula once and shares
-the table among the contexts of every game it draws.
+The lazy checker has no node table: it computes truth values on
+demand, memoized per (state, formula), dispatching on each node's type.
+Each node caches its hash and formula ``==`` walks an explicit stack, so
+two equal subformulas share their memo entries whether or not they are
+one object.  States no query reaches are never compiled, and a bounded
+search shares nothing among the contexts of the games it draws.
 ``holds``, ``extent`` and ``witness`` stay lazy in this way, because a
 query of one formula at one state, or of a few formulas, touches only
 part of a game: compiling every state up front made the canonical
@@ -53,7 +50,9 @@ only on the extents of its modalities, so it draws each instance as
 indices (its schema, coalitions, grid thresholds and pool formulas),
 labels each distinct modality once, and finds the states that violate an
 instance by integer AND over their extents; no formula is made for an
-instance unless it is violated, to render it.
+instance unless it is violated, to render it.  The pool formulas'
+extents come from :func:`label` and the necessitation lifts' from the
+kernel, so the audit leaves the memo empty.
 
 Truth is defined at non-failure states only; querying a failure state is
 an error.  Variables missing from the valuation are false everywhere.
@@ -79,7 +78,9 @@ from .formula import (
     agents_of,
     canonical_key,
     evaluate,
+    formula_size,
     render,
+    subformulas,
 )
 from .game import ActionProfile, Game, product_profiles
 
@@ -114,85 +115,12 @@ def choice_table(agents: tuple, actions: tuple, coalition: frozenset) -> tuple:
     return tuple(zip(choices, map(tuple, completions)))
 
 
-# the kinds of a node of a NodeTable, its first field
-VAR, BOT, NEG, IMPL, COAL = range(5)
-
-
-class NodeTable:
-    """Every distinct subformula interned once, as an integer node id.
-
-    ``nodes[i]`` is node i: ``(VAR, name)``, ``(BOT,)``, ``(NEG, body)``,
-    ``(IMPL, left, right)`` or ``(COAL, body, coalition, p numerator, p
-    denominator)``, its children given by their ids, which are smaller
-    than its own.  ``ids`` maps each node back to its id, so two equal
-    subformulas, the same object or not, are one node; ``interned`` maps
-    each formula interned so far to its id, so interning it again is one
-    lookup.  A table depends on no game and may be shared by the contexts
-    of several."""
-
-    def __init__(self):
-        self.nodes: list = []
-        self.ids: dict = {}
-        self.interned: dict = {}
-
-    def intern(self, f: Formula) -> int:
-        """The id of f, interning f and its subformulas, children first."""
-        found = self.interned.get(f)
-        if found is not None:
-            return found
-        # f's subformulas, each parent before its children and a right
-        # child before the left, so that read backwards they come children
-        # first and left to right
-        order = []
-        stack = [f]
-        while stack:
-            g = stack.pop()
-            order.append(g)
-            kind = type(g)
-            if kind is Impl:
-                stack.append(g.left)
-                stack.append(g.right)
-            elif kind is Neg or kind is Coal:
-                stack.append(g.body)
-        add = self.add
-        done = []  # ids of the subformulas read whose parent is still to come
-        for g in reversed(order):
-            kind = type(g)
-            if kind is Impl:
-                right = done.pop()
-                node = (IMPL, done.pop(), right)
-            elif kind is Coal:
-                node = (COAL, done.pop(), g.coalition, g.p.numerator, g.p.denominator)
-            elif kind is Neg:
-                node = (NEG, done.pop())
-            elif kind is Var:
-                node = (VAR, g.name)
-            elif kind is Bot:
-                node = (BOT,)
-            else:
-                raise CheckError(f"not a formula: {g!r}")
-            i = add(node)
-            done.append(i)
-        self.interned[f] = i
-        return i
-
-    def add(self, node: tuple) -> int:
-        """The id of a node whose children are in the table, adding it
-        when it is new."""
-        i = self.ids.get(node)
-        if i is None:
-            i = self.ids[node] = len(self.nodes)
-            self.nodes.append(node)
-        return i
-
-
 @dataclass
 class CheckContext:
     """Memo tables shared across queries against one game.
 
     ``memo`` holds the truth values computed so far, keyed by (state,
-    node id) in ``table``, the node table, which contexts of other games
-    may share.
+    formula).
 
     ``outcomes(state)`` is the state's outcome table: for each complete
     profile, in the order of ``game.row_ids(state)``, the ``entry`` of its
@@ -214,7 +142,6 @@ class CheckContext:
     game: Game
     memo: dict = field(default_factory=dict)
     profile_evals: int = 0
-    table: NodeTable = field(default_factory=NodeTable)
     outcome_tables: dict = field(default_factory=dict, repr=False)
     _entries: dict = field(default_factory=dict, init=False, repr=False)
 
@@ -250,14 +177,14 @@ class CheckContext:
         return choice_table(self.game.agents, self.game.actions, coalition)
 
 
-def _committing_choice(ctx: CheckContext, state, node: tuple):
-    """The first choice of a modality node's coalition (partial profile,
+def _committing_choice(ctx: CheckContext, state, f: Coal):
+    """The first choice of the modality's coalition (partial profile,
     completion indices) under which every completion survives with
     probability at least its threshold and reaches only states satisfying
     its body, or None."""
-    _, body, coalition, p_num, p_den = node
+    body, p_num, p_den = f.body, f.p.numerator, f.p.denominator
     table = ctx.outcomes(state)
-    for choice in ctx.choices(coalition):
+    for choice in ctx.choices(f.coalition):
         for i in choice[1]:
             ctx.profile_evals += 1
             n, d, successors = table[i]
@@ -274,22 +201,21 @@ def _committing_choice(ctx: CheckContext, state, node: tuple):
     return None
 
 
-def _eval(ctx: CheckContext, state, i: int) -> bool:
-    key = (state, i)
+def _eval(ctx: CheckContext, state, f: Formula) -> bool:
+    key = (state, f)
     cached = ctx.memo.get(key)
     if cached is not None:
         return cached
-    node = ctx.table.nodes[i]
-    kind = node[0]
-    if kind == COAL:
-        value = _committing_choice(ctx, state, node) is not None
-    elif kind == IMPL:
-        value = (not _eval(ctx, state, node[1])) or _eval(ctx, state, node[2])
-    elif kind == NEG:
-        value = not _eval(ctx, state, node[1])
-    elif kind == VAR:
-        value = state in ctx.game.valuation.get(node[1], frozenset())
-    else:  # BOT
+    kind = type(f)
+    if kind is Coal:
+        value = _committing_choice(ctx, state, f) is not None
+    elif kind is Impl:
+        value = (not _eval(ctx, state, f.left)) or _eval(ctx, state, f.right)
+    elif kind is Neg:
+        value = not _eval(ctx, state, f.body)
+    elif kind is Var:
+        value = state in ctx.game.valuation.get(f.name, frozenset())
+    else:  # Bot
         value = False
     ctx.memo[key] = value
     return value
@@ -301,6 +227,8 @@ def _reject_foreign(foreign) -> None:
 
 
 def _require_agents(game: Game, f: Formula) -> None:
+    if not isinstance(f, (Var, Bot, Neg, Impl, Coal)):
+        raise CheckError(f"not a formula: {f!r}")
     _reject_foreign(agents_of(f) - set(game.agents))
 
 
@@ -317,7 +245,7 @@ def holds(game: Game, state, f: Formula, ctx: Optional[CheckContext] = None) -> 
     _require_checkable(game, state, f)
     if ctx is None:
         ctx = CheckContext(game)
-    return _eval(ctx, state, ctx.table.intern(f))
+    return _eval(ctx, state, f)
 
 
 def extent(game: Game, f: Formula, ctx: Optional[CheckContext] = None) -> frozenset:
@@ -325,8 +253,7 @@ def extent(game: Game, f: Formula, ctx: Optional[CheckContext] = None) -> frozen
     _require_agents(game, f)
     if ctx is None:
         ctx = CheckContext(game)
-    i = ctx.table.intern(f)
-    return frozenset(s for s in game.nonfailure_states if _eval(ctx, s, i))
+    return frozenset(s for s in game.nonfailure_states if _eval(ctx, s, f))
 
 
 def _compile_masks(ctx: CheckContext, bit: dict) -> list:
@@ -422,7 +349,7 @@ def witness(
     _require_checkable(game, state, modality)
     if ctx is None:
         ctx = CheckContext(game)
-    choice = _committing_choice(ctx, state, ctx.table.nodes[ctx.table.intern(modality)])
+    choice = _committing_choice(ctx, state, modality)
     if choice is None:
         return None
     partial, completions = choice
@@ -454,10 +381,6 @@ class SoundnessReport:
     @property
     def clean(self) -> bool:
         return not self.violations and not self.necessitation_violations
-
-
-def _random_coalition(rng, agents) -> frozenset:
-    return frozenset(a for a in agents if rng.random() < 0.5)
 
 
 def _below(getrandbits, n: int) -> int:
@@ -530,13 +453,15 @@ def audit_axiom_soundness(
     * monotonicity, ``M_p & ~M_q``;
     * falsehood, ``F``, the extent of ``[c]_p false``.
 
-    Each pool formula's extent is evaluated by node id at every
-    non-failure state before the first draw; one that names agents
-    outside the game raises CheckError at the first instance drawn with
-    it.  A modality's extent comes from :func:`_modality_mask`, once per
-    (coalition, threshold, body extent), over rows compiled once per
-    audit.  A key drawn again reports the violations stored for it,
-    and only a violating instance is built as a formula, to render it."""
+    Each pool formula's extent is read from :func:`label` before the
+    first draw; one that names agents outside the game raises CheckError
+    at the first instance drawn with it, or else where the necessitation
+    check reaches it.  A modality's extent comes from
+    :func:`_modality_mask`, once per (coalition, threshold, body extent),
+    over rows compiled once per audit; the necessitation check reads the
+    threshold-zero lift of a body true everywhere the same way.  A key
+    drawn again reports the violations stored for it, and only a
+    violating instance or lift is built as a formula, to render it."""
     if sample_budget <= 0:
         raise ValueError("budget must be positive")
     pool = tuple(sorted(set(pool), key=canonical_key)) or (TOP,)
@@ -545,7 +470,6 @@ def audit_axiom_soundness(
     ctx = CheckContext(game)
     report = SoundnessReport(instances=sample_budget)
     checkable = game.nonfailure_states
-    everywhere = frozenset(checkable)
     agents = game.agents
     members = set(agents)
     agent_bits = [1 << j for j in range(len(agents))]
@@ -561,14 +485,13 @@ def audit_axiom_soundness(
             c = coalitions[mask] = frozenset(a for a, b in zip(agents, agent_bits) if mask & b)
         return c
 
-    def pool_extent(f: Formula) -> int:
-        i = ctx.table.intern(f)
-        return sum(b for s, b in bit.items() if _eval(ctx, s, i))
-
     # each pool formula's agents outside the game, and its extent, or None
-    # when it names such agents: the first instance drawn with it fails
+    # when it names such agents: the first instance drawn with it fails.
+    # label's masks of true and ~x are negative, so each is ANDed with full
     foreign = [agents_of(f) - members for f in pool]
-    extents = [None if outsiders else pool_extent(f) for f, outsiders in zip(pool, foreign)]
+    labeled = label(game, sorted({g for f, outsiders in zip(pool, foreign) if not outsiders
+                                  for g in subformulas(f)}, key=formula_size), ctx)
+    extents = [None if outsiders else labeled[f] & full for f, outsiders in zip(pool, foreign)]
 
     compiled = _compile_masks(ctx, bit)
     modalities: dict = {}  # (coalition mask, grid index, body extent) -> extent
@@ -636,11 +559,16 @@ def audit_axiom_soundness(
                 found = [(_SCHEMAS[schema], text, s) for s, b in bit.items() if bad & b]
             seen[key] = found
         report.violations += found
-    for body in pool:
-        coalition = _random_coalition(rng, game.agents)
-        if extent(game, body, ctx) == everywhere:
+    for body, x, outsiders in zip(pool, extents, foreign):
+        c = 0
+        for b in agent_bits:
+            if draw() < 0.5:
+                c |= b
+        if x is None:
+            _reject_foreign(outsiders)
+        if x == full:
             report.necessitation_cases += 1
-            lifted = Coal(coalition, Fraction(0), body)
-            if extent(game, lifted, ctx) != everywhere:
+            if modality(c, 0, x) != full:
+                lifted = Coal(coalition_of(c), QUARTER_GRID[0], body)
                 report.necessitation_violations.append((render(lifted),))
     return report

@@ -123,11 +123,21 @@ def acceptance_corpus():
     return [f for layer in layers for f in layer]
 
 
+def _game_queries_pool() -> dict:
+    """The benchmark's game-queries pool file, only read."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "game_queries_pool.json"
+    return json.loads(path.read_text(encoding="utf-8"))
+
+
 def pool_queries():
     """The queries of the benchmark's game-queries pool, as recorded: each
-    with its ``argv`` and ``kind``.  The file is only read."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "game_queries_pool.json"
-    return json.loads(path.read_text(encoding="utf-8"))["queries"]
+    with its ``argv`` and ``kind``."""
+    return _game_queries_pool()["queries"]
+
+
+def pool_games() -> dict:
+    """The game documents of the benchmark's game-queries pool, by name."""
+    return _game_queries_pool()["games"]
 
 
 def pool_decides():

@@ -307,6 +307,23 @@ class TestVerifyProof:
         assert doc.get("reason") == reason
 
 
+    def test_deep_modus_ponens(self, tmp_path, capsys):
+        # mp compares the antecedent of (D -> v), parsed within it, with
+        # the separately parsed D, 3000 negations deep
+        deep = "~" * 3000 + "v"
+        path = tmp_path / "deep-mp.json"
+        path.write_text(json.dumps({
+            "system": "L",
+            "mode": {"assumptions": [deep, f"({deep} -> v)"]},
+            "lines": [{"formula": deep, "rule": "assume"},
+                      {"formula": f"({deep} -> v)", "rule": "assume"},
+                      {"formula": "v", "rule": "mp:0,1"}],
+        }))
+        assert run(["verify-proof", "--proof", str(path)]) == 0
+        out, err = capsys.readouterr()
+        assert (out, err) == ("proof verifies (3 lines)\n", "")
+
+
 class TestAuditSoundness:
     def test_clean_audit_exits_zero(self, capsys):
         code, doc = run_json(

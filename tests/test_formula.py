@@ -225,8 +225,7 @@ class TestRender:
 
 class TestDeepPrefixChains:
     """Prefix chains far deeper than the interpreter's recursion limit
-    parse and print back; the checks walk the chain in a loop, since
-    comparing such formulas with ``==`` recurses."""
+    parse and print back, one node per prefix."""
 
     @pytest.mark.parametrize("prefix, kind", [("~", Neg), ("[a]_1 ", Coal)])
     def test_chain_of_3000(self, prefix, kind):
@@ -254,6 +253,36 @@ class TestDeepNodes:
         assert hash(f) == hash((f.body,))
         deep_box = coal({"a"}, 1, f)
         assert agents_of(Impl(deep_box, f)) == frozenset({"a"})
+
+
+class TestDeepEquality:
+    """``==`` walks two formulas with an explicit stack: separately parsed
+    copies of formulas 3000 deep compare, hash and look up equal at the
+    default recursion limit, and differ where they do."""
+
+    @pytest.mark.parametrize("text", [
+        "~" * 3000 + "v",
+        "v -> " * 3000 + "v",
+        "[a]_1/2 " * 3000 + "v",
+    ], ids=["negations", "implications", "modalities"])
+    def test_separate_copies(self, text):
+        assert sys.getrecursionlimit() <= 1000
+        f, copy = parse(text), parse(text)
+        assert f is not copy
+        assert f == copy and copy == f
+        assert not f != copy
+        assert hash(f) == hash(copy)
+        assert copy in {f} and {f: 1}[copy] == 1
+        other = parse(text[:-1] + "u")
+        assert f != other and not f == other
+        assert other not in {f} and other not in {f: 1}
+
+    def test_differing_fields_and_types(self):
+        assert parse("[a]_1/2 v") != parse("[a]_1/4 v")
+        assert parse("[a]_1/2 v") != parse("[b]_1/2 v")
+        assert parse("(v -> u)") != parse("(u -> v)")
+        assert parse("v") != parse("~v") and Bot() == Bot()
+        assert Var("v") != "v" and not Var("v") == "v"
 
 
 class TestFloatSubscripts:

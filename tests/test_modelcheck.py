@@ -4,6 +4,7 @@ import random
 import types
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -21,13 +22,13 @@ from sgcl.formula import (
     closure,
     parse,
     render,
-    subformulas,
 )
 from sgcl.game import (
     ActionProfile,
     Game,
     game_from_dict,
     game_to_dict,
+    load,
     overtake_game,
     survival_ladder,
 )
@@ -35,7 +36,6 @@ from sgcl.modelcheck import (
     QUARTER_GRID,
     CheckContext,
     CheckError,
-    NodeTable,
     SoundnessReport,
     Witness,
     audit_axiom_soundness,
@@ -45,9 +45,10 @@ from sgcl.modelcheck import (
     witness,
 )
 
-from conftest import keyed_game, profile_row_index
+from conftest import keyed_game, pool_games, profile_row_index
 
 F = Fraction
+GAMES = Path(__file__).resolve().parents[1] / "games"
 
 
 def coal(agents, p, body):
@@ -412,47 +413,9 @@ checked_formulas = st.recursive(
 )
 
 
-def node_formula(table: NodeTable, i: int):
-    """The formula of node i of the table, the inverse of
-    :meth:`NodeTable.intern`: the nodes i reaches are built in the order of
-    their ids, children first, so however deep the formula, nothing
-    recurses."""
-    nodes = table.nodes
-    reached = {i}
-    stack = [i]
-    while stack:
-        node = nodes[stack.pop()]
-        kind = node[0]
-        if kind == modelcheck.IMPL:
-            children = node[1:]
-        elif kind == modelcheck.NEG or kind == modelcheck.COAL:
-            children = node[1:2]
-        else:
-            continue
-        for child in children:
-            if child not in reached:
-                reached.add(child)
-                stack.append(child)
-    built: dict = {}
-    for j in sorted(reached):
-        node = nodes[j]
-        kind = node[0]
-        if kind == modelcheck.COAL:
-            f = Coal(node[2], F(node[3], node[4]), built[node[1]])
-        elif kind == modelcheck.IMPL:
-            f = Impl(built[node[1]], built[node[2]])
-        elif kind == modelcheck.NEG:
-            f = Neg(built[node[1]])
-        elif kind == modelcheck.VAR:
-            f = Var(node[1])
-        else:  # BOT
-            f = Bot()
-        built[j] = f
-    return built[i]
-
-
-class TestInternedChecker:
-    """The checker interns formulas into integer node tables; the
+class TestMemoizedChecker:
+    """The checker memoizes truth values by (state, formula), so an equal
+    formula made of other objects reuses the entries of the first; the
     reference semantics walks the formulas themselves."""
 
     @settings(max_examples=150, deadline=None)
@@ -463,55 +426,40 @@ class TestInternedChecker:
         bounds = SearchBounds(max_states=3, max_actions=2, budget=1)
         games = [sample_game(random.Random(seed), bounds, require_agents=("a", "b"),
                              variables=("v", "u")) for seed in seeds]
-        shared = NodeTable()
+        copy = parse(render(f))
+        assert copy == f and copy is not f
         for g in games:
             truth = {s for s in g.nonfailure_states if naive_holds(g, s, f)}
             assert extent(g, f) == truth
-            fresh, sharing = CheckContext(g), CheckContext(g, table=shared)
-            for ctx in (fresh, sharing):
+            fresh, reused = CheckContext(g), CheckContext(g)
+            for ctx, query in ((fresh, f), (reused, copy)):
                 for s in g.nonfailure_states:
-                    assert holds(g, s, f, ctx) == (s in truth)
-            assert fresh.profile_evals == sharing.profile_evals
-            assert len(fresh.memo) == len(sharing.memo)
+                    assert holds(g, s, query, ctx) == (s in truth)
+            assert fresh.profile_evals == reused.profile_evals
+            assert len(fresh.memo) == len(reused.memo)
+
+            # the copy, asked again, and f, asked of the copy's context,
+            # add no entries and examine no profile
+            entries, evals = len(reused.memo), reused.profile_evals
+            for s in g.nonfailure_states:
+                assert holds(g, s, copy, reused) == holds(g, s, f, reused) == (s in truth)
+            assert (len(reused.memo), reused.profile_evals) == (entries, evals)
+
+            # f -> copy is the one new formula, true at every state
+            for s in g.nonfailure_states:
+                assert holds(g, s, Impl(f, copy), reused)
+            assert len(reused.memo) == entries + len(g.nonfailure_states)
+            assert reused.profile_evals == evals
             if isinstance(f, Coal):
                 for s in g.nonfailure_states:
                     assert witness(g, s, f) == naive_witness(g, s, f)
 
-        # node_formula is the inverse of intern
-        back = node_formula(shared, shared.intern(f))
-        assert back == f and render(back) == render(f)
-
-        # an equal formula made of other objects is the same node
-        count = len(shared.nodes)
-        copy = parse(render(f))
-        assert copy == f and copy is not f
-        assert shared.intern(copy) == shared.intern(f)
-        assert len(shared.nodes) == count
-        table = NodeTable()
-        top = table.intern(Impl(f, copy))
-        assert table.nodes[top][1:] == (table.intern(f),) * 2
-        assert len(table.nodes) == count + 1
-
-    def test_children_before_parents(self):
-        table = NodeTable()
-        f = parse("([a]_1/2 (v -> u) -> ~[]_0 false)")
-        top = table.intern(f)
-        assert top == len(table.nodes) - 1
-        for i, node in enumerate(table.nodes):
-            assert all(child < i for child in node[1:] if isinstance(child, int))
-        assert len(table.nodes) == len(subformulas(f)) == 8
-
     def test_not_a_formula(self):
-        with pytest.raises(CheckError, match="not a formula"):
-            NodeTable().intern("v")
-
-    def test_deep_formula_round_trip(self):
-        # 3000 nested negations: node_formula builds children first in a loop
-        deep = parse("~" * 3000 + "[a]_1/2 (v -> false)")
-        table = NodeTable()
-        back = node_formula(table, table.intern(deep))
-        assert render(back) == render(deep)
-        assert len(table.nodes) == 3000 + 4
+        g = overtake_game()
+        for query in (lambda: holds(g, "p", "passed"), lambda: extent(g, "passed"),
+                      lambda: label(g, ["passed"])):
+            with pytest.raises(CheckError, match=r"^not a formula: 'passed'$"):
+                query()
 
 
 def assert_label_matches_holds(g: Game, order) -> None:
@@ -731,7 +679,7 @@ def plant_threshold_zero_fault(mp) -> None:
     by the lazy checker and by the extent kernel alike."""
     committing = modelcheck._committing_choice
     mp.setattr(modelcheck, "_committing_choice",
-               lambda ctx, state, node: None if node[3] == 0 else committing(ctx, state, node))
+               lambda ctx, state, f: None if f.p == 0 else committing(ctx, state, f))
     kernel = modelcheck._modality_mask
     mp.setattr(modelcheck, "_modality_mask",
                lambda compiled, choices, p_num, p_den, outside: (0, 0) if p_num == 0
@@ -748,8 +696,8 @@ def plant_joint_fault(mp) -> None:
     true."""
     committing = modelcheck._committing_choice
     mp.setattr(modelcheck, "_committing_choice",
-               lambda ctx, state, node: None if len(node[2]) > 1 and node[3] > 0
-               else committing(ctx, state, node))
+               lambda ctx, state, f: None if len(f.coalition) > 1 and f.p > 0
+               else committing(ctx, state, f))
     kernel = modelcheck._modality_mask
     mp.setattr(modelcheck, "_modality_mask",
                lambda compiled, choices, p_num, p_den, outside:
@@ -879,21 +827,21 @@ class TestAudit:
         assert got.necessitation_violations == []
         assert got == reference_audit(g, pool, 300, 12)
 
-    @pytest.mark.parametrize("game, pool, budget, seed, report, evals, entries", [
+    @pytest.mark.parametrize("game, pool, budget, seed, report, evals", [
         ("overtake", ["true", "passed", "behind", "passed -> behind"], 300, 11,
-         SoundnessReport(300, [], 1, []), 1258, 18),
+         SoundnessReport(300, [], 1, []), 1231),
         ("sampled", ["true", "false", "v", "u", "~v"], 400, 2,
-         SoundnessReport(400, [], 1, []), 2113, 24),
+         SoundnessReport(400, [], 1, []), 2109),
     ], ids=["overtake", "sampled"])
-    def test_audit_work_is_pinned(self, game, pool, budget, seed, report, evals, entries):
+    def test_audit_work_is_pinned(self, game, pool, budget, seed, report, evals):
         """The report and the checker's work of two fixed audits, one on a
         three-agent sampled game: the profiles the extent kernel examines,
-        once per distinct modality, and the lazy checker's memo, which
-        holds only the pool formulas and the necessitation lifts."""
+        once per distinct modality, necessitation lifts included; every
+        extent is a mask, so the lazy checker's memo stays empty."""
         g = audit_game(game)
         (got, _), ctx = audit_run(audit_axiom_soundness, g, [parse(t) for t in pool],
                                   budget, seed)
-        assert (got, ctx.profile_evals, len(ctx.memo)) == (report, evals, entries)
+        assert (got, ctx.profile_evals, ctx.memo) == (report, evals, {})
 
     @pytest.mark.parametrize("game, pool, budget, seed", [
         ("overtake", ["true", "passed", "behind", "passed -> behind"], 300, 11),
@@ -930,9 +878,8 @@ class TestAudit:
         assert len(compiles) == 1
 
     def test_instances_make_no_formulas(self, monkeypatch):
-        """A clean audit makes no formula for a drawn instance: the only
-        formulas it makes are the necessitation lifts, one per pool body
-        true everywhere."""
+        """A clean audit makes no formula: neither a drawn instance nor a
+        necessitation lift is built unless it is violated."""
         g = overtake_game()
         pool = [parse(t) for t in ("true", "passed", "behind", "passed -> behind")]
         made = []
@@ -946,8 +893,8 @@ class TestAudit:
             monkeypatch.setattr(kind, "__post_init__", counting)
         report = audit_axiom_soundness(g, pool, sample_budget=2000, seed=0)
         assert report.clean and report.instances == 2000
-        assert made == [Coal] * report.necessitation_cases
-        assert len(made) <= len(pool)
+        assert report.necessitation_cases == 1
+        assert made == []
 
     def test_pool_agent_outside_the_game(self):
         with pytest.raises(CheckError, match=r"outside the game: \['z'\]"):
@@ -971,14 +918,68 @@ class TestAudit:
         assert got[0] == "CheckError: formula names agents outside the game: ['y', 'z']"
 
     def test_foreign_agent_on_a_failure_only_game(self):
-        # no instance is evaluated, so the necessitation loop's extent
-        # raises
+        # no instance is evaluated, so the necessitation loop raises, after
+        # drawing the lift's coalition, as the reference's extent does
         g = all_failing(overtake_game())
         with pytest.raises(CheckError,
                            match=r"^formula names agents outside the game: \['z'\]$") as info:
             audit_axiom_soundness(g, [parse("[z]_1/2 passed")], sample_budget=50, seed=0)
         called = [entry.name for entry in info.traceback]
-        assert "extent" in called
+        assert called[-2:] == ["audit_axiom_soundness", "_reject_foreign"]
         pool = [parse("[z]_1/2 passed")]
         assert audit_outcome(audit_axiom_soundness, g, pool, 50, 0) == audit_outcome(
             reference_audit, g, pool, 50, 0)
+
+
+# ---------------------------------------------------------------------------
+# the audit against the reference on named, pooled and sampled games
+
+
+def differential_games() -> list:
+    """The games of the benchmark's game-queries pool, ``overtake``,
+    ``ladder1`` and 20 games of one to three agents sampled from seeds
+    0-19."""
+    from sgcl.decide import SearchBounds, sample_game
+
+    games = [game_from_dict(doc) for _, doc in sorted(pool_games().items())]
+    games += [load(GAMES / "overtake.json"), load(GAMES / "ladder1.json")]
+    for seed in range(20):
+        agents = ("a", "b", "c")[:1 + seed % 3]
+        games.append(sample_game(
+            random.Random(seed),
+            SearchBounds(max_states=4, max_actions=2, budget=1, agents=agents),
+            require_agents=agents, variables=("v", "u")))
+    return games
+
+
+def differential_pool(g: Game, kind: str) -> list:
+    """The pool ``audit-soundness`` gives the audit, its variables, true
+    and false; with ``extended``, also an implication, a negation and two
+    modalities over its first and last variables (``v`` when it has
+    none); with ``foreign``, also a modality of an agent outside the
+    game."""
+    names = sorted(g.valuation)
+    pool = [Var(v) for v in names] + [TOP, Bot()]
+    if kind == "extended":
+        x, y = (Var(names[0]), Var(names[-1])) if names else (Var("v"), Var("v"))
+        pool += [Impl(x, y), Neg(x), coal((), F(1, 2), y), coal("a", F(1, 4), Impl(y, x))]
+    elif kind == "foreign":
+        pool.append(parse("[zz]_1/2 v"))
+    return pool
+
+
+class TestAuditDifferential:
+    """The audit and the reference give equal reports, or equal
+    CheckError messages, and leave the random stream at the same place,
+    for seeds 0-5 and budgets 1, 50 and 2000 on every game of
+    :func:`differential_games`."""
+
+    @pytest.mark.parametrize("kind", ["cli", "extended", "foreign"])
+    def test_matches_reference(self, kind):
+        for g in differential_games():
+            pool = differential_pool(g, kind)
+            for seed in range(6):
+                for budget in (1, 50, 2000):
+                    assert audit_outcome(audit_axiom_soundness, g, pool, budget, seed) == \
+                        audit_outcome(reference_audit, g, pool, budget, seed), \
+                        (g.states, kind, seed, budget)
