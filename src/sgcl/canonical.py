@@ -65,11 +65,14 @@ from .formula import (
     in_plus_language,
     render,
 )
-from .game import Game
+from .game import Game, _profile_at
 from .modelcheck import CheckError, label
 from .proof import SystemId
 
 FAILURE_STATE = "f"
+
+# the largest closure the canonical route enumerates, by default
+CLOSURE_CAP = 24
 
 
 class CanonicalError(Exception):
@@ -149,7 +152,7 @@ class HintikkaOracle:
         return Judgment.CONSISTENT
 
 
-def enumerate_maximal_sets(sigma: ClosureSet, oracle=None, cap: int = 24) -> tuple:
+def enumerate_maximal_sets(sigma: ClosureSet, oracle=None, cap: int = CLOSURE_CAP) -> tuple:
     """The masks of the complete sets of the closure that the oracle
     accepts, in order; bit k of a mask is set when ``sigma.formulas[k]``
     is a member.  ``oracle`` defaults to the closure's
@@ -308,7 +311,7 @@ def build_canonical_game(
     sigma: ClosureSet,
     system: SystemId = SystemId.L,
     oracle=None,
-    cap: int = 24,
+    cap: int = CLOSURE_CAP,
 ) -> tuple:
     """Construct the canonical game for a closure set.
 
@@ -382,14 +385,7 @@ def build_canonical_game(
                 rows.append(row)
             i, guarded = entry
             if guarded:
-                # profile k's action indices are its base-len(actions)
-                # digits, the last agent's least significant
-                chosen = []
-                rest = k
-                for _ in agents:
-                    rest, x = divmod(rest, len(actions))
-                    chosen.append(action_ids[x])
-                diag.guard_pairs.append((name, dict(zip(agents, reversed(chosen)))))
+                diag.guard_pairs.append((name, _profile_at(agents, action_ids, k)))
             ids.append(i)
         row_ids[name] = ids
     row_ids[FAILURE_STATE] = (len(rows),) * len(grants)

@@ -16,11 +16,11 @@ import os
 import sys
 from typing import Optional
 
-from .canonical import CanonicalError, audit_truth_lemma, build_canonical_game
+from .canonical import CLOSURE_CAP, CanonicalError, audit_truth_lemma, build_canonical_game
 from .decide import DecideError, Refuted, SearchBounds, decide_formula, incompleteness_demo
 from .formula import TOP, Bot, ParseError, Var, agents_of, closure, parse, render
 from .game import Game, GameError, SchemaError, game_json, load
-from .modelcheck import CheckError, audit_axiom_soundness, extent, holds, witness
+from .modelcheck import AUDIT_BUDGET, CheckError, audit_axiom_soundness, extent, holds, witness
 from .proof import ProofError, ProofFormatError, SystemId, load_proof, verify
 
 
@@ -38,10 +38,6 @@ def _closure_cap(text: str) -> int:
     if cap < 0:
         raise argparse.ArgumentTypeError(f"must be nonnegative, got {cap}")
     return cap
-
-
-def _system(tag: str) -> SystemId:
-    return SystemId.LPLUS if tag == "L+" else SystemId.L
 
 
 def _read_formula(args):
@@ -139,7 +135,7 @@ def _cmd_verify_proof(args) -> int:
         derivation = load_proof(args.proof)
     except OSError as e:
         raise _InputError(f"cannot read proof file: {e}")
-    if args.system is not None and derivation.system is not _system(args.system):
+    if args.system is not None and derivation.system is not SystemId(args.system):
         raise _InputError(
             f"proof declares system {derivation.system.value},"
             f" expected {args.system}"
@@ -203,7 +199,7 @@ def _cmd_canonical(args) -> int:
     f = _read_formula(args)
     sigma = closure([f])
     game, diag = build_canonical_game(
-        sigma, system=_system(args.system), cap=args.max_closure
+        sigma, system=SystemId(args.system), cap=args.max_closure
     )
     audit = audit_truth_lemma(game, sigma, diag.sets)
     clean = audit.clean and not diag.guard_pairs
@@ -240,7 +236,7 @@ def _cmd_decide(args) -> int:
         )
     verdict = decide_formula(
         f,
-        system=_system(args.system),
+        system=SystemId(args.system),
         bounds=bounds,
         seed=args.seed,
         cap=args.max_closure,
@@ -304,6 +300,8 @@ def _build_parser() -> argparse.ArgumentParser:
     def common_opts(p):
         p.add_argument("--format", choices=("json", "text"), default="text")
 
+    systems = [s.value for s in SystemId]
+
     p = sub.add_parser("check", help="truth of a formula at a state")
     p.add_argument("--game", required=True)
     p.add_argument("--state", required=True)
@@ -328,7 +326,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--proof", required=True)
     p.add_argument(
         "--system",
-        choices=("L", "L+"),
+        choices=systems,
         default=None,
         help="require the proof to declare this system",
     )
@@ -338,24 +336,24 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("audit-soundness", help="sample axiom instances on a game")
     p.add_argument("--game", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=int, default=1000)
+    p.add_argument("--budget", type=int, default=AUDIT_BUDGET)
     common_opts(p)
     p.set_defaults(fn=_cmd_audit_soundness)
 
     p = sub.add_parser("canonical", help="build and audit the canonical game")
     formula_opts(p)
-    p.add_argument("--system", choices=("L", "L+"), default="L")
-    p.add_argument("--max-closure", type=_closure_cap, default=24)
+    p.add_argument("--system", choices=systems, default=SystemId.L.value)
+    p.add_argument("--max-closure", type=_closure_cap, default=CLOSURE_CAP)
     common_opts(p)
     p.set_defaults(fn=_cmd_canonical)
 
     p = sub.add_parser("decide", help="classify a formula or search for a countermodel")
     formula_opts(p)
-    p.add_argument("--system", choices=("L", "L+"), default="L")
+    p.add_argument("--system", choices=systems, default=SystemId.L.value)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget", type=int, default=0,
                    help="bounded-search budget override (0 keeps the default)")
-    p.add_argument("--max-closure", type=_closure_cap, default=24)
+    p.add_argument("--max-closure", type=_closure_cap, default=CLOSURE_CAP)
     common_opts(p)
     p.set_defaults(fn=_cmd_decide)
 

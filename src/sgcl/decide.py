@@ -44,7 +44,7 @@ from fractions import Fraction
 from math import lcm
 from typing import NamedTuple, Optional, Sequence
 
-from .canonical import ClosureCapError, build_canonical_game
+from .canonical import CLOSURE_CAP, ClosureCapError, build_canonical_game
 from .formula import (
     TOP,
     AtomCapError,
@@ -155,7 +155,7 @@ class Exhausted:
         return {"verdict": "exhausted", "attempts": self.attempts}
 
 
-def classify(f: Formula, system: SystemId = SystemId.L, cap: int = 24):
+def classify(f: Formula, system: SystemId = SystemId.L, cap: int = CLOSURE_CAP):
     """Canonical-game route: Refuted with a re-verified countermodel, or
     ValidRelativeToOracle.  Raises ClosureCapError when the negation's
     closure is too large for exhaustive enumeration."""
@@ -390,7 +390,7 @@ def decide_formula(
     system: SystemId = SystemId.L,
     bounds: Optional[SearchBounds] = None,
     seed: int = 0,
-    cap: int = 24,
+    cap: int = CLOSURE_CAP,
 ):
     """Classify through the canonical game when the closure fits the cap,
     falling back to bounded random search otherwise."""

@@ -34,7 +34,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, Union
 
 
 # ---------------------------------------------------------------------------
@@ -359,13 +359,8 @@ def _error(text: str, tokens: list, message: str, index: int) -> ParseError:
     return ParseError(message, starts[index] if index < len(starts) else len(text))
 
 
-def parse(text: str, universe: Optional[Iterable[str]] = None) -> Formula:
-    """Parse a formula.
-
-    When ``universe`` is given, every agent name must belong to it;
-    otherwise agent names are taken at face value.
-    """
-    uni = frozenset(universe) if universe is not None else None
+def parse(text: str) -> Formula:
+    """Parse a formula; agent names are taken at face value."""
     tokens = _TOKEN.findall(text)
     end = len(tokens)
     tokens.append("")  # the end of input
@@ -391,8 +386,6 @@ def parse(text: str, universe: Optional[Iterable[str]] = None) -> Formula:
                         raise _error(text, tokens, "expected an agent name", i)
                     if t in _RESERVED:
                         raise _error(text, tokens, f"reserved word {t!r} cannot name an agent", i)
-                    if uni is not None and t not in uni:
-                        raise _error(text, tokens, f"unknown agent {t!r}", i)
                     agents.append(t)
                     i += 1
                     if tokens[i] != ",":

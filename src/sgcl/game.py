@@ -537,44 +537,3 @@ def survival_ladder(n: int) -> Game:
         valuation={},
     )
 
-
-def overtake_game() -> Game:
-    """Two-car overtaking scenario: car a is alongside car b on a road
-    with oncoming traffic.  Both pick an acceleration (minus, zero,
-    plus); a ends up behind (ab), ahead (ba), or in a collision with b
-    (f_c) or with oncoming traffic (f_t).
-
-    Fixed by the scenario: accelerating against b slowing/coasting/
-    accelerating completes the pass with probability 9/10, 3/5, 0; the
-    mutual-slowdown rows and the residual mass routing are modeling
-    choices, not canonical.
-    """
-    F = Fraction
-    rows_from_p = {
-        ("minus", "minus"): {"ab": F(4, 5), "f_t": F(1, 5)},
-        ("minus", "zero"): {"ab": F(9, 10), "f_c": F(1, 10)},
-        ("minus", "plus"): {"ab": F(1)},
-        ("zero", "minus"): {"ba": F(9, 10), "f_t": F(1, 10)},
-        ("zero", "zero"): {"p": F(9, 10), "f_t": F(1, 10)},
-        ("zero", "plus"): {"ab": F(9, 10), "f_c": F(1, 10)},
-        ("plus", "minus"): {"ba": F(9, 10), "f_t": F(1, 10)},
-        ("plus", "zero"): {"ba": F(3, 5), "f_c": F(2, 5)},
-        ("plus", "plus"): {"f_t": F(1)},
-    }
-    actions = ("minus", "zero", "plus")
-    absorbing = ("ab", "ba", "f_c", "f_t")
-    # p's rows in product order, then one row per absorbing state
-    rows = [rows_from_p[(xa, xb)] for xa in actions for xb in actions]
-    row_ids = {"p": tuple(range(len(rows)))}
-    for s in absorbing:
-        row_ids[s] = (len(rows),) * len(actions) ** 2
-        rows.append({s: F(1)})
-    return Game(
-        agents=("a", "b"),
-        states=("p",) + absorbing,
-        failures=("f_c", "f_t"),
-        actions=actions,
-        rows=rows,
-        row_ids=row_ids,
-        valuation={"passed": ("ba",), "behind": ("ab",)},
-    )

@@ -89,6 +89,9 @@ class CheckError(Exception):
     pass
 
 
+# the number of axiom instances an audit draws, by default
+AUDIT_BUDGET = 1000
+
 # (agents, actions, coalition) keys whose choice tables are kept: a
 # bounded search over two agents and up to three actions meets at most 24
 CHOICE_TABLES_KEPT = 64
@@ -140,8 +143,8 @@ class CheckContext:
     them."""
 
     game: Game
-    memo: dict = field(default_factory=dict)
-    profile_evals: int = 0
+    memo: dict = field(default_factory=dict, init=False)
+    profile_evals: int = field(default=0, init=False)
     outcome_tables: dict = field(default_factory=dict, repr=False)
     _entries: dict = field(default_factory=dict, init=False, repr=False)
 
@@ -432,7 +435,7 @@ def _instance(key: tuple, coalition_of, pool: tuple) -> Formula:
 def audit_axiom_soundness(
     game: Game,
     pool: Iterable[Formula],
-    sample_budget: int = 1000,
+    sample_budget: int = AUDIT_BUDGET,
     seed: int = 0,
 ) -> SoundnessReport:
     """Sample axiom instances over the pool and check each one at every

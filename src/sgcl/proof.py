@@ -19,6 +19,10 @@ assumption-mode (assumption lines, imports of separately verified
 theorem-mode derivations, and modus ponens only).  Keeping
 assumption-mode this small is what makes the deduction transform below
 purely mechanical.
+
+``_TAGS`` is the one rule-tag table of the proof document: each line's
+rule is written by it (:func:`derivation_to_dict`) and read back by it
+(:func:`load_proof`).
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from __future__ import annotations
 import enum
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 from typing import Iterable, Mapping, Optional, Union
 
 from .formula import (
@@ -487,58 +491,52 @@ class ProofFormatError(ValueError):
     pass
 
 
+# a rule is written as its tag, then, when it has fields, ":" and their
+# values joined by ","
+_TAGS = {
+    Tautology: "taut",
+    AxCooperation: "coop",
+    AxMonotonicity: "mono-ax",
+    AxFalsehood: "false-ax",
+    Assumption: "assume",
+    TheoremImport: "import",
+    MP: "mp",
+    Necessitation: "nec",
+    RuleMonotonicity: "mono-rule",
+}
+_RULES = {tag: rule for rule, tag in _TAGS.items()}
+
+
 def _rule_to_str(rule: Justification) -> str:
-    if isinstance(rule, Tautology):
-        return "taut"
-    if isinstance(rule, AxCooperation):
-        return "coop"
-    if isinstance(rule, AxMonotonicity):
-        return "mono-ax"
-    if isinstance(rule, AxFalsehood):
-        return "false-ax"
-    if isinstance(rule, Assumption):
-        return "assume"
-    if isinstance(rule, TheoremImport):
-        return f"import:{rule.name}"
-    if isinstance(rule, MP):
-        return f"mp:{rule.antecedent},{rule.implication}"
-    if isinstance(rule, Necessitation):
-        return f"nec:{rule.premise}"
-    if isinstance(rule, RuleMonotonicity):
-        return f"mono-rule:{rule.premise}"
-    raise TypeError(f"unknown rule {rule!r}")
+    tag = _TAGS.get(type(rule))
+    if tag is None:
+        raise TypeError(f"unknown rule {rule!r}")
+    if not fields(rule):
+        return tag
+    return f"{tag}:{','.join(map(str, astuple(rule)))}"
 
 
 # a rule's line references: ASCII decimals only, as _rule_to_str writes
 # them, so that int() reads no other digits, spaces or underscores
 _LINE_REF = re.compile(r"[0-9]+")
-_LINE_RULES = (("mp:", MP, 2), ("nec:", Necessitation, 1),
-               ("mono-rule:", RuleMonotonicity, 1))
 
 
 def _rule_from_str(text: str) -> Justification:
-    if text == "taut":
-        return Tautology()
-    if text == "coop":
-        return AxCooperation()
-    if text == "mono-ax":
-        return AxMonotonicity()
-    if text == "false-ax":
-        return AxFalsehood()
-    if text == "assume":
-        return Assumption()
-    if text.startswith("import:"):
-        return TheoremImport(text[len("import:"):])
-    for prefix, rule, count in _LINE_RULES:
-        if text.startswith(prefix):
-            refs = text[len(prefix):].split(",")
-            try:
-                if len(refs) == count and all(map(_LINE_REF.fullmatch, refs)):
-                    return rule(*map(int, refs))
-            except ValueError:  # more digits than int() reads
-                pass
-            raise ProofFormatError(f"malformed rule {text!r}")
-    raise ProofFormatError(f"unknown rule {text!r}")
+    tag, colon, rest = text.partition(":")
+    rule = _RULES.get(tag)
+    if rule is None or bool(colon) != bool(fields(rule)):
+        raise ProofFormatError(f"unknown rule {text!r}")
+    if not colon:
+        return rule()
+    if rule is TheoremImport:  # the name is the whole rest of the text
+        return rule(rest)
+    refs = rest.split(",")
+    try:
+        if len(refs) == len(fields(rule)) and all(map(_LINE_REF.fullmatch, refs)):
+            return rule(*map(int, refs))
+    except ValueError:  # more digits than int() reads
+        pass
+    raise ProofFormatError(f"malformed rule {text!r}")
 
 
 def derivation_to_dict(d: Derivation) -> dict:
@@ -559,11 +557,11 @@ def derivation_to_dict(d: Derivation) -> dict:
     return doc
 
 
-def derivation_from_dict(doc: dict, universe=None) -> Derivation:
-    return _derivation_from_dict(doc, universe, {})
+def derivation_from_dict(doc: dict) -> Derivation:
+    return _derivation_from_dict(doc, {})
 
 
-def _derivation_from_dict(doc, universe, parsed: dict) -> Derivation:
+def _derivation_from_dict(doc, parsed: dict) -> Derivation:
     """The derivation of ``doc``; ``parsed`` maps each formula text read
     so far in the document, imports included, to its formula, so each
     distinct text is parsed once."""
@@ -571,7 +569,7 @@ def _derivation_from_dict(doc, universe, parsed: dict) -> Derivation:
     def read(text):
         f = parsed.get(text)
         if f is None:
-            f = parsed[text] = parse(text, universe)
+            f = parsed[text] = parse(text)
         return f
 
     if not isinstance(doc, dict):
@@ -613,7 +611,7 @@ def _derivation_from_dict(doc, universe, parsed: dict) -> Derivation:
     if not isinstance(raw_imports, dict):
         raise ProofFormatError("imports must be an object")
     for name, sub in raw_imports.items():
-        imports[name] = _derivation_from_dict(sub, universe, parsed)
+        imports[name] = _derivation_from_dict(sub, parsed)
     return Derivation(system, tuple(lines), assumptions, imports)
 
 
@@ -623,7 +621,7 @@ def save_proof(d: Derivation, path) -> None:
         fh.write("\n")
 
 
-def load_proof(path, universe=None) -> Derivation:
+def load_proof(path) -> Derivation:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh, parse_int=json_int)
@@ -633,4 +631,4 @@ def load_proof(path, universe=None) -> Derivation:
             raise ProofFormatError(f"not valid JSON: not UTF-8 at byte {exc.start}") from exc
         except RecursionError:
             raise ProofFormatError("document nests too deeply") from None
-    return derivation_from_dict(doc, universe)
+    return derivation_from_dict(doc)

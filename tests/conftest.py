@@ -11,7 +11,19 @@ import pytest
 from hypothesis import settings
 
 from sgcl.formula import Bot, Coal, Impl, Neg, ParseError, Var, _shown, exact, render
-from sgcl.game import GameError, game_from_dict, game_to_dict, product_profiles, validate
+from sgcl.game import Game, GameError, game_from_dict, game_to_dict, product_profiles, validate
+from sgcl.proof import (
+    MP,
+    Assumption,
+    AxCooperation,
+    AxFalsehood,
+    AxMonotonicity,
+    Necessitation,
+    ProofFormatError,
+    RuleMonotonicity,
+    Tautology,
+    TheoremImport,
+)
 
 # under CI the property tests draw the same examples on every run and
 # have no deadline, since shared runners time them unevenly
@@ -39,6 +51,48 @@ def keyed_game(agents, states, failures, actions, rows, valuation):
         "valuation": {v: list(sts) for v, sts in valuation.items()},
     }
     return game_from_dict(doc)
+
+
+def overtake_game() -> Game:
+    """Two-car overtaking scenario: car a is alongside car b on a road
+    with oncoming traffic.  Both pick an acceleration (minus, zero,
+    plus); a ends up behind (ab), ahead (ba), or in a collision with b
+    (f_c) or with oncoming traffic (f_t).
+
+    Fixed by the scenario: accelerating against b slowing/coasting/
+    accelerating completes the pass with probability 9/10, 3/5, 0; the
+    mutual-slowdown rows and the residual mass routing are modeling
+    choices, not canonical.
+    """
+    F = Fraction
+    rows_from_p = {
+        ("minus", "minus"): {"ab": F(4, 5), "f_t": F(1, 5)},
+        ("minus", "zero"): {"ab": F(9, 10), "f_c": F(1, 10)},
+        ("minus", "plus"): {"ab": F(1)},
+        ("zero", "minus"): {"ba": F(9, 10), "f_t": F(1, 10)},
+        ("zero", "zero"): {"p": F(9, 10), "f_t": F(1, 10)},
+        ("zero", "plus"): {"ab": F(9, 10), "f_c": F(1, 10)},
+        ("plus", "minus"): {"ba": F(9, 10), "f_t": F(1, 10)},
+        ("plus", "zero"): {"ba": F(3, 5), "f_c": F(2, 5)},
+        ("plus", "plus"): {"f_t": F(1)},
+    }
+    actions = ("minus", "zero", "plus")
+    absorbing = ("ab", "ba", "f_c", "f_t")
+    # p's rows in product order, then one row per absorbing state
+    rows = [rows_from_p[(xa, xb)] for xa in actions for xb in actions]
+    row_ids = {"p": tuple(range(len(rows)))}
+    for s in absorbing:
+        row_ids[s] = (len(rows),) * len(actions) ** 2
+        rows.append({s: F(1)})
+    return Game(
+        agents=("a", "b"),
+        states=("p",) + absorbing,
+        failures=("f_c", "f_t"),
+        actions=actions,
+        rows=rows,
+        row_ids=row_ids,
+        valuation={"passed": ("ba",), "behind": ("ab",)},
+    )
 
 
 def assert_builder_output(g):
@@ -247,11 +301,10 @@ def _reference_tokenize(text):
 
 
 class _ReferenceParser:
-    def __init__(self, tokens, text_len, universe):
+    def __init__(self, tokens, text_len):
         self.tokens = tokens
         self.i = 0
         self.text_len = text_len
-        self.universe = universe
 
     def _pos(self):
         if self.i < len(self.tokens):
@@ -319,8 +372,6 @@ class _ReferenceParser:
             raise ParseError("expected an agent name", self._pos())
         if tok[1] in ("false", "true"):
             raise ParseError(f"reserved word {tok[1]!r} cannot name an agent", tok[2])
-        if self.universe is not None and tok[1] not in self.universe:
-            raise ParseError(f"unknown agent {tok[1]!r}", tok[2])
         self.i += 1
         return tok[1]
 
@@ -359,13 +410,70 @@ class _ReferenceParser:
         raise ParseError(f"unexpected token {text!r}", pos)
 
 
-def reference_parse(text, universe=None):
+def reference_parse(text):
     """The formula that ``text`` reads as, or the ParseError it raises,
     by recursive descent: nested parentheses and ``->`` chains recurse."""
-    uni = frozenset(universe) if universe is not None else None
-    parser = _ReferenceParser(_reference_tokenize(text), len(text), uni)
+    parser = _ReferenceParser(_reference_tokenize(text), len(text))
     result = parser.impl()
     tok = parser.peek()
     if tok is not None:
         raise ParseError(f"unexpected trailing token {tok[1]!r}", tok[2])
     return result
+
+
+# ---------------------------------------------------------------------------
+# the rule tags of a proof document, written as one isinstance chain and
+# read as one chain of exact tags and prefixes: the references for the
+# one tag table of sgcl.proof
+
+
+def reference_rule_to_str(rule):
+    if isinstance(rule, Tautology):
+        return "taut"
+    if isinstance(rule, AxCooperation):
+        return "coop"
+    if isinstance(rule, AxMonotonicity):
+        return "mono-ax"
+    if isinstance(rule, AxFalsehood):
+        return "false-ax"
+    if isinstance(rule, Assumption):
+        return "assume"
+    if isinstance(rule, TheoremImport):
+        return f"import:{rule.name}"
+    if isinstance(rule, MP):
+        return f"mp:{rule.antecedent},{rule.implication}"
+    if isinstance(rule, Necessitation):
+        return f"nec:{rule.premise}"
+    if isinstance(rule, RuleMonotonicity):
+        return f"mono-rule:{rule.premise}"
+    raise TypeError(f"unknown rule {rule!r}")
+
+
+_REFERENCE_LINE_REF = re.compile(r"[0-9]+")
+_REFERENCE_LINE_RULES = (("mp:", MP, 2), ("nec:", Necessitation, 1),
+                         ("mono-rule:", RuleMonotonicity, 1))
+
+
+def reference_rule_from_str(text):
+    if text == "taut":
+        return Tautology()
+    if text == "coop":
+        return AxCooperation()
+    if text == "mono-ax":
+        return AxMonotonicity()
+    if text == "false-ax":
+        return AxFalsehood()
+    if text == "assume":
+        return Assumption()
+    if text.startswith("import:"):
+        return TheoremImport(text[len("import:"):])
+    for prefix, rule, count in _REFERENCE_LINE_RULES:
+        if text.startswith(prefix):
+            refs = text[len(prefix):].split(",")
+            try:
+                if len(refs) == count and all(map(_REFERENCE_LINE_REF.fullmatch, refs)):
+                    return rule(*map(int, refs))
+            except ValueError:  # more digits than int() reads
+                pass
+            raise ProofFormatError(f"malformed rule {text!r}")
+    raise ProofFormatError(f"unknown rule {text!r}")

@@ -67,7 +67,7 @@ def coal(agents, p, body):
 
 class TestParse:
     def test_modal_with_decimal_subscript(self):
-        f = parse("[a,b]_0.9 pass", universe={"a", "b"})
+        f = parse("[a,b]_0.9 pass")
         assert f == coal({"a", "b"}, F(9, 10), Var("pass"))
 
     def test_implication(self):
@@ -82,15 +82,11 @@ class TestParse:
         )
 
     def test_modal_binds_tighter_than_arrow(self):
-        f = parse("[a]_1 p -> q", universe={"a"})
+        f = parse("[a]_1 p -> q")
         assert f == Impl(coal({"a"}, 1, Var("p")), Var("q"))
 
     def test_fraction_subscript(self):
         assert parse("[]_1/2 true") == coal((), F(1, 2), TOP)
-
-    def test_unknown_agent_rejected(self):
-        with pytest.raises(ParseError, match="unknown agent 'c'"):
-            parse("[c]_1 v", universe={"a", "b"})
 
     def test_agents_unchecked_without_universe(self):
         assert parse("[c]_1 v") == coal({"c"}, 1, Var("v"))
@@ -151,12 +147,12 @@ def _mutate(rng, text):
     return text
 
 
-def _reading(parser, text, universe):
+def _reading(parser, text):
     """What a parser makes of a text: the formula's rendering and hash
     (``==`` would recurse on deep formulas), or the error's message and
     position."""
     try:
-        f = parser(text, universe)
+        f = parser(text)
     except ParseError as exc:
         return "error", str(exc), exc.position
     return "formula", render(f), hash(f)
@@ -169,14 +165,11 @@ class TestParserMatchesReference:
     def test_corpus_pool_and_mutations(self):
         texts = [render(f) for f in acceptance_corpus()] + _pool_texts()
         rng = random.Random(2026)
-        universes = (None, None, {"a"}, {"a", "b"})
-        cases = [(t, None) for t in texts] + [(t, {"a", "b"}) for t in texts]
-        cases += [(_mutate(rng, rng.choice(texts)), rng.choice(universes))
-                  for _ in range(20_000)]
+        cases = texts + [_mutate(rng, rng.choice(texts)) for _ in range(30_000)]
         kinds = {"formula": 0, "error": 0}
-        for text, universe in cases:
-            got = _reading(parse, text, universe)
-            assert got == _reading(reference_parse, text, universe), (text, universe)
+        for text in cases:
+            got = _reading(parse, text)
+            assert got == _reading(reference_parse, text), text
             kinds[got[0]] += 1
         assert kinds["formula"] > 3000 and kinds["error"] > 10_000, kinds
 

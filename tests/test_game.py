@@ -24,7 +24,6 @@ from sgcl.game import (
     game_from_dict,
     game_to_dict,
     load,
-    overtake_game,
     product_profiles,
     save,
     survival_ladder,
@@ -32,7 +31,7 @@ from sgcl.game import (
 )
 from sgcl.modelcheck import CheckContext
 
-from conftest import keyed_game, profile_row, profile_row_index
+from conftest import keyed_game, overtake_game, profile_row, profile_row_index
 
 F = Fraction
 GAMES = Path(__file__).resolve().parents[1] / "games"

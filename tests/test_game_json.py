@@ -18,12 +18,11 @@ from sgcl.game import (
     game_json,
     game_to_dict,
     load,
-    overtake_game,
     save,
     survival_ladder,
 )
 
-from conftest import acceptance_corpus, reference_game_to_dict
+from conftest import acceptance_corpus, overtake_game, reference_game_to_dict
 
 F = Fraction
 ROOT = Path(__file__).resolve().parents[1]

@@ -29,7 +29,6 @@ from sgcl.game import (
     game_from_dict,
     game_to_dict,
     load,
-    overtake_game,
     survival_ladder,
 )
 from sgcl.modelcheck import (
@@ -45,7 +44,7 @@ from sgcl.modelcheck import (
     witness,
 )
 
-from conftest import keyed_game, pool_games, profile_row_index
+from conftest import keyed_game, overtake_game, pool_games, profile_row_index
 
 F = Fraction
 GAMES = Path(__file__).resolve().parents[1] / "games"

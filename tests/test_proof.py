@@ -3,6 +3,7 @@
 import random
 import sys
 from fractions import Fraction
+from typing import get_args
 
 import pytest
 
@@ -14,6 +15,7 @@ from sgcl.proof import (
     AxFalsehood,
     AxMonotonicity,
     Derivation,
+    Justification,
     MP,
     Necessitation,
     ProofError,
@@ -23,6 +25,8 @@ from sgcl.proof import (
     SystemId,
     Tautology,
     TheoremImport,
+    _rule_from_str,
+    _rule_to_str,
     build_coalition_weakening,
     build_lifted_implication,
     deduction_transform,
@@ -32,6 +36,8 @@ from sgcl.proof import (
     save_proof,
     verify,
 )
+
+from conftest import overtake_game, reference_rule_from_str, reference_rule_to_str
 
 F = Fraction
 L, LPLUS = SystemId.L, SystemId.LPLUS
@@ -392,9 +398,9 @@ class TestSerialization:
 
         calls = []
 
-        def counting(text, universe=None):
+        def counting(text):
             calls.append(text)
-            return parse(text, universe)
+            return parse(text)
 
         monkeypatch.setattr(sgcl.proof, "parse", counting)
         read = derivation_from_dict(doc)
@@ -467,9 +473,63 @@ class TestSerialization:
         assert derivation_to_dict(derivation_from_dict(doc)) == doc
 
 
+# every kind of rule, some twice: an empty import name, one that holds the
+# separators, and line references of more than one digit
+EVERY_RULE = [
+    Tautology(), AxCooperation(), AxMonotonicity(), AxFalsehood(), Assumption(),
+    TheoremImport(""), TheoremImport("taut0"), TheoremImport("a:b,c"),
+    MP(0, 1), MP(12, 3), Necessitation(0), Necessitation(12), RuleMonotonicity(7),
+]
+
+# the pieces a seeded rule text is built from, a tag and mostly ":" first:
+# every tag, the separators, digits ASCII and not, blanks, and a run longer
+# than int() reads
+_RULE_PIECES = [
+    "taut", "coop", "mono-ax", "false-ax", "assume", "import", "mp", "nec",
+    "mono-rule", ":", ",", "12", "\u0663", " ", "_", "-", "1" * 5000,
+]
+
+
+def _rule_reading(reader, text):
+    try:
+        return "rule", reader(text)
+    except ProofFormatError as exc:
+        return "error", str(exc)
+
+
+class TestRuleTagsMatchReference:
+    """The one tag table writes and reads every rule as the two chains
+    of isinstance tests and prefixes did."""
+
+    def test_every_rule_kind_writes_the_same_text(self):
+        assert {type(rule) for rule in EVERY_RULE} == set(get_args(Justification))
+        for rule in EVERY_RULE:
+            text = _rule_to_str(rule)
+            assert text == reference_rule_to_str(rule)
+            assert _rule_from_str(text) == rule
+
+    def test_a_non_rule_is_refused_alike(self):
+        with pytest.raises(TypeError, match="^unknown rule 'zap'$"):
+            _rule_to_str("zap")
+        with pytest.raises(TypeError, match="^unknown rule 'zap'$"):
+            reference_rule_to_str("zap")
+
+    def test_seeded_texts_read_the_same(self):
+        rng = random.Random(31)
+        texts = [reference_rule_to_str(rule) for rule in EVERY_RULE]
+        texts += [rng.choice(_RULE_PIECES[:9]) + rng.choice((":", ":", ":", ""))
+                  + "".join(rng.choices(_RULE_PIECES, k=rng.randint(0, 4)))
+                  for _ in range(20_000)]
+        kinds = {"rule": 0, "unknown rule": 0, "malformed rule": 0}
+        for text in texts:
+            got = _rule_reading(_rule_from_str, text)
+            assert got == _rule_reading(reference_rule_from_str, text), text[:80]
+            kinds["rule" if got[0] == "rule" else got[1].split(" '")[0]] += 1
+        assert min(kinds.values()) > 500, kinds
+
+
 class TestTheoremSoundnessBridge:
     def test_every_theorem_line_holds_everywhere(self):
-        from sgcl.game import overtake_game
         from sgcl.modelcheck import holds
 
         derivations = [

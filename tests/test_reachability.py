@@ -16,7 +16,6 @@ SOURCES = {
 # gate as well, so the list only shrinks.
 ALLOWED = {
     "game.Game.transitions": "perfbench/tracer.py",
-    "game.overtake_game": "tests",
     "game.save": "README (sgcl.game.load/save)",
     "game.validate": "tests (the builder gate) and perfbench/workloads.py",
     "proof._rule_to_str": "tests and perfbench/, through derivation_to_dict",
