@@ -397,8 +397,8 @@ def run(argv: Optional[list] = None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except RecursionError:
-        # render of nested implications and the model checker recurse;
-        # the parser, hashing, == and the tautology check do not
+        # the model checker recurses; the parser, render, hashing, == and
+        # the tautology check do not
         print("error: formula nests too deeply", file=sys.stderr)
         return 2
 

@@ -305,27 +305,47 @@ def in_plus_language(f: Formula) -> bool:
 
 
 def render(f: Formula) -> str:
-    """Canonical rendering; ``parse(render(f))`` returns f.  A chain of
-    prefixes (negations and modalities) is printed in a loop, so a deep
-    chain never exhausts the interpreter stack."""
-    prefix = ""
+    """Canonical rendering; ``parse(render(f))`` returns f.  Prefixes
+    (negations and modalities) are printed in a loop, and the right
+    operand of each implication waits on an explicit stack, with the text
+    that closes it, until its left operand is printed, so no depth
+    exhausts the interpreter stack."""
+    text = ""
+    pending = []  # right operands and closing texts still to print, last first
     while True:
-        if isinstance(f, Var):
-            return prefix + f.name
-        if isinstance(f, Impl):
-            return f"{prefix}({render(f.left)} -> {render(f.right)})"
-        if isinstance(f, Neg):
-            if isinstance(f.body, Bot):
-                return prefix + "true"
-            prefix += "~"
-        elif isinstance(f, Coal):
-            names = ",".join(sorted(f.coalition))
-            prefix += f"[{names}]_{f.p} "
-        elif isinstance(f, Bot):
-            return prefix + "false"
+        kind = type(f)
+        if kind is Impl:
+            text += "("
+            pending.append(")")
+            pending.append(f.right)
+            pending.append(" -> ")
+            f = f.left
+            continue
+        if kind is Var:
+            text += f.name
+        elif kind is Neg:
+            if type(f.body) is Bot:
+                text += "true"
+            else:
+                text += "~"
+                f = f.body
+                continue
+        elif kind is Coal:
+            text += f"[{','.join(sorted(f.coalition))}]_{f.p} "
+            f = f.body
+            continue
+        elif kind is Bot:
+            text += "false"
         else:
             raise TypeError(f"not a formula: {f!r}")
-        f = f.body
+        # a leaf is printed: add closing texts up to the next operand
+        while pending:
+            f = pending.pop()
+            if type(f) is not str:
+                break
+            text += f
+        else:
+            return text
 
 
 def canonical_key(f: Formula):

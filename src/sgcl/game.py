@@ -17,19 +17,24 @@ other row value through :func:`sgcl.formula.exact` and rejects a row-id
 table of the wrong shape, but leaves the layout and the rows to
 :func:`validate`, which the tests call on every builder's output.
 
-The JSON exchange format keys each row by its state and profile, and
-writes probabilities as strings ("9/10", "0.25") or integers.
-:func:`game_json` is the one writer: it renders each row of the table
-and each profile of the layout once and joins the document's text from
-those pieces; :func:`game_to_dict` and :func:`save` read that text back.
+A game document is JSON in one of two forms, and probabilities are
+strings ("9/10", "0.25") or integers.  :func:`game_json` is the one
+writer, and it writes the row form, tagged ``"format": "rows"``: the
+distinct rows once each, numbered by first use in state and product
+order, and each state's row numbers in product order, so games that are
+``==`` write the same text.  :func:`game_to_dict` and :func:`save` read
+that text back.  The listed form, which has no ``format``, keys each row
+by its state and profile; example games and older files use it.
 
-The loader reads a document in one pass.  It takes each distinct literal
-through :func:`sgcl.formula.exact` once, which rejects binary floats,
-parses equal rows once, into one row of the table, and puts each row's
-index straight into its state's slot numbered by the profile's product
-position.  It checks the document before it builds a game: a file with
-an unknown state, a partial profile, a missing row or a bad row never
-becomes a :class:`Game`.
+The loader reads either form in one pass and takes each distinct
+literal through :func:`sgcl.formula.exact` once, which rejects binary
+floats.  In the listed form it parses equal rows once, into one row of
+the table, and puts each row's index straight into its state's slot
+numbered by the profile's product position; the row form's table and
+ids go to the constructor as they are, each id checked at its pointer.
+It checks the document before it builds a game: a file with an unknown
+state, a partial profile, a missing row or a bad row never becomes a
+:class:`Game`.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice, product
+from itertools import chain, islice, product
 from json.encoder import encode_basestring_ascii as _quote
 from math import gcd
 from typing import Mapping
@@ -321,14 +326,18 @@ def _violations(agents, states, failures, actions, valuation, rows, row_ids, key
     return out
 
 
+def _keys(row_ids: Mapping):
+    """Each (state, product position, row index) of a complete row-id
+    table, in state and product order."""
+    return ((s, k, i) for s, ids in row_ids.items() for k, i in enumerate(ids))
+
+
 def validate(game: Game) -> list:
     """Well-formedness violations as human-readable strings; [] = valid.
     The loader runs the same check on a document before it builds a game;
     here it covers a built game's layout and rows."""
-    row_ids = game._row_ids
-    keys = ((s, k, i) for s, ids in row_ids.items() for k, i in enumerate(ids))
     return _violations(game.agents, game.states, game.failures, game.actions,
-                       game.valuation, game.rows, row_ids, keys)
+                       game.valuation, game.rows, game._row_ids, _keys(game._row_ids))
 
 
 # ---------------------------------------------------------------------------
@@ -349,50 +358,39 @@ def _expect_list_of_strings(doc, key):
     return value
 
 
-@lru_cache(maxsize=PROFILE_LAYOUTS_KEPT)
-def _profile_texts(agents: tuple, actions: tuple) -> tuple:
-    """``(order, texts)`` for a layout: the product positions of its
-    complete profiles sorted by assignment, the order a document lists
-    them in, and each one's ``"profile"`` object as JSON text in that
-    order, followed by the ``"to"`` key that comes next."""
-    profiles = product_profiles(agents, actions)
-    order = sorted(range(len(profiles)), key=lambda k: profiles[k].assignment)
-    texts = tuple(
-        "{" + ", ".join(f"{_quote(a)}: {_quote(x)}" for a, x in profiles[k].assignment)
-        + '}, "to": '
-        for k in order)
-    return order, texts
-
-
 def _strings(names) -> str:
     return "[" + ", ".join(map(_quote, names)) + "]"
 
 
 def game_json(game: Game) -> str:
-    """The JSON document of a game as the text ``json.dumps`` writes for
-    it with its default settings: rows keyed by state and profile in
-    sorted order, each with its nonzero entries in target order and every
-    probability a string.  Each row of the table and each profile of the
-    layout is rendered once, and each key's text is joined from its
-    state's head, its profile's text and its row's text."""
-    # a row's text also closes the transition object it ends
-    rendered = [
-        "{" + ", ".join(f'{_quote(t)}: "{v}"' for t, v in sorted(row.items()) if v)
-        + "}}"
-        for row in game.rows]
-    order, profiles = _profile_texts(game.agents, game.actions)
-    rows = []
-    for s in sorted(game.states):
-        ids = game.row_ids(s)
-        head = f'{{"from": {_quote(s)}, "profile": '
-        rows.extend(head + p + rendered[ids[k]] for k, p in zip(order, profiles))
+    """The row-table document of a game as the text ``json.dumps`` writes
+    for it with its default settings.  Each row is written once, as its
+    nonzero entries in target order with every probability a string;
+    rows with the same entries are one row, and a row no profile uses is
+    not written.  Rows are numbered by first use, walking the states in
+    order and each state's profiles in product order, so games that are
+    ``==`` write the same text.  ``row_ids`` gives each state its rows'
+    numbers in product order."""
+    ids = game._row_ids
+    texts = {}  # a used row's text -> its number
+    number = [""] * len(game.rows)  # a used table index -> its number, as text
+    for i in dict.fromkeys(chain.from_iterable(ids.values())):
+        row = game.rows[i]
+        text = "{" + ", ".join(
+            f'{_quote(t)}: "{v}"' for t, v in sorted(row.items()) if v) + "}"
+        number[i] = str(texts.setdefault(text, len(texts)))
+    row_ids = ", ".join(
+        f"{_quote(s)}: [{', '.join(map(number.__getitem__, state_ids))}]"
+        for s, state_ids in ids.items())
     valuation = ", ".join(f"{_quote(v)}: {_strings(sorted(sts))}"
                           for v, sts in sorted(game.valuation.items()))
     return (
-        f'{{"agents": {_strings(game.agents)}, "states": {_strings(game.states)}, '
+        f'{{"format": "rows", "agents": {_strings(game.agents)}, '
+        f'"states": {_strings(game.states)}, '
         f'"failures": {_strings(sorted(game.failures))}, '
         f'"actions": {_strings(game.actions)}, '
-        f'"transitions": [{", ".join(rows)}], "valuation": {{{valuation}}}}}'
+        f'"rows": [{", ".join(texts)}], "row_ids": {{{row_ids}}}, '
+        f'"valuation": {{{valuation}}}}}'
     )
 
 
@@ -401,29 +399,40 @@ def game_to_dict(game: Game) -> dict:
     return json.loads(game_json(game))
 
 
-def game_from_dict(doc: dict) -> Game:
-    """Parse and check a game document in one pass.  A malformed document
-    raises SchemaError at its JSON pointer; a well-formed one that breaks
-    a rule of :func:`validate` raises GameValidationError with every
-    violation, keys in document order."""
-    if not isinstance(doc, dict):
-        raise SchemaError("/: expected an object")
-    for key in ("agents", "states", "failures", "actions", "transitions", "valuation"):
-        if key not in doc:
-            raise SchemaError(f"/{key}: missing")
-    agents = _expect_list_of_strings(doc, "agents")
-    states = _expect_list_of_strings(doc, "states")
-    failures = _expect_list_of_strings(doc, "failures")
-    actions = _expect_list_of_strings(doc, "actions")
-    raw_rows = doc.get("transitions")
+# the sections of each form of a game document, in document order
+_LISTED_SECTIONS = ("agents", "states", "failures", "actions", "transitions", "valuation")
+_ROW_SECTIONS = ("agents", "states", "failures", "actions", "rows", "row_ids", "valuation")
+# the value type of a row id: an int, not a bool
+_INDEX_TYPES = frozenset({int})
+
+
+def _parsed_row(items, where: str, literals: dict) -> dict:
+    """A document row's entries as Fractions.  A str literal is parsed
+    once per document, through ``literals`` (literal -> value); any other
+    value is parsed, and fails, at its own pointer ``where/target``."""
+    row = {}
+    for t, v in items:
+        if type(v) is str:
+            value = literals.get(v)
+            if value is None:
+                value = literals[v] = _parse_probability(v, f"{where}/{t}")
+        else:
+            value = _parse_probability(v, f"{where}/{t}")
+        row[t] = value
+    return row
+
+
+def _listed_rows(raw_rows, agents, states, actions):
+    """``(rows, slots, keys)`` of a listed document's ``transitions``:
+    the distinct rows, each state's ``{product position: row index}``,
+    and every entry's (source, position or foreign profile, row index) in
+    document order.  Equal ``to`` objects are parsed once, into one row."""
     if not isinstance(raw_rows, list):
         raise SchemaError("/transitions: expected a list")
     # an action's digit in a product position; with repeated agents or
     # actions there are no positions, and every row is foreign
     numbered = len(set(agents)) == len(agents) and len(set(actions)) == len(actions)
     digit = {x: k for k, x in enumerate(actions)} if numbered else {}
-    # each state's {product position: row index}, and every row's
-    # (source, position or foreign profile, row index) in document order
     slots = {s: {} for s in states}
     keys = []
     foreign = set()
@@ -451,16 +460,7 @@ def game_from_dict(doc: dict) -> Game:
         items = tuple(to.items())
         index = parsed.get(items) if _KEYED_TYPES.issuperset(map(type, to.values())) else None
         if index is None:
-            row = {}
-            for t, v in items:
-                if type(v) is str:
-                    value = literals.get(v)
-                    if value is None:
-                        value = literals[v] = _parse_probability(v, f"{where}/to/{t}")
-                else:
-                    value = _parse_probability(v, f"{where}/to/{t}")
-                row[t] = value
-            rows.append(row)
+            rows.append(_parsed_row(items, f"{where}/to", literals))
             index = parsed[items] = len(rows) - 1
         ids = slots.get(src)
         position = None if ids is None else _position(profile, agents, digit)
@@ -475,6 +475,84 @@ def game_from_dict(doc: dict) -> Game:
                 raise SchemaError(f"{where}: duplicate row for this state and profile")
             foreign.add(key)
             keys.append((src, profile, index))
+    return rows, slots, keys
+
+
+def _table_rows(raw_rows, raw_ids, states, width):
+    """``(rows, row_ids)`` of a row-form document: every row of ``rows``,
+    and each state's list of ``width`` indices into them.  A bad row fails
+    at ``/rows/<i>``; a bad, missing or extra row id, a state without ids
+    and ids for a name that is not a state fail at ``/row_ids/<state>``."""
+    if not isinstance(raw_rows, list):
+        raise SchemaError("/rows: expected a list")
+    literals = {}
+    rows = []
+    for i, raw in enumerate(raw_rows):
+        if not isinstance(raw, dict):
+            raise SchemaError(f"/rows/{i}: expected a target-to-probability object")
+        rows.append(_parsed_row(raw.items(), f"/rows/{i}", literals))
+    if not isinstance(raw_ids, dict):
+        raise SchemaError("/row_ids: expected a state-to-row-ids object")
+    known = set(states)
+    for s in raw_ids:
+        if s not in known:
+            raise SchemaError(f"/row_ids/{s}: not a state")
+    row_ids = {}
+    for s in states:
+        where = f"/row_ids/{s}"
+        if s not in raw_ids:
+            raise SchemaError(f"{where}: missing")
+        ids = raw_ids[s]
+        if not isinstance(ids, list):
+            raise SchemaError(f"{where}: expected a list of row ids")
+        if len(ids) != width:
+            raise SchemaError(
+                f"{where}/{min(len(ids), width)}: "
+                + ("missing" if len(ids) < width else "extra")
+                + f"; expected {width} row ids, one per complete profile")
+        if ids and not (_INDEX_TYPES.issuperset(map(type, ids))
+                        and 0 <= min(ids) and max(ids) < len(rows)):
+            k = next(k for k, x in enumerate(ids)
+                     if type(x) is not int or not 0 <= x < len(rows))
+            raise SchemaError(f"{where}/{k}: expected an index into the {len(rows)} rows")
+        row_ids[s] = ids
+    return rows, row_ids
+
+
+def game_from_dict(doc: dict) -> Game:
+    """Parse and check a game document in one pass: the listed form, which
+    keys each row by state and profile, or the row form that
+    :func:`game_json` writes, tagged ``"format": "rows"``.  A malformed
+    document raises SchemaError at its JSON pointer; a well-formed one
+    that breaks a rule of :func:`validate` raises GameValidationError with
+    every violation, the listed form's keys in document order and the row
+    form's in state and product order."""
+    if not isinstance(doc, dict):
+        raise SchemaError("/: expected an object")
+    if "format" not in doc:
+        listed, sections, others = True, _LISTED_SECTIONS, ("rows", "row_ids")
+    elif doc["format"] == "rows":
+        listed, sections, others = False, _ROW_SECTIONS, ("transitions",)
+    else:
+        raise SchemaError('/format: expected "rows", or no format for the listed form')
+    # the table sections of the other form
+    for key in others:
+        if key in doc:
+            raise SchemaError(
+                f"/{key}: not a section of the {'listed' if listed else 'row'} form")
+    for key in sections:
+        if key not in doc:
+            raise SchemaError(f"/{key}: missing")
+    agents = _expect_list_of_strings(doc, "agents")
+    states = _expect_list_of_strings(doc, "states")
+    failures = _expect_list_of_strings(doc, "failures")
+    actions = _expect_list_of_strings(doc, "actions")
+    width = len(actions) ** len(agents)
+    if listed:
+        rows, slots, keys = _listed_rows(doc["transitions"], agents, states, actions)
+    else:
+        rows, slots = _table_rows(doc["rows"], doc["row_ids"], states, width)
+        keys = _keys(slots)
     valuation = doc.get("valuation")
     if not isinstance(valuation, dict):
         raise SchemaError("/valuation: expected an object")
@@ -486,9 +564,10 @@ def game_from_dict(doc: dict) -> Game:
                              valuation, rows, slots, keys)
     if violations:
         raise GameValidationError(violations)
-    positions = range(len(actions) ** len(agents))
-    row_ids = {s: map(ids.__getitem__, positions) for s, ids in slots.items()}
-    return Game(agents, states, failures, actions, rows, row_ids, valuation)
+    if listed:
+        positions = range(width)
+        slots = {s: map(ids.__getitem__, positions) for s, ids in slots.items()}
+    return Game(agents, states, failures, actions, rows, slots, valuation)
 
 
 def save(game: Game, path) -> None:

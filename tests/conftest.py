@@ -126,10 +126,11 @@ def profile_row(game, state, profile):
 
 
 def reference_game_to_dict(game):
-    """The JSON document of a game, built as a dict: rows keyed by state
-    and profile in sorted order, each row's nonzero entries by target and
-    every probability its string.  The reference ``game_json`` is checked
-    against."""
+    """The listed form of a game's document, built as a dict: rows keyed
+    by state and profile in sorted order, each row's nonzero entries by
+    target and every probability its string.  The loader still reads this
+    form, which the example games and the benchmark pools are written in;
+    the tests build it to alter a document key by key."""
     rendered = [{t: str(v) for t, v in sorted(row.items()) if v != 0}
                 for row in game.rows]
     profiles = product_profiles(game.agents, game.actions)
@@ -146,6 +147,32 @@ def reference_game_to_dict(game):
         "failures": sorted(game.failures),
         "actions": list(game.actions),
         "transitions": rows,
+        "valuation": {v: sorted(sts) for v, sts in sorted(game.valuation.items())},
+    }
+
+
+def reference_row_table(game):
+    """The row form of a game's document, built as a dict: each distinct
+    row (nonzero entries by target, every probability its string) once,
+    numbered by first use walking the states in order and each state's
+    profiles in product order, and each state's row numbers in product
+    order.  The reference ``game_json`` is checked against."""
+    numbers = {}
+    row_ids = {}
+    for s in game.states:
+        row_ids[s] = [
+            numbers.setdefault(
+                tuple((t, str(v)) for t, v in sorted(game.rows[i].items()) if v != 0),
+                len(numbers))
+            for i in game.row_ids(s)]
+    return {
+        "format": "rows",
+        "agents": list(game.agents),
+        "states": list(game.states),
+        "failures": sorted(game.failures),
+        "actions": list(game.actions),
+        "rows": [dict(entries) for entries in numbers],
+        "row_ids": row_ids,
         "valuation": {v: sorted(sts) for v, sts in sorted(game.valuation.items())},
     }
 
@@ -419,6 +446,24 @@ def reference_parse(text):
     if tok is not None:
         raise ParseError(f"unexpected trailing token {tok[1]!r}", tok[2])
     return result
+
+
+# ---------------------------------------------------------------------------
+# the recursive printer that the explicit-stack ``render`` replaced
+
+
+def reference_render(f):
+    """The rendering of a formula by plain recursion on every node, the
+    reference the explicit-stack ``render`` is checked against."""
+    if isinstance(f, Var):
+        return f.name
+    if isinstance(f, Bot):
+        return "false"
+    if isinstance(f, Neg):
+        return "true" if isinstance(f.body, Bot) else "~" + reference_render(f.body)
+    if isinstance(f, Impl):
+        return f"({reference_render(f.left)} -> {reference_render(f.right)})"
+    return f"[{','.join(sorted(f.coalition))}]_{f.p} {reference_render(f.body)}"
 
 
 # ---------------------------------------------------------------------------

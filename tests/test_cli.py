@@ -27,7 +27,7 @@ from sgcl.proof import (
     save_proof,
 )
 
-from conftest import reference_game_to_dict
+from conftest import reference_row_table
 
 ROOT = Path(__file__).resolve().parents[1]
 GAMES = ROOT / "games"
@@ -591,13 +591,19 @@ class TestUsage:
             ["decide", "--formula", "~" * 3000 + "v"],
             ["check", "--game", LADDER, "--state", "s",
              "--formula", "~" * 3000 + "v"],
-            ["fmt", "--formula", "v -> " * 3000 + "v"],
         ],
-        ids=["decide", "check", "fmt-implications"],
+        ids=["decide", "check"],
     )
     def test_deep_nesting_is_input_error(self, capsys, argv):
         assert run(argv) == 2
         assert capsys.readouterr().err.strip() == "error: formula nests too deeply"
+
+    def test_deep_implication_chain_prints(self, capsys):
+        # render keeps the chain's right operands on an explicit stack
+        assert run(["fmt", "--formula", "v -> " * 3000 + "v"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == "(v -> " * 3000 + "v" + ")" * 3000 + "\n"
+        assert captured.err == ""
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -672,9 +678,10 @@ class TestClosedStdout:
     @pytest.mark.parametrize("argv", [
         # a short text report, left in the buffer until the flush at exit
         ["decide", "--formula", "[a]_1/2 v"],
-        # a JSON countermodel of about 970 KB, which fails inside print
+        # a JSON countermodel of about 400 KB, far over the 8 KB stdout
+        # buffer, so the write fails inside print
         ["decide", "--format", "json", "--formula",
-         "(([a]_1/2 u -> [b]_1/2 v) -> ([a,b]_1/2 (u -> w) -> [a]_0 (v -> w)))"],
+         "([a0,a1,a2,a3,a4,a5]_1/2 v -> [a0]_1/2 [a0,a1,a2,a3,a4,a5]_1 u)"],
     ])
     def test_exit_2_with_one_error_line(self, argv):
         # the read end is closed before the child starts, so its first
@@ -718,7 +725,7 @@ class TestPrintedGames:
         verdict = decide_formula(parse(text))
         expected = verdict.to_dict()
         if isinstance(verdict, Refuted):
-            expected["game"] = reference_game_to_dict(verdict.game)
+            expected["game"] = reference_row_table(verdict.game)
         expected.update({"command": "decide", "formula": text, "seed": 0})
         assert self.json_out(capsys, ["decide", "--formula", text]) == (
             code, json.dumps(expected) + "\n")
@@ -742,7 +749,7 @@ class TestPrintedGames:
         expected = {
             "command": "canonical",
             "closure_size": len(sigma),
-            "game": reference_game_to_dict(game),
+            "game": reference_row_table(game),
             "diagnostics": diag.to_dict(),
             "truth_audit": {"checked": audit.checked,
                             "disagreements": audit.disagreements},
@@ -753,7 +760,7 @@ class TestPrintedGames:
 
     def test_demo_incompleteness(self, capsys):
         report = incompleteness_demo(3)
-        expected = {**report.to_dict(), "game": reference_game_to_dict(report.game),
+        expected = {**report.to_dict(), "game": reference_row_table(report.game),
                     "command": "demo-incompleteness"}
         assert self.json_out(capsys, ["demo-incompleteness", "--n", "3"]) == (
             0, json.dumps(expected) + "\n")

@@ -1,8 +1,10 @@
 """Formula syntax: parser, printer, closure sets, tautology checking."""
 
+import json
 import random
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -38,7 +40,6 @@ from sgcl.game import (
     Game,
     GameError,
     game_from_dict,
-    game_to_dict,
     survival_ladder,
 )
 from sgcl.modelcheck import CheckContext, holds
@@ -52,9 +53,17 @@ from sgcl.proof import (
 )
 
 from conftest import (
-    acceptance_corpus, pool_decides, pool_queries, profile_row, reference_parse)
+    acceptance_corpus,
+    pool_decides,
+    pool_queries,
+    profile_row,
+    reference_game_to_dict,
+    reference_parse,
+    reference_render,
+)
 
 F = Fraction
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def coal(agents, p, body):
@@ -300,7 +309,7 @@ def _game_row(value):
 
 def _game_file(value):
     # the loader checks row sums, and every accepted value below is 1/2
-    doc = game_to_dict(survival_ladder(0))
+    doc = reference_game_to_dict(survival_ladder(0))
     doc["transitions"][0]["to"] = {"f": value, "s": "1/2"}
     return profile_row(game_from_dict(doc), "f", ActionProfile.of({"a": "act"}))["f"]
 
@@ -432,6 +441,59 @@ formulas = st.recursive(
 @given(formulas)
 def test_parse_render_round_trip(f):
     assert parse(render(f)) == f
+
+
+def _pool_formulas():
+    """Every formula of the benchmark's pools: the game-queries pool's
+    ``--formula`` arguments and the canonical and coalition pools'
+    formulas."""
+    texts = _pool_texts()
+    for name in ("canonical_pool", "coalition_pool"):
+        texts += [e["formula"] for e in json.loads(
+            (ROOT / "perfbench" / "data" / f"{name}.json").read_text(encoding="utf-8"))]
+    return [parse(text) for text in texts]
+
+
+class TestRenderMatchesReference:
+    """``render`` prints what the recursive reference prints, on every
+    member of the corpus's and the pools' closures and on generated
+    formulas, and prints implication chains the reference cannot."""
+
+    def test_corpus_and_pool_closures(self):
+        seen = set()
+        for f in acceptance_corpus() + _pool_formulas():
+            seen.update(closure([f]))
+        assert len(seen) > 3000
+        for f in seen:
+            assert render(f) == reference_render(f)
+
+    @given(formulas)
+    def test_generated(self, f):
+        assert render(f) == reference_render(f)
+
+    @pytest.mark.parametrize("text", [
+        "v -> " * 3000 + "v",
+        "(" * 3000 + "v" + " -> v)" * 3000,
+        "(~v -> [a]_1/2 " * 1500 + "v" + ")" * 1500,
+    ], ids=["right-nested", "left-nested", "mixed"])
+    def test_deep_implications_do_not_recurse(self, text):
+        f = parse(text)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(200)
+        try:
+            got = render(f)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert parse(got) == f
+        with pytest.raises(RecursionError):
+            reference_render(f)
+
+    def test_right_nested_chain_text(self):
+        assert render(parse("v -> " * 3 + "v")) == "(v -> (v -> (v -> v)))"
+
+    def test_not_a_formula(self):
+        with pytest.raises(TypeError, match="not a formula"):
+            render("v")
 
 
 @given(formulas)

@@ -31,7 +31,13 @@ from sgcl.game import (
 )
 from sgcl.modelcheck import CheckContext
 
-from conftest import keyed_game, overtake_game, profile_row, profile_row_index
+from conftest import (
+    keyed_game,
+    overtake_game,
+    profile_row,
+    profile_row_index,
+    reference_game_to_dict,
+)
 
 F = Fraction
 GAMES = Path(__file__).resolve().parents[1] / "games"
@@ -73,7 +79,7 @@ def load_violations(doc):
 
 
 def ladder_doc(n=1):
-    return game_to_dict(survival_ladder(n))
+    return reference_game_to_dict(survival_ladder(n))
 
 
 def set_row(doc, state, to):
@@ -210,7 +216,7 @@ def _odd_games():
     """Game documents with missing rows, partial or foreign profiles,
     unknown states, duplicate names and an empty action domain."""
     games = {}
-    overtake = game_to_dict(overtake_game())
+    overtake = reference_game_to_dict(overtake_game())
     rows = overtake["transitions"]
 
     def with_rows(transitions):
@@ -616,11 +622,11 @@ class TestJson:
         path = tmp_path / "ladder.json"
         save(survival_ladder(2), path)
         doc = json.loads(path.read_text())
-        row = next(r for r in doc["transitions"] if r["from"] == "s")
-        assert row["to"] == {"f": "1/100", "t": "99/100"}
+        assert doc["format"] == "rows"
+        assert doc["rows"][doc["row_ids"]["s"][0]] == {"f": "1/100", "t": "99/100"}
 
     def test_decimal_strings_parse_exactly(self):
-        doc = game_to_dict(survival_ladder(1))
+        doc = reference_game_to_dict(survival_ladder(1))
         for row in doc["transitions"]:
             if row["from"] == "s":
                 row["to"] = {"t": "0.9", "f": "0.1"}
@@ -632,14 +638,14 @@ class TestJson:
     ])
     def test_accepted_literal_forms(self, literal, value):
         # the rest of the mass goes to s, so that the row sums to 1
-        doc = game_to_dict(survival_ladder(0))
+        doc = reference_game_to_dict(survival_ladder(0))
         doc["transitions"][0]["to"] = {"f": literal, "s": str(1 - value)}
         assert profile_row(game_from_dict(doc), "f", ActionProfile.of(
             {"a": "act"})) == {"f": value, "s": 1 - value}
 
     @pytest.mark.parametrize("literal", ["0e-999999999", "1E0", "2.5e-1"])
     def test_exponent_notation_rejected(self, literal):
-        doc = game_to_dict(survival_ladder(0))
+        doc = reference_game_to_dict(survival_ladder(0))
         doc["transitions"][0]["to"] = {"f": literal}
         with pytest.raises(SchemaError, match="exponent notation is rejected"):
             game_from_dict(doc)
@@ -647,7 +653,7 @@ class TestJson:
             Game(("a",), ("s",), (), ("x",), [{"s": literal}], {"s": (0,)}, {})
 
     def test_float_probability_rejected(self):
-        doc = game_to_dict(survival_ladder(0))
+        doc = reference_game_to_dict(survival_ladder(0))
         doc["transitions"][0]["to"] = {"f": 0.3333}
         with pytest.raises(SchemaError, match="floating point"):
             game_from_dict(doc)
@@ -670,7 +676,7 @@ class TestJson:
             load(path)
 
     def test_inexact_row_rejected_by_validation(self, tmp_path):
-        doc = game_to_dict(survival_ladder(0))
+        doc = reference_game_to_dict(survival_ladder(0))
         for row in doc["transitions"]:
             if row["from"] == "s":
                 row["to"] = {"f": "0.3333", "t": "0.6666"}
@@ -697,7 +703,7 @@ class TestJson:
         assert survivals(CheckContext(g).outcomes("s")) == [(0, ())]
 
     def test_duplicate_row_rejected(self):
-        doc = game_to_dict(survival_ladder(0))
+        doc = reference_game_to_dict(survival_ladder(0))
         doc["transitions"].append(doc["transitions"][0])
         with pytest.raises(SchemaError, match="duplicate row"):
             game_from_dict(doc)
@@ -716,7 +722,7 @@ class TestLoaderSharesRows:
         build_canonical_game(closure([parse("([a]_1/4 v -> [a,b]_1/4 v)")]))[0],
     ], ids=["overtake", "ladder", "canonical"])
     def test_one_row_per_distinct_contents(self, game):
-        doc = game_to_dict(game)
+        doc = reference_game_to_dict(game)
         loaded = game_from_dict(doc)
         assert len(loaded.rows) == len(self.distinct_targets(doc))
         assert len(loaded.transitions) == len(doc["transitions"])
@@ -724,7 +730,7 @@ class TestLoaderSharesRows:
 
     def test_reordered_targets_are_another_row(self):
         # the order of a row's targets is the order of its successors
-        doc = game_to_dict(survival_ladder(1))
+        doc = reference_game_to_dict(survival_ladder(1))
         s_row, t_row = [e for e in doc["transitions"] if e["from"] in ("s", "t")]
         t_row["to"] = dict(reversed(s_row["to"].items()))
         loaded = game_from_dict(doc)
@@ -744,7 +750,7 @@ class TestLoaderSharesRows:
     def test_bad_value_in_repeated_row_reported_at_first_pointer(self, bad, problem):
         # a clean row that equals the bad one for == (1 == 1.0 == True)
         # comes first, then two rows holding the bad value
-        doc = game_to_dict(overtake_game())
+        doc = reference_game_to_dict(overtake_game())
         rows = doc["transitions"]
         absorbing = [i for i, e in enumerate(rows) if e["to"] == {"ab": "1"}]
         first, second, third = absorbing[:3]
@@ -823,7 +829,7 @@ class TestLoaderSharesRows:
             _row("s", {"s": "0", "t": "1"}), _row("t", {"s": "1"})])
         g = game_from_dict(doc)
         assert g.rows[g.row_ids("s")[0]] == {"s": 0, "t": 1}
-        assert game_to_dict(g)["transitions"][0]["to"] == {"t": "1"}
+        assert game_to_dict(g)["rows"] == [{"t": "1"}, {"s": "1"}]
         assert game_from_dict(game_to_dict(g)) == g
         doc["transitions"][0]["to"] = {"s": "1/2", "t": "1/2"}
         assert game_from_dict(doc) != g
