@@ -18,10 +18,10 @@ from typing import Optional
 
 from .canonical import CLOSURE_CAP, CanonicalError, audit_truth_lemma, build_canonical_game
 from .decide import DecideError, Refuted, SearchBounds, decide_formula, incompleteness_demo
-from .formula import TOP, Bot, ParseError, Var, agents_of, closure, parse, render
-from .game import Game, GameError, SchemaError, game_json, load
+from .formula import TOP, Bot, Var, agents_of, closure, parse, render
+from .game import Game, GameError, game_json, load
 from .modelcheck import AUDIT_BUDGET, CheckError, audit_axiom_soundness, extent, holds, witness
-from .proof import ProofError, ProofFormatError, SystemId, load_proof, verify
+from .proof import ProofError, SystemId, load_proof, verify
 
 
 class _InputError(Exception):
@@ -374,10 +374,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 _INPUT_FAULTS = (
     _InputError,
-    ParseError,
-    SchemaError,
     GameError,
-    ProofFormatError,
     CanonicalError,
     CheckError,
     DecideError,

@@ -9,22 +9,28 @@ model checking are exact.
 
 A game is immutable, dense and complete: ``rows`` holds each row once,
 and ``row_ids(state)`` lists the row index of every complete profile of
-that state in product order (:func:`product_profiles`), the order of the
-model checker's outcome tables.  A row that many profiles share is
-checked, rendered and compiled once.  :class:`Game` is the one
-constructor: it keeps a row whose values are all Fractions, takes every
-other row value through :func:`sgcl.formula.exact` and rejects a row-id
-table of the wrong shape, but leaves the layout and the rows to
-:func:`validate`, which the tests call on every builder's output.
+that state in product order, the order of the model checker's outcome
+tables: the profile at position i gives ``agents[j]`` the action
+numbered by digit j of i written in base ``len(actions)``, ``agents[0]``
+most significant.  :func:`_profile_at` decodes one position where a
+message or a witness shows its profile; only ``Game.transitions``, which
+the tests and the tracer read, makes a profile for every position.  A
+row that many profiles share is checked, rendered and compiled once.
+:class:`Game` is the one constructor: it keeps a row whose values are
+all Fractions, takes every other row value through
+:func:`sgcl.formula.exact` and rejects a row-id table of the wrong
+shape, but leaves the layout and the rows to :func:`validate`, which
+the tests call on every builder's output.
 
 A game document is JSON in one of two forms, and probabilities are
 strings ("9/10", "0.25") or integers.  :func:`game_json` is the one
 writer, and it writes the row form, tagged ``"format": "rows"``: the
 distinct rows once each, numbered by first use in state and product
 order, and each state's row numbers in product order, so games that are
-``==`` write the same text.  :func:`game_to_dict` and :func:`save` read
-that text back.  The listed form, which has no ``format``, keys each row
-by its state and profile; example games and older files use it.
+``==`` write the same text.  :func:`save` writes that text to a file,
+and :func:`game_to_dict` reads it back.  The listed form, which has no
+``format``, keys each row by its state and profile; example games and
+older files use it.
 
 The loader reads either form in one pass and takes each distinct
 literal through :func:`sgcl.formula.exact` once, which rejects binary
@@ -42,7 +48,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import chain, islice, product
 from json.encoder import encode_basestring_ascii as _quote
 from math import gcd
@@ -89,22 +94,6 @@ class ActionProfile:
 
     def as_dict(self) -> dict:
         return dict(self.assignment)
-
-
-# agents-and-actions layouts whose profile lists are kept: a bounded
-# search over two agents and up to three actions meets at most 12
-PROFILE_LAYOUTS_KEPT = 64
-
-
-@lru_cache(maxsize=PROFILE_LAYOUTS_KEPT)
-def product_profiles(agents: tuple, actions: tuple) -> tuple:
-    """Every assignment of ``actions`` to ``agents``, in product order:
-    the profile at index i gives ``agents[j]`` the action numbered by
-    digit j of i written in base ``len(actions)``, ``agents[0]`` most
-    significant.  This order indexes ``Game.row_ids`` and every table of
-    the model checker; the tuple is shared by every game of the layout."""
-    return tuple(ActionProfile(tuple(zip(agents, combo)))
-                 for combo in product(actions, repeat=len(agents)))
 
 
 # the value types of a row that the constructor keeps as given
@@ -168,7 +157,8 @@ class Game:
     def transitions(self) -> dict:
         """``{(state, profile): row index}`` for every state and complete
         profile, in state and product order; built on each read."""
-        profiles = product_profiles(self.agents, self.actions)
+        profiles = [ActionProfile(tuple(zip(self.agents, combo)))
+                    for combo in product(self.actions, repeat=len(self.agents))]
         return {(s, profile): i
                 for s in self.states
                 for profile, i in zip(profiles, self._row_ids[s])}
@@ -258,16 +248,19 @@ def _profile_at(agents, actions, position) -> dict:
     return dict(sorted(choice.items()))
 
 
-def _violations(agents, states, failures, actions, valuation, rows, row_ids, keys) -> list:
+def _violations(agents, states, failures, actions, valuation, rows, row_ids,
+                keys=None) -> list:
     """Every well-formedness violation of a game's parts, as
     human-readable strings; [] = valid.
 
     ``row_ids`` maps each state to its row indices by product position:
-    a built game's tuple, or the dict of the positions a document names.
-    ``keys`` gives each row's (source state, profile, row index) in
-    report order; the profile is a product position, or the profile dict
-    of a document row whose source is unknown or whose profile is not
-    complete.
+    a complete table's tuple or list, or the dict of the positions a
+    listed document names.  ``keys`` gives a listed document's rows as
+    (source state, profile, row index) in document order; the profile is
+    a product position, or the profile dict of a row whose source is
+    unknown or whose profile is not complete.  A complete table's keys
+    are its (state, product position, row index) in state and product
+    order, walked only when some row has a problem.
 
     The layout comes first: an empty action domain, duplicate names,
     failure and valuation states that are not states.  When the agents
@@ -297,6 +290,9 @@ def _violations(agents, states, failures, actions, valuation, rows, row_ids, key
         return out
     state_set = set(states)
     row_problems = [_row_problems(row, state_set) for row in rows]
+    if keys is None:  # a complete table: a key is reported only for a bad row
+        keys = (((s, k, i) for s, ids in row_ids.items() for k, i in enumerate(ids))
+                if any(row_problems) else ())
     for s, profile, i in keys:
         if isinstance(profile, int):
             problems = row_problems[i]
@@ -326,18 +322,12 @@ def _violations(agents, states, failures, actions, valuation, rows, row_ids, key
     return out
 
 
-def _keys(row_ids: Mapping):
-    """Each (state, product position, row index) of a complete row-id
-    table, in state and product order."""
-    return ((s, k, i) for s, ids in row_ids.items() for k, i in enumerate(ids))
-
-
 def validate(game: Game) -> list:
     """Well-formedness violations as human-readable strings; [] = valid.
     The loader runs the same check on a document before it builds a game;
     here it covers a built game's layout and rows."""
     return _violations(game.agents, game.states, game.failures, game.actions,
-                       game.valuation, game.rows, game._row_ids, _keys(game._row_ids))
+                       game.valuation, game.rows, game._row_ids)
 
 
 # ---------------------------------------------------------------------------
@@ -552,7 +542,7 @@ def game_from_dict(doc: dict) -> Game:
         rows, slots, keys = _listed_rows(doc["transitions"], agents, states, actions)
     else:
         rows, slots = _table_rows(doc["rows"], doc["row_ids"], states, width)
-        keys = _keys(slots)
+        keys = None
     valuation = doc.get("valuation")
     if not isinstance(valuation, dict):
         raise SchemaError("/valuation: expected an object")
@@ -572,8 +562,7 @@ def game_from_dict(doc: dict) -> Game:
 
 def save(game: Game, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(game_to_dict(game), fh, indent=2)
-        fh.write("\n")
+        fh.write(game_json(game) + "\n")
 
 
 def load(path) -> Game:

@@ -10,19 +10,22 @@ even at threshold p = 0.
 Within one context the checker reads each row of ``game.rows`` once.
 The first time a modality is checked at a state, the state's outcome
 table is compiled from ``game.row_ids(state)``: one entry per complete
-profile, in the product order of ``game.actions`` over ``game.agents``
-(:func:`sgcl.game.product_profiles`), holding that profile's survival
+profile, in the product order of ``game.actions`` over ``game.agents``,
+``game.agents[0]`` most significant, holding that profile's survival
 probability and its positive non-failure successors.  Keys that share a
 row, as the canonical game's do, share its entry.  Survival stays in
 integers: an entry is ``(numerator, denominator, successors)``, the
 numerator summed over a running common denominator and never reduced,
 and a threshold p is met unless ``numerator * p.denominator <
 p.numerator * denominator``.  No ``Fraction`` is made or compared while
-checking; :func:`witness` makes the one it reports.  Each coalition's
-choices are listed once per agents-and-actions layout, in the same
-order, with the indices of their completions in that table; the list
-is shared by every context, and so by every game, of that layout.  A
-caller that compiles the tables itself hands them to the context
+checking; :func:`witness` makes the one it reports.  A coalition's
+choice is the tuple of its completions' indices in that table, and its
+choices are listed in the product order of its members once per
+agents-and-actions layout (:func:`choice_table`); the list holds only
+ints and is shared by every context, and so by every game, of that
+layout.  No action profile is made while checking: :func:`witness`
+decodes the one it reports from its choice's index.  A caller that
+compiles the tables itself hands them to the context
 (``CheckContext.outcome_tables``): the bounded search does so for each
 game it draws, which never becomes a :class:`Game` unless it refutes.
 
@@ -82,7 +85,7 @@ from .formula import (
     render,
     subformulas,
 )
-from .game import ActionProfile, Game, product_profiles
+from .game import ActionProfile, Game, _profile_at
 
 
 class CheckError(Exception):
@@ -99,23 +102,23 @@ CHOICE_TABLES_KEPT = 64
 
 @lru_cache(maxsize=CHOICE_TABLES_KEPT)
 def choice_table(agents: tuple, actions: tuple, coalition: frozenset) -> tuple:
-    """The coalition's choices, each as (partial profile, indices of its
-    completions among the complete profiles), the choices and the complete
-    profiles both in product order (:func:`sgcl.game.product_profiles`).
+    """The coalition's choices in the product order of its members, each
+    as the ascending indices of its completions among the complete
+    profiles.  A complete profile's index is the sum of one place value
+    per agent, ``agents[0]`` most significant: the members' part fixes a
+    choice, and each completion adds one part the outsiders can take.
     The choices of every agent together are the complete profiles
     themselves, each completing only itself."""
     base, n = len(actions), len(agents)
-    # a complete profile's index has one digit per agent, most significant
-    # first; the digits of the members, in order, index its choice
-    places = [n - 1 - j for j, a in enumerate(agents) if a in coalition]
-    choices = product_profiles(tuple(a for a in agents if a in coalition), actions)
-    completions = [[] for _ in choices]
-    for i in range(len(product_profiles(agents, actions))):
-        k = 0
-        for place in places:
-            k = k * base + i // base**place % base
-        completions[k].append(i)
-    return tuple(zip(choices, map(tuple, completions)))
+    # every sum of the members' parts, and of the outsiders', in product order
+    members, outsiders = [0], [0]
+    for j, a in enumerate(agents):
+        place = base ** (n - 1 - j)
+        if a in coalition:
+            members = [k + d * place for k in members for d in range(base)]
+        else:
+            outsiders = [k + d * place for k in outsiders for d in range(base)]
+    return tuple(tuple(k + o for o in outsiders) for k in members)
 
 
 @dataclass
@@ -129,10 +132,10 @@ class CheckContext:
     profile, in the order of ``game.row_ids(state)``, the ``entry`` of its
     row, the triple (survival numerator, survival denominator, positive
     non-failure successors in row order), compiled on first use.
-    ``choices(coalition)`` lists the coalition's choices in the same
-    order, each as (partial profile, indices of its completions in the
-    outcome table); it is :func:`choice_table`, built once per
-    agents-and-actions layout and shared across contexts.
+    ``choices(coalition)`` lists the coalition's choices in the product
+    order of its members, each as the ascending indices of its
+    completions in the outcome table; it is :func:`choice_table`, built
+    once per agents-and-actions layout and shared across contexts.
 
     ``outcome_tables`` maps each state to its outcome table.  A caller
     that has the tables ready passes them in, as the bounded search does
@@ -181,14 +184,14 @@ class CheckContext:
 
 
 def _committing_choice(ctx: CheckContext, state, f: Coal):
-    """The first choice of the modality's coalition (partial profile,
-    completion indices) under which every completion survives with
-    probability at least its threshold and reaches only states satisfying
-    its body, or None."""
+    """The index in ``ctx.choices`` of the first choice of the modality's
+    coalition under which every completion survives with probability at
+    least its threshold and reaches only states satisfying its body, or
+    None."""
     body, p_num, p_den = f.body, f.p.numerator, f.p.denominator
     table = ctx.outcomes(state)
-    for choice in ctx.choices(f.coalition):
-        for i in choice[1]:
+    for k, completions in enumerate(ctx.choices(f.coalition)):
+        for i in completions:
             ctx.profile_evals += 1
             n, d, successors = table[i]
             if n * p_den < p_num * d:
@@ -200,7 +203,7 @@ def _committing_choice(ctx: CheckContext, state, f: Coal):
                 continue  # this completion commits: try the next one
             break  # a successor fails the body
         else:
-            return choice
+            return k
     return None
 
 
@@ -278,7 +281,7 @@ def _modality_mask(compiled: list, choices: tuple, p_num: int, p_den: int,
     bits; and the number of complete profiles examined."""
     mask = evals = 0
     for b, table in compiled:
-        for _, completions in choices:
+        for completions in choices:
             for i in completions:
                 evals += 1
                 n, d, successors = table[i]
@@ -346,19 +349,22 @@ def witness(
     game: Game, state, modality: Formula, ctx: Optional[CheckContext] = None
 ) -> Optional[Witness]:
     """First committing profile (in enumeration order) for a modality, or
-    None when the modality fails at the state."""
+    None when the modality fails at the state: the choice's index in the
+    product order of the coalition's members, decoded."""
     if not isinstance(modality, Coal):
         raise CheckError("witness requires a formula whose top node is a modality")
     _require_checkable(game, state, modality)
     if ctx is None:
         ctx = CheckContext(game)
-    choice = _committing_choice(ctx, state, modality)
-    if choice is None:
+    k = _committing_choice(ctx, state, modality)
+    if k is None:
         return None
-    partial, completions = choice
     table = ctx.outcomes(state)
-    n, d, _ = min((table[i] for i in completions), key=_SURVIVAL_ORDER)
-    return Witness(partial, Fraction(n, d))
+    n, d, _ = min((table[i] for i in ctx.choices(modality.coalition)[k]),
+                  key=_SURVIVAL_ORDER)
+    members = tuple(a for a in game.agents if a in modality.coalition)
+    profile = ActionProfile.of(_profile_at(members, game.actions, k))
+    return Witness(profile, Fraction(n, d))
 
 
 # ---------------------------------------------------------------------------

@@ -5,13 +5,21 @@ import os
 import re
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from pathlib import Path
 
 import pytest
 from hypothesis import settings
 
 from sgcl.formula import Bot, Coal, Impl, Neg, ParseError, Var, _shown, exact, render
-from sgcl.game import Game, GameError, game_from_dict, game_to_dict, product_profiles, validate
+from sgcl.game import (
+    ActionProfile,
+    Game,
+    GameError,
+    game_from_dict,
+    game_to_dict,
+    validate,
+)
 from sgcl.proof import (
     MP,
     Assumption,
@@ -101,6 +109,17 @@ def assert_builder_output(g):
     survives the JSON round trip."""
     assert validate(g) == []
     assert game_from_dict(game_to_dict(g)) == g
+
+
+def product_profiles(agents, actions):
+    """Every assignment of ``actions`` to ``agents``, in product order:
+    the profile at index i gives ``agents[j]`` the action numbered by
+    digit j of i written in base ``len(actions)``, ``agents[0]`` most
+    significant.  This order indexes ``Game.row_ids`` and every table of
+    the model checker; the reference the checker's choice tables and
+    decoded profiles are checked against."""
+    return tuple(ActionProfile(tuple(zip(agents, combo)))
+                 for combo in product(actions, repeat=len(agents)))
 
 
 @lru_cache(maxsize=None)

@@ -21,10 +21,10 @@ from sgcl.game import (
     SchemaError,
     GameError,
     MISSING_ROWS_SHOWN,
+    _profile_at,
     game_from_dict,
     game_to_dict,
     load,
-    product_profiles,
     save,
     survival_ladder,
     validate,
@@ -34,6 +34,7 @@ from sgcl.modelcheck import CheckContext
 from conftest import (
     keyed_game,
     overtake_game,
+    product_profiles,
     profile_row,
     profile_row_index,
     reference_game_to_dict,
@@ -59,13 +60,6 @@ class TestActionProfile:
 def survivals(table):
     """An outcome table's entries as (survival, successors) pairs."""
     return [(F(n, d), successors) for n, d, successors in table]
-
-
-def complete_profiles(game):
-    """All complete profiles, in the product order of the actions over
-    the agents: the order of a state's outcome table."""
-    for combo in product(game.actions, repeat=len(game.agents)):
-        yield ActionProfile(tuple(zip(game.agents, combo)))
 
 
 def load_violations(doc):
@@ -308,7 +302,6 @@ class TestValidateMatchesReference:
         names = sorted(agents)
         expected = [dict(zip(names, combo))
                     for combo in islice(product("xy", repeat=40), MISSING_ROWS_SHOWN)]
-        layouts = product_profiles.cache_info()
         tracemalloc.start()
         try:
             violations = load_violations(doc)
@@ -319,7 +312,6 @@ class TestValidateMatchesReference:
             f"missing transition row for ('s', {d!r})" for d in expected
         ] + [f"{2 ** 40 - 1 - 5} more transition rows missing"]
         assert peak < 1 << 20
-        assert product_profiles.cache_info() == layouts
 
 
 # literals the differential documents draw from: each is exact, and
@@ -456,8 +448,9 @@ class TestRowIds:
         g = load(path)
         doc = json.loads(path.read_text())
         to = {(e["from"], ActionProfile.of(e["profile"])): e["to"] for e in doc["transitions"]}
+        profiles = product_profiles(g.agents, g.actions)
         for s in g.states:
-            want = [{t: F(v) for t, v in to[(s, p)].items()} for p in complete_profiles(g)]
+            want = [{t: F(v) for t, v in to[(s, p)].items()} for p in profiles]
             assert [g.rows[i] for i in g.row_ids(s)] == want, s
 
     def test_reversed_agents(self):
@@ -481,7 +474,7 @@ class TestRowIds:
 
     def test_transitions_follow_the_row_ids(self):
         g = overtake_game()
-        keys = [(s, p) for s in g.states for p in complete_profiles(g)]
+        keys = [(s, p) for s in g.states for p in product_profiles(g.agents, g.actions)]
         assert list(g.transitions) == keys
         assert all(g.transitions[k] == profile_row_index(g, *k) for k in keys)
 
@@ -572,7 +565,7 @@ class TestSurvival:
     def test_survival_plus_failure_mass_is_one(self):
         g = overtake_game()
         ctx = CheckContext(g)
-        profiles = list(complete_profiles(g))
+        profiles = product_profiles(g.agents, g.actions)
         for s in g.states:
             table = ctx.outcomes(s)
             assert len(table) == len(profiles) == 9
@@ -585,29 +578,35 @@ class TestSurvival:
 
 
 class TestCompletions:
-    """The choice table: each coalition choice with the indices of its
-    completions in the outcome table."""
+    """The choice table: each coalition choice, in the product order of
+    its members, as the indices of its completions in the outcome
+    table."""
 
     def test_count_is_actions_to_the_free_agents(self):
-        ctx = CheckContext(overtake_game())
-        [(nobody, everything)] = ctx.choices(frozenset())
-        assert nobody == ActionProfile.of({}) and everything == tuple(range(9))
-        by_a = dict(ctx.choices(frozenset({"a"})))
+        g = overtake_game()
+        ctx = CheckContext(g)
+        assert ctx.choices(frozenset()) == (tuple(range(9)),)
+        by_a = ctx.choices(frozenset({"a"}))
         assert len(by_a) == 3
-        assert len(by_a[ActionProfile.of({"a": "plus"})]) == 3
-        both = dict(ctx.choices(frozenset({"a", "b"})))
+        # a's actions are minus, zero, plus: plus is its third choice
+        assert len(by_a[2]) == 3
+        both = ctx.choices(frozenset({"a", "b"}))
         assert len(both) == 9
-        [only] = both[ActionProfile.of({"a": "plus", "b": "zero"})]
-        assert list(complete_profiles(overtake_game()))[only] == ActionProfile.of(
-            {"a": "plus", "b": "zero"})
+        # (plus, zero) is choice 2 * 3 + 1 of the members' product order
+        [only] = both[7]
+        plus_zero = {"a": "plus", "b": "zero"}
+        assert _profile_at(g.agents, g.actions, 7) == plus_zero
+        assert product_profiles(g.agents, g.actions)[only] == ActionProfile.of(plus_zero)
 
     def test_deterministic_order(self):
         g = overtake_game()
-        profiles = list(complete_profiles(g))
+        profiles = product_profiles(g.agents, g.actions)
         choices = CheckContext(g).choices(frozenset({"a"}))
-        assert [p.as_dict() for p, _ in choices] == [
+        assert [_profile_at(("a",), g.actions, k) for k in range(len(choices))] == [
             {"a": "minus"}, {"a": "zero"}, {"a": "plus"}]
-        got = [profiles[i].as_dict()["b"] for i in choices[2][1]]
+        for k, completions in enumerate(choices):
+            assert [profiles[i].as_dict()["a"] for i in completions] == [g.actions[k]] * 3
+        got = [profiles[i].as_dict()["b"] for i in choices[2]]
         assert got == ["minus", "zero", "plus"]
 
 

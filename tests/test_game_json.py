@@ -53,7 +53,7 @@ def loaded(doc):
 def assert_written_as_reference(games, path):
     """Each game's text and dict equal the reference's, and its listed
     and row forms load to equal games, or to the same violations; ``save``
-    of the game with the most rows writes the reference's indented text
+    of the game with the most rows writes the reference's text and a newline
     (a file per game would cost more than the rest of the check)."""
     games = list(games)
     assert games
@@ -67,7 +67,7 @@ def assert_written_as_reference(games, path):
             assert from_rows == game
     largest = max(games, key=lambda g: len(g.rows))
     save(largest, path)
-    expected = json.dumps(reference_row_table(largest), indent=2) + "\n"
+    expected = json.dumps(reference_row_table(largest)) + "\n"
     assert path.read_bytes() == expected.encode()
 
 

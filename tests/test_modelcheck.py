@@ -3,7 +3,7 @@
 import random
 import types
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, permutations, product
 from pathlib import Path
 
 import pytest
@@ -44,7 +44,13 @@ from sgcl.modelcheck import (
     witness,
 )
 
-from conftest import keyed_game, overtake_game, pool_games, profile_row_index
+from conftest import (
+    keyed_game,
+    overtake_game,
+    pool_games,
+    product_profiles,
+    profile_row_index,
+)
 
 F = Fraction
 GAMES = Path(__file__).resolve().parents[1] / "games"
@@ -332,14 +338,10 @@ class TestAgainstNaiveSemantics:
         assert [survival for survival, _ in table] == [0, F(3, 4), 1, 1]
         assert table[2] == (1, ("t", "s"))
         assert table[3] == (1, ("t",))
-        assert ctx.choices(frozenset({"a"})) == (
-            (ActionProfile.of({"a": "x"}), (0, 2)),
-            (ActionProfile.of({"a": "y"}), (1, 3)),
-        )
-        assert ctx.choices(frozenset({"b"})) == (
-            (ActionProfile.of({"b": "x"}), (0, 1)),
-            (ActionProfile.of({"b": "y"}), (2, 3)),
-        )
+        # a's choices x, y complete at (b, a) = (x, x), (y, x) and (x, y),
+        # (y, y); b's at (x, x), (x, y) and (y, x), (y, y)
+        assert ctx.choices(frozenset({"a"})) == ((0, 2), (1, 3))
+        assert ctx.choices(frozenset({"b"})) == ((0, 1), (2, 3))
         # formula: (witness, complete profiles examined to find it)
         expected = {
             "[a,b]_1/2 v": (Witness(prof("y", "x"), F(3, 4)), 2),
@@ -383,10 +385,15 @@ class TestSharedTables:
         g = overtake_game()
         reversed_agents = with_reversed_agents(g)
         ours, theirs = CheckContext(g), CheckContext(reversed_agents)
-        for coalition in self.COALITIONS[1:]:
+        for coalition in self.COALITIONS[1:3]:
             assert ours.choices(coalition) != theirs.choices(coalition)
-        assert ours.choices(frozenset("a"))[0][1] == (0, 1, 2)
-        assert theirs.choices(frozenset("a"))[0][1] == (0, 3, 6)
+        assert ours.choices(frozenset("a"))[0] == (0, 1, 2)
+        assert theirs.choices(frozenset("a"))[0] == (0, 3, 6)
+        # the grand coalition's choices are the complete profiles in
+        # either order, each completing only itself
+        everyone = self.COALITIONS[3]
+        assert ours.choices(everyone) == theirs.choices(everyone) == tuple(
+            (i,) for i in range(9))
         assert ours.outcomes("p") != theirs.outcomes("p")
         assert sorted(ours.outcomes("p")) == sorted(theirs.outcomes("p"))
 
@@ -395,8 +402,57 @@ class TestSharedTables:
         for coalition in self.COALITIONS:
             table = ctx.choices(coalition)
             assert isinstance(table, tuple)
-            for choice in table:
-                assert isinstance(choice, tuple) and isinstance(choice[1], tuple)
+            for completions in table:
+                assert isinstance(completions, tuple)
+                assert all(type(i) is int for i in completions)
+
+
+def reference_choices(agents, actions, coalition):
+    """``(choices, completions)``: the coalition's partial profiles in the
+    product order of its members, and for each the indices of the
+    complete profiles that extend it, read from the profiles
+    themselves."""
+    members = tuple(a for a in agents if a in coalition)
+    choices = product_profiles(members, actions)
+    profiles = product_profiles(agents, actions)
+    completions = tuple(
+        tuple(i for i, p in enumerate(profiles) if set(choice.assignment) <= set(p.assignment))
+        for choice in choices)
+    return choices, completions
+
+
+def choice_layouts():
+    """Every layout of 0 to 4 agents, in every order, with 1 to 3
+    actions, and each of its coalitions: 1329 in all."""
+    for n in range(5):
+        for agents in permutations("abcd"[:n]):
+            for actions in (("x",), ("x", "y"), ("x", "y", "z")):
+                for size in range(n + 1):
+                    for coalition in combinations(agents, size):
+                        yield agents, actions, frozenset(coalition)
+
+
+class TestChoiceTableAgainstProducts:
+    """The choice table, built from place values, against the choices and
+    completions read from the product-order profiles; ``witness`` decodes
+    a choice's index to the reference's partial profile."""
+
+    def test_layouts(self):
+        layouts = list(choice_layouts())
+        assert len(layouts) == 1329
+        for agents, actions, coalition in layouts:
+            choices, completions = reference_choices(agents, actions, coalition)
+            table = modelcheck.choice_table(agents, actions, coalition)
+            assert table == completions, (agents, actions, coalition)
+            # the one committing choice: a middle one, whose members'
+            # actions differ when it has two or more members
+            k = len(table) // 2
+            width = len(actions) ** len(agents)
+            commits = set(table[k])
+            g = Game(agents, ("s", "f"), ("f",), actions, ({"s": 1}, {"f": 1}),
+                     {"s": [0 if i in commits else 1 for i in range(width)],
+                      "f": [1] * width}, {})
+            assert witness(g, "s", Coal(coalition, F(1), TOP)) == Witness(choices[k], F(1))
 
 
 checked_formulas = st.recursive(
@@ -697,10 +753,24 @@ def plant_joint_fault(mp) -> None:
     mp.setattr(modelcheck, "_committing_choice",
                lambda ctx, state, f: None if len(f.coalition) > 1 and f.p > 0
                else committing(ctx, state, f))
+    # a choice table holds only completion indices, and with one action
+    # every coalition's table is ((0,),): each table the kernel sees is
+    # tagged with its coalition's size
+    class Sized(tuple):
+        pass
+
+    table = modelcheck.choice_table
+
+    def sized(agents, actions, coalition):
+        choices = Sized(table(agents, actions, coalition))
+        choices.size = len(coalition)
+        return choices
+
+    mp.setattr(modelcheck, "choice_table", sized)
     kernel = modelcheck._modality_mask
     mp.setattr(modelcheck, "_modality_mask",
                lambda compiled, choices, p_num, p_den, outside:
-               (0, 0) if len(choices[0][0].assignment) > 1 and p_num > 0
+               (0, 0) if choices.size > 1 and p_num > 0
                else kernel(compiled, choices, p_num, p_den, outside))
 
 
