@@ -230,7 +230,7 @@ def _cmd_canonical(args) -> int:
 def _cmd_decide(args) -> int:
     f = _read_formula(args)
     bounds = None
-    if args.budget:
+    if args.budget is not None:
         bounds = SearchBounds(
             agents=tuple(sorted(agents_of(f))) or ("a",), budget=args.budget
         )
@@ -351,8 +351,8 @@ def _build_parser() -> argparse.ArgumentParser:
     formula_opts(p)
     p.add_argument("--system", choices=systems, default=SystemId.L.value)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=int, default=0,
-                   help="bounded-search budget override (0 keeps the default)")
+    p.add_argument("--budget", type=int, default=None,
+                   help="bounded-search budget override")
     p.add_argument("--max-closure", type=_closure_cap, default=CLOSURE_CAP)
     common_opts(p)
     p.set_defaults(fn=_cmd_decide)

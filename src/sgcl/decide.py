@@ -17,7 +17,7 @@ returns before it draws a game; a skeleton of more than ``ATOM_CAP``
 atoms, which that check refuses, is searched like any other formula.
 Each game is drawn as integers, its rows as grid units over
 the grid's common denominator, and compiled straight into the model
-checker's outcome tables; only a countermodel is built as a
+checker's row entries; only a countermodel is built as a
 :class:`Game`.  The two routes are independent, and each refutation
 either route returns is re-verified, on a ``Game``, before being
 reported.
@@ -191,6 +191,11 @@ class Draw(NamedTuple):
     rows: list
     valuation: dict
 
+    def row_ids(self, s: int) -> range:
+        """The ids in ``rows`` of state index s's rows, in product order."""
+        width = len(self.actions) ** len(self.agents)
+        return range(s * width, (s + 1) * width)
+
 
 def _draw(
     rng: random.Random,
@@ -278,15 +283,13 @@ def _materialize(draw: Draw, bounds: SearchBounds) -> Game:
     constructor with each entry's units as an exact ``Fraction``."""
     fractions = bounds._units[2]
     states = draw.states
-    n_profiles = len(draw.actions) ** len(draw.agents)
     return Game(
         agents=draw.agents,
         states=states,
         failures=[states[i] for i in draw.failures],
         actions=draw.actions,
         rows=[{states[t]: fractions[u] for t, u in row} for row in draw.rows],
-        row_ids={s: range(k * n_profiles, (k + 1) * n_profiles)
-                 for k, s in enumerate(states)},
+        row_ids={s: draw.row_ids(k) for k, s in enumerate(states)},
         valuation={v: [states[i] for i in members]
                    for v, members in draw.valuation.items()},
     )
@@ -304,21 +307,18 @@ def sample_game(
     return _materialize(_draw(rng, bounds, variables, require_agents), bounds)
 
 
-def _outcome_tables(draw: Draw, den: int) -> dict:
-    """The outcome table of each non-failure state of a draw, keyed by
-    state index, in state order: per complete profile, in product order,
-    the ``CheckContext.outcomes`` entry of its row, (survival units, den,
-    non-failure targets in row order).  Truth is undefined at a failure
-    state, so no table is made for one."""
+def _row_entries(draw: Draw, den: int) -> list:
+    """The ``CheckContext.entries`` of a draw, by row id: each row's
+    (survival units, den, non-failure targets in row order).  Truth is
+    undefined at a failure state, so its rows' entries are None."""
     failures = draw.failures
-    rows = draw.rows
     width = len(draw.actions) ** len(draw.agents)
-    tables = {}
+    entries = []
     for s in range(len(draw.states)):
         if s in failures:
+            entries += [None] * width
             continue
-        entries = tables[s] = []
-        for row in rows[s * width:(s + 1) * width]:
+        for row in draw.rows[s * width:(s + 1) * width]:
             survival = 0
             successors = []
             for t, u in row:
@@ -326,7 +326,7 @@ def _outcome_tables(draw: Draw, den: int) -> dict:
                     survival += u
                     successors.append(t)
             entries.append((survival, den, tuple(successors)))
-    return tables
+    return entries
 
 
 def bounded_countermodel(
@@ -344,11 +344,11 @@ def bounded_countermodel(
     more than ``ATOM_CAP`` atoms is searched as below.
 
     The games are those :func:`sample_game` makes from ``Random(seed)``,
-    but each is checked as drawn: its rows go straight into the outcome
-    tables of its non-failure states (:func:`_outcome_tables`), and f is
-    evaluated on one context per game, the draw standing in for the
-    game; the contexts share nothing.  Every drawn game has the agents of
-    f, so no state checks them again.  Only a refuting draw becomes a
+    but each is checked as drawn: its rows go straight into the
+    context's entries (:func:`_row_entries`), and f is evaluated at each
+    non-failure state on one context per game, the draw standing in for
+    the game; the contexts share nothing.  Every drawn game has the
+    agents of f, so no state checks them again.  Only a refuting draw becomes a
     :class:`Game`: ``sample_game`` makes it from a fresh ``Random(seed)``
     advanced past the draws before it, so that ``sample_game`` stays the
     one maker of a sampled game, the one the benchmark's tracer counts
@@ -368,10 +368,9 @@ def bounded_countermodel(
     den = bounds._units[0]
     for attempt in range(bounds.budget):
         draw = _draw(rng, bounds, names, needed)
-        outcome_tables = _outcome_tables(draw, den)
-        ctx = CheckContext(draw, outcome_tables=outcome_tables)
-        for s in outcome_tables:
-            if not _eval(ctx, s, f):
+        ctx = CheckContext(draw, entries=_row_entries(draw, den))
+        for s in range(len(draw.states)):
+            if s not in draw.failures and not _eval(ctx, s, f):
                 replay = random.Random(seed)
                 for _ in range(attempt):
                     _draw(replay, bounds, names, needed)

@@ -9,13 +9,14 @@ model checking are exact.
 
 A game is immutable, dense and complete: ``rows`` holds each row once,
 and ``row_ids(state)`` lists the row index of every complete profile of
-that state in product order, the order of the model checker's outcome
-tables: the profile at position i gives ``agents[j]`` the action
-numbered by digit j of i written in base ``len(actions)``, ``agents[0]``
-most significant.  :func:`_profile_at` decodes one position where a
-message or a witness shows its profile; only ``Game.transitions``, which
-the tests and the tracer read, makes a profile for every position.  A
-row that many profiles share is checked, rendered and compiled once.
+that state in product order, the order in which the model checker
+reads a state's completions: the profile at position i gives
+``agents[j]`` the action numbered by digit j of i written in base
+``len(actions)``, ``agents[0]`` most significant.  :func:`_profile_at`
+decodes one position where a message or a witness shows its profile;
+only ``Game.transitions``, which the tests and the tracer read, makes a
+profile for every position.  A row that many profiles share is checked,
+rendered and compiled once.
 :class:`Game` is the one constructor: it keeps a row whose values are
 all Fractions, takes every other row value through
 :func:`sgcl.formula.exact` and rejects a row-id table of the wrong
@@ -199,25 +200,44 @@ class Game:
 MISSING_ROWS_SHOWN = 5
 
 
-def _row_problems(row: Mapping, states: set) -> list:
-    """What is wrong with one row's entries: unknown targets,
-    probabilities outside [0, 1], and a sum other than 1.  The sum is
-    kept in integers, num / den with den the lcm of the denominators so
-    far, as ``CheckContext.entry`` keeps survival; a Fraction only words
-    a problem."""
-    problems = []
+def _row_mass(row: Mapping, excluded=frozenset()) -> tuple:
+    """(num, den, targets): the mass of ``row`` outside ``excluded`` as
+    num / den in integers, den the lcm of the denominators so far and
+    never reduced, and the targets outside ``excluded`` with positive
+    mass, in row order.  The one sum of a row's exact values: ``validate``
+    reads a whole row's, and the model checker each row's survival."""
     num, den = 0, 1
+    targets = []
     for t, v in row.items():
-        if t not in states:
-            problems.append(f"unknown target state {t!r}")
-        n, d = v.numerator, v.denominator
-        if n < 0 or n > d:
-            problems.append(f"probability {_shown(v)} outside [0, 1]")
+        if t in excluded:
+            continue
+        n, d = v.as_integer_ratio()
         if den % d:
             scale = d // gcd(den, d)
             num *= scale
             den *= scale
         num += n * (den // d)
+        if n > 0:
+            targets.append(t)
+    return num, den, tuple(targets)
+
+
+def _row_problems(row: Mapping, states: set) -> list:
+    """What is wrong with one row's entries: unknown targets,
+    probabilities outside [0, 1], and a sum other than 1, kept in
+    integers by :func:`_row_mass`; a Fraction only words a problem.
+    Positive entries summing to 1 all lie in [0, 1], so the entries are
+    walked one by one only when the sum, a target or a nonpositive entry
+    calls for it."""
+    num, den, positive = _row_mass(row)
+    if num == den and len(positive) == len(row) and states.issuperset(row):
+        return []
+    problems = []
+    for t, v in row.items():
+        if t not in states:
+            problems.append(f"unknown target state {t!r}")
+        if v.numerator < 0 or v.numerator > v.denominator:
+            problems.append(f"probability {_shown(v)} outside [0, 1]")
     if num != den:
         problems.append(f"probabilities sum to {_shown(Fraction(num, den))}, expected 1")
     return problems

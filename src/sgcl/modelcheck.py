@@ -7,38 +7,39 @@ failure set is at least p, and (b) every non-failure state reachable
 with positive probability satisfies the body.  Condition (b) applies
 even at threshold p = 0.
 
-Within one context the checker reads each row of ``game.rows`` once.
-The first time a modality is checked at a state, the state's outcome
-table is compiled from ``game.row_ids(state)``: one entry per complete
-profile, in the product order of ``game.actions`` over ``game.agents``,
-``game.agents[0]`` most significant, holding that profile's survival
-probability and its positive non-failure successors.  Keys that share a
-row, as the canonical game's do, share its entry.  Survival stays in
-integers: an entry is ``(numerator, denominator, successors)``, the
-numerator summed over a running common denominator and never reduced,
-and a threshold p is met unless ``numerator * p.denominator <
-p.numerator * denominator``.  No ``Fraction`` is made or compared while
-checking; :func:`witness` makes the one it reports.  A coalition's
-choice is the tuple of its completions' indices in that table, and its
-choices are listed in the product order of its members once per
-agents-and-actions layout (:func:`choice_table`); the list holds only
-ints and is shared by every context, and so by every game, of that
-layout.  No action profile is made while checking: :func:`witness`
-decodes the one it reports from its choice's index.  A caller that
-compiles the tables itself hands them to the context
-(``CheckContext.outcome_tables``): the bounded search does so for each
-game it draws, which never becomes a :class:`Game` unless it refutes.
+A context compiles each row of ``game.rows`` once, when it is made,
+into its ``entries``, indexed by row id: the row's survival probability
+and its positive non-failure successors.  Profiles that share a row, as
+the canonical game's do, share its entry, so the work grows with the
+distinct rows, not with the states times the complete profiles.  A
+completion at a state is the entry of its row id, read through
+``game.row_ids(state)``, whose positions are the complete profiles in
+the product order of ``game.actions`` over ``game.agents``,
+``game.agents[0]`` most significant.  Survival stays in integers: an
+entry is ``(numerator, denominator, successors)``, the numerator summed
+over a running common denominator and never reduced
+(:func:`sgcl.game._row_mass`), and a threshold p is met unless
+``numerator * p.denominator < p.numerator * denominator``.  No
+``Fraction`` is made or compared while checking; :func:`witness` makes
+the one it reports.  A coalition's choice is the tuple of its
+completions' positions among a state's row ids, and its choices are
+listed in the product order of its members once per agents-and-actions
+layout (:func:`choice_table`); the list holds only ints and is shared by
+every context, and so by every game, of that layout.  No action profile
+is made while checking: :func:`witness` decodes the one it reports from
+its choice's index.  A caller that compiles the entries itself hands
+them to the context (``CheckContext.entries``): the bounded search does
+so for each game it draws, which never becomes a :class:`Game` unless it
+refutes.
 
 The lazy checker has no node table: it computes truth values on
 demand, memoized per (state, formula), dispatching on each node's type.
 Each node caches its hash and formula ``==`` walks an explicit stack, so
 two equal subformulas share their memo entries whether or not they are
-one object.  States no query reaches are never compiled, and a bounded
-search shares nothing among the contexts of the games it draws.
-``holds``, ``extent`` and ``witness`` stay lazy in this way, because a
-query of one formula at one state, or of a few formulas, touches only
-part of a game: compiling every state up front made the canonical
-route's decide slower, and a labeling ``extent`` was slower than the
+one object.  A bounded search shares nothing among the contexts of the
+games it draws.  ``holds``, ``extent`` and ``witness`` stay lazy in this
+way, because a query of one formula at one state, or of a few formulas,
+touches only part of a game: a labeling ``extent`` was slower than the
 lazy one on the bench's extent queries.
 
 :func:`label` is the eager route, the labeling algorithm of ATL model
@@ -67,7 +68,6 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cmp_to_key, lru_cache
-from math import gcd
 from typing import Iterable, Optional
 
 from .formula import (
@@ -85,7 +85,7 @@ from .formula import (
     render,
     subformulas,
 )
-from .game import ActionProfile, Game, _profile_at
+from .game import ActionProfile, Game, _profile_at, _row_mass
 
 
 class CheckError(Exception):
@@ -128,56 +128,32 @@ class CheckContext:
     ``memo`` holds the truth values computed so far, keyed by (state,
     formula).
 
-    ``outcomes(state)`` is the state's outcome table: for each complete
-    profile, in the order of ``game.row_ids(state)``, the ``entry`` of its
-    row, the triple (survival numerator, survival denominator, positive
-    non-failure successors in row order), compiled on first use.
+    ``entries`` holds, for each row of ``game.rows`` by its row id, the
+    triple (survival numerator, survival denominator, positive
+    non-failure successors in row order) of :func:`sgcl.game._row_mass`,
+    compiled once when the context is made.  A completion at a state is
+    read as ``entries[ids[i]]``, ``ids`` being ``game.row_ids(state)``.
     ``choices(coalition)`` lists the coalition's choices in the product
     order of its members, each as the ascending indices of its
-    completions in the outcome table; it is :func:`choice_table`, built
-    once per agents-and-actions layout and shared across contexts.
+    completions among the state's row ids; it is :func:`choice_table`,
+    built once per agents-and-actions layout and shared across contexts.
 
-    ``outcome_tables`` maps each state to its outcome table.  A caller
-    that has the tables ready passes them in, as the bounded search does
-    for the games it draws (:func:`sgcl.decide.bounded_countermodel`):
-    it gives one for every state it evaluates, and ``game`` then need
-    only have the ``agents``, ``actions`` and ``valuation`` of a game,
-    its states being the keys of the tables and the successors in
-    them."""
+    A caller that has the entries ready passes them in, as the bounded
+    search does for the games it draws
+    (:func:`sgcl.decide.bounded_countermodel`): it gives one for every
+    row of every state it evaluates, and ``game`` then need only have
+    the ``agents``, ``actions``, ``valuation`` and ``row_ids`` of a game,
+    its states and successors being those its entries name."""
 
     game: Game
     memo: dict = field(default_factory=dict, init=False)
     profile_evals: int = field(default=0, init=False)
-    outcome_tables: dict = field(default_factory=dict, repr=False)
-    _entries: dict = field(default_factory=dict, init=False, repr=False)
+    entries: Optional[list] = field(default=None, repr=False)
 
-    def entry(self, i: int) -> tuple:
-        entry = self._entries.get(i)
-        if entry is None:
+    def __post_init__(self):
+        if self.entries is None:
             failures = self.game.failures
-            # non-failure mass as num / den, den the lcm of the denominators so far
-            num, den = 0, 1
-            successors = []
-            for t, v in self.game.rows[i].items():
-                if t in failures:
-                    continue
-                n, d = v.numerator, v.denominator
-                if den % d:
-                    scale = d // gcd(den, d)
-                    num *= scale
-                    den *= scale
-                num += n * (den // d)
-                if n > 0:
-                    successors.append(t)
-            entry = self._entries[i] = (num, den, tuple(successors))
-        return entry
-
-    def outcomes(self, state) -> list:
-        table = self.outcome_tables.get(state)
-        if table is None:
-            table = self.outcome_tables[state] = list(
-                map(self.entry, self.game.row_ids(state)))
-        return table
+            self.entries = [_row_mass(row, failures) for row in self.game.rows]
 
     def choices(self, coalition: frozenset) -> tuple:
         return choice_table(self.game.agents, self.game.actions, coalition)
@@ -189,11 +165,11 @@ def _committing_choice(ctx: CheckContext, state, f: Coal):
     least its threshold and reaches only states satisfying its body, or
     None."""
     body, p_num, p_den = f.body, f.p.numerator, f.p.denominator
-    table = ctx.outcomes(state)
+    entries, ids = ctx.entries, ctx.game.row_ids(state)
     for k, completions in enumerate(ctx.choices(f.coalition)):
         for i in completions:
             ctx.profile_evals += 1
-            n, d, successors = table[i]
+            n, d, successors = entries[ids[i]]
             if n * p_den < p_num * d:
                 break
             for t in successors:
@@ -264,12 +240,12 @@ def extent(game: Game, f: Formula, ctx: Optional[CheckContext] = None) -> frozen
 
 def _compile_masks(ctx: CheckContext, bit: dict) -> list:
     """(state bit, [(numerator, denominator, successor mask), ...]) per
-    state of ``bit``: each outcome entry in its table's order, its
-    successors as a mask.  Each row of ``game.rows`` is compiled once."""
-    game = ctx.game
+    state of ``bit``: the entry of each of its row ids in product order,
+    its successors as a mask.  Each entry's mask is made once."""
     triples = [(n, d, sum(bit[t] for t in successors))
-               for n, d, successors in map(ctx.entry, range(len(game.rows)))]
-    return [(b, [triples[i] for i in game.row_ids(s)]) for s, b in bit.items()]
+               for n, d, successors in ctx.entries]
+    row_ids = ctx.game.row_ids
+    return [(b, [triples[i] for i in row_ids(s)]) for s, b in bit.items()]
 
 
 def _modality_mask(compiled: list, choices: tuple, p_num: int, p_den: int,
@@ -359,8 +335,8 @@ def witness(
     k = _committing_choice(ctx, state, modality)
     if k is None:
         return None
-    table = ctx.outcomes(state)
-    n, d, _ = min((table[i] for i in ctx.choices(modality.coalition)[k]),
+    entries, ids = ctx.entries, game.row_ids(state)
+    n, d, _ = min((entries[ids[i]] for i in ctx.choices(modality.coalition)[k]),
                   key=_SURVIVAL_ORDER)
     members = tuple(a for a in game.agents if a in modality.coalition)
     profile = ActionProfile.of(_profile_at(members, game.actions, k))

@@ -139,6 +139,12 @@ def profile_row_index(game, state, profile):
     return ids[position]
 
 
+def outcomes(ctx, state):
+    """The entries a context reads for ``state``'s completions: its
+    ``entries`` at each of the state's row ids, in product order."""
+    return [ctx.entries[i] for i in ctx.game.row_ids(state)]
+
+
 def profile_row(game, state, profile):
     """The row of ``state`` under the complete ``profile``."""
     return game.rows[profile_row_index(game, state, profile)]

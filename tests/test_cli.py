@@ -424,10 +424,11 @@ class TestDecide:
         assert "argument --max-closure: must be nonnegative" in captured.err
 
     def test_negative_budget_is_input_error(self, capsys):
-        assert run(["decide", "--formula", "v", "--budget", "-1"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.strip() == "error: budget must be positive"
+        for budget in ("-1", "0"):
+            assert run(["decide", "--formula", "v", "--budget", budget]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.strip() == "error: budget must be positive"
 
 
 class TestDemoIncompleteness:

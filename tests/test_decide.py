@@ -16,7 +16,7 @@ from sgcl.decide import (
     SearchBounds,
     ValidRelativeToOracle,
     _draw,
-    _outcome_tables,
+    _row_entries,
     bounded_countermodel,
     classify,
     decide_formula,
@@ -43,7 +43,14 @@ from sgcl.game import ActionProfile, game_to_dict, validate
 from sgcl.modelcheck import CheckContext, holds
 from sgcl.proof import SystemId
 
-from conftest import acceptance_corpus, keyed_game, members, pool_decides, profile_row
+from conftest import (
+    acceptance_corpus,
+    keyed_game,
+    members,
+    outcomes,
+    pool_decides,
+    profile_row,
+)
 
 F = Fraction
 
@@ -287,7 +294,7 @@ def assert_outcomes_match_rows(g):
     profiles = [ActionProfile(tuple(zip(g.agents, combo)))
                 for combo in product(g.actions, repeat=len(g.agents))]
     for s in g.states:
-        table = ctx.outcomes(s)
+        table = outcomes(ctx, s)
         assert len(table) == len(profiles)
         for (n, d, successors), profile in zip(table, profiles):
             assert type(n) is int and type(d) is int and d > 0
@@ -296,7 +303,7 @@ def assert_outcomes_match_rows(g):
 
 
 class TestIntegerRowSums:
-    """Outcome tables sum each row as an integer numerator over a running
+    """Row entries sum each row as an integer numerator over a running
     common denominator; every entry equals the Fraction sum."""
 
     @pytest.mark.parametrize("index", range(len(SAMPLER_BOUNDS)))
@@ -322,31 +329,35 @@ class TestIntegerRowSums:
         g = keyed_game(("a",), states, ("f", "g"), ("x", "y"), transitions, {})
         assert validate(g) == []
         assert_outcomes_match_rows(g)
-        table = CheckContext(g).outcomes("s")
+        table = outcomes(CheckContext(g), "s")
         assert [(F(n, d), successors) for n, d, successors in table] == [
             (F(131, 231), ("s", "t", "u")), (F(5, 6), ("t", "u"))]
 
 
     @pytest.mark.parametrize("index", range(len(SAMPLER_BOUNDS)))
     def test_drawn_tables_equal_compiled_rows(self, index):
-        """The search compiles a draw's integer rows into outcome tables
-        without a Game: each must equal, as exact Fractions with the
-        successors in the same order, the table a context compiles from
-        the game sample_game makes of the same stream, at every
-        non-failure state, and no table is made for a failure state."""
+        """The search compiles a draw's integer rows into row entries
+        without a Game: each non-failure state's must equal, as exact
+        Fractions with the successors in the same order, the entries a
+        context compiles from the game sample_game makes of the same
+        stream, and no entry is made for a failure state's rows."""
         bounds = SAMPLER_BOUNDS[index]
         ours, theirs = random.Random(50 + index), random.Random(50 + index)
         for _ in range(100):
             draw = _draw(ours, bounds, ("u", "v"), frozenset({"a"}))
             g = sample_game(theirs, bounds, require_agents=frozenset({"a"}))
-            tables = _outcome_tables(draw, bounds._units[0])
+            drawn = CheckContext(draw, entries=_row_entries(draw, bounds._units[0]))
             names = draw.states
-            assert [names[s] for s in tables] == list(g.nonfailure_states)
+            compiled = [s for s in range(len(names))
+                        if None not in outcomes(drawn, s)]
+            assert [names[s] for s in compiled] == list(g.nonfailure_states)
+            assert all(set(outcomes(drawn, s)) == {None}
+                       for s in range(len(names)) if s not in compiled)
             ctx = CheckContext(g)
-            for s, table in tables.items():
+            for s in compiled:
                 assert [(F(n, d), tuple(names[t] for t in successors))
-                        for n, d, successors in table] == [
-                    (F(n, d), successors) for n, d, successors in ctx.outcomes(names[s])]
+                        for n, d, successors in outcomes(drawn, s)] == [
+                    (F(n, d), successors) for n, d, successors in outcomes(ctx, names[s])]
 
 
 class TestSampledGamesAreSound:
@@ -447,7 +458,7 @@ SEARCH_FORMULAS = [
 
 
 class TestSearchMatchesReference:
-    """The search draws each game into integer outcome tables and builds
+    """The search draws each game into integer row entries and builds
     a Game only for a refutation, replaying the stream up to it: against
     the loop over sample_game and holds it must return the same None, or
     the same refuting state and an equal game, also when the refuting

@@ -33,6 +33,7 @@ from sgcl.modelcheck import CheckContext
 
 from conftest import (
     keyed_game,
+    outcomes,
     overtake_game,
     product_profiles,
     profile_row,
@@ -58,7 +59,7 @@ class TestActionProfile:
 
 
 def survivals(table):
-    """An outcome table's entries as (survival, successors) pairs."""
+    """A state's outcome entries as (survival, successors) pairs."""
     return [(F(n, d), successors) for n, d, successors in table]
 
 
@@ -541,33 +542,34 @@ class TestConstructorValues:
 
 
 class TestSurvival:
-    """The outcome table: one (survival numerator, survival denominator,
-    positive non-failure successors) entry per complete profile."""
+    """A state's outcome entries: one (survival numerator, survival
+    denominator, positive non-failure successors) entry per complete
+    profile, read from the context's row entries through the row ids."""
 
     @pytest.mark.parametrize("n", range(7))
     def test_ladder_start_state(self, n):
         g = survival_ladder(n)
-        [(num, den, _)] = CheckContext(g).outcomes("s")
+        [(num, den, _)] = outcomes(CheckContext(g), "s")
         assert F(num, den) == 1 - F(1, 10**n)
 
     def test_absorbing_states(self, ladder):
         ctx = CheckContext(ladder)
-        assert survivals(ctx.outcomes("t")) == [(1, ("t",))]
-        assert survivals(ctx.outcomes("f")) == [(0, ())]
+        assert survivals(outcomes(ctx, "t")) == [(1, ("t",))]
+        assert survivals(outcomes(ctx, "f")) == [(0, ())]
 
     def test_positive_successors_exclude_failures(self, ladder):
-        assert survivals(CheckContext(ladder).outcomes("s")) == [(F(9, 10), ("t",))]
+        assert survivals(outcomes(CheckContext(ladder), "s")) == [(F(9, 10), ("t",))]
 
     def test_unknown_state_rejected(self, ladder):
         with pytest.raises(GameError, match="no transition row for state 'zz'"):
-            CheckContext(ladder).outcomes("zz")
+            outcomes(CheckContext(ladder), "zz")
 
     def test_survival_plus_failure_mass_is_one(self):
         g = overtake_game()
         ctx = CheckContext(g)
         profiles = product_profiles(g.agents, g.actions)
         for s in g.states:
-            table = ctx.outcomes(s)
+            table = outcomes(ctx, s)
             assert len(table) == len(profiles) == 9
             for (num, den, successors), profile in zip(table, profiles):
                 row = profile_row(g, s, profile)
@@ -699,7 +701,7 @@ class TestJson:
         g = game_from_dict(doc)
         prof = ActionProfile.of({"a": "act"})
         assert profile_row(g, "s", prof).get("t") is None
-        assert survivals(CheckContext(g).outcomes("s")) == [(0, ())]
+        assert survivals(outcomes(CheckContext(g), "s")) == [(0, ())]
 
     def test_duplicate_row_rejected(self):
         doc = reference_game_to_dict(survival_ladder(0))

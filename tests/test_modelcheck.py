@@ -46,6 +46,7 @@ from sgcl.modelcheck import (
 
 from conftest import (
     keyed_game,
+    outcomes,
     overtake_game,
     pool_games,
     product_profiles,
@@ -211,7 +212,7 @@ class TestIntegerThresholds:
                           {"v": ("t", "u")})
 
     def test_entry_is_unreduced(self, split):
-        assert CheckContext(split).outcomes("s") == [(2, 4, ("t", "u"))]
+        assert outcomes(CheckContext(split), "s") == [(2, 4, ("t", "u"))]
 
     @pytest.mark.parametrize("text, expected", [
         ("[a]_1/2 v", True), ("[]_1/2 v", True),
@@ -291,7 +292,7 @@ class TestAgainstNaiveSemantics:
     ])
     def test_canonical_outcome_tables_match_rows(self, text):
         """Canonical rows are shared between keys; each state's outcome
-        table still equals the one read row by row, and keys sharing a
+        entries still equal the ones read row by row, and keys sharing a
         row of the table share its entry."""
         from sgcl.canonical import build_canonical_game
         from sgcl.formula import closure
@@ -300,7 +301,7 @@ class TestAgainstNaiveSemantics:
         ctx = CheckContext(g)
         entry_of = {}  # row index -> the table entry given for it
         for s in g.states:
-            table = ctx.outcomes(s)
+            table = outcomes(ctx, s)
             combos = list(product(g.actions, repeat=len(g.agents)))
             assert len(table) == len(combos)
             for entry, combo in zip(table, combos):
@@ -334,7 +335,7 @@ class TestAgainstNaiveSemantics:
         g = keyed_game(("b", "a"), ("s", "t", "f"), ("f",), ("x", "y"), transitions,
                        {"v": ("s", "t"), "u": ("t",)})
         ctx = CheckContext(g)
-        table = [(F(n, d), successors) for n, d, successors in ctx.outcomes("s")]
+        table = [(F(n, d), successors) for n, d, successors in outcomes(ctx, "s")]
         assert [survival for survival, _ in table] == [0, F(3, 4), 1, 1]
         assert table[2] == (1, ("t", "s"))
         assert table[3] == (1, ("t",))
@@ -369,6 +370,31 @@ class TestAgainstNaiveSemantics:
         assert ctx.profile_evals <= bound
 
 
+class TestRowEntries:
+    """A context compiles each distinct row once, not each (state,
+    complete profile) key that reads it."""
+
+    def test_wide_canonical_game_compiles_each_row_once(self, monkeypatch):
+        from sgcl.canonical import build_canonical_game
+
+        wide = parse("([a0,a1,a2,a3,a4,a5,a6,a7]_1/2 v -> "
+                     "[a0]_1/2 [a0,a1,a2,a3,a4,a5,a6,a7]_1 u)")
+        g, _ = build_canonical_game(closure([Neg(wide)]))
+        compiled = []
+
+        def counting(row, excluded=frozenset()):
+            compiled.append(row)
+            return row_mass(row, excluded)
+
+        row_mass = modelcheck._row_mass
+        monkeypatch.setattr(modelcheck, "_row_mass", counting)
+        ctx = CheckContext(g)
+        assert len(compiled) == len(ctx.entries) == len(g.rows)
+        assert len(g.rows) * 1000 < len(g.states) * len(g.actions) ** len(g.agents)
+        assert any(not holds(g, s, wide, ctx) for s in g.nonfailure_states)
+        assert len(compiled) == len(g.rows)
+
+
 class TestSharedTables:
     """Choice tables depend only on the agents, the actions and the
     coalition, and are shared by every context of one layout."""
@@ -394,8 +420,8 @@ class TestSharedTables:
         everyone = self.COALITIONS[3]
         assert ours.choices(everyone) == theirs.choices(everyone) == tuple(
             (i,) for i in range(9))
-        assert ours.outcomes("p") != theirs.outcomes("p")
-        assert sorted(ours.outcomes("p")) == sorted(theirs.outcomes("p"))
+        assert outcomes(ours, "p") != outcomes(theirs, "p")
+        assert sorted(outcomes(ours, "p")) == sorted(outcomes(theirs, "p"))
 
     def test_tables_are_tuples(self):
         ctx = CheckContext(overtake_game())
