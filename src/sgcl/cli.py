@@ -17,8 +17,8 @@ import sys
 from typing import Optional
 
 from .canonical import CLOSURE_CAP, CanonicalError, audit_truth_lemma, build_canonical_game
-from .decide import DecideError, Refuted, SearchBounds, decide_formula, incompleteness_demo
-from .formula import TOP, Bot, Var, agents_of, closure, parse, render
+from .decide import DecideError, Refuted, decide_formula, incompleteness_demo
+from .formula import TOP, Bot, Var, closure, parse, render
 from .game import Game, GameError, game_json, load
 from .modelcheck import AUDIT_BUDGET, CheckError, audit_axiom_soundness, extent, holds, witness
 from .proof import ProofError, SystemId, load_proof, verify
@@ -229,15 +229,10 @@ def _cmd_canonical(args) -> int:
 
 def _cmd_decide(args) -> int:
     f = _read_formula(args)
-    bounds = None
-    if args.budget is not None:
-        bounds = SearchBounds(
-            agents=tuple(sorted(agents_of(f))) or ("a",), budget=args.budget
-        )
     verdict = decide_formula(
         f,
         system=SystemId(args.system),
-        bounds=bounds,
+        budget=args.budget,
         seed=args.seed,
         cap=args.max_closure,
     )

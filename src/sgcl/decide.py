@@ -15,10 +15,10 @@ modality an opaque atom, is a tautology holds at every non-failure state
 of every game, so the search settles it by :func:`is_tautology` and
 returns before it draws a game; a skeleton of more than ``ATOM_CAP``
 atoms, which that check refuses, is searched like any other formula.
-Each game is drawn as integers, its rows as grid units over
-the grid's common denominator, and compiled straight into the model
-checker's row entries; only a countermodel is built as a
-:class:`Game`.  The two routes are independent, and each refutation
+Each game is drawn once, as integers, its rows as units over the
+quarter grid's denominator 4, and compiled straight into the model
+checker's row entries; only a refuting draw is built, as it stands,
+into a :class:`Game`.  The two routes are independent, and each refutation
 either route returns is re-verified, on a ``Game``, before being
 reported.
 
@@ -41,7 +41,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import NamedTuple, Optional, Sequence
 
 from .canonical import CLOSURE_CAP, ClosureCapError, build_canonical_game
@@ -53,7 +52,6 @@ from .formula import (
     Neg,
     agents_of,
     closure,
-    exact,
     is_tautology,
     render,
     variables_of,
@@ -67,6 +65,13 @@ class DecideError(Exception):
     pass
 
 
+# the sampler draws rows on QUARTER_GRID: as integer units over its
+# denominator, each grid point's units, and the Fraction of every k units
+_DEN = 4
+_UNITS = tuple(p.numerator * (_DEN // p.denominator) for p in QUARTER_GRID)
+_FRACTIONS = tuple(Fraction(k, _DEN) for k in range(_DEN + 1))
+
+
 @dataclass(frozen=True)
 class SearchBounds:
     """Limits for the random game search.  ``budget`` is the number of
@@ -78,7 +83,6 @@ class SearchBounds:
     max_states: int = 4
     max_actions: int = 3
     agents: tuple = ("a", "b")
-    probability_grid: tuple = QUARTER_GRID
     budget: int = 2000
 
     def __post_init__(self):
@@ -89,8 +93,6 @@ class SearchBounds:
                     f"{name} must be an int, not {type(value).__name__}")
         if isinstance(self.agents, str):
             raise DecideError("agents must be a sequence of names, not a string")
-        grid = tuple(sorted({exact(x) for x in self.probability_grid}))
-        object.__setattr__(self, "probability_grid", grid)
         object.__setattr__(self, "agents", tuple(self.agents))
         if self.max_states < 1 or self.max_actions < 1:
             raise DecideError("need at least one state and one action")
@@ -100,18 +102,6 @@ class SearchBounds:
             raise DecideError("duplicate entries in agents")
         if self.budget <= 0:
             raise DecideError("budget must be positive")
-        if any(p < 0 or p > 1 for p in grid):
-            raise DecideError("grid probabilities must lie in [0, 1]")
-        if Fraction(0) not in grid or Fraction(1) not in grid:
-            raise DecideError("probability grid must contain 0 and 1")
-        # for the sampler: the grid's common denominator, each grid point's
-        # integer units over it, and the Fraction of every k units
-        den = lcm(*(p.denominator for p in grid))
-        object.__setattr__(self, "_units", (
-            den,
-            tuple(p.numerator * (den // p.denominator) for p in grid),
-            tuple(Fraction(k, den) for k in range(den + 1)),
-        ))
 
 
 @dataclass(frozen=True)
@@ -175,14 +165,15 @@ def classify(f: Formula, system: SystemId = SystemId.L, cap: int = CLOSURE_CAP):
 
 
 class Draw(NamedTuple):
-    """One random game as :func:`sample_game` draws it, by state index.
+    """One random game as :func:`_draw` draws it, by state index; the
+    search checks it as it stands and :func:`sample_game` builds it.
 
     ``states`` names the states ``q0``, ``q1``, ...; ``failures`` and
     the ``valuation`` (variable -> states where it holds) give states by
     their index in it.  ``rows`` holds one row per state and complete
     profile, state by state and each state's in product order, a row
     being its positive entries in draw order as (target state index,
-    units) pairs over ``SearchBounds``' grid denominator, summing to it."""
+    units) pairs over the quarter grid's denominator 4, summing to it."""
 
     agents: tuple
     states: tuple
@@ -203,11 +194,11 @@ def _draw(
     variables: Sequence[str],
     require_agents: frozenset,
 ) -> Draw:
-    """The random part of :func:`sample_game`: the only code of the
-    search that reads the random stream.  Rows are exact: all but one
-    entry come from the grid and the remaining state absorbs the
-    residual; draws pushing the partial sum past 1 are discarded and
-    retried.
+    """One random game within bounds, as a :class:`Draw`: the only code
+    of the search that reads the random stream, called once per game.
+    Rows are exact: all but one entry come from ``QUARTER_GRID`` and
+    the remaining state absorbs the residual; draws pushing the partial
+    sum past 1 are discarded and retried.
 
     The row loop's ``shuffle`` and ``choice`` are replayed through
     ``rng.getrandbits`` as CPython's ``Random._randbelow`` draws them
@@ -226,8 +217,8 @@ def _draw(
     failures = frozenset(rng.sample(indices, n_fail))
     actions = tuple(f"m{i}" for i in range(rng.randint(1, bounds.max_actions)))
     n_profiles = len(actions) ** len(agent_pool)
-    # partial sums are kept as integers over the grid's common denominator
-    den, units, _ = bounds._units
+    # partial sums are kept as integers over the grid's denominator
+    den, units = _DEN, _UNITS
     getrandbits = rng.getrandbits
     # shuffle swaps position i with a draw below i + 1, for i from the end
     swaps = [(i, (i + 1).bit_length()) for i in reversed(range(1, n_states))]
@@ -278,38 +269,27 @@ def _check_agents(bounds: SearchBounds, require_agents: frozenset) -> None:
         raise DecideError(f"bounds omit required agents {sorted(missing)}")
 
 
-def _materialize(draw: Draw, bounds: SearchBounds) -> Game:
-    """The :class:`Game` of a draw, its row table handed straight to the
-    constructor with each entry's units as an exact ``Fraction``."""
-    fractions = bounds._units[2]
+def sample_game(draw: Draw) -> Game:
+    """The :class:`Game` of a draw: the one maker of a search game.  Each
+    state gets one row per complete profile, in product order, the row
+    table handed straight to the constructor with each entry's units as
+    an exact ``Fraction``."""
     states = draw.states
     return Game(
         agents=draw.agents,
         states=states,
         failures=[states[i] for i in draw.failures],
         actions=draw.actions,
-        rows=[{states[t]: fractions[u] for t, u in row} for row in draw.rows],
+        rows=[{states[t]: _FRACTIONS[u] for t, u in row} for row in draw.rows],
         row_ids={s: draw.row_ids(k) for k, s in enumerate(states)},
         valuation={v: [states[i] for i in members]
                    for v, members in draw.valuation.items()},
     )
 
 
-def sample_game(
-    rng: random.Random,
-    bounds: SearchBounds,
-    variables: Sequence[str] = ("u", "v"),
-    require_agents: frozenset = frozenset(),
-) -> Game:
-    """One random game within bounds (see :func:`_draw`).  Each state
-    gets one row per complete profile, in product order."""
-    _check_agents(bounds, require_agents)
-    return _materialize(_draw(rng, bounds, variables, require_agents), bounds)
-
-
-def _row_entries(draw: Draw, den: int) -> list:
+def _row_entries(draw: Draw) -> list:
     """The ``CheckContext.entries`` of a draw, by row id: each row's
-    (survival units, den, non-failure targets in row order).  Truth is
+    (survival units, 4, non-failure targets in row order).  Truth is
     undefined at a failure state, so its rows' entries are None."""
     failures = draw.failures
     width = len(draw.actions) ** len(draw.agents)
@@ -325,7 +305,7 @@ def _row_entries(draw: Draw, den: int) -> list:
                 if t not in failures:
                     survival += u
                     successors.append(t)
-            entries.append((survival, den, tuple(successors)))
+            entries.append((survival, _DEN, tuple(successors)))
     return entries
 
 
@@ -343,15 +323,15 @@ def bounded_countermodel(
     omit an agent of f raise DecideError whatever f is.  A skeleton of
     more than ``ATOM_CAP`` atoms is searched as below.
 
-    The games are those :func:`sample_game` makes from ``Random(seed)``,
-    but each is checked as drawn: its rows go straight into the
+    The games are those :func:`_draw` draws from one ``Random(seed)``,
+    each drawn once and checked as drawn: its rows go straight into the
     context's entries (:func:`_row_entries`), and f is evaluated at each
     non-failure state on one context per game, the draw standing in for
     the game; the contexts share nothing.  Every drawn game has the
-    agents of f, so no state checks them again.  Only a refuting draw becomes a
-    :class:`Game`: ``sample_game`` makes it from a fresh ``Random(seed)``
-    advanced past the draws before it, so that ``sample_game`` stays the
-    one maker of a sampled game, the one the benchmark's tracer counts
+    agents of f, so no state checks them again.  Only a refuting draw
+    becomes a :class:`Game`: :func:`sample_game` builds it from the draw
+    in hand, so that ``sample_game`` stays the one maker of a search
+    game, the one the benchmark's tracer counts
     (``decide.games_sampled``), and a fresh :func:`holds` re-verifies
     it."""
     if bounds is None:
@@ -365,16 +345,12 @@ def bounded_countermodel(
         pass  # too wide for a truth table: draw games as for any formula
     rng = random.Random(seed)
     names = tuple(sorted(variables_of(f))) or ("v",)
-    den = bounds._units[0]
-    for attempt in range(bounds.budget):
+    for _ in range(bounds.budget):
         draw = _draw(rng, bounds, names, needed)
-        ctx = CheckContext(draw, entries=_row_entries(draw, den))
+        ctx = CheckContext(draw, entries=_row_entries(draw))
         for s in range(len(draw.states)):
             if s not in draw.failures and not _eval(ctx, s, f):
-                replay = random.Random(seed)
-                for _ in range(attempt):
-                    _draw(replay, bounds, names, needed)
-                game = sample_game(replay, bounds, variables=names, require_agents=needed)
+                game = sample_game(draw)
                 state = game.states[s]
                 if holds(game, state, f):  # pragma: no cover - fresh re-check
                     raise DecideError(
@@ -387,17 +363,20 @@ def bounded_countermodel(
 def decide_formula(
     f: Formula,
     system: SystemId = SystemId.L,
-    bounds: Optional[SearchBounds] = None,
+    budget: Optional[int] = None,
     seed: int = 0,
     cap: int = CLOSURE_CAP,
 ):
     """Classify through the canonical game when the closure fits the cap,
-    falling back to bounded random search otherwise."""
+    falling back to bounded random search otherwise.  The search's bounds
+    are built first, whichever route runs: the agents of f, or ``a``
+    alone, and ``budget`` games, the default when it is None, so a bad
+    budget raises DecideError before either route."""
+    bounds = SearchBounds(agents=tuple(sorted(agents_of(f))) or ("a",),
+                          **({} if budget is None else {"budget": budget}))
     try:
         return classify(f, system=system, cap=cap)
     except ClosureCapError:
-        if bounds is None:
-            bounds = SearchBounds(agents=tuple(sorted(agents_of(f))) or ("a",))
         hit = bounded_countermodel(f, bounds, seed=seed)
         if hit is not None:
             return Refuted(*hit)

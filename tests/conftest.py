@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import settings
 
+from sgcl.decide import _draw, sample_game
 from sgcl.formula import Bot, Coal, Impl, Neg, ParseError, Var, _shown, exact, render
 from sgcl.game import (
     ActionProfile,
@@ -59,6 +60,12 @@ def keyed_game(agents, states, failures, actions, rows, valuation):
         "valuation": {v: list(sts) for v, sts in valuation.items()},
     }
     return game_from_dict(doc)
+
+
+def drawn_game(rng, bounds, variables=("u", "v"), require_agents=frozenset()):
+    """The search's next game from rng: one draw within bounds, built
+    into a Game by ``sample_game``."""
+    return sample_game(_draw(rng, bounds, variables, require_agents))
 
 
 def overtake_game() -> Game:

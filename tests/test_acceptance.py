@@ -16,7 +16,7 @@ from sgcl.canonical import (
     build_canonical_game,
     enumerate_maximal_sets,
 )
-from sgcl.decide import QUARTER_GRID, Refuted, SearchBounds, classify, incompleteness_demo, sample_game
+from sgcl.decide import QUARTER_GRID, Refuted, SearchBounds, classify, incompleteness_demo
 from sgcl.formula import (
     TOP,
     Bot,
@@ -52,7 +52,7 @@ from sgcl.proof import (
 import pytest
 
 from conftest import (
-    acceptance_corpus, members, profile_row, reference_action_id, reference_mu, set_key)
+    acceptance_corpus, drawn_game, members, profile_row, reference_action_id, reference_mu, set_key)
 
 F = Fraction
 L, LPLUS = SystemId.L, SystemId.LPLUS
@@ -102,7 +102,7 @@ def test_axiom_soundness_on_sampled_games():
     instances = 0
     necessitation_cases = 0
     for seed in range(200):
-        game = sample_game(random.Random(seed), bounds)
+        game = drawn_game(random.Random(seed), bounds)
         assert validate(game) == []
         pool = [Var(v) for v in sorted(game.valuation)] + [
             TOP,
@@ -409,7 +409,7 @@ def test_semantic_properties_on_sampled_triples():
     the falsity of positive-threshold claims about reaching falsehood."""
     rng = random.Random(20_260_822)
     bounds = SearchBounds()
-    games = [sample_game(random.Random(s), bounds) for s in range(240)]
+    games = [drawn_game(random.Random(s), bounds) for s in range(240)]
     contexts = [CheckContext(g) for g in games]
     bodies = (
         TOP,

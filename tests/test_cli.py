@@ -14,7 +14,7 @@ import sgcl.decide
 import sgcl.game
 from sgcl.canonical import audit_truth_lemma, build_canonical_game
 from sgcl.cli import run
-from sgcl.decide import Refuted, SearchBounds, decide_formula, incompleteness_demo
+from sgcl.decide import Refuted, decide_formula, incompleteness_demo
 from sgcl.formula import closure, parse
 from sgcl.proof import (
     SystemId,
@@ -732,8 +732,7 @@ class TestPrintedGames:
             code, json.dumps(expected) + "\n")
 
     def test_decide_exhausted(self, capsys):
-        verdict = decide_formula(parse(EXHAUSTING), cap=4,
-                                 bounds=SearchBounds(agents=("a",), budget=25))
+        verdict = decide_formula(parse(EXHAUSTING), cap=4, budget=25)
         expected = {**verdict.to_dict(),
                     "command": "decide", "formula": EXHAUSTING, "seed": 0}
         assert expected["verdict"] == "exhausted"

@@ -15,6 +15,7 @@ from sgcl.decide import (
     Refuted,
     SearchBounds,
     ValidRelativeToOracle,
+    _check_agents,
     _draw,
     _row_entries,
     bounded_countermodel,
@@ -40,11 +41,12 @@ from sgcl.formula import (
     variables_of,
 )
 from sgcl.game import ActionProfile, game_to_dict, validate
-from sgcl.modelcheck import CheckContext, holds
+from sgcl.modelcheck import QUARTER_GRID, CheckContext, holds
 from sgcl.proof import SystemId
 
 from conftest import (
     acceptance_corpus,
+    drawn_game,
     keyed_game,
     members,
     outcomes,
@@ -139,7 +141,8 @@ class TestClassify:
 class TestSearchBounds:
     def test_defaults_are_sane(self):
         b = SearchBounds()
-        assert F(0) in b.probability_grid and F(1) in b.probability_grid
+        assert (b.max_states, b.max_actions, b.agents, b.budget) == (
+            4, 3, ("a", "b"), 2000)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -151,9 +154,6 @@ class TestSearchBounds:
             {"agents": "a"},
             {"agents": ("a", "a")},
             {"agents": ("a", "b", "a")},
-            {"probability_grid": (0, F(1, 2))},
-            {"probability_grid": (F(1, 2), 1)},
-            {"probability_grid": (0, 1, 2)},
             {"budget": 1.5},
             {"budget": True},
             {"max_states": 2.5},
@@ -172,7 +172,7 @@ class TestSampleGame:
         rng = random.Random(2024)
         bounds = SearchBounds()
         for _ in range(300):
-            game = sample_game(rng, bounds)
+            game = drawn_game(rng, bounds)
             assert validate(game) == []
             assert len(game.states) <= bounds.max_states
             assert len(game.actions) <= bounds.max_actions
@@ -182,22 +182,18 @@ class TestSampleGame:
     def test_required_agents_always_present(self):
         rng = random.Random(5)
         for _ in range(50):
-            game = sample_game(
+            game = drawn_game(
                 rng, SearchBounds(), require_agents=frozenset({"b"})
             )
             assert "b" in game.agents
 
     def test_missing_required_agent_rejected(self):
         with pytest.raises(DecideError):
-            sample_game(
-                random.Random(0),
-                SearchBounds(agents=("a",)),
-                require_agents=frozenset({"z"}),
-            )
+            _check_agents(SearchBounds(agents=("a",)), frozenset({"z"}))
 
     def test_deterministic_under_seed(self):
-        a = sample_game(random.Random(9), SearchBounds())
-        b = sample_game(random.Random(9), SearchBounds())
+        a = drawn_game(random.Random(9), SearchBounds())
+        b = drawn_game(random.Random(9), SearchBounds())
         assert game_to_dict(a) == game_to_dict(b)
 
 
@@ -215,7 +211,6 @@ def reference_sample_game(rng, bounds, variables=("u", "v"),
     failures = tuple(sorted(rng.sample(states, n_fail)))
     actions = tuple(f"m{i}" for i in range(rng.randint(1, bounds.max_actions)))
     transitions = {}
-    grid = bounds.probability_grid
     for state in states:
         for combo in product(actions, repeat=len(agent_pool)):
             profile = ActionProfile(tuple(zip(agent_pool, combo)))
@@ -227,7 +222,7 @@ def reference_sample_game(rng, bounds, variables=("u", "v"),
                 total = Fraction(0)
                 feasible = True
                 for target in order[:-1]:
-                    p = rng.choice(grid)
+                    p = rng.choice(QUARTER_GRID)
                     total += p
                     if total > 1:
                         feasible = False
@@ -247,19 +242,17 @@ def reference_sample_game(rng, bounds, variables=("u", "v"),
     return keyed_game(tuple(agent_pool), states, failures, actions, transitions, valuation)
 
 
-# the thirds grid has common denominator 12, not 4; the three-state
-# bounds with five actions make rows of 25 profiles for two agents
+# the three-state bounds with five actions make rows of 25 profiles for
+# two agents and 125 for three
 SAMPLER_BOUNDS = [
     SearchBounds(),
-    SearchBounds(max_states=3, max_actions=5, agents=("a", "b", "c"),
-                 probability_grid=(0, F(1, 3), F(1, 4), F(2, 3), 1)),
-    SearchBounds(max_states=4, max_actions=2, agents=("a",),
-                 probability_grid=(0, F(1, 6), F(1, 2), 1)),
+    SearchBounds(max_states=3, max_actions=5, agents=("a", "b", "c")),
+    SearchBounds(max_states=4, max_actions=2, agents=("a",)),
 ]
 
 
 class TestSamplerMatchesReference:
-    """Integer partial sums over the grid's common denominator, and
+    """Integer partial sums over the grid's denominator 4, and
     shuffle and choice replayed through getrandbits, against Fraction
     partial sums and the calls themselves: the same games from the same
     random stream, with every row's entries in the same order, and the
@@ -271,8 +264,8 @@ class TestSamplerMatchesReference:
         for seed in range(200):
             ours, theirs = random.Random(seed), random.Random(seed)
             for names in (("u", "v"), ("w",)):
-                got = sample_game(ours, bounds, variables=names,
-                                  require_agents=frozenset({"a"}))
+                got = drawn_game(ours, bounds, variables=names,
+                                 require_agents=frozenset({"a"}))
                 want = reference_sample_game(theirs, bounds, variables=names,
                                              require_agents=frozenset({"a"}))
                 assert game_to_dict(got) == game_to_dict(want), seed
@@ -310,7 +303,7 @@ class TestIntegerRowSums:
     def test_sampled_games(self, index):
         rng = random.Random(index)
         for _ in range(100):
-            assert_outcomes_match_rows(sample_game(
+            assert_outcomes_match_rows(drawn_game(
                 rng, SAMPLER_BOUNDS[index], require_agents=frozenset({"a"})))
 
     def test_coprime_denominators_zero_and_failure_entries(self):
@@ -339,14 +332,14 @@ class TestIntegerRowSums:
         """The search compiles a draw's integer rows into row entries
         without a Game: each non-failure state's must equal, as exact
         Fractions with the successors in the same order, the entries a
-        context compiles from the game sample_game makes of the same
-        stream, and no entry is made for a failure state's rows."""
+        context compiles from the game sample_game makes of the draw, and
+        no entry is made for a failure state's rows."""
         bounds = SAMPLER_BOUNDS[index]
-        ours, theirs = random.Random(50 + index), random.Random(50 + index)
+        rng = random.Random(50 + index)
         for _ in range(100):
-            draw = _draw(ours, bounds, ("u", "v"), frozenset({"a"}))
-            g = sample_game(theirs, bounds, require_agents=frozenset({"a"}))
-            drawn = CheckContext(draw, entries=_row_entries(draw, bounds._units[0]))
+            draw = _draw(rng, bounds, ("u", "v"), frozenset({"a"}))
+            g = sample_game(draw)
+            drawn = CheckContext(draw, entries=_row_entries(draw))
             names = draw.states
             compiled = [s for s in range(len(names))
                         if None not in outcomes(drawn, s)]
@@ -369,7 +362,7 @@ class TestSampledGamesAreSound:
     def test_hundred_games(self, index, builder_output):
         rng = random.Random(100 + index)
         for _ in range(100):
-            builder_output(sample_game(rng, SAMPLER_BOUNDS[index]))
+            builder_output(drawn_game(rng, SAMPLER_BOUNDS[index]))
 
 
 class TestBoundedCountermodel:
@@ -390,6 +383,32 @@ class TestBoundedCountermodel:
         assert len(made) == 100
         assert sum(ctx.profile_evals for ctx in made) == 553
         assert sum(len(ctx.memo) for ctx in made) == 912
+
+    def test_each_game_is_drawn_once(self, monkeypatch):
+        """A search that refutes at attempt k draws k + 1 games, each
+        once, and builds only the refuting draw into a Game: the k-th
+        game of the reference sampler, for k = 7."""
+        draws, built = [], []
+
+        def counting_draw(*args):
+            draws.append(1)
+            return _draw(*args)
+
+        def counting_build(draw):
+            built.append(draw)
+            return sample_game(draw)
+
+        monkeypatch.setattr("sgcl.decide._draw", counting_draw)
+        monkeypatch.setattr("sgcl.decide.sample_game", counting_build)
+        bounds = SearchBounds(agents=("a",), budget=40)
+        game, state = bounded_countermodel(parse("([a]_0 v -> v)"), bounds, seed=2)
+        assert len(draws) == 8 and len(built) == 1
+        rng = random.Random(2)
+        for _ in range(8):
+            want = reference_sample_game(rng, bounds, variables=("v",),
+                                         require_agents=frozenset({"a"}))
+        assert game_to_dict(game) == game_to_dict(want)
+        assert state == "q1"
 
     def test_finds_lossy_game_for_certain_survival(self):
         f = parse("[]_1 true")
@@ -430,7 +449,7 @@ def reference_countermodel(f, bounds, seed):
     rng = random.Random(seed)
     names = tuple(sorted(variables_of(f))) or ("v",)
     for attempt in range(bounds.budget):
-        game = sample_game(rng, bounds, variables=names, require_agents=agents_of(f))
+        game = drawn_game(rng, bounds, variables=names, require_agents=agents_of(f))
         ctx = CheckContext(game)
         for state in game.nonfailure_states:
             if not holds(game, state, f, ctx):
@@ -439,7 +458,7 @@ def reference_countermodel(f, bounds, seed):
 
 
 # formulas over agent a, refuted in the first game, later or never, with
-# thresholds on and off each grid of SAMPLER_BOUNDS
+# thresholds on and off the quarter grid
 SEARCH_FORMULAS = [
     "[]_1 true",
     "~[a]_1/3 (v -> u)",
@@ -458,8 +477,8 @@ SEARCH_FORMULAS = [
 
 
 class TestSearchMatchesReference:
-    """The search draws each game into integer row entries and builds
-    a Game only for a refutation, replaying the stream up to it: against
+    """The search draws each game once into integer row entries and
+    builds a Game only for a refutation, from the draw in hand: against
     the loop over sample_game and holds it must return the same None, or
     the same refuting state and an equal game, also when the refuting
     game is not the first."""
@@ -623,10 +642,7 @@ class TestDecideFormula:
 
     def test_oversized_valid_formula_exhausts(self):
         inner = deep_modal(12)
-        verdict = decide_formula(
-            parse(f"({inner} -> {inner})"),
-            bounds=SearchBounds(budget=40),
-        )
+        verdict = decide_formula(parse(f"({inner} -> {inner})"), budget=40)
         assert isinstance(verdict, Exhausted)
         assert verdict.attempts == 40
         assert json.loads(json.dumps(verdict.to_dict()))["verdict"] == "exhausted"

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from sgcl.decide import SearchBounds, sample_game
+from sgcl.decide import SearchBounds
 from sgcl.formula import (
     ATOM_CAP,
     TOP,
@@ -54,6 +54,7 @@ from sgcl.proof import (
 
 from conftest import (
     acceptance_corpus,
+    drawn_game,
     pool_decides,
     pool_queries,
     profile_row,
@@ -322,7 +323,6 @@ ENTRY_POINTS = {
     "Coal": lambda v: Coal(frozenset(), v, Var("v")).p,
     "Game": _game_row,
     "game_from_dict": _game_file,
-    "SearchBounds": lambda v: SearchBounds(probability_grid=(0, v, 1)).probability_grid[1],
     "build_coalition_weakening": lambda v: build_coalition_weakening(
         ["a"], ["a", "b"], v, Var("v")).conclusion.left.p,
     "build_lifted_implication": lambda v: build_lifted_implication(
@@ -722,7 +722,7 @@ def test_tautologies_hold_in_sampled_games(f, seed):
     if verdict:
         rng = random.Random(seed)
         for _ in range(20):
-            game = sample_game(rng, SearchBounds(), require_agents=agents_of(f))
+            game = drawn_game(rng, SearchBounds(), require_agents=agents_of(f))
             ctx = CheckContext(game)
             for state in game.nonfailure_states:
                 assert holds(game, state, f, ctx), (render(f), state)

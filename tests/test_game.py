@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sgcl.canonical import build_canonical_game
-from sgcl.decide import SearchBounds, sample_game
+from sgcl.decide import SearchBounds
 from sgcl.formula import closure, parse
 from sgcl.game import (
     ActionProfile,
@@ -32,6 +32,7 @@ from sgcl.game import (
 from sgcl.modelcheck import CheckContext
 
 from conftest import (
+    drawn_game,
     keyed_game,
     outcomes,
     overtake_game,
@@ -807,7 +808,7 @@ class TestLoaderSharesRows:
         bounds = SearchBounds(max_states=4, max_actions=3, agents=("a", "b"))
         with_failures = 0
         for _ in range(40):
-            g = sample_game(rng, bounds)
+            g = drawn_game(rng, bounds)
             with_failures += bool(g.failures)
             assert game_from_dict(game_to_dict(g)) == g
         assert with_failures >= 10

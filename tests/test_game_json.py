@@ -15,7 +15,7 @@ import pytest
 
 from sgcl.canonical import build_canonical_game
 from sgcl.cli import run
-from sgcl.decide import Refuted, SearchBounds, decide_formula, sample_game
+from sgcl.decide import Refuted, SearchBounds, decide_formula
 from sgcl.formula import closure, parse
 from sgcl.game import (
     Game,
@@ -31,6 +31,7 @@ from sgcl.game import (
 
 from conftest import (
     acceptance_corpus,
+    drawn_game,
     overtake_game,
     reference_game_to_dict,
     reference_row_table,
@@ -87,7 +88,7 @@ def test_canonical_pool_games(tmp_path):
 
 def test_sampled_games(tmp_path):
     assert_written_as_reference(
-        (sample_game(random.Random(seed), SearchBounds()) for seed in range(50)),
+        (drawn_game(random.Random(seed), SearchBounds()) for seed in range(50)),
         tmp_path / "g.json")
 
 
