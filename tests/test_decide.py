@@ -154,6 +154,9 @@ class TestSearchBounds:
             {"agents": "a"},
             {"agents": ("a", "a")},
             {"agents": ("a", "b", "a")},
+            {"max_actions": 0},
+            {"budget": -1},
+            {"agents": []},
             {"budget": 1.5},
             {"budget": True},
             {"max_states": 2.5},
