@@ -17,7 +17,7 @@ import sys
 from typing import Optional
 
 from .canonical import CLOSURE_CAP, CanonicalError, audit_truth_lemma, build_canonical_game
-from .decide import DecideError, Refuted, decide_formula, incompleteness_demo
+from .decide import BUDGET, DecideError, Refuted, decide_formula, incompleteness_demo
 from .formula import TOP, Bot, Var, closure, parse, render
 from .game import Game, GameError, game_json, load
 from .modelcheck import AUDIT_BUDGET, CheckError, audit_axiom_soundness, extent, holds, witness
@@ -346,8 +346,8 @@ def _build_parser() -> argparse.ArgumentParser:
     formula_opts(p)
     p.add_argument("--system", choices=systems, default=SystemId.L.value)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=int, default=None,
-                   help="bounded-search budget override")
+    p.add_argument("--budget", type=int, default=BUDGET,
+                   help="games the bounded search draws (default: %(default)s)")
     p.add_argument("--max-closure", type=_closure_cap, default=CLOSURE_CAP)
     common_opts(p)
     p.set_defaults(fn=_cmd_decide)

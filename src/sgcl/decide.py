@@ -10,17 +10,20 @@ states to expose a countermodel.
 
 The bounded search is the cross-check: it samples small games with exact
 grid probabilities and looks for any non-failure state falsifying the
-formula.  A formula whose propositional skeleton, every variable and
-modality an opaque atom, is a tautology holds at every non-failure state
-of every game, so the search settles it by :func:`is_tautology` and
-returns before it draws a game; a skeleton of more than ``ATOM_CAP``
-atoms, which that check refuses, is searched like any other formula.
-Each game is drawn once, as integers, its rows as units over the
-quarter grid's denominator 4, and compiled straight into the model
-checker's row entries; only a refuting draw is built, as it stands,
-into a :class:`Game`.  The two routes are independent, and each refutation
-either route returns is re-verified, on a ``Game``, before being
-reported.
+formula.  Its games have at most ``MAX_STATES`` (4) states and
+``MAX_ACTIONS`` (3) actions and are played by the formula's agents, or by
+``a`` alone when it names none; it draws ``BUDGET`` (2000) of them unless
+the caller gives a budget.  A formula whose propositional skeleton, every
+variable and modality an opaque atom, is a tautology holds at every
+non-failure state of every game, so the search settles it by
+:func:`is_tautology` and returns before it draws a game; a skeleton of
+more than ``ATOM_CAP`` atoms, which that check refuses, is searched like
+any other formula.  Each game is drawn once, as integers, its rows as
+units over the quarter grid's denominator 4, and compiled straight into
+the model checker's row entries; only a refuting draw is built, as it
+stands, into a :class:`Game`.  The two routes are independent, and each
+refutation either route returns is re-verified, on a ``Game``, before
+being reported.
 
 One blind spot of the canonical route is worth knowing about: a
 zero-threshold claim [C]_0 x is vacuously true at any state all of whose
@@ -72,36 +75,20 @@ _UNITS = tuple(p.numerator * (_DEN // p.denominator) for p in QUARTER_GRID)
 _FRACTIONS = tuple(Fraction(k, _DEN) for k in range(_DEN + 1))
 
 
-@dataclass(frozen=True)
-class SearchBounds:
-    """Limits for the random game search.  ``budget`` is the number of
-    games a search may draw; a formula that :func:`is_tautology` settles
-    draws none, and its ``Exhausted`` verdict still reports the budget.
-    ``budget``, ``max_states`` and ``max_actions`` must be ints, not
-    bools; ``agents`` is a sequence of distinct names, not a string."""
+# the bounded search's games: at most MAX_STATES states and MAX_ACTIONS
+# actions, over the agents of the formula or ``a`` alone, BUDGET of them
+# unless the caller gives a budget
+MAX_STATES = 4
+MAX_ACTIONS = 3
+BUDGET = 2000
 
-    max_states: int = 4
-    max_actions: int = 3
-    agents: tuple = ("a", "b")
-    budget: int = 2000
 
-    def __post_init__(self):
-        for name in ("budget", "max_states", "max_actions"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise DecideError(
-                    f"{name} must be an int, not {type(value).__name__}")
-        if isinstance(self.agents, str):
-            raise DecideError("agents must be a sequence of names, not a string")
-        object.__setattr__(self, "agents", tuple(self.agents))
-        if self.max_states < 1 or self.max_actions < 1:
-            raise DecideError("need at least one state and one action")
-        if not self.agents:
-            raise DecideError("need at least one agent")
-        if len(set(self.agents)) != len(self.agents):
-            raise DecideError("duplicate entries in agents")
-        if self.budget <= 0:
-            raise DecideError("budget must be positive")
+def _check_budget(budget) -> None:
+    """Raise DecideError unless budget is a positive int, not a bool."""
+    if not isinstance(budget, int) or isinstance(budget, bool):
+        raise DecideError(f"budget must be an int, not {type(budget).__name__}")
+    if budget <= 0:
+        raise DecideError("budget must be positive")
 
 
 @dataclass(frozen=True)
@@ -188,35 +175,30 @@ class Draw(NamedTuple):
         return range(s * width, (s + 1) * width)
 
 
-def _draw(
-    rng: random.Random,
-    bounds: SearchBounds,
-    variables: Sequence[str],
-    require_agents: frozenset,
-) -> Draw:
-    """One random game within bounds, as a :class:`Draw`: the only code
+def _draw(rng: random.Random, agents: tuple, variables: Sequence[str]) -> Draw:
+    """One random game over ``agents``, as a :class:`Draw`: the only code
     of the search that reads the random stream, called once per game.
-    Rows are exact: all but one entry come from ``QUARTER_GRID`` and
-    the remaining state absorbs the residual; draws pushing the partial
-    sum past 1 are discarded and retried.
+    It has 1 to ``MAX_STATES`` states, fewer failure states than states
+    and 1 to ``MAX_ACTIONS`` actions.  Rows are exact: all but one entry
+    come from ``QUARTER_GRID`` and the remaining state absorbs the
+    residual; draws pushing the partial sum past 1 are discarded and
+    retried.
 
     The row loop's ``shuffle`` and ``choice`` are replayed through
     ``rng.getrandbits`` as CPython's ``Random._randbelow`` draws them
     (n.bit_length() bits, drawn again while the value is at least n), so
     the random stream and the games are those of the plain calls.
     ``TestSamplerMatchesReference`` in ``tests/test_decide.py`` pins
-    this, random state included.  The caller has checked that the
-    bounds hold ``require_agents`` (:func:`_check_agents`)."""
-    required = tuple(sorted(require_agents))
-    optional = [a for a in bounds.agents if a not in require_agents]
-    extra = rng.randint(0 if required else 1, len(optional))
-    agent_pool = tuple(sorted(required + tuple(optional[:extra])))
-    n_states = rng.randint(1, bounds.max_states)
+    this, random state included."""
+    # a draw with one outcome: it keeps each seed's random stream, and so
+    # the games that the benchmark's recorded answers rest on
+    rng.randrange(1)
+    n_states = rng.randint(1, MAX_STATES)
     indices = range(n_states)
     n_fail = rng.randint(0, n_states - 1)
     failures = frozenset(rng.sample(indices, n_fail))
-    actions = tuple(f"m{i}" for i in range(rng.randint(1, bounds.max_actions)))
-    n_profiles = len(actions) ** len(agent_pool)
+    actions = tuple(f"m{i}" for i in range(rng.randint(1, MAX_ACTIONS)))
+    n_profiles = len(actions) ** len(agents)
     # partial sums are kept as integers over the grid's denominator
     den, units = _DEN, _UNITS
     getrandbits = rng.getrandbits
@@ -258,15 +240,8 @@ def _draw(
         v: frozenset(i for i in indices if rng.choice((True, False)))
         for v in variables
     }
-    return Draw(agent_pool, tuple(f"q{i}" for i in indices), failures,
+    return Draw(agents, tuple(f"q{i}" for i in indices), failures,
                 actions, rows, valuation)
-
-
-def _check_agents(bounds: SearchBounds, require_agents: frozenset) -> None:
-    """Raise DecideError when the bounds lack an agent the game needs."""
-    missing = set(require_agents) - set(bounds.agents)
-    if missing:
-        raise DecideError(f"bounds omit required agents {sorted(missing)}")
 
 
 def sample_game(draw: Draw) -> Game:
@@ -310,43 +285,41 @@ def _row_entries(draw: Draw) -> list:
 
 
 def bounded_countermodel(
-    f: Formula, bounds: Optional[SearchBounds] = None, seed: int = 0
+    f: Formula, budget: int = BUDGET, seed: int = 0
 ) -> Optional[tuple]:
-    """Search seeded random games for a non-failure state falsifying f.
-    Returns (game, state) re-verified under the model checker, or None
-    when the budget runs out.
+    """Search ``budget`` seeded random games for a non-failure state
+    falsifying f.  Returns (game, state) re-verified under the model
+    checker, or None when the budget runs out.  A budget that is not a
+    positive int raises DecideError whatever f is.
 
     ``~`` and ``->`` are read classically at every non-failure state, so
     no game falsifies a formula whose skeleton :func:`is_tautology`
     accepts: such a search returns None before it seeds the stream,
-    having drawn no game.  The agents check comes first, so bounds that
-    omit an agent of f raise DecideError whatever f is.  A skeleton of
-    more than ``ATOM_CAP`` atoms is searched as below.
+    having drawn no game.  A skeleton of more than ``ATOM_CAP`` atoms is
+    searched as below.
 
     The games are those :func:`_draw` draws from one ``Random(seed)``,
-    each drawn once and checked as drawn: its rows go straight into the
+    over the sorted agents of f, or ``a`` alone when f names none: at
+    most ``MAX_STATES`` states and ``MAX_ACTIONS`` actions each.  Each is
+    drawn once and checked as drawn: its rows go straight into the
     context's entries (:func:`_row_entries`), and f is evaluated at each
     non-failure state on one context per game, the draw standing in for
-    the game; the contexts share nothing.  Every drawn game has the
-    agents of f, so no state checks them again.  Only a refuting draw
-    becomes a :class:`Game`: :func:`sample_game` builds it from the draw
-    in hand, so that ``sample_game`` stays the one maker of a search
-    game, the one the benchmark's tracer counts
-    (``decide.games_sampled``), and a fresh :func:`holds` re-verifies
-    it."""
-    if bounds is None:
-        bounds = SearchBounds()
-    needed = agents_of(f)
-    _check_agents(bounds, needed)
+    the game; the contexts share nothing.  Only a refuting draw becomes
+    a :class:`Game`: :func:`sample_game` builds it from the draw in
+    hand, so that ``sample_game`` stays the one maker of a search game,
+    the one the benchmark's tracer counts (``decide.games_sampled``),
+    and a fresh :func:`holds` re-verifies it."""
+    _check_budget(budget)
     try:
         if is_tautology(f):
             return None
     except AtomCapError:
         pass  # too wide for a truth table: draw games as for any formula
     rng = random.Random(seed)
+    agents = tuple(sorted(agents_of(f))) or ("a",)
     names = tuple(sorted(variables_of(f))) or ("v",)
-    for _ in range(bounds.budget):
-        draw = _draw(rng, bounds, names, needed)
+    for _ in range(budget):
+        draw = _draw(rng, agents, names)
         ctx = CheckContext(draw, entries=_row_entries(draw))
         for s in range(len(draw.states)):
             if s not in draw.failures and not _eval(ctx, s, f):
@@ -363,24 +336,23 @@ def bounded_countermodel(
 def decide_formula(
     f: Formula,
     system: SystemId = SystemId.L,
-    budget: Optional[int] = None,
+    budget: int = BUDGET,
     seed: int = 0,
     cap: int = CLOSURE_CAP,
 ):
     """Classify through the canonical game when the closure fits the cap,
-    falling back to bounded random search otherwise.  The search's bounds
-    are built first, whichever route runs: the agents of f, or ``a``
-    alone, and ``budget`` games, the default when it is None, so a bad
-    budget raises DecideError before either route."""
-    bounds = SearchBounds(agents=tuple(sorted(agents_of(f))) or ("a",),
-                          **({} if budget is None else {"budget": budget}))
+    falling back to the bounded search of ``budget`` games otherwise
+    (:func:`bounded_countermodel`).  The budget is checked first,
+    whichever route runs, so a bad budget raises DecideError before
+    either route."""
+    _check_budget(budget)
     try:
         return classify(f, system=system, cap=cap)
     except ClosureCapError:
-        hit = bounded_countermodel(f, bounds, seed=seed)
+        hit = bounded_countermodel(f, budget, seed=seed)
         if hit is not None:
             return Refuted(*hit)
-        return Exhausted(bounds.budget)
+        return Exhausted(budget)
 
 
 # ---------------------------------------------------------------------------

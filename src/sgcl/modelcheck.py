@@ -96,7 +96,8 @@ class CheckError(Exception):
 AUDIT_BUDGET = 1000
 
 # (agents, actions, coalition) keys whose choice tables are kept: a
-# bounded search over two agents and up to three actions meets at most 24
+# bounded search meets one agent tuple, the formula's, and at most three
+# action counts, so three keys per coalition of the formula
 CHOICE_TABLES_KEPT = 64
 
 

@@ -11,7 +11,6 @@ from pathlib import Path
 import pytest
 from hypothesis import settings
 
-from sgcl.decide import _draw, sample_game
 from sgcl.formula import Bot, Coal, Impl, Neg, ParseError, Var, _shown, exact, render
 from sgcl.game import (
     ActionProfile,
@@ -21,6 +20,7 @@ from sgcl.game import (
     game_to_dict,
     validate,
 )
+from sgcl.modelcheck import QUARTER_GRID
 from sgcl.proof import (
     MP,
     Assumption,
@@ -62,10 +62,67 @@ def keyed_game(agents, states, failures, actions, rows, valuation):
     return game_from_dict(doc)
 
 
-def drawn_game(rng, bounds, variables=("u", "v"), require_agents=frozenset()):
-    """The search's next game from rng: one draw within bounds, built
-    into a Game by ``sample_game``."""
-    return sample_game(_draw(rng, bounds, variables, require_agents))
+# the shape of a test game: (most states, most actions, agents); this one
+# is the search's own shape over two agents
+SHAPE = (4, 3, ("a", "b"))
+
+
+def reference_sample_game(rng, shape, variables=("u", "v"),
+                          require_agents=frozenset()):
+    """The search's sampler for any shape, with Fraction partial sums:
+    every grid draw is added as a Fraction and the residual is 1 minus
+    their sum.  The game's agents are those of ``require_agents`` and the
+    first few of the shape's others, at least one of them when nothing is
+    required; it has 1 to ``max_states`` states, fewer failure states
+    than states and 1 to ``max_actions`` actions.  At the search's shape
+    over the formula's agents, those agents required, it draws the games
+    of ``sgcl.decide._draw`` from the same random stream."""
+    max_states, max_actions, agents = shape
+    required = tuple(sorted(require_agents))
+    optional = [a for a in agents if a not in require_agents]
+    extra = rng.randint(0 if required else 1, len(optional))
+    agent_pool = sorted(required + tuple(optional[:extra]))
+    n_states = rng.randint(1, max_states)
+    states = tuple(f"q{i}" for i in range(n_states))
+    n_fail = rng.randint(0, n_states - 1)
+    failures = tuple(sorted(rng.sample(states, n_fail)))
+    actions = tuple(f"m{i}" for i in range(rng.randint(1, max_actions)))
+    transitions = {}
+    for state in states:
+        for combo in product(actions, repeat=len(agent_pool)):
+            profile = ActionProfile(tuple(zip(agent_pool, combo)))
+            row = None
+            for _attempt in range(16):
+                order = list(states)
+                rng.shuffle(order)
+                entries = {}
+                total = Fraction(0)
+                feasible = True
+                for target in order[:-1]:
+                    p = rng.choice(QUARTER_GRID)
+                    total += p
+                    if total > 1:
+                        feasible = False
+                        break
+                    entries[target] = p
+                if feasible:
+                    entries[order[-1]] = 1 - total
+                    row = {t: p for t, p in entries.items() if p > 0}
+                    break
+            if row is None:
+                row = {rng.choice(states): Fraction(1)}
+            transitions[(state, profile)] = row
+    valuation = {
+        v: frozenset(s for s in states if rng.choice((True, False)))
+        for v in variables
+    }
+    return keyed_game(tuple(agent_pool), states, failures, actions, transitions, valuation)
+
+
+def drawn_game(rng, shape=SHAPE, variables=("u", "v"), require_agents=frozenset()):
+    """The next test game from rng, of the given shape, drawn by
+    :func:`reference_sample_game`."""
+    return reference_sample_game(rng, shape, variables, require_agents)
 
 
 def overtake_game() -> Game:

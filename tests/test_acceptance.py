@@ -16,7 +16,7 @@ from sgcl.canonical import (
     build_canonical_game,
     enumerate_maximal_sets,
 )
-from sgcl.decide import QUARTER_GRID, Refuted, SearchBounds, classify, incompleteness_demo
+from sgcl.decide import QUARTER_GRID, Refuted, classify, incompleteness_demo
 from sgcl.formula import (
     TOP,
     Bot,
@@ -97,12 +97,11 @@ def test_axiom_soundness_on_sampled_games():
     sampled game, and universally true bodies stay universally true under
     the threshold-zero modality."""
     t0 = time.monotonic()
-    bounds = SearchBounds()
     games = 0
     instances = 0
     necessitation_cases = 0
     for seed in range(200):
-        game = drawn_game(random.Random(seed), bounds)
+        game = drawn_game(random.Random(seed))
         assert validate(game) == []
         pool = [Var(v) for v in sorted(game.valuation)] + [
             TOP,
@@ -408,8 +407,7 @@ def test_semantic_properties_on_sampled_triples():
     subscript, enlarging the coalition, combining disjoint coalitions, and
     the falsity of positive-threshold claims about reaching falsehood."""
     rng = random.Random(20_260_822)
-    bounds = SearchBounds()
-    games = [drawn_game(random.Random(s), bounds) for s in range(240)]
+    games = [drawn_game(random.Random(s)) for s in range(240)]
     contexts = [CheckContext(g) for g in games]
     bodies = (
         TOP,

@@ -2,20 +2,21 @@
 
 import json
 import random
-from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
 from sgcl.canonical import CanonicalError, ClosureCapError, build_canonical_game
+from sgcl.cli import run
 from sgcl.decide import (
+    BUDGET,
+    MAX_ACTIONS,
+    MAX_STATES,
     DecideError,
     Exhausted,
     Refuted,
-    SearchBounds,
     ValidRelativeToOracle,
-    _check_agents,
     _draw,
     _row_entries,
     bounded_countermodel,
@@ -40,11 +41,12 @@ from sgcl.formula import (
     subformulas,
     variables_of,
 )
-from sgcl.game import ActionProfile, game_to_dict, validate
-from sgcl.modelcheck import QUARTER_GRID, CheckContext, holds
+from sgcl.game import ActionProfile, game_from_dict, game_to_dict, validate
+from sgcl.modelcheck import CheckContext, holds
 from sgcl.proof import SystemId
 
 from conftest import (
+    SHAPE,
     acceptance_corpus,
     drawn_game,
     keyed_game,
@@ -52,6 +54,7 @@ from conftest import (
     outcomes,
     pool_decides,
     profile_row,
+    reference_sample_game,
 )
 
 F = Fraction
@@ -138,120 +141,79 @@ class TestClassify:
         assert blob["game"]["states"] == list(verdict.game.states)
 
 
+# the agents of the search's games, one tuple per test index
+AGENT_TUPLES = [("a",), ("a", "b"), ("a", "b", "c")]
+
+
+def search_game(rng, agents, variables=("u", "v")):
+    """The search's next game over ``agents`` from rng."""
+    return sample_game(_draw(rng, agents, variables))
+
+
 class TestSearchBounds:
     def test_defaults_are_sane(self):
-        b = SearchBounds()
-        assert (b.max_states, b.max_actions, b.agents, b.budget) == (
-            4, 3, ("a", "b"), 2000)
+        assert (MAX_STATES, MAX_ACTIONS, BUDGET) == (4, 3, 2000)
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"budget": 0},
-            {"max_states": 0},
-            {"agents": ()},
-            {"agents": "ab"},
-            {"agents": "a"},
-            {"agents": ("a", "a")},
-            {"agents": ("a", "b", "a")},
-            {"max_actions": 0},
             {"budget": -1},
-            {"agents": []},
+            {"budget": -10**30},
             {"budget": 1.5},
             {"budget": True},
-            {"max_states": 2.5},
-            {"max_states": True},
-            {"max_actions": 1.0},
-            {"max_actions": "2"},
+            {"budget": False},
+            {"budget": "2"},
+            {"budget": None},
+            {"budget": F(2)},
+            {"budget": 2.0},
+            {"budget": -3},
+            {"budget": float("inf")},
+            {"budget": [2]},
+            {"budget": (2,)},
+            {"budget": b"2"},
+            {"budget": 2j},
         ],
     )
     def test_rejects_bad_limits(self, kwargs):
+        """A bad budget raises DecideError through the search and through
+        decide_formula, before either route runs."""
+        f = parse("[a]_1/2 v")
         with pytest.raises(DecideError):
-            SearchBounds(**kwargs)
+            bounded_countermodel(f, **kwargs)
+        with pytest.raises(DecideError):
+            decide_formula(f, **kwargs)
+        with pytest.raises(DecideError):
+            decide_formula(f, cap=0, **kwargs)
 
 
 class TestSampleGame:
     def test_samples_are_valid_games(self):
         rng = random.Random(2024)
-        bounds = SearchBounds()
-        for _ in range(300):
-            game = drawn_game(rng, bounds)
-            assert validate(game) == []
-            assert len(game.states) <= bounds.max_states
-            assert len(game.actions) <= bounds.max_actions
-            assert set(game.agents) <= set(bounds.agents)
-            assert len(game.nonfailure_states) >= 1
+        for _ in range(100):
+            for agents in AGENT_TUPLES:
+                game = search_game(rng, agents)
+                assert validate(game) == []
+                assert len(game.states) <= MAX_STATES
+                assert len(game.actions) <= MAX_ACTIONS
+                assert len(game.nonfailure_states) >= 1
 
     def test_required_agents_always_present(self):
+        """A draw is over exactly the agents it is given."""
         rng = random.Random(5)
         for _ in range(50):
-            game = drawn_game(
-                rng, SearchBounds(), require_agents=frozenset({"b"})
-            )
-            assert "b" in game.agents
-
-    def test_missing_required_agent_rejected(self):
-        with pytest.raises(DecideError):
-            _check_agents(SearchBounds(agents=("a",)), frozenset({"z"}))
+            for agents in AGENT_TUPLES:
+                assert search_game(rng, agents).agents == agents
 
     def test_deterministic_under_seed(self):
-        a = drawn_game(random.Random(9), SearchBounds())
-        b = drawn_game(random.Random(9), SearchBounds())
+        a = search_game(random.Random(9), ("a", "b"))
+        b = search_game(random.Random(9), ("a", "b"))
         assert game_to_dict(a) == game_to_dict(b)
 
 
-def reference_sample_game(rng, bounds, variables=("u", "v"),
-                          require_agents=frozenset()):
-    """The sampler with Fraction partial sums: every grid draw is added
-    as a Fraction and the residual is 1 minus their sum."""
-    required = tuple(sorted(require_agents))
-    optional = [a for a in bounds.agents if a not in require_agents]
-    extra = rng.randint(0 if required else 1, len(optional))
-    agent_pool = sorted(required + tuple(optional[:extra]))
-    n_states = rng.randint(1, bounds.max_states)
-    states = tuple(f"q{i}" for i in range(n_states))
-    n_fail = rng.randint(0, n_states - 1)
-    failures = tuple(sorted(rng.sample(states, n_fail)))
-    actions = tuple(f"m{i}" for i in range(rng.randint(1, bounds.max_actions)))
-    transitions = {}
-    for state in states:
-        for combo in product(actions, repeat=len(agent_pool)):
-            profile = ActionProfile(tuple(zip(agent_pool, combo)))
-            row = None
-            for _attempt in range(16):
-                order = list(states)
-                rng.shuffle(order)
-                entries = {}
-                total = Fraction(0)
-                feasible = True
-                for target in order[:-1]:
-                    p = rng.choice(QUARTER_GRID)
-                    total += p
-                    if total > 1:
-                        feasible = False
-                        break
-                    entries[target] = p
-                if feasible:
-                    entries[order[-1]] = 1 - total
-                    row = {t: p for t, p in entries.items() if p > 0}
-                    break
-            if row is None:
-                row = {rng.choice(states): Fraction(1)}
-            transitions[(state, profile)] = row
-    valuation = {
-        v: frozenset(s for s in states if rng.choice((True, False)))
-        for v in variables
-    }
-    return keyed_game(tuple(agent_pool), states, failures, actions, transitions, valuation)
-
-
-# the three-state bounds with five actions make rows of 25 profiles for
-# two agents and 125 for three
-SAMPLER_BOUNDS = [
-    SearchBounds(),
-    SearchBounds(max_states=3, max_actions=5, agents=("a", "b", "c")),
-    SearchBounds(max_states=4, max_actions=2, agents=("a",)),
-]
+# shapes of the tests' own sampler: the three-state shape with five
+# actions makes rows of 25 profiles for two agents and 125 for three
+SAMPLER_SHAPES = [SHAPE, (3, 5, ("a", "b", "c")), (4, 2, ("a",))]
 
 
 class TestSamplerMatchesReference:
@@ -259,23 +221,31 @@ class TestSamplerMatchesReference:
     shuffle and choice replayed through getrandbits, against Fraction
     partial sums and the calls themselves: the same games from the same
     random stream, with every row's entries in the same order, and the
-    same random state after every game."""
+    same random state after every game.  The reference draws at the
+    search's shape with the formula's agents required, or with ``a`` as
+    its one optional agent when the formula names none."""
 
-    @pytest.mark.parametrize("index", range(len(SAMPLER_BOUNDS)))
-    def test_same_games(self, index):
-        bounds = SAMPLER_BOUNDS[index]
+    @staticmethod
+    def assert_same_games(agents, require_agents):
+        shape = (MAX_STATES, MAX_ACTIONS, agents)
         for seed in range(200):
             ours, theirs = random.Random(seed), random.Random(seed)
             for names in (("u", "v"), ("w",)):
-                got = drawn_game(ours, bounds, variables=names,
-                                 require_agents=frozenset({"a"}))
-                want = reference_sample_game(theirs, bounds, variables=names,
-                                             require_agents=frozenset({"a"}))
+                got = search_game(ours, agents, names)
+                want = reference_sample_game(theirs, shape, names, require_agents)
                 assert game_to_dict(got) == game_to_dict(want), seed
                 assert [list(got.rows[i].items()) for i in got.transitions.values()] == [
                     list(want.rows[i].items()) for i in want.transitions.values()
                 ], seed
             assert ours.getstate() == theirs.getstate()
+
+    @pytest.mark.parametrize("index", range(len(AGENT_TUPLES)))
+    def test_same_games(self, index):
+        agents = AGENT_TUPLES[index]
+        self.assert_same_games(agents, frozenset(agents))
+
+    def test_same_games_for_a_formula_without_agents(self):
+        self.assert_same_games(("a",), frozenset())
 
 
 def reference_outcome(row, failures):
@@ -302,12 +272,12 @@ class TestIntegerRowSums:
     """Row entries sum each row as an integer numerator over a running
     common denominator; every entry equals the Fraction sum."""
 
-    @pytest.mark.parametrize("index", range(len(SAMPLER_BOUNDS)))
+    @pytest.mark.parametrize("index", range(len(SAMPLER_SHAPES)))
     def test_sampled_games(self, index):
         rng = random.Random(index)
         for _ in range(100):
             assert_outcomes_match_rows(drawn_game(
-                rng, SAMPLER_BOUNDS[index], require_agents=frozenset({"a"})))
+                rng, SAMPLER_SHAPES[index], require_agents=frozenset({"a"})))
 
     def test_coprime_denominators_zero_and_failure_entries(self):
         coprime = {"s": F(1, 3), "f": F(1, 5), "t": F(1, 7), "z": F(0),
@@ -330,17 +300,16 @@ class TestIntegerRowSums:
             (F(131, 231), ("s", "t", "u")), (F(5, 6), ("t", "u"))]
 
 
-    @pytest.mark.parametrize("index", range(len(SAMPLER_BOUNDS)))
+    @pytest.mark.parametrize("index", range(len(AGENT_TUPLES)))
     def test_drawn_tables_equal_compiled_rows(self, index):
         """The search compiles a draw's integer rows into row entries
         without a Game: each non-failure state's must equal, as exact
         Fractions with the successors in the same order, the entries a
         context compiles from the game sample_game makes of the draw, and
         no entry is made for a failure state's rows."""
-        bounds = SAMPLER_BOUNDS[index]
         rng = random.Random(50 + index)
         for _ in range(100):
-            draw = _draw(rng, bounds, ("u", "v"), frozenset({"a"}))
+            draw = _draw(rng, AGENT_TUPLES[index], ("u", "v"))
             g = sample_game(draw)
             drawn = CheckContext(draw, entries=_row_entries(draw))
             names = draw.states
@@ -361,11 +330,11 @@ class TestSampledGamesAreSound:
     which checks only its shape: its games must still validate and
     survive the JSON round trip."""
 
-    @pytest.mark.parametrize("index", range(len(SAMPLER_BOUNDS)))
+    @pytest.mark.parametrize("index", range(len(AGENT_TUPLES)))
     def test_hundred_games(self, index, builder_output):
         rng = random.Random(100 + index)
         for _ in range(100):
-            builder_output(drawn_game(rng, SAMPLER_BOUNDS[index]))
+            builder_output(search_game(rng, AGENT_TUPLES[index]))
 
 
 class TestBoundedCountermodel:
@@ -382,7 +351,7 @@ class TestBoundedCountermodel:
 
         monkeypatch.setattr("sgcl.decide.CheckContext", Recording)
         f = parse("([a]_1/2 (v -> u) -> ([b]_1/4 v -> [a,b]_1/2 u))")
-        assert bounded_countermodel(f, SearchBounds(budget=100), seed=5) is None
+        assert bounded_countermodel(f, budget=100, seed=5) is None
         assert len(made) == 100
         assert sum(ctx.profile_evals for ctx in made) == 553
         assert sum(len(ctx.memo) for ctx in made) == 912
@@ -403,30 +372,30 @@ class TestBoundedCountermodel:
 
         monkeypatch.setattr("sgcl.decide._draw", counting_draw)
         monkeypatch.setattr("sgcl.decide.sample_game", counting_build)
-        bounds = SearchBounds(agents=("a",), budget=40)
-        game, state = bounded_countermodel(parse("([a]_0 v -> v)"), bounds, seed=2)
+        game, state = bounded_countermodel(parse("([a]_0 v -> v)"), budget=40, seed=2)
         assert len(draws) == 8 and len(built) == 1
         rng = random.Random(2)
         for _ in range(8):
-            want = reference_sample_game(rng, bounds, variables=("v",),
+            want = reference_sample_game(rng, (MAX_STATES, MAX_ACTIONS, ("a",)),
+                                         variables=("v",),
                                          require_agents=frozenset({"a"}))
         assert game_to_dict(game) == game_to_dict(want)
         assert state == "q1"
 
     def test_finds_lossy_game_for_certain_survival(self):
         f = parse("[]_1 true")
-        hit = bounded_countermodel(f, SearchBounds(budget=500), seed=3)
+        hit = bounded_countermodel(f, budget=500, seed=3)
         assert hit is not None
         game, state = hit
         assert validate(game) == []
         assert not holds(game, state, f)
 
     def test_tautology_never_refuted(self):
-        assert bounded_countermodel(parse("(v -> v)"), SearchBounds(budget=80)) is None
+        assert bounded_countermodel(parse("(v -> v)"), budget=80) is None
 
     def test_modality_is_about_successors(self):
         hit = bounded_countermodel(
-            parse("([a]_0 v -> v)"), SearchBounds(budget=500), seed=3
+            parse("([a]_0 v -> v)"), budget=500, seed=3
         )
         assert hit is not None
         game, state = hit
@@ -434,25 +403,50 @@ class TestBoundedCountermodel:
 
     def test_seed_determinism(self):
         f = parse("[]_1 true")
-        first = bounded_countermodel(f, SearchBounds(budget=200), seed=12)
-        second = bounded_countermodel(f, SearchBounds(budget=200), seed=12)
+        first = bounded_countermodel(f, budget=200, seed=12)
+        second = bounded_countermodel(f, budget=200, seed=12)
         assert first is not None and second is not None
         assert game_to_dict(first[0]) == game_to_dict(second[0])
         assert first[1] == second[1]
 
-    def test_bounds_must_cover_formula_agents(self):
-        with pytest.raises(DecideError):
-            bounded_countermodel(parse("[c]_1 v"), SearchBounds(agents=("a",)))
+    def test_default_search_draws_the_formula_agents(self, monkeypatch, capsys):
+        """With the default budget, the search draws every game over the
+        agents of f alone, and finds the verdict and game that decide
+        finds through the search."""
+        drawn = []
+
+        def recording_draw(*args):
+            draw = _draw(*args)
+            drawn.append(draw.agents)
+            return draw
+
+        monkeypatch.setattr("sgcl.decide._draw", recording_draw)
+        text = "[a]_1/2 v"
+        f = parse(text)
+        for seed in range(200):
+            hit = bounded_countermodel(f, seed=seed)
+            code = run(["decide", "--max-closure", "0", "--seed", str(seed),
+                        "--format", "json", "--formula", text])
+            payload = json.loads(capsys.readouterr().out)
+            if hit is None:
+                assert (code, payload["verdict"]) == (0, "exhausted"), seed
+                continue
+            assert (code, payload["verdict"]) == (1, "refuted"), seed
+            assert payload["state"] == hit[1], seed
+            assert game_from_dict(payload["game"]) == hit[0], seed
+        assert drawn and set(drawn) == {("a",)}
 
 
-def reference_countermodel(f, bounds, seed):
-    """The search as a loop over sampled games: each game from
-    sample_game, then holds at each of its non-failure states in order.
-    Returns (game, state, games sampled before it) or None."""
+def reference_countermodel(f, budget, seed):
+    """The search as a loop over games of the tests' own sampler at the
+    search's shape, over the agents of f or ``a`` alone, then holds at
+    each of a game's non-failure states in order.  Returns (game, state,
+    games sampled before it) or None."""
     rng = random.Random(seed)
     names = tuple(sorted(variables_of(f))) or ("v",)
-    for attempt in range(bounds.budget):
-        game = drawn_game(rng, bounds, variables=names, require_agents=agents_of(f))
+    shape = (MAX_STATES, MAX_ACTIONS, tuple(sorted(agents_of(f))) or ("a",))
+    for attempt in range(budget):
+        game = drawn_game(rng, shape, variables=names, require_agents=agents_of(f))
         ctx = CheckContext(game)
         for state in game.nonfailure_states:
             if not holds(game, state, f, ctx):
@@ -484,17 +478,23 @@ class TestSearchMatchesReference:
     builds a Game only for a refutation, from the draw in hand: against
     the loop over sample_game and holds it must return the same None, or
     the same refuting state and an equal game, also when the refuting
-    game is not the first."""
+    game is not the first.  At index k each formula is searched behind a
+    tautological antecedent naming the other agents of the k-th agent
+    tuple, so that its games are played by all of them; three-agent
+    games refute these formulas less often, so each search draws up to
+    60 games."""
 
-    @pytest.mark.parametrize("index", range(len(SAMPLER_BOUNDS)))
+    @pytest.mark.parametrize("index", range(len(AGENT_TUPLES)))
     def test_same_verdicts(self, index):
-        bounds = replace(SAMPLER_BOUNDS[index], budget=30)
+        others = ",".join(AGENT_TUPLES[index][1:])
         hits = late = misses = 0
         for text in SEARCH_FORMULAS:
+            if others:
+                text = f"(([{others}]_1/2 true -> [{others}]_1/2 true) -> {text})"
             f = parse(text)
             for seed in range(15):
-                got = bounded_countermodel(f, bounds, seed=seed)
-                want = reference_countermodel(f, bounds, seed)
+                got = bounded_countermodel(f, budget=60, seed=seed)
+                want = reference_countermodel(f, 60, seed)
                 if want is None:
                     assert got is None, (text, seed)
                     misses += 1
@@ -521,9 +521,8 @@ class TestTautologyScreen:
         for q in pool_decides():
             f = parse(q["formula"])
             seed = int(q["argv"][q["argv"].index("--seed") + 1])
-            bounds = SearchBounds(agents=tuple(sorted(agents_of(f))) or ("a",), budget=40)
-            got = bounded_countermodel(f, bounds, seed=seed)
-            want = reference_countermodel(f, bounds, seed)
+            got = bounded_countermodel(f, budget=40, seed=seed)
+            want = reference_countermodel(f, 40, seed)
             if want is None:
                 assert got is None, q["formula"]
                 continue
@@ -541,7 +540,7 @@ class TestTautologyScreen:
         tautologies = [f for f in acceptance_corpus() if is_tautology(f)]
         assert len(tautologies) == 32
         for f in tautologies:
-            assert bounded_countermodel(f, SearchBounds(agents=("a",)), seed=3) is None
+            assert bounded_countermodel(f, seed=3) is None
 
     def test_wider_than_the_cap_draws_its_budget(self, monkeypatch):
         chain = Var("x0")
@@ -557,14 +556,14 @@ class TestTautologyScreen:
         monkeypatch.setattr("sgcl.decide._draw", counting)
         with pytest.raises(AtomCapError):
             is_tautology(f)
-        assert bounded_countermodel(f, SearchBounds(budget=7), seed=1) is None
+        assert bounded_countermodel(f, budget=7, seed=1) is None
         assert len(draws) == 7
 
-    def test_agents_are_checked_before_the_screen(self):
+    def test_budget_is_checked_before_the_screen(self):
         f = parse("([c]_1 v -> [c]_1 v)")
         assert is_tautology(f)
-        with pytest.raises(DecideError, match="omit required agents"):
-            bounded_countermodel(f, SearchBounds(agents=("a",)))
+        with pytest.raises(DecideError, match="budget must be positive"):
+            bounded_countermodel(f, budget=0)
 
 
 def two_connective_corpus():
@@ -590,11 +589,10 @@ def zero_subscript_free(f):
 
 @pytest.fixture(scope="module")
 def route_verdicts():
-    bounds = SearchBounds(agents=("a",), budget=250)
     out = {}
     for f in two_connective_corpus():
         refuted_by_classify = isinstance(classify(f), Refuted)
-        refuted_by_search = bounded_countermodel(f, bounds, seed=7) is not None
+        refuted_by_search = bounded_countermodel(f, budget=250, seed=7) is not None
         out[f] = (refuted_by_classify, refuted_by_search)
     return out
 

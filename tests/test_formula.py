@@ -10,7 +10,6 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from sgcl.decide import SearchBounds
 from sgcl.formula import (
     ATOM_CAP,
     TOP,
@@ -722,7 +721,7 @@ def test_tautologies_hold_in_sampled_games(f, seed):
     if verdict:
         rng = random.Random(seed)
         for _ in range(20):
-            game = drawn_game(rng, SearchBounds(), require_agents=agents_of(f))
+            game = drawn_game(rng, require_agents=agents_of(f))
             ctx = CheckContext(game)
             for state in game.nonfailure_states:
                 assert holds(game, state, f, ctx), (render(f), state)

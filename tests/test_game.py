@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sgcl.canonical import build_canonical_game
-from sgcl.decide import SearchBounds
 from sgcl.formula import closure, parse
 from sgcl.game import (
     ActionProfile,
@@ -805,10 +804,9 @@ class TestLoaderSharesRows:
 
     def test_round_trip_of_sampled_games(self):
         rng = random.Random(3)
-        bounds = SearchBounds(max_states=4, max_actions=3, agents=("a", "b"))
         with_failures = 0
         for _ in range(40):
-            g = drawn_game(rng, bounds)
+            g = drawn_game(rng)
             with_failures += bool(g.failures)
             assert game_from_dict(game_to_dict(g)) == g
         assert with_failures >= 10

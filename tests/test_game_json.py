@@ -15,7 +15,7 @@ import pytest
 
 from sgcl.canonical import build_canonical_game
 from sgcl.cli import run
-from sgcl.decide import Refuted, SearchBounds, decide_formula
+from sgcl.decide import Refuted, decide_formula
 from sgcl.formula import closure, parse
 from sgcl.game import (
     Game,
@@ -88,7 +88,7 @@ def test_canonical_pool_games(tmp_path):
 
 def test_sampled_games(tmp_path):
     assert_written_as_reference(
-        (drawn_game(random.Random(seed), SearchBounds()) for seed in range(50)),
+        (drawn_game(random.Random(seed)) for seed in range(50)),
         tmp_path / "g.json")
 
 

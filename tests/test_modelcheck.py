@@ -235,11 +235,10 @@ class TestIntegerThresholds:
 
 class TestAgainstNaiveSemantics:
     def test_agreement_on_random_games(self):
-        from sgcl.decide import SearchBounds
         import random
 
         rng = random.Random(7)
-        bounds = SearchBounds(max_states=4, max_actions=2, budget=1)
+        shape = (4, 2, ("a", "b"))
         fs = [
             parse("[a]_1/2 v"),
             parse("[]_1/4 v -> [a,b]_1/4 v"),
@@ -248,7 +247,7 @@ class TestAgainstNaiveSemantics:
             parse("[]_0 u"),
         ]
         for _ in range(40):
-            g = drawn_game(rng, bounds, require_agents=("a", "b"),
+            g = drawn_game(rng, shape, require_agents=("a", "b"),
                            variables=("v", "u"))
             for f in fs:
                 for s in g.nonfailure_states:
@@ -258,12 +257,10 @@ class TestAgainstNaiveSemantics:
         """holds, extent and witness against the reference, on sampled
         three-agent games and on copies listing the agents in reverse,
         which reverses the product order of the complete profiles."""
-        from sgcl.decide import SearchBounds
         import random
 
         rng = random.Random(11)
-        bounds = SearchBounds(max_states=3, max_actions=2, budget=1,
-                              agents=("a", "b", "c"))
+        shape = (3, 2, ("a", "b", "c"))
         fs = [
             parse("[a,c]_1/2 v"),
             parse("[b]_1/4 (v -> [a,c]_1/2 u)"),
@@ -274,7 +271,7 @@ class TestAgainstNaiveSemantics:
             parse("[]_1/4 v -> [a,b]_1/2 u"),
         ]
         for _ in range(30):
-            sampled = drawn_game(rng, bounds, require_agents=("a", "b", "c"),
+            sampled = drawn_game(rng, shape, require_agents=("a", "b", "c"),
                                  variables=("v", "u"))
             reordered = with_reversed_agents(sampled)
             for g in (sampled, reordered):
@@ -503,10 +500,8 @@ class TestMemoizedChecker:
     @settings(max_examples=150, deadline=None)
     @given(checked_formulas, st.lists(st.integers(0, 2**32), min_size=1, max_size=3))
     def test_agrees_with_reference(self, f, seeds):
-        from sgcl.decide import SearchBounds
-
-        bounds = SearchBounds(max_states=3, max_actions=2, budget=1)
-        games = [drawn_game(random.Random(seed), bounds, require_agents=("a", "b"),
+        shape = (3, 2, ("a", "b"))
+        games = [drawn_game(random.Random(seed), shape, require_agents=("a", "b"),
                             variables=("v", "u")) for seed in seeds]
         copy = parse(render(f))
         assert copy == f and copy is not f
@@ -563,12 +558,10 @@ class TestLabel:
         """Sampled three-agent games with failure states, and copies
         listing the agents in reverse: every coalition size, and choices
         in both product orders."""
-        from sgcl.decide import SearchBounds
         import random
 
         rng = random.Random(13)
-        bounds = SearchBounds(max_states=4, max_actions=2, budget=1,
-                              agents=("a", "b", "c"))
+        shape = (4, 2, ("a", "b", "c"))
         order = closure([
             parse("[a,c]_1/2 v"),
             parse("[b]_1/4 (v -> [a,c]_1/2 u)"),
@@ -582,7 +575,7 @@ class TestLabel:
         seen = set()  # (modality, truth) pairs met at some state
         games = 0
         while games < 30:
-            sampled = drawn_game(rng, bounds, require_agents=("a", "b", "c"),
+            sampled = drawn_game(rng, shape, require_agents=("a", "b", "c"),
                                  variables=("v", "u"))
             if not sampled.failures:
                 continue
@@ -744,13 +737,10 @@ def schema_modalities(instance) -> list:
 
 def audit_game(name: str) -> Game:
     """The overtake game, or a three-agent game sampled from seed 0."""
-    from sgcl.decide import SearchBounds
-
     if name == "overtake":
         return overtake_game()
     g = drawn_game(random.Random(0),
-                   SearchBounds(max_states=4, max_actions=2, budget=1,
-                                agents=("a", "b", "c")),
+                   (4, 2, ("a", "b", "c")),
                    require_agents=("a", "b", "c"), variables=("v", "u"))
     assert (len(g.states), len(g.actions), len(g.agents)) == (4, 2, 3)
     return g
@@ -812,11 +802,9 @@ def all_failing(g: Game) -> Game:
 def audit_cases(draw):
     """A sampled game of 1-3 agents, a failure-only copy now and then, a
     pool over its agents with repeats, a budget and a seed."""
-    from sgcl.decide import SearchBounds
-
     agents = ("a", "b", "c")[:draw(st.integers(1, 3))]
     g = drawn_game(random.Random(draw(st.integers(0, 2**32))),
-                   SearchBounds(max_states=4, max_actions=2, budget=1, agents=agents),
+                   (4, 2, agents),
                    require_agents=agents, variables=("v", "u"))
     if draw(st.integers(0, 4)) == 0:
         g = all_failing(g)
@@ -1035,15 +1023,13 @@ def differential_games() -> list:
     """The games of the benchmark's game-queries pool, ``overtake``,
     ``ladder1`` and 20 games of one to three agents sampled from seeds
     0-19."""
-    from sgcl.decide import SearchBounds
-
     games = [game_from_dict(doc) for _, doc in sorted(pool_games().items())]
     games += [load(GAMES / "overtake.json"), load(GAMES / "ladder1.json")]
     for seed in range(20):
         agents = ("a", "b", "c")[:1 + seed % 3]
         games.append(drawn_game(
             random.Random(seed),
-            SearchBounds(max_states=4, max_actions=2, budget=1, agents=agents),
+            (4, 2, agents),
             require_agents=agents, variables=("v", "u")))
     return games
 
