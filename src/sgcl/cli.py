@@ -79,10 +79,11 @@ def _cmd_check(args) -> int:
     game = _load_game(args)
     f = _read_formula(args)
     value = holds(game, args.state, f)
+    text = render(f)
     _emit(
         args,
-        {"command": "check", "state": args.state, "formula": render(f), "holds": value},
-        [f"{render(f)} at {args.state}: {str(value).lower()}"],
+        {"command": "check", "state": args.state, "formula": text, "holds": value},
+        [f"{text} at {args.state}: {str(value).lower()}"],
     )
     return 0 if value else 1
 
@@ -91,10 +92,11 @@ def _cmd_extent(args) -> int:
     game = _load_game(args)
     f = _read_formula(args)
     states = sorted(extent(game, f))
+    text = render(f)
     _emit(
         args,
-        {"command": "extent", "formula": render(f), "states": states},
-        [f"{render(f)} holds at: {', '.join(states) if states else '(nowhere)'}"],
+        {"command": "extent", "formula": text, "states": states},
+        [f"{text} holds at: {', '.join(states) if states else '(nowhere)'}"],
     )
     return 0
 
@@ -104,10 +106,11 @@ def _cmd_witness(args) -> int:
     f = _read_formula(args)
     found = witness(game, args.state, f)
     if found is None:
+        text = render(f)
         _emit(
             args,
-            {"command": "witness", "state": args.state, "formula": render(f), "witness": None},
-            [f"no witness: {render(f)} fails at {args.state}"],
+            {"command": "witness", "state": args.state, "formula": text, "witness": None},
+            [f"no witness: {text} fails at {args.state}"],
         )
         return 1
     payload = {
@@ -272,8 +275,8 @@ def _cmd_demo_incompleteness(args) -> int:
 
 
 def _cmd_fmt(args) -> int:
-    f = _read_formula(args)
-    _emit(args, {"command": "fmt", "formula": render(f)}, [render(f)])
+    text = render(_read_formula(args))
+    _emit(args, {"command": "fmt", "formula": text}, [text])
     return 0
 
 

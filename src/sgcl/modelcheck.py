@@ -7,14 +7,14 @@ failure set is at least p, and (b) every non-failure state reachable
 with positive probability satisfies the body.  Condition (b) applies
 even at threshold p = 0.
 
-A context compiles each row of ``game.rows`` once, when it is made,
-into its ``entries``, indexed by row id: the row's survival probability
-and its positive non-failure successors.  Profiles that share a row, as
-the canonical game's do, share its entry, so the work grows with the
-distinct rows, not with the states times the complete profiles.  A
-completion at a state is the entry of its row id, read through
-``game.row_ids(state)``, whose positions are the complete profiles in
-the product order of ``game.actions`` over ``game.agents``,
+A context compiles each row of ``game.rows`` once, when a modality is
+first checked, into its ``entries``, indexed by row id: the row's
+survival probability and its positive non-failure successors.
+Profiles that share a row, as the canonical game's do, share its entry,
+so the work grows with the distinct rows, not with the states times the
+complete profiles.  A completion at a state is the entry of its row id,
+read through ``game.row_ids(state)``, whose positions are the complete
+profiles in the product order of ``game.actions`` over ``game.agents``,
 ``game.agents[0]`` most significant.  Survival stays in integers: an
 entry is ``(numerator, denominator, successors)``, the numerator summed
 over a running common denominator and never reduced
@@ -54,9 +54,12 @@ only on the extents of its modalities, so it draws each instance as
 indices (its schema, coalitions, grid thresholds and pool formulas),
 labels each distinct modality once, and finds the states that violate an
 instance by integer AND over their extents; no formula is made for an
-instance unless it is violated, to render it.  The pool formulas'
-extents come from :func:`label` and the necessitation lifts' from the
-kernel, so the audit leaves the memo empty.
+instance unless it is violated, to render it.  It reads each index
+straight from ``getrandbits``, in place, as ``Random.randrange`` and
+``Random.choice`` read CPython's Mersenne Twister stream, so the
+instances are those the formulas' own draws would give.  The pool
+formulas' extents come from :func:`label` and the necessitation lifts'
+from the kernel, so the audit leaves the memo empty.
 
 Truth is defined at non-failure states only; querying a failure state is
 an error.  Variables missing from the valuation are false everywhere.
@@ -67,7 +70,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cmp_to_key, lru_cache
+from functools import cached_property, cmp_to_key, lru_cache
 from typing import Iterable, Optional
 
 from .formula import (
@@ -122,7 +125,6 @@ def choice_table(agents: tuple, actions: tuple, coalition: frozenset) -> tuple:
     return tuple(tuple(k + o for o in outsiders) for k in members)
 
 
-@dataclass
 class CheckContext:
     """Memo tables shared across queries against one game.
 
@@ -132,8 +134,9 @@ class CheckContext:
     ``entries`` holds, for each row of ``game.rows`` by its row id, the
     triple (survival numerator, survival denominator, positive
     non-failure successors in row order) of :func:`sgcl.game._row_mass`,
-    compiled once when the context is made.  A completion at a state is
-    read as ``entries[ids[i]]``, ``ids`` being ``game.row_ids(state)``.
+    compiled once, when a modality is first checked; a query without a
+    modality compiles none.  A completion at a state is read as
+    ``entries[ids[i]]``, ``ids`` being ``game.row_ids(state)``.
     ``choices(coalition)`` lists the coalition's choices in the product
     order of its members, each as the ascending indices of its
     completions among the state's row ids; it is :func:`choice_table`,
@@ -146,15 +149,17 @@ class CheckContext:
     the ``agents``, ``actions``, ``valuation`` and ``row_ids`` of a game,
     its states and successors being those its entries name."""
 
-    game: Game
-    memo: dict = field(default_factory=dict, init=False)
-    profile_evals: int = field(default=0, init=False)
-    entries: Optional[list] = field(default=None, repr=False)
+    def __init__(self, game: Game, entries: Optional[list] = None):
+        self.game = game
+        self.memo: dict = {}
+        self.profile_evals = 0
+        if entries is not None:
+            self.entries = entries
 
-    def __post_init__(self):
-        if self.entries is None:
-            failures = self.game.failures
-            self.entries = [_row_mass(row, failures) for row in self.game.rows]
+    @cached_property
+    def entries(self) -> list:
+        failures = self.game.failures
+        return [_row_mass(row, failures) for row in self.game.rows]
 
     def choices(self, coalition: frozenset) -> tuple:
         return choice_table(self.game.agents, self.game.actions, coalition)
@@ -369,18 +374,6 @@ class SoundnessReport:
         return not self.violations and not self.necessitation_violations
 
 
-def _below(getrandbits, n: int) -> int:
-    """An index below n, drawn as ``Random.randrange(n)`` and
-    ``Random.choice`` of n items draw it (``Random._randbelow`` on CPython
-    3.10 to 3.13): n.bit_length() random bits, drawn again until they fall
-    below n."""
-    k = n.bit_length()
-    r = getrandbits(k)
-    while r >= n:
-        r = getrandbits(k)
-    return r
-
-
 _SCHEMAS = ("cooperation", "monotonicity", "falsehood")
 
 # a threshold drawn as an index of QUARTER_GRID, which ascends from 0, so
@@ -429,11 +422,18 @@ def audit_axiom_soundness(
 
     Each instance is drawn as indices (see :func:`_instance`), with the
     random stream a draw of the thresholds and pool formulas themselves
-    would read: ``randrange`` and ``choice`` draw an index below a length
-    (:func:`_below`).  An instance's truth at every state depends only on
-    the extents of its modalities, so the first draw of a key checks its
-    pool formulas' agents and reads the states that violate it by integer
-    AND over extent masks:
+    would read.  ``randrange`` and ``choice`` draw an index below a
+    length n as ``Random._randbelow`` does on CPython 3.10 to 3.13, and
+    the audit replays that in place: n.bit_length() bits from
+    ``getrandbits``, drawn again while they are n or more.  That is 2
+    bits for the schema and for each agent's side in a cooperation
+    instance (below 3), 3 bits for a grid threshold (below 5) and for
+    falsehood's positive one (below 4), and ``len(pool).bit_length()``
+    bits for a pool formula; a coalition's members are drawn by
+    ``random() < 0.5``.  An instance's truth at every state depends only
+    on the extents of its modalities, so the first draw of a key checks
+    its pool formulas' agents and reads the states that violate it by
+    integer AND over extent masks:
 
     * cooperation, ``A & B & ~C`` for its three modalities in order;
     * monotonicity, ``M_p & ~M_q``;
@@ -442,12 +442,13 @@ def audit_axiom_soundness(
     Each pool formula's extent is read from :func:`label` before the
     first draw; one that names agents outside the game raises CheckError
     at the first instance drawn with it, or else where the necessitation
-    check reaches it.  A modality's extent comes from
-    :func:`_modality_mask`, once per (coalition, threshold, body extent),
-    over rows compiled once per audit; the necessitation check reads the
-    threshold-zero lift of a body true everywhere the same way.  A key
-    drawn again reports the violations stored for it, and only a
-    violating instance or lift is built as a formula, to render it."""
+    check reaches it.  A modality's extent is looked up by its
+    (coalition, threshold, body extent) key, and on a miss comes from
+    :func:`_modality_mask`, over rows compiled once per audit, so each is
+    labelled once; the necessitation check reads the threshold-zero lift
+    of a body true everywhere the same way.  A key drawn again reports
+    the violations stored for it, and only a violating instance or lift
+    is built as a formula, to render it."""
     if sample_budget <= 0:
         raise ValueError("budget must be positive")
     pool = tuple(sorted(set(pool), key=canonical_key)) or (TOP,)
@@ -480,31 +481,45 @@ def audit_axiom_soundness(
     extents = [None if outsiders else labeled[f] & full for f, outsiders in zip(pool, foreign)]
 
     compiled = _compile_masks(ctx, bit)
-    modalities: dict = {}  # (coalition mask, grid index, body extent) -> extent
 
-    def modality(c: int, p: int, body: int) -> int:
-        key = (c, p, body)
-        mask = modalities.get(key)
-        if mask is None:
+    class Labelled(dict):
+        """(coalition mask, grid index, body extent) -> the modality's
+        extent; a key not yet labelled is labelled by the kernel."""
+
+        def __missing__(self, key):
+            c, p, body = key
             mask, evals = _modality_mask(compiled, ctx.choices(coalition_of(c)),
                                          *_GRID_NODES[p], ~body)
             ctx.profile_evals += evals
-            modalities[key] = mask
-        return mask
+            self[key] = mask
+            return mask
 
+    modalities = Labelled()
+
+    # each index below n: n.bit_length() bits, drawn again while they are
+    # n or more, as Random.randrange(n) and Random.choice read them
+    width = size.bit_length()
     seen: dict = {}  # key -> the violations of its instance
     for _ in range(sample_budget):
-        schema = _below(bits, len(_SCHEMAS))
+        while (schema := bits(2)) >= 3:
+            pass
         if schema == 0:
             c1 = c2 = 0
             for b in agent_bits:
-                side = _below(bits, 3)
+                while (side := bits(2)) >= 3:
+                    pass
                 if side == 0:
                     c1 |= b
                 elif side == 1:
                     c2 |= b
-            p, q = _below(bits, _GRID), _below(bits, _GRID)
-            i, j = _below(bits, size), _below(bits, size)
+            while (p := bits(3)) >= _GRID:
+                pass
+            while (q := bits(3)) >= _GRID:
+                pass
+            while (i := bits(width)) >= size:
+                pass
+            while (j := bits(width)) >= size:
+                pass
             key = (0, c1, c2, p, q, i, j)
         else:
             c = 0
@@ -512,13 +527,20 @@ def audit_axiom_soundness(
                 if draw() < 0.5:
                     c |= b
             if schema == 1:
-                p, q = _below(bits, _GRID), _below(bits, _GRID)
+                while (p := bits(3)) >= _GRID:
+                    pass
+                while (q := bits(3)) >= _GRID:
+                    pass
                 if q > p:
                     p, q = q, p
-                i = _below(bits, size)
+                while (i := bits(width)) >= size:
+                    pass
                 key = (1, c, p, q, i)
             else:
-                p = 1 + _below(bits, _GRID - 1)
+                # a positive grid index, 1 + an index below 4
+                while (p := bits(3)) >= _GRID - 1:
+                    pass
+                p += 1
                 key = (2, c, p)
         if not checkable:  # every state fails: nothing to evaluate
             continue
@@ -530,15 +552,15 @@ def audit_axiom_soundness(
                 if x is None or y is None:
                     _reject_foreign(foreign[i] | foreign[j])
                 # (~x | y) & full is the extent of x -> y
-                bad = (modality(c1, p, (~x | y) & full) & modality(c2, q, x)
-                       & ~modality(c1 | c2, max(p, q), y))
+                bad = (modalities[c1, p, (~x | y) & full] & modalities[c2, q, x]
+                       & ~modalities[c1 | c2, max(p, q), y])
             elif schema == 1:
                 x = extents[i]
                 if x is None:
                     _reject_foreign(foreign[i])
-                bad = modality(c, p, x) & ~modality(c, q, x)
+                bad = modalities[c, p, x] & ~modalities[c, q, x]
             else:
-                bad = modality(c, p, 0)
+                bad = modalities[c, p, 0]
             found = []
             if bad:
                 text = render(_instance(key, coalition_of, pool))
@@ -554,7 +576,7 @@ def audit_axiom_soundness(
             _reject_foreign(outsiders)
         if x == full:
             report.necessitation_cases += 1
-            if modality(c, 0, x) != full:
+            if modalities[c, 0, x] != full:
                 lifted = Coal(coalition_of(c), QUARTER_GRID[0], body)
                 report.necessitation_violations.append((render(lifted),))
     return report

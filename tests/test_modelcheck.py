@@ -387,10 +387,37 @@ class TestRowEntries:
         row_mass = modelcheck._row_mass
         monkeypatch.setattr(modelcheck, "_row_mass", counting)
         ctx = CheckContext(g)
-        assert len(compiled) == len(ctx.entries) == len(g.rows)
+        assert compiled == []
         assert len(g.rows) * 1000 < len(g.states) * len(g.actions) ** len(g.agents)
         assert any(not holds(g, s, wide, ctx) for s in g.nonfailure_states)
-        assert len(compiled) == len(g.rows)
+        assert len(compiled) == len(ctx.entries) == len(g.rows)
+
+    def test_rows_are_compiled_for_modalities_only(self, monkeypatch):
+        """A query without a modality compiles no row on the context's
+        side (the loader sums each row once on its own), and a query
+        with nested modalities compiles each row exactly once."""
+        from sgcl.cli import run
+
+        path = str(GAMES / "overtake.json")
+        compiled = []
+
+        def counting(row, excluded=frozenset()):
+            compiled.append(row)
+            return row_mass(row, excluded)
+
+        row_mass = modelcheck._row_mass
+        monkeypatch.setattr(modelcheck, "_row_mass", counting)
+        rows = len(load(path).rows)
+        for argv, want in (
+            (["extent", "--formula", "v"], 0),
+            (["extent", "--formula", "(passed -> ~behind)"], 0),
+            (["check", "--state", "p", "--formula", "~passed"], 0),
+            (["extent", "--formula", "[a,b]_9/10 [a]_0 passed"], rows),
+            (["witness", "--state", "p", "--formula", "[a,b]_9/10 passed"], rows),
+        ):
+            compiled.clear()
+            assert run(argv[:1] + ["--game", path] + argv[1:]) in (0, 1)
+            assert len(compiled) == want, argv
 
 
 class TestSharedTables:
@@ -855,20 +882,36 @@ class TestAudit:
             got = audit_outcome(audit_axiom_soundness, g, pool, budget, seed)
             assert got == audit_outcome(reference_audit, g, pool, budget, seed)
 
-    def test_draws_replay_randrange_and_choice(self):
-        """The audit draws each index below n with one getrandbits loop.
-        For seeds 0-49 and every n from 1 to 9 (the audit draws below 3, 4,
-        5 and its pool's size), it reads the stream as Random.randrange(n)
-        and Random.choice(range(n)) do, with random() calls interleaved."""
-        below = modelcheck._below
-        for seed in range(50):
-            ours, theirs = random.Random(seed), random.Random(seed)
-            for n in range(1, 10):
-                for _ in range(4):
-                    assert below(ours.getrandbits, n) == theirs.randrange(n)
-                    assert below(ours.getrandbits, n) == theirs.choice(range(n))
-                    assert ours.random() == theirs.random()
-            assert ours.getstate() == theirs.getstate()
+    @pytest.mark.parametrize("agents", [0, 1, 2, 3])
+    @pytest.mark.parametrize("size", range(1, 10))
+    def test_draws_match_the_reference_stream(self, size, agents):
+        """The audit reads each index in place with getrandbits: 2 bits
+        below 3, 3 bits below 5 and below 4, and 1 to 4 bits below a pool
+        of 1 to 9 formulas.  Its report and the random stream's final
+        state equal the reference's, which draws with randrange and
+        choice, for budgets 1 and 200, on a game of 0 to 3 agents and on
+        its failure-only copy, where no instance is evaluated and only
+        the stream can tell the draws apart."""
+        if agents:
+            names = ("a", "b", "c")[:agents]
+            g = drawn_game(random.Random(size), (4, 2, names),
+                           require_agents=names, variables=("v", "u"))
+        else:
+            g = Game(agents=(), states=("q0", "q1", "q2"), failures=("q2",),
+                     actions=("m0",),
+                     rows=[{"q1": F(3, 4), "q2": F(1, 4)}, {"q0": F(1, 2), "q1": F(1, 2)},
+                           {"q2": F(1)}],
+                     row_ids={"q0": (0,), "q1": (1,), "q2": (2,)},
+                     valuation={"v": frozenset({"q0"}), "u": frozenset({"q0", "q1"})})
+        v, u = Var("v"), Var("u")
+        pool = [v, u, TOP, Bot(), Neg(v), Impl(v, u), coal((), F(1, 2), v),
+                coal((), F(0), Neg(u)), Neg(Impl(u, v))][:size]
+        assert len(audit_pool(pool)) == size
+        for game in (g, all_failing(g)):
+            for budget in (1, 200):
+                for seed in range(3):
+                    assert audit_outcome(audit_axiom_soundness, game, pool, budget, seed) == \
+                        audit_outcome(reference_audit, game, pool, budget, seed)
 
     def test_detects_planted_violation(self, monkeypatch):
         g = overtake_game()
