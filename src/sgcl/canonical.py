@@ -2,15 +2,21 @@
 
 Given a closure set of formulas, the states of the canonical game are
 the maximal consistent subsets of that closure, plus one failure state.
-A maximal set is fixed by the truth values of the closure's atoms (its
-variables and modalities); every other member follows by evaluation, so
-the sets are enumerated over atom signs, each non-atomic member settled
-as soon as its last atom is, and an oracle judges each complete set once,
-rejecting those whose modal literals visibly contradict a theorem.  A set
-is one integer mask over the closure's positions (bit k for
-``sigma.formulas[k]``): the enumerator builds it, the oracle, compiled
-once per closure into nogoods over those bits, judges it, and the rest of
-this module works on it.
+A set is one integer mask over the closure's positions (bit k for
+``sigma.formulas[k]``).  Each closure is compiled once, into a
+:class:`HintikkaOracle` that owns this layout: the formula -> bit map,
+the atoms (the variables and modalities), the schedule that settles
+every other member from them, the modalities and the nogoods.  The
+enumerator, the builder, the diagnostics and ``decide.classify`` read
+it, and none of them lays the bits out again.
+
+A maximal set is fixed by the truth values of the closure's atoms;
+every other member follows by evaluation, so the sets are enumerated
+over atom signs, each non-atomic member settled as soon as its last atom
+is, and the compiled closure judges each complete set once, rejecting
+those that hold every modality of a nogood's ``need`` and none of its
+``deny``.  Each nogood is tagged with the rule that made it: ``falsum``,
+``weakening`` or ``cooperation``.
 
 Each agent's action is a request: the pair (body, p) of a modality
 [C]_p body of the closure whose coalition C is non-empty, or the opt-out
@@ -50,7 +56,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .formula import (
     TOP,
@@ -91,73 +97,110 @@ class Judgment(enum.Enum):
     INCONSISTENT = "inconsistent"
 
 
+class Nogood(NamedTuple):
+    """A set holding every modality of ``need`` and none of ``deny`` is
+    inconsistent by the rule ``tag`` names."""
+
+    tag: str
+    need: int
+    deny: int
+
+
 class HintikkaOracle:
-    """Sound but incomplete consistency filter over the masks of one
-    closure (bit k for ``sigma.formulas[k]``).
+    """One closure compiled once: its bit layout and a sound but
+    incomplete consistency filter over its masks.
 
-    Every rule is a theorem-backed constraint on two or three modalities
-    of the closure, so the oracle is compiled once, on construction, into
-    nogoods: pairs ``(need, deny)`` of bit masks, and a set is rejected
-    when it holds every modality of ``need`` and none of ``deny``.  There
-    are three kinds:
+    ``sigma`` is the closure and ``bits`` maps each of its formulas to
+    its bit, 1 << k for ``sigma.formulas[k]``; ``atom_bits`` holds the bits of the atoms, the
+    variables and modalities, in closure order; ``schedule[d]`` holds the
+    formulas settled once d atoms have a sign, each as (bit, a, b), a
+    member when the mask lacks a or holds b (a negation ~x is x ->
+    false, and ``false`` is never a member, so its b is 0); and
+    ``modalities`` holds each modality [C]_p x as (its bit, itself, the
+    bit of x).  Compiling refuses a closure of more than ``cap``
+    formulas before it does anything else.
 
-    - falsum at a positive threshold: ``[C]_p false`` with ``p > 0``;
-    - threshold and coalition weakening: ``[C]_p x`` without
+    Every consistency rule is a theorem-backed constraint on two or three
+    modalities, so each becomes nogoods: ``Nogood(tag, need, deny)``,
+    rejecting a set that holds every modality of ``need`` and none of
+    ``deny``.  There are three tags:
+
+    - ``falsum``: ``[C]_p false`` with ``p > 0``;
+    - ``weakening``, of threshold and coalition: ``[C]_p x`` without
       ``[D]_r x``, where ``C ⊆ D`` and ``r ≤ p``;
-    - cooperation: ``[C]_p (x -> y)`` and ``[D]_q x`` with ``C`` and
+    - ``cooperation``: ``[C]_p (x -> y)`` and ``[D]_q x`` with ``C`` and
       ``D`` disjoint, without ``[E]_r y``, where ``C ∪ D ⊆ E`` and
       ``r ≤ max(p, q)``.
 
     The closure holds the negation of every modality, and a maximal set
     holds exactly one of the two, so lacking ``[D]_r x`` is denying it.
-    A pair whose ``deny`` shares a bit with its ``need`` could never fire
-    and is not kept.
+    A nogood whose ``deny`` shares a bit with its ``need`` could never
+    fire and is not kept.
     Rejected sets are genuinely inconsistent; accepted sets are only "not
     refuted here".  A formula beside its negation, or ``false`` as a
     member, needs no rule: :func:`enumerate_maximal_sets` derives every
     non-atomic member by evaluation, which makes both impossible.
     """
 
-    def __init__(self, sigma: ClosureSet):
-        bits = {f: 1 << k for k, f in enumerate(sigma.formulas)}
-        coals = [f for f in sigma.formulas if isinstance(f, Coal)]
-        on_body: dict = {}  # body -> [(bit, coalition, p)] of each [C]_p body
-        for f in coals:
-            on_body.setdefault(f.body, []).append((bits[f], f.coalition, f.p))
+    def __init__(self, sigma: ClosureSet, cap: int = CLOSURE_CAP):
+        if len(sigma) > cap:
+            raise ClosureCapError(len(sigma), cap)
+        self.sigma = sigma
+        bits = self.bits = {f: 1 << k for k, f in enumerate(sigma.formulas)}
+        # formula -> the number of atoms that settle it; the closure lists
+        # every formula after its operands
+        depth = {Bot(): 0}
+        self.atom_bits = []
+        self.schedule = [[]]
+        for f, bit in bits.items():
+            if isinstance(f, (Var, Coal)):
+                self.atom_bits.append(bit)
+                self.schedule.append([])
+                depth[f] = len(self.atom_bits)
+            elif isinstance(f, Neg):
+                d = depth[f] = depth[f.body]
+                self.schedule[d].append((bit, bits[f.body], 0))
+            elif isinstance(f, Impl):
+                d = depth[f] = max(depth[f.left], depth[f.right])
+                self.schedule[d].append((bit, bits[f.left], bits[f.right]))
+        self.modalities = tuple(
+            (bit, f, bits[f.body]) for f, bit in bits.items() if isinstance(f, Coal))
+        on_body: dict = {}  # body's bit -> [(bit, coalition, p)] of each [C]_p body
+        for bit, f, body in self.modalities:
+            on_body.setdefault(body, []).append((bit, f.coalition, f.p))
         nogoods = []
-        for f in coals:
-            bit = bits[f]
+        for bit, f, body in self.modalities:
             if isinstance(f.body, Bot) and f.p > 0:
-                nogoods.append((bit, 0))
-            nogoods += [(bit, b) for b, c, r in on_body[f.body]
+                nogoods.append(Nogood("falsum", bit, 0))
+            nogoods += [Nogood("weakening", bit, b) for b, c, r in on_body[body]
                         if not bit & b and c >= f.coalition and r <= f.p]
-        for outer in coals:
-            body = outer.body
-            if not isinstance(body, Impl) or body.right not in on_body:
+        for outer_bit, outer, _ in self.modalities:
+            x = outer.body
+            if not isinstance(x, Impl) or bits[x.right] not in on_body:
                 continue
-            for bit, coalition, q in on_body.get(body.left, ()):
+            for bit, coalition, q in on_body.get(bits[x.left], ()):
                 if outer.coalition & coalition:
                     continue
                 union = outer.coalition | coalition
                 p = max(outer.p, q)
-                need = bits[outer] | bit
-                nogoods += [(need, b) for b, c, r in on_body[body.right]
+                need = outer_bit | bit
+                nogoods += [Nogood("cooperation", need, b) for b, c, r in on_body[bits[x.right]]
                             if not need & b and c >= union and r <= p]
         self.nogoods = tuple(nogoods)
 
     def judge(self, mask: int) -> Judgment:
-        for need, deny in self.nogoods:
+        for _, need, deny in self.nogoods:
             if mask & need == need and not mask & deny:
                 return Judgment.INCONSISTENT
         return Judgment.CONSISTENT
 
 
-def enumerate_maximal_sets(sigma: ClosureSet, oracle=None, cap: int = CLOSURE_CAP) -> tuple:
-    """The masks of the complete sets of the closure that the oracle
-    accepts, in order; bit k of a mask is set when ``sigma.formulas[k]``
-    is a member.  ``oracle`` defaults to the closure's
-    :class:`HintikkaOracle`; any object whose ``judge`` takes a mask can
-    stand in for it, as the tests' stricter oracles do.
+def enumerate_maximal_sets(sigma, cap: int = CLOSURE_CAP) -> tuple:
+    """The masks of the complete sets of the closure ``sigma`` that its
+    compiled :class:`HintikkaOracle` accepts, in order; bit k of a mask
+    is set when ``sigma.formulas[k]`` is a member.  ``sigma`` is a
+    closure set, compiled here under ``cap``, or a closure already
+    compiled, whose cap was checked when it was.
 
     A maximal set is fixed by the truth values of its atoms, the
     variables and modalities of the closure.  Backtracking picks a sign
@@ -167,29 +210,10 @@ def enumerate_maximal_sets(sigma: ClosureSet, oracle=None, cap: int = CLOSURE_CA
     before the first), so setting an atom evaluates only the formulas it
     completes, reading its operands' bits from the mask passed down.  At
     a leaf the mask holds one of f and ~f for every non-negation f of the
-    closure, and the oracle judges that complete set once."""
-    if len(sigma) > cap:
-        raise ClosureCapError(len(sigma), cap)
-    if oracle is None:
-        oracle = HintikkaOracle(sigma)
-    formulas = sigma.formulas
-    bits = {f: 1 << k for k, f in enumerate(formulas)}
-    atoms = [f for f in formulas if isinstance(f, (Var, Coal))]
-    atom_bits = [bits[f] for f in atoms]
-    # schedule[d]: the formulas settled once d atoms are set, each as
-    # (bit, a, b), a member when the mask lacks a or holds b; a negation
-    # ~x is x -> false, and ``false`` is never a member, so its b is 0
-    schedule: list = [[] for _ in range(len(atoms) + 1)]
-    depth = {f: d for d, f in enumerate(atoms, 1)}
-    for f in formulas:
-        if isinstance(f, Bot):
-            depth[f] = 0
-        elif isinstance(f, Neg):
-            d = depth[f] = depth[f.body]
-            schedule[d].append((bits[f], bits[f.body], 0))
-        elif isinstance(f, Impl):
-            d = depth[f] = max(depth[f.left], depth[f.right])
-            schedule[d].append((bits[f], bits[f.left], bits[f.right]))
+    closure, and the compiled closure judges that complete set once."""
+    compiled = sigma if isinstance(sigma, HintikkaOracle) else HintikkaOracle(sigma, cap)
+    atom_bits, schedule, judge = compiled.atom_bits, compiled.schedule, compiled.judge
+    leaf = len(atom_bits)
     out = []
 
     def settle(steps, mask: int) -> int:
@@ -199,8 +223,8 @@ def enumerate_maximal_sets(sigma: ClosureSet, oracle=None, cap: int = CLOSURE_CA
         return mask
 
     def descend(i: int, mask: int) -> None:
-        if i == len(atoms):
-            if oracle.judge(mask) is not Judgment.INCONSISTENT:
+        if i == leaf:
+            if judge(mask) is not Judgment.INCONSISTENT:
                 out.append(mask)
             return
         for bit in (atom_bits[i], 0):  # true, then false
@@ -238,7 +262,7 @@ def _row(granted: int, modalities: Sequence[tuple], masks: Sequence[int],
     """``(row, guarded)`` for the modalities a profile grants at a state,
     given as the mask ``granted`` over the closure's positions, with
     ``modalities`` listing each modality of the closure as (bit,
-    threshold, its body's bit): their strongest threshold mu (0 when
+    modality, its body's bit): their strongest threshold mu (0 when
     none is granted) shared uniformly among the targets, the states
     named by ``names`` whose ``masks`` hold every granted body, and the
     rest of the mass on the failure state.  When no maximal set contains
@@ -247,9 +271,9 @@ def _row(granted: int, modalities: Sequence[tuple], masks: Sequence[int],
     is true (callers report such pairs)."""
     mu = 0
     bodies = 0
-    for bit, p, body in modalities:
+    for bit, f, body in modalities:
         if granted & bit:
-            mu = max(mu, p)
+            mu = max(mu, f.p)
             bodies |= body
     if mu == 0:
         return {FAILURE_STATE: Fraction(1)}, False
@@ -264,12 +288,12 @@ def _row(granted: int, modalities: Sequence[tuple], masks: Sequence[int],
 
 @dataclass
 class CanonicalDiagnostics:
+    # the compiled closure the sets were drawn from
+    compiled: HintikkaOracle = field(repr=False)
     guard_pairs: list = field(default_factory=list)
     action_count: int = 0
     # state name -> the mask of its maximal set, s0, s1, ... in order
     sets: dict = field(default_factory=dict, repr=False)
-    # the closure the sets were drawn from
-    closure: Optional[ClosureSet] = field(default=None, init=False, repr=False)
 
     @property
     def state_count(self) -> int:
@@ -278,7 +302,7 @@ class CanonicalDiagnostics:
     @property
     def profile_count(self) -> int:
         """Complete profiles: one action for each agent of the closure."""
-        return self.action_count ** len(self.closure.agents())
+        return self.action_count ** len(self.compiled.sigma.agents())
 
     @property
     def no_consistent_sets(self) -> bool:
@@ -288,7 +312,8 @@ class CanonicalDiagnostics:
     def state_members(self) -> dict:
         """State name -> rendered members in canonical order: the
         closure's own order and texts, filtered by membership."""
-        texts = [(1 << k, text) for k, text in enumerate(self.closure.texts.values())]
+        bits = self.compiled.bits
+        texts = [(bits[f], text) for f, text in self.compiled.sigma.texts.items()]
         return {
             name: [text for bit, text in texts if mask & bit]
             for name, mask in self.sets.items()
@@ -310,7 +335,6 @@ class CanonicalDiagnostics:
 def build_canonical_game(
     sigma: ClosureSet,
     system: SystemId = SystemId.L,
-    oracle=None,
     cap: int = CLOSURE_CAP,
 ) -> tuple:
     """Construct the canonical game for a closure set.
@@ -318,11 +342,12 @@ def build_canonical_game(
     Returns ``(game, diagnostics)``.  States are named s0, s1, ... in the
     order of their sorted member renderings (read from the closure's
     stored texts), plus the failure state ``f``; ``diagnostics.sets``
-    maps each name to the mask of its maximal set.  The rows are exact
-    and well formed by construction, so the game is built from its row
-    table and not validated (the tests validate it); when the oracle
-    rejects every candidate set the game has only the failure state and
-    the diagnostics say so.
+    maps each name to the mask of its maximal set, and
+    ``diagnostics.compiled`` is the closure compiled once for the whole
+    build.  The rows are exact and well formed by construction, so the
+    game is built from its row table and not validated (the tests
+    validate it); when the nogoods reject every candidate set the game
+    has only the failure state and the diagnostics say so.
 
     States are sorted by the ranks of their members among the closure's
     sorted texts; the texts are unique, so this is the order of the
@@ -339,33 +364,29 @@ def build_canonical_game(
         for f, text in texts.items():
             if not in_plus_language(f):
                 raise CanonicalError(f"{text} lies outside the restricted language")
-    formulas = sigma.formulas
+    compiled = HintikkaOracle(sigma, cap)
+    modalities = compiled.modalities
     agents = tuple(sorted(sigma.agents()))
-    # rank_bits[r]: the bit of the closure position whose text is r-th
-    # in sorted order, so a set's ranks are read off its mask in order
-    rank_bits = [1 << k for k in sorted(range(len(formulas)),
-                                         key=list(texts.values()).__getitem__)]
+    # rank_bits[r]: the bit of the closure formula whose text is r-th in
+    # sorted order, so a set's ranks are read off its mask in order
+    rank_bits = [compiled.bits[f] for f in sorted(texts, key=texts.__getitem__)]
     masks = sorted(
-        enumerate_maximal_sets(sigma, oracle, cap),
+        enumerate_maximal_sets(compiled),
         key=lambda m: [r for r, b in enumerate(rank_bits) if m & b],
     )
     actions = action_domain(sigma)
     action_ids = tuple(f"({_text(sigma, body)},{p})" for body, p in actions)
-    diag = CanonicalDiagnostics(action_count=len(actions))
+    diag = CanonicalDiagnostics(compiled, action_count=len(actions))
     diag.sets = {f"s{i}": m for i, m in enumerate(masks)}
-    diag.closure = sigma
     names = tuple(diag.sets)
-    position = {f: k for k, f in enumerate(formulas)}
-    coals = [(1 << k, f) for k, f in enumerate(formulas) if isinstance(f, Coal)]
-    modalities = [(bit, f.p, 1 << position[f.body]) for bit, f in coals]
     # grants[k]: the modalities profile k grants, profiles in product
     # order of the action indices over the agents, first agent outermost;
     # a modality with an empty coalition is granted by every profile
     index = {r: i for i, r in enumerate(actions)}
-    grants = [sum(bit for bit, _ in coals)]
+    grants = [sum(bit for bit, _, _ in modalities)]
     for a in agents:
-        allowed = [sum(bit for bit, f in coals if a not in f.coalition)] * len(actions)
-        for bit, f in coals:
+        allowed = [sum(bit for bit, f, _ in modalities if a not in f.coalition)] * len(actions)
+        for bit, f, _ in modalities:
             if a in f.coalition:
                 allowed[index[f.body, f.p]] |= bit
         grants = [g & m for g in grants for m in allowed]
@@ -392,7 +413,7 @@ def build_canonical_game(
     rows.append({FAILURE_STATE: Fraction(1)})
     valuation = {}
     for v in sorted(sigma.variables()):
-        bit = 1 << position[Var(v)]
+        bit = compiled.bits[Var(v)]
         valuation[v] = frozenset(name for name, m in zip(names, masks) if m & bit)
     game = Game(
         agents=agents,
@@ -422,9 +443,10 @@ def audit_truth_lemma(
     """Compare membership against model-checked truth for every formula of
     the closure at every state of ``sets``, which maps non-failure state
     names to the masks of maximal sets over sigma's positions, as
-    ``CanonicalDiagnostics.sets`` does.
+    ``CanonicalDiagnostics.sets`` does; a name that is not such a state,
+    or a mask with a bit outside the closure, raises ``CheckError``.
     Disagreements are listed by state in the order of ``sets``, then by
-    formula in closure order, and localize a gap in the oracle (or a
+    formula in closure order, and localize a gap in the nogoods (or a
     construction bug); a clean report is evidence the canonical game
     means what its states say.
 
@@ -444,6 +466,8 @@ def audit_truth_lemma(
         b = bit.get(name)
         if b is None:
             raise CheckError(f"{name!r} is not a non-failure state of the game")
+        if mask < 0 or mask >> len(sigma):
+            raise CheckError(f"the set of {name!r} holds a bit outside the closure")
         audited |= b
         while mask:
             low = mask & -mask

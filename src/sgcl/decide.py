@@ -140,7 +140,7 @@ def classify(f: Formula, system: SystemId = SystemId.L, cap: int = CLOSURE_CAP):
     sigma = closure([negation])
     game, diag = build_canonical_game(sigma, system=system, cap=cap)
     ctx = CheckContext(game)
-    bit = 1 << sigma.formulas.index(negation)
+    bit = diag.compiled.bits[negation]
     for state, mask in diag.sets.items():
         if not mask & bit:
             continue

@@ -615,12 +615,6 @@ def _derivation_from_dict(doc, parsed: dict) -> Derivation:
     return Derivation(system, tuple(lines), assumptions, imports)
 
 
-def save_proof(d: Derivation, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(derivation_to_dict(d), fh, indent=2)
-        fh.write("\n")
-
-
 def load_proof(path) -> Derivation:
     with open(path, "r", encoding="utf-8") as fh:
         try:

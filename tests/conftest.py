@@ -32,6 +32,7 @@ from sgcl.proof import (
     RuleMonotonicity,
     Tautology,
     TheoremImport,
+    derivation_to_dict,
 )
 
 # under CI the property tests draw the same examples on every run and
@@ -611,3 +612,11 @@ def reference_rule_from_str(text):
                 pass
             raise ProofFormatError(f"malformed rule {text!r}")
     raise ProofFormatError(f"unknown rule {text!r}")
+
+
+def save_proof(d, path):
+    """Write the derivation ``d`` to ``path`` as a proof document, the
+    form ``verify-proof`` and ``load_proof`` read."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(derivation_to_dict(d), fh, indent=2)
+        fh.write("\n")

@@ -1,21 +1,24 @@
 """Canonical game construction: oracle, maximal sets, transitions, audit."""
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 from pathlib import Path
 
 import pytest
 
 import sgcl.canonical
 from sgcl.canonical import (
+    CLOSURE_CAP,
     OPT_OUT,
     CanonicalError,
     ClosureCapError,
     HintikkaOracle,
     Judgment,
+    Nogood,
     TruthLemmaReport,
     action_domain,
     audit_truth_lemma,
@@ -237,37 +240,62 @@ def coal(agents, p, body):
 v = Var("v")
 
 
-class DecodingOracle:
-    """An oracle over the masks of the closure ``sigma`` that decodes each
-    mask and judges its members by the subclass's ``rule``, an oracle on
-    sets of formulas, which the reference enumerators take as it is."""
+def add_nogoods(monkeypatch, extra):
+    """Compiles every closure, for the rest of the test, with the nogoods
+    ``extra(compiled)`` after its own: a stricter oracle, swapped in the
+    way :func:`use_reference` swaps the action domain."""
+    compile_closure = HintikkaOracle.__init__
 
-    def __init__(self, sigma):
-        self.sigma = sigma
+    def stricter(self, sigma, cap=CLOSURE_CAP):
+        compile_closure(self, sigma, cap)
+        self.nogoods += tuple(extra(self))
 
-    def judge(self, mask):
-        return self.rule(members(self.sigma, mask))
-
-
-class NoV(DecodingOracle):
-    """The default oracle, stricter: a set holding v is inconsistent."""
-
-    @staticmethod
-    def rule(candidate):
-        if v in candidate:
-            return Judgment.INCONSISTENT
-        return reference_judge(candidate)
+    monkeypatch.setattr(HintikkaOracle, "__init__", stricter)
 
 
-class NoImplication(DecodingOracle):
-    """The default oracle, stricter: a set holding an implication is
-    inconsistent."""
+def no_v(compiled):
+    """A set holding v is inconsistent too."""
+    return [Nogood("no-v", bit, 0) for f, bit in compiled.bits.items() if f == v]
 
-    @staticmethod
-    def rule(candidate):
-        if any(isinstance(f, Impl) for f in candidate):
-            return Judgment.INCONSISTENT
-        return reference_judge(candidate)
+
+def no_v_rule(candidate):
+    """:func:`no_v` on sets of formulas, for the reference enumerators."""
+    if v in candidate:
+        return Judgment.INCONSISTENT
+    return reference_judge(candidate)
+
+
+def no_implication(compiled):
+    """A set holding an implication is inconsistent too."""
+    return [Nogood("no-implication", bit, 0)
+            for f, bit in compiled.bits.items() if isinstance(f, Impl)]
+
+
+def no_implication_rule(candidate):
+    """:func:`no_implication` on sets of formulas."""
+    if any(isinstance(f, Impl) for f in candidate):
+        return Judgment.INCONSISTENT
+    return reference_judge(candidate)
+
+
+def reject_all(compiled):
+    """Every set is inconsistent."""
+    return [Nogood("reject-all", 0, 0)]
+
+
+def record_judgments(monkeypatch):
+    """The list to which every judgment of a compiled closure, for the
+    rest of the test, appends its (mask, judgment), in order."""
+    judge = HintikkaOracle.judge
+    seen = []
+
+    def recording(self, mask):
+        verdict = judge(self, mask)
+        seen.append((mask, verdict))
+        return verdict
+
+    monkeypatch.setattr(HintikkaOracle, "judge", recording)
+    return seen
 
 
 def judged(*held):
@@ -362,11 +390,12 @@ class TestEnumerateMaximalSets:
         with pytest.raises(ClosureCapError):
             enumerate_maximal_sets(sig, cap=4)
 
-    def test_stricter_oracle_never_adds_states(self):
+    def test_stricter_oracle_never_adds_states(self, monkeypatch):
         sig = closure([parse("[a]_1/2 v")])
-        assert len(enumerate_maximal_sets(sig, oracle=NoV(sig))) <= len(
-            enumerate_maximal_sets(sig)
-        )
+        default = enumerate_maximal_sets(sig)
+        add_nogoods(monkeypatch, no_v)
+        stricter = enumerate_maximal_sets(sig)
+        assert set(stricter) < set(default)
 
 
 class TestActionDomain:
@@ -449,11 +478,11 @@ class TestTransitionData:
 
     # rows of the constructed game, read through its states
 
-    def build(self, text, oracle=None):
+    def build(self, text):
         """The game of the closure of ``text``, its diagnostics and each
-        state's members; ``oracle``, when given, is an oracle class."""
+        state's members."""
         sig = closure([parse(text)])
-        game, diag = build_canonical_game(sig, oracle=oracle and oracle(sig))
+        game, diag = build_canonical_game(sig)
         named = {name: members(sig, m) for name, m in diag.sets.items()}
         return game, diag, named
 
@@ -487,8 +516,9 @@ class TestTransitionData:
                 row = profile_row(game, state, grant)
                 assert all(v in named[t] for t in row if t != "f")
 
-    def test_probability_guard_routes_to_failure(self):
-        game, diag, named = self.build("[a]_1/2 v", oracle=NoV)
+    def test_probability_guard_routes_to_failure(self, monkeypatch):
+        add_nogoods(monkeypatch, no_v)
+        game, diag, named = self.build("[a]_1/2 v")
         grant = ActionProfile.of({"a": "(v,1/2)"})
         box = coal({"a"}, "1/2", v)
         granting = sorted(s for s, m in named.items() if box in m)
@@ -595,12 +625,9 @@ class TestBuildCanonicalGame:
         )
         assert validate(game) == [] and diag.state_count == 4
 
-    def test_reject_all_oracle_leaves_only_failure(self):
-        class RejectAll:
-            def judge(self, mask):
-                return Judgment.INCONSISTENT
-
-        game, diag = build_canonical_game(closure([parse("~v")]), oracle=RejectAll())
+    def test_reject_all_oracle_leaves_only_failure(self, monkeypatch):
+        add_nogoods(monkeypatch, reject_all)
+        game, diag = build_canonical_game(closure([parse("~v")]))
         assert diag.no_consistent_sets
         assert game.states == ("f",) and validate(game) == []
 
@@ -759,14 +786,15 @@ class TestAtomEnumerationMatchesReference:
                 sig, reference_maximal_sets(sig)
             ), render(f)
 
-    def test_leaf_judgment_sees_whole_sets(self):
+    def test_leaf_judgment_sees_whole_sets(self, monkeypatch):
         # an implication is never an atom, so only the judgment of a
         # complete set can reject it
         box = coal({"a"}, "1/2", v)
         sig = closure([Impl(v, box)])
-        (only,) = enumerate_maximal_sets(sig, oracle=NoImplication(sig))
+        add_nogoods(monkeypatch, no_implication)
+        (only,) = enumerate_maximal_sets(sig)
         assert members(sig, only) == frozenset({v, Neg(box), Neg(Impl(v, box))})
-        assert reference_maximal_sets(sig, NoImplication.rule) == (only,)
+        assert reference_maximal_sets(sig, no_implication_rule) == (only,)
 
 
 POOLS = Path(__file__).resolve().parents[1] / "perfbench" / "data"
@@ -787,13 +815,12 @@ def pool_closures():
     return [closure([parse(text)]) for text in pool_formulas()]
 
 
-# the enumerator's oracle (None for the default, compiled one, else a
-# class over a closure's masks) and the reference enumerator's rule on
-# sets of formulas
+# the nogoods added to each compiled closure (None for the default
+# oracle) and the reference enumerator's rule on sets of formulas
 ORACLES = {
     "default": (None, reference_judge),
-    "no-v": (NoV, NoV.rule),
-    "no-implication": (NoImplication, NoImplication.rule),
+    "no-v": (no_v, no_v_rule),
+    "no-implication": (no_implication, no_implication_rule),
 }
 
 
@@ -801,36 +828,27 @@ class TestIncrementalMatchesLiteralPruning:
     """The enumerator against the one that judged every partial literal
     set: the same tuple of sets, in the same order, under each oracle."""
 
-    @pytest.mark.parametrize("oracle, rule", ORACLES.values(), ids=list(ORACLES))
-    def test_seed_and_corpus_closures(self, oracle, rule):
+    @pytest.mark.parametrize("extra, rule", ORACLES.values(), ids=list(ORACLES))
+    def test_seed_and_corpus_closures(self, extra, rule, monkeypatch):
         closures = [(seed, closure([parse(seed)])) for seed in LABELED_SEEDS]
         closures += [(render(Neg(f)), closure([Neg(f)])) for f in acceptance_corpus()]
         assert len(closures) == 803
+        if extra:
+            add_nogoods(monkeypatch, extra)
         for text, sig in closures:
-            assert enumerate_maximal_sets(sig, oracle and oracle(sig), cap=26) == (
+            assert enumerate_maximal_sets(sig, cap=26) == (
                 literal_pruning_maximal_sets(sig, rule)), text
 
-    @pytest.mark.parametrize("oracle, rule", ORACLES.values(), ids=list(ORACLES))
-    def test_pool_closures(self, oracle, rule):
+    @pytest.mark.parametrize("extra, rule", ORACLES.values(), ids=list(ORACLES))
+    def test_pool_closures(self, extra, rule, monkeypatch):
         texts = pool_formulas()
         assert len(texts) == 180
+        if extra:
+            add_nogoods(monkeypatch, extra)
         for text in texts:
             sig = closure([parse(text)])
-            assert enumerate_maximal_sets(sig, oracle and oracle(sig), cap=32) == (
+            assert enumerate_maximal_sets(sig, cap=32) == (
                 literal_pruning_maximal_sets(sig, rule)), text
-
-
-class RecordingOracle:
-    """The default oracle of the closure ``sigma``, keeping every mask it
-    is asked to judge."""
-
-    def __init__(self, sigma):
-        self.base = HintikkaOracle(sigma)
-        self.candidates = []
-
-    def judge(self, mask):
-        self.candidates.append(mask)
-        return self.base.judge(mask)
 
 
 class TestOracleContract:
@@ -842,43 +860,45 @@ class TestOracleContract:
         return [closure([parse(seed)]) for seed in LABELED_SEEDS] + [
             closure([Neg(f)]) for f in acceptance_corpus()[::CORPUS_STRIDE]]
 
-    def test_one_judgment_per_assignment_in_order(self):
+    def test_one_judgment_per_assignment_in_order(self, monkeypatch):
+        seen = record_judgments(monkeypatch)
         for sig in self.closures():
             atoms = [f for f in sig if isinstance(f, (Var, Coal))]
-            oracle = RecordingOracle(sig)
-            sets = enumerate_maximal_sets(sig, oracle, cap=26)
-            candidates = [members(sig, m) for m in oracle.candidates]
+            seen.clear()
+            sets = enumerate_maximal_sets(sig, cap=26)
+            candidates = [members(sig, m) for m, _ in seen]
             assert [tuple(a in c for a in atoms) for c in candidates] == (
                 list(product((True, False), repeat=len(atoms))))
             assert sets == tuple(
-                m for m in oracle.candidates
-                if oracle.base.judge(m) is not Judgment.INCONSISTENT)
+                m for m, verdict in seen if verdict is not Judgment.INCONSISTENT)
 
-    def test_every_candidate_is_complete(self):
+    def test_every_candidate_is_complete(self, monkeypatch):
         # so a set never holds a formula beside its negation, nor false,
         # and the oracle needs no rule for either
+        seen = record_judgments(monkeypatch)
         for sig in self.closures():
-            oracle = RecordingOracle(sig)
-            enumerate_maximal_sets(sig, oracle, cap=26)
+            seen.clear()
+            enumerate_maximal_sets(sig, cap=26)
             decided = [f for f in sig if not isinstance(f, Neg)]
-            for m in oracle.candidates:
+            for m, _ in seen:
                 assert 0 <= m < 1 << len(sig)
                 c = members(sig, m)
                 assert all((f in c) != (Neg(f) in c) for f in decided), c
 
 
-def assert_oracle_matches_reference(closures):
+def assert_oracle_matches_reference(monkeypatch, closures):
     """The compiled oracle against the whole-candidate scan on every
     complete candidate the enumerator hands it; returns the number of
     candidates and of inconsistent ones."""
     candidates = inconsistent = 0
+    seen = record_judgments(monkeypatch)
     for sig in closures:
-        oracle = RecordingOracle(sig)
-        enumerate_maximal_sets(sig, oracle, cap=32)
-        for m in oracle.candidates:
+        seen.clear()
+        enumerate_maximal_sets(sig, cap=32)
+        for m, verdict in seen:
             c = members(sig, m)
             want = reference_judge(c)
-            assert oracle.base.judge(m) is want, sorted(map(render, c))
+            assert verdict is want, sorted(map(render, c))
             candidates += 1
             inconsistent += want is Judgment.INCONSISTENT
     return candidates, inconsistent
@@ -899,22 +919,120 @@ class TestOracleMatchesReference:
     """The compiled oracle against the whole-candidate scan: the same
     judgment on every complete candidate the enumerator hands it."""
 
-    def test_complete_candidates(self):
+    def test_complete_candidates(self, monkeypatch):
         # the seed, corpus negation and pool closures
         closures = [closure([parse(seed)]) for seed in LABELED_SEEDS]
         closures += [closure([Neg(f)]) for f in acceptance_corpus()]
         closures += pool_closures()
         # 266 seed, 15 562 corpus and pool candidates
-        assert assert_oracle_matches_reference(closures) == (15828, 495)
+        assert assert_oracle_matches_reference(monkeypatch, closures) == (15828, 495)
 
-    def test_cooperation_closures(self):
+    def test_cooperation_closures(self, monkeypatch):
         # no seed, corpus or pool closure has a set that only the
         # cooperation rule rejects; these do, on the two-agent half
         closures = cooperation_closures()
         assert len(closures) == 54
-        assert_oracle_matches_reference(closures)
+        assert_oracle_matches_reference(monkeypatch, closures)
         counts = [len(enumerate_maximal_sets(sig)) for sig in closures]
         assert (sum(counts[:27]), sum(counts[27:])) == (776, 776)
+
+
+def weakens(f, g):
+    """Whether holding the modality ``f`` forbids denying ``g``: the same
+    body, a coalition that contains f's and a threshold no higher."""
+    return g.body == f.body and g.coalition >= f.coalition and g.p <= f.p
+
+
+def cooperates(outer, inner, g):
+    """Whether holding ``outer``, [C]_p (x -> y), and ``inner``, [D]_q x,
+    with C and D disjoint, forbids denying ``g``, which [C ∪ D]_max(p, q) y
+    weakens to."""
+    return (isinstance(outer.body, Impl) and inner.body == outer.body.left
+            and not outer.coalition & inner.coalition
+            and weakens(Coal(outer.coalition | inner.coalition,
+                             max(outer.p, inner.p), outer.body.right), g))
+
+
+def follows_its_rule(tag, need, deny):
+    """Whether a nogood, its ``need`` and ``deny`` decoded to sets of
+    formulas, is an instance of the rule its tag names."""
+    if need & deny or not all(isinstance(f, Coal) for f in need | deny):
+        return False
+    if tag == "falsum":
+        return not deny and len(need) == 1 and all(
+            isinstance(f.body, Bot) and f.p > 0 for f in need)
+    if len(deny) != 1:
+        return False
+    (g,) = deny
+    if tag == "weakening":
+        return len(need) == 1 and all(weakens(f, g) for f in need)
+    return tag == "cooperation" and len(need) == 2 and any(
+        cooperates(outer, inner, g) for outer, inner in permutations(need))
+
+
+def decoded_nogoods(sigma):
+    """The nogoods of the compiled closure ``sigma``, each as (tag, need,
+    deny) with ``need`` and ``deny`` decoded to sets of formulas."""
+    compiled = HintikkaOracle(sigma, cap=32)
+    return [(n.tag, members(sigma, n.need), members(sigma, n.deny))
+            for n in compiled.nogoods]
+
+
+def rule_instances(sigma):
+    """Every instance over the closure ``sigma`` of the three rules, as
+    (tag, need, deny), found by trying each modality, pair and triple of
+    modalities of the closure."""
+    coals = [f for f in sigma if isinstance(f, Coal)]
+    out = [("falsum", frozenset({f}), frozenset()) for f in coals
+           if isinstance(f.body, Bot) and f.p > 0]
+    out += [("weakening", frozenset({f}), frozenset({g}))
+            for f in coals for g in coals if f != g and weakens(f, g)]
+    out += [("cooperation", frozenset({outer, inner}), frozenset({g}))
+            for outer in coals for inner in coals for g in coals
+            if g not in (outer, inner) and cooperates(outer, inner, g)]
+    return out
+
+
+class TestNogoodsFollowTheirTags:
+    """Each compiled nogood, decoded, is an instance of the rule its tag
+    names, and each instance of a rule over the closure is one nogood."""
+
+    def count_tags(self, closures):
+        tags = Counter()
+        for sig in closures:
+            nogoods = decoded_nogoods(sig)
+            for tag, need, deny in nogoods:
+                assert follows_its_rule(tag, need, deny), (
+                    tag, sorted(map(render, need)), sorted(map(render, deny)))
+            assert Counter(nogoods) == Counter(rule_instances(sig))
+            tags.update(tag for tag, _, _ in nogoods)
+        return dict(tags)
+
+    def test_seed_closures(self):
+        # [a]_1/2 false gives the falsum, [a]_1/4 v -> [a,b]_1/4 v the
+        # weakening
+        closures = [closure([parse(seed)]) for seed in LABELED_SEEDS]
+        assert self.count_tags(closures) == {"falsum": 1, "weakening": 1}
+
+    def test_corpus_negation_closures(self):
+        closures = [closure([Neg(f)]) for f in acceptance_corpus()]
+        assert len(closures) == 793
+        assert self.count_tags(closures) == {"weakening": 24}
+
+    def test_pool_closures(self):
+        assert self.count_tags(pool_closures()) == {"weakening": 57}
+
+    def test_cooperation_closures(self):
+        # 22 of each shape's 27 (p, q, r) have r <= max(p, q)
+        assert self.count_tags(cooperation_closures()) == {"cooperation": 44}
+
+    def test_a_broken_nogood_breaks_its_rule(self):
+        sig = closure([parse("([a]_1/4 v -> [a,b]_1/4 v)")])
+        ((tag, need, deny),) = decoded_nogoods(sig)
+        assert tag == "weakening" and follows_its_rule(tag, need, deny)
+        assert not follows_its_rule("weakening", deny, need)
+        assert not follows_its_rule("falsum", need, deny)
+        assert not follows_its_rule("cooperation", need, deny)
 
 
 class TestBuiltGamesAreSound:
@@ -939,12 +1057,13 @@ def assert_rows_follow_grant_rule(game, diag, domain):
     of each state of ``diag.sets`` under each profile over ``domain``,
     entries in order, and the guard pairs, in product order, each
     profile's keys in the order the JSON prints them."""
-    agents = tuple(sorted(diag.closure.agents()))
+    sigma = diag.compiled.sigma
+    agents = tuple(sorted(sigma.agents()))
     assert game.agents == agents
     assert game.actions == tuple(map(reference_action_id, domain))
-    named = {name: members(diag.closure, m) for name, m in diag.sets.items()}
+    named = {name: members(sigma, m) for name, m in diag.sets.items()}
     assert diag.state_members == {
-        name: [text for f, text in diag.closure.texts.items() if f in s]
+        name: [text for f, text in sigma.texts.items() if f in s]
         for name, s in named.items()
     }
     guards = []
@@ -990,9 +1109,10 @@ class TestRowsFollowGrantRule:
             guarded += assert_rows_follow_grant_rule(game, diag, action_domain(sig))
         assert guarded > 0
 
-    def test_guarded_pairs(self):
+    def test_guarded_pairs(self, monkeypatch):
         sig = closure([parse("([a]_1/2 v -> [a,b]_3/4 v)")])
-        game, diag = build_canonical_game(sig, oracle=NoV(sig))
+        add_nogoods(monkeypatch, no_v)
+        game, diag = build_canonical_game(sig)
         assert assert_rows_follow_grant_rule(game, diag, action_domain(sig)) > 0
 
 
@@ -1201,6 +1321,13 @@ class TestLabeledAuditMatchesReference:
         game, diag = build_canonical_game(sig)
         with pytest.raises(CheckError):
             audit_truth_lemma(game, sig, {"f": diag.sets["s0"]})
+
+    @pytest.mark.parametrize("mask", [1 | 1 << 5, 1 << 2, -1, -4])
+    def test_mask_outside_the_closure_is_refused(self, mask):
+        sig = closure([parse("~v")])
+        game, _ = build_canonical_game(sig)
+        with pytest.raises(CheckError, match="'s0'"):
+            audit_truth_lemma(game, sig, {"s0": mask})
 
 
 class TestRenderOnce:

@@ -24,10 +24,9 @@ from sgcl.proof import (
     Derivation,
     ProofLine,
     Tautology,
-    save_proof,
 )
 
-from conftest import reference_row_table
+from conftest import reference_row_table, save_proof
 
 ROOT = Path(__file__).resolve().parents[1]
 GAMES = ROOT / "games"

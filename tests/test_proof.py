@@ -33,11 +33,15 @@ from sgcl.proof import (
     derivation_from_dict,
     derivation_to_dict,
     load_proof,
-    save_proof,
     verify,
 )
 
-from conftest import overtake_game, reference_rule_from_str, reference_rule_to_str
+from conftest import (
+    overtake_game,
+    reference_rule_from_str,
+    reference_rule_to_str,
+    save_proof,
+)
 
 F = Fraction
 L, LPLUS = SystemId.L, SystemId.LPLUS

@@ -23,7 +23,6 @@ ALLOWED = {
     "proof.build_lifted_implication": "README (exactness) and tests",
     "proof.deduction_transform": "tests and perfbench/",
     "proof.derivation_to_dict": "tests and perfbench/workloads.py",
-    "proof.save_proof": "tests",
 }
 
 
